@@ -8,6 +8,7 @@ showing why the 128-unit / 66MB / 1TB/s design point was chosen.
 Usage: python examples/design_space.py
 """
 
+from repro.analysis.dse import sram_residency_sweep
 from repro.analysis.report import format_table
 from repro.compiler import cmult_program, bootstrapping_program
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
@@ -55,20 +56,13 @@ def sweep_hbm() -> None:
 
 def sweep_onchip() -> None:
     print("=== sweep: on-chip SRAM (scheduler residency) ===")
-    from repro.sim.scheduler import TimeSharingScheduler
-
-    rows = []
-    for kb in (128, 256, 512, 1024):
-        cfg = ALCHEMIST_DEFAULT.with_overrides(local_sram_kb=kb)
-        scheduler = TimeSharingScheduler(cfg)
-        decision = scheduler.schedule(bootstrapping_program())
-        area = AreaModel(cfg).total_area()
-        rows.append([
-            f"{cfg.total_onchip_bytes // (1 << 20)} MB",
-            "yes" if decision.resident else "NO (spills)",
-            f"{decision.occupancy:.2f}",
-            f"{area:.1f}",
-        ])
+    rows = [
+        [f"{int(row['onchip_mb'])} MB",
+         "yes" if row["resident"] else "NO (spills)",
+         f"{row['occupancy']:.2f}",
+         f"{row['area_mm2']:.1f}"]
+        for row in sram_residency_sweep(bootstrapping_program())
+    ]
     print(format_table(
         ["on-chip", "bootstrapping resident?", "occupancy", "area (mm^2)"],
         rows))

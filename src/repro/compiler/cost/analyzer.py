@@ -1,4 +1,4 @@
-"""Abstract cost interpretation over ``Program`` dependency edges.
+"""Abstract cost interpretation over a program's :class:`ProgramGraph`.
 
 :func:`analyze_program` walks a :class:`~repro.compiler.ops.Program`
 *without simulating it* and produces a :class:`CostReport`: per-op and
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.cost.model import OpCost, ResourceBound, cost_op
-from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.verify.liveness import value_bytes
+from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 
 
@@ -227,48 +226,18 @@ class CostReport:
 # --------------------------------------------------------------------- #
 
 
-def _topo_indices(program: Program) -> List[int]:
-    """Deterministic topological op-index order (mirrors ``linearize``).
-
-    Raises ``ValueError`` on a dependency cycle, like ``linearize``.
-    """
-    import heapq
-
-    edges = program.dependency_edges()
-    n = len(program.ops)
-    succs: Dict[int, List[int]] = {}
-    indeg = [0] * n
-    for i, preds in edges.items():
-        indeg[i] = len(preds)
-        for p in preds:
-            succs.setdefault(p, []).append(i)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: List[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for s in succs.get(i, ()):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != n:
-        raise ValueError(f"dependency cycle in program {program.name!r}")
-    return order
-
-
-def _critical_path(program: Program,
+def _critical_path(graph: ProgramGraph,
                    serialized: List[float]) -> Tuple[float, Tuple[int, ...]]:
     """Longest dependency chain weighted by per-op serialized cycles.
 
     Returns ``(length_cycles, member_indices)``; the path is deterministic
-    (ties resolve toward the earliest op index).
+    (ties resolve toward the earliest op index).  Raises ``ValueError`` on
+    a dependency cycle.
     """
-    order = _topo_indices(program)
-    edges = program.dependency_edges()
+    edges = graph.edges
     dist: Dict[int, float] = {}
     best_pred: Dict[int, Optional[int]] = {}
-    for i in order:
+    for i in graph.order:
         pred, pred_dist = None, 0.0
         for p in edges.get(i, ()):
             if dist[p] > pred_dist or (dist[p] == pred_dist
@@ -287,60 +256,33 @@ def _critical_path(program: Program,
     return dist[terminal], tuple(sorted(path))
 
 
-def _peak_occupancy(program: Program,
-                    word_bytes: float) -> Tuple[int, Optional[int]]:
-    """Peak live-value scratchpad occupancy over the linearized order.
-
-    The same live-set walk the liveness analysis uses for its ``ALC402``
-    capacity note, but returning the raw high-water mark (bytes) and the
-    op index where it occurs instead of a pass/fail against capacity.
-    """
-    try:
-        order = _topo_indices(program)
-    except ValueError:
-        return 0, None
-    producer: Dict[str, int] = {}
-    last_use: Dict[int, int] = {}
-    for pos, i in enumerate(order):
-        op = program.ops[i]
-        for v in op.uses:
-            if v in producer:
-                last_use[producer[v]] = pos
-        for v in op.defs:
-            producer[v] = i
-            last_use.setdefault(i, pos)
-    expiry: Dict[int, List[int]] = {}
-    for src, pos in last_use.items():
-        expiry.setdefault(pos, []).append(src)
-    live = 0
-    peak, peak_index = 0, None
-    for pos, i in enumerate(order):
-        live += value_bytes(program.ops[i], word_bytes)
-        if live > peak:
-            peak, peak_index = live, i
-        for src in expiry.get(pos, ()):
-            live -= value_bytes(program.ops[src], word_bytes)
-    return peak, peak_index
-
-
 # --------------------------------------------------------------------- #
 #                             entry points                              #
 # --------------------------------------------------------------------- #
 
 
 def analyze_program(program: Program,
-                    config: AlchemistConfig = ALCHEMIST_DEFAULT) -> CostReport:
-    """Static cost analysis of ``program`` on ``config`` (no simulation)."""
+                    config: AlchemistConfig = ALCHEMIST_DEFAULT,
+                    graph: Optional[ProgramGraph] = None) -> CostReport:
+    """Static cost analysis of ``program`` on ``config`` (no simulation).
+
+    ``graph`` is ``program``'s :class:`ProgramGraph` when the caller
+    already holds one; it is built here otherwise."""
+    if graph is None:
+        graph = ProgramGraph(program)
     costs = [cost_op(op, config) for op in program.ops]
     serialized = [c.serialized_cycles for c in costs]
+    peak, peak_index = 0, None
     try:
-        cp_cycles, cp_members = _critical_path(program, serialized)
+        cp_cycles, cp_members = _critical_path(graph, serialized)
+        for i, live in zip(graph.order, graph.live_bytes(config.word_bytes)):
+            if live > peak:
+                peak, peak_index = live, i
     except ValueError:
         # cyclic graph: the structure analysis reports it; degrade to the
         # serialized chain so cost totals stay available
         cp_cycles, cp_members = sum(serialized), tuple(range(len(costs)))
     member_set = set(cp_members)
-    peak, peak_index = _peak_occupancy(program, config.word_bytes)
     report = CostReport(
         program=program.name,
         config=config,

@@ -6,12 +6,14 @@ traffic, and (c) its off-chip (HBM) traffic.  The simulator turns those
 into cycles.
 
 Operators carry explicit ``defs``/``uses`` value ids (SSA-style producer
-edges).  :meth:`Program.dependency_edges` resolves them into a DAG and
-:meth:`Program.linearize` yields a deterministic topological view — the
-substrate for the pass pipeline (:mod:`repro.compiler.passes`) and the
-event-driven scheduler (:mod:`repro.sim.engine`).  Ops without def/use
-annotations remain valid (they simply have no graph edges), so legacy
-``Program`` construction keeps working unchanged.
+edges).  :meth:`Program.dependency_edges` resolves them into a DAG, and
+:class:`ProgramGraph` builds everything else from those edges once per
+use — successors, the deterministic topological order, use bindings and
+the live-value set — for the pass pipeline (:mod:`repro.compiler.passes`),
+the verifier, the cost analyzer and the scheduling kernel
+(:mod:`repro.sim.schedule`).  Ops without def/use annotations remain valid
+(they simply have no graph edges), so legacy ``Program`` construction
+keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import enum
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.metaop.lowering import (
     MetaOpIssue,
@@ -199,9 +203,9 @@ class HighLevelOp:
     def operator_class(self) -> str:
         return OPERATOR_CLASS[self.kind]
 
-    def trace_args(self) -> dict:
+    def trace_args(self) -> Dict[str, int]:
         """JSON-safe shape parameters for telemetry (only non-defaults)."""
-        out = {}
+        out: Dict[str, int] = {}
         if self.poly_degree:
             out["poly_degree"] = self.poly_degree
         if self.channels != 1:
@@ -229,9 +233,9 @@ class Program:
 
     ``ops`` holds the insertion order, which for every builder in this
     package is already a valid schedule (producers precede consumers).
-    The graph view lives in :meth:`dependency_edges`/:meth:`linearize`;
-    ``metadata`` is scratch space for compiler passes (traffic annotations,
-    pass provenance).  ``inputs`` optionally declares the external value
+    The graph view lives in :meth:`dependency_edges` and
+    :class:`ProgramGraph`; ``metadata`` is scratch space for compiler
+    passes (traffic annotations, pass provenance).  ``inputs`` optionally declares the external value
     ids the program legitimately consumes; when set, the linter treats any
     other undefined use as an error (``ALC301``) instead of silently
     assuming it is an argument.
@@ -248,7 +252,7 @@ class Program:
         self.ops.append(op)
         return self
 
-    def extend(self, ops) -> "Program":
+    def extend(self, ops: Iterable[HighLevelOp]) -> "Program":
         self.ops.extend(ops)
         return self
 
@@ -275,33 +279,18 @@ class Program:
         * a redefinition of ``v`` depends on the previous def of ``v``
           (write-after-write keeps reused accumulator ids ordered);
         * a use with no def anywhere is an external program input.
+
+        :func:`bind_use` is the use rule; :class:`ProgramGraph` shares it.
         """
-        def_sites: Dict[str, List[int]] = {}
-        for i, op in enumerate(self.ops):
-            for v in op.defs:
-                def_sites.setdefault(v, []).append(i)
-        edges: Dict[int, set] = {}
-        for i, op in enumerate(self.ops):
-            preds = set()
-            for v in op.uses:
-                sites = def_sites.get(v)
-                if not sites:
-                    continue                      # external input
-                k = bisect_left(sites, i)
-                if k > 0:
-                    preds.add(sites[k - 1])       # closest earlier def
-                elif sites[0] != i:
-                    preds.add(sites[0])           # forward binding
-                # else: the op's own def is the only site — external use
-            for v in op.defs:
-                sites = def_sites[v]
-                k = sites.index(i)
-                if k > 0:
-                    preds.add(sites[k - 1])       # WAW chain
-            preds.discard(i)
-            if preds:
-                edges[i] = tuple(sorted(preds))
-        return edges
+        def_sites = _def_sites(self.ops)
+        preds: Dict[int, Set[int]] = {}
+        for i, _, site in _bound_uses(self.ops, def_sites):
+            preds.setdefault(i, set()).add(site)
+        for sites in def_sites.values():
+            for prev, nxt in zip(sites, sites[1:]):
+                preds.setdefault(nxt, set()).add(prev)      # WAW chain
+        return {i: tuple(sorted(p - {i}))
+                for i, p in sorted(preds.items()) if p - {i}}
 
     def external_inputs(self) -> Tuple[str, ...]:
         """Value ids consumed but never produced (program arguments)."""
@@ -314,36 +303,161 @@ class Program:
         return tuple(seen)
 
     def linearize(self) -> List[HighLevelOp]:
-        """Deterministic topological order of the dataflow graph.
+        """Deterministic topological order of the dataflow graph: the ops
+        of :attr:`ProgramGraph.order`, which is the insertion order for
+        every builder in this package.  Raises ``ValueError`` when the
+        def/use graph has a cycle."""
+        return [self.ops[i] for i in ProgramGraph(self).order]
 
-        Kahn's algorithm with a min-heap on the op index, so whenever the
-        insertion order is already topological (true for all builders in
-        this package) the result *is* the insertion order.  Raises
-        ``ValueError`` when the def/use graph has a cycle.
-        """
-        edges = self.dependency_edges()
-        n = len(self.ops)
-        succs: Dict[int, List[int]] = {}
-        indeg = [0] * n
-        for i, preds in edges.items():
-            indeg[i] = len(preds)
+
+def _def_sites(ops: Sequence[HighLevelOp]) -> Dict[str, List[int]]:
+    """Value id -> ascending indices of the ops that define it."""
+    sites: Dict[str, List[int]] = {}
+    for i, op in enumerate(ops):
+        for v in op.defs:
+            sites.setdefault(v, []).append(i)
+    return sites
+
+
+def _bound_uses(ops: Sequence[HighLevelOp], def_sites: Dict[str, List[int]]
+                ) -> Iterator[Tuple[int, str, int]]:
+    """``(reader, value, bound def site)`` for every bound use."""
+    for i, op in enumerate(ops):
+        for v in op.uses:
+            sites = def_sites.get(v)
+            site = bind_use(sites, i) if sites else None
+            if site is not None:
+                yield i, v, site
+
+
+def bind_use(sites: Sequence[int], i: int) -> Optional[int]:
+    """The def site a use at op ``i`` binds to, given its value's sorted
+    def sites: the closest earlier def, else the first later def (forward
+    binding).  ``None`` when op ``i``'s own def is the first site — the
+    use then reads the external input the op overwrites."""
+    k = bisect_left(sites, i)
+    if k > 0:
+        return sites[k - 1]
+    if sites[0] != i:
+        return sites[0]
+    return None
+
+
+def value_bytes(op: HighLevelOp, word_bytes: float) -> int:
+    """On-chip footprint of the value(s) ``op`` defines (0 for HBM ops)."""
+    if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
+        return 0
+    if op.kind in (OpKind.EW_MULT, OpKind.EW_ADD):
+        return int(op.num_elements() * word_bytes)
+    return int(op.poly_degree * op.channels * op.polys * word_bytes)
+
+
+class ProgramGraph:
+    """The dataflow graph of one :class:`Program`, built once per use.
+
+    Every pass, analysis and scheduler that needs edges, successors, the
+    topological order, use bindings or the live set reads them here.
+    Each field is computed on first access, so a caller that needs only
+    edges pays only for edges.  The graph is a snapshot: it is never
+    cached on the program (passes and the mutation corpus edit
+    ``program.ops`` in place), so build a new one after editing.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+
+    @cached_property
+    def def_sites(self) -> Dict[str, List[int]]:
+        return _def_sites(self.program.ops)
+
+    @cached_property
+    def edges(self) -> Dict[int, Tuple[int, ...]]:
+        """:meth:`Program.dependency_edges`."""
+        return self.program.dependency_edges()
+
+    @cached_property
+    def succs(self) -> Dict[int, List[int]]:
+        """Op index -> ascending consumer indices."""
+        out: Dict[int, List[int]] = {}
+        for i, preds in self.edges.items():
             for p in preds:
-                succs.setdefault(p, []).append(i)
+                out.setdefault(p, []).append(i)
+        return out
+
+    @cached_property
+    def _kahn(self) -> Tuple[List[int], str]:
+        """Kahn's algorithm with a min-heap on the op index, plus the
+        cycle message ('' when the graph is acyclic)."""
+        ops = self.program.ops
+        n = len(ops)
+        indeg = [0] * n
+        for i, preds in self.edges.items():
+            indeg[i] = len(preds)
         ready = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(ready)
         order: List[int] = []
         while ready:
             i = heapq.heappop(ready)
             order.append(i)
-            for s in succs.get(i, ()):
+            for s in self.succs.get(i, ()):
                 indeg[s] -= 1
                 if indeg[s] == 0:
                     heapq.heappush(ready, s)
-        if len(order) != n:
-            stuck = [self.ops[i].label or self.ops[i].kind.value
-                     for i in range(n) if i not in set(order)]
-            raise ValueError(
-                f"dependency cycle in program {self.name!r} involving "
-                f"{stuck[:5]}"
-            )
-        return [self.ops[i] for i in order]
+        if len(order) == n:
+            return order, ""
+        placed = set(order)
+        stuck = [ops[i].label or ops[i].kind.value
+                 for i in range(n) if i not in placed]
+        return order, (f"dependency cycle in program {self.program.name!r} "
+                       f"involving {stuck[:5]}")
+
+    @property
+    def order(self) -> List[int]:
+        """Deterministic topological op indices: the insertion order
+        whenever that is already topological.  Raises ``ValueError`` on a
+        dependency cycle."""
+        order, cycle = self._kahn
+        if cycle:
+            raise ValueError(cycle)
+        return order
+
+    @cached_property
+    def bindings(self) -> Dict[int, List[Tuple[str, int]]]:
+        """Reader op index -> ``[(value, bound def site)]`` in use order,
+        by the :func:`bind_use` rule (external reads are absent)."""
+        out: Dict[int, List[Tuple[str, int]]] = {}
+        for i, v, site in _bound_uses(self.program.ops, self.def_sites):
+            out.setdefault(i, []).append((v, site))
+        return out
+
+    @cached_property
+    def _expiry(self) -> Dict[int, List[int]]:
+        """Position in :attr:`order` -> ops whose values die there."""
+        ops = self.program.ops
+        producer: Dict[str, int] = {}
+        last_use: Dict[int, int] = {}
+        for pos, i in enumerate(self.order):
+            for v in ops[i].uses:
+                if v in producer:
+                    last_use[producer[v]] = pos
+            for v in ops[i].defs:
+                producer[v] = i
+                last_use.setdefault(i, pos)
+        expiry: Dict[int, List[int]] = {}
+        for src, pos in last_use.items():
+            expiry.setdefault(pos, []).append(src)
+        return expiry
+
+    def live_bytes(self, word_bytes: float) -> List[int]:
+        """Live-value scratchpad bytes at each position of :attr:`order`
+        (the op's value joins, then values last used there retire)."""
+        ops = self.program.ops
+        expiry = self._expiry
+        live = 0
+        out: List[int] = []
+        for pos, i in enumerate(self.order):
+            live += value_bytes(ops[i], word_bytes)
+            out.append(live)
+            for src in expiry.get(pos, ()):
+                live -= value_bytes(ops[src], word_bytes)
+        return out

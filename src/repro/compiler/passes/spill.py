@@ -1,12 +1,12 @@
 """Spill-insertion pass: on-chip working-set overflow → HBM traffic.
 
-Replaces the old ``TimeSharingScheduler.schedule_with_spills`` behaviour of
-appending one spill/fill pair at program end — which parked the HBM cost
-*after* all compute in the resource-pipelined timeline — with targeted
-insertion: each op whose peak footprint exceeds the 64+2 MB capacity gets
-an ``HBM_STORE`` (evict) immediately before it and an ``HBM_LOAD``
-(restore) immediately after it, wired into the dataflow graph so the
-event-driven engine also sees the overflow where it occurs.
+Time-sharing (Section 5.4) keeps one polynomial or decomposition digit of
+each op resident at a time, so a program fits on-chip exactly when its
+largest per-op footprint (:func:`peak_footprint_bytes`) fits the 64+2 MB
+capacity.  Each op whose footprint exceeds it gets an ``HBM_STORE``
+(evict) immediately before it and an ``HBM_LOAD`` (restore) immediately
+after it, wired into the dataflow graph so the event-driven engine also
+sees the overflow where it occurs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ from typing import List, Optional
 
 from repro.compiler.ops import HighLevelOp, OpKind, Program
 from repro.compiler.passes.base import Pass, PassContext
+
+
+def peak_footprint_bytes(program: Program, word_bytes: float) -> int:
+    """The largest per-op working footprint in ``program`` (streamed HBM
+    ops hold none): the pass spills iff it exceeds the capacity."""
+    return max((op.footprint_bytes(word_bytes) for op in program.ops),
+               default=0)
 
 
 class SpillInsertionPass(Pass):

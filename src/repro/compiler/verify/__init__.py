@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.compiler.ops import Program
+from repro.compiler.ops import Program, value_bytes
 from repro.compiler.verify.base import (
     Analysis,
     AnalysisContext,
@@ -66,7 +66,7 @@ from repro.compiler.verify.keys import (
     required_keys,
 )
 from repro.compiler.verify.levels import AbstractCt, LevelScaleAnalysis
-from repro.compiler.verify.liveness import LivenessAnalysis, value_bytes
+from repro.compiler.verify.liveness import LivenessAnalysis
 from repro.compiler.verify.noise import (
     NoiseBudgetAnalysis,
     NoiseDomain,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from repro.compiler.ops import Program
+from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.diagnostics import Diagnostic, Severity
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 
@@ -25,6 +25,15 @@ class AnalysisContext:
     #: Optional schedule to audit (``(op_index, start, end)`` triples or
     #: objects with ``index``/``start``/``end``); program order when absent.
     schedule: Optional[Sequence[object]] = None
+    #: The linted program's graph, shared by every analysis of the run.
+    graph: Optional[ProgramGraph] = None
+
+    def graph_of(self, program: Program) -> ProgramGraph:
+        """The shared graph when it is ``program``'s, else a fresh one
+        (analyses run directly, outside a :class:`Linter`)."""
+        if self.graph is not None and self.graph.program is program:
+            return self.graph
+        return ProgramGraph(program)
 
 
 class Analysis:
@@ -93,7 +102,8 @@ class Linter:
 
     def run(self, program: Program,
             schedule: Optional[Sequence[object]] = None) -> LintReport:
-        ctx = AnalysisContext(config=self.config, schedule=schedule)
+        ctx = AnalysisContext(config=self.config, schedule=schedule,
+                              graph=ProgramGraph(program))
         found: List[Diagnostic] = []
         for analysis in self.analyses:
             for diag in analysis.run(program, ctx):

@@ -31,16 +31,14 @@ so shipped workloads stay lint-clean while ``repro analyze``/``repro lint
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from dataclasses import replace
+from typing import Dict, List
 
-from repro.compiler.ops import Program
+from repro.compiler.cost.analyzer import CostReport, analyze_program
+from repro.compiler.cost.model import cost_op
+from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # real imports are deferred: cost.analyzer imports the
-    # verify package (for value_bytes), so a load-time import here would
-    # close an import cycle whenever the cost package loads first
-    from repro.compiler.cost.analyzer import CostReport
 
 
 class CostAnalysis(Analysis):
@@ -55,10 +53,9 @@ class CostAnalysis(Analysis):
 
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
-        from repro.compiler.cost.analyzer import analyze_program
-
+        graph = ctx.graph_of(program)
         try:
-            report = analyze_program(program, ctx.config)
+            report = analyze_program(program, ctx.config, graph)
         except Exception:
             # ill-formed programs (bad shapes, cyclic graphs) are the
             # structure analysis's findings, not ours
@@ -67,8 +64,8 @@ class CostAnalysis(Analysis):
         out.extend(self._hbm_on_critical_path(report))
         out.extend(self._occupancy_overflow(report, ctx))
         out.extend(self._lane_underutilization(report, ctx))
-        out.extend(self._fusion_opportunities(program, ctx))
-        out.extend(self._compression_flips(program, report, ctx))
+        out.extend(self._fusion_opportunities(graph, ctx))
+        out.extend(self._compression_flips(graph, report, ctx))
         return out
 
     # ------------------------------------------------------------------ #
@@ -132,24 +129,23 @@ class CostAnalysis(Analysis):
         return out
 
     @staticmethod
-    def _fusion_opportunities(program: Program,
+    def _fusion_opportunities(graph: ProgramGraph,
                               ctx: AnalysisContext) -> List[Diagnostic]:
-        # lazy imports: passes.fusion imports verify modules at load time,
-        # and cost.analyzer imports this package (see module docstring)
-        from repro.compiler.cost.model import cost_op
+        # lazy import: passes.fusion imports verify modules at load time
         from repro.compiler.passes.fusion import _fusable, _fuse
 
         try:
-            ops = program.linearize()
+            order = graph.order
         except ValueError:
             return []
+        ops = graph.program.ops
         fanout: Dict[str, int] = {}
         for op in ops:
             for v in op.uses:
                 fanout[v] = fanout.get(v, 0) + 1
-        index_of = {id(op): i for i, op in enumerate(program.ops)}
         out: List[Diagnostic] = []
-        for a, b in zip(ops, ops[1:]):
+        for ia, i in zip(order, order[1:]):
+            a, b = ops[ia], ops[i]
             if not _fusable(a, b, fanout):
                 continue
             cost_a = cost_op(a, ctx.config)
@@ -159,7 +155,6 @@ class CostAnalysis(Analysis):
                      - fused.serialized_cycles)
             if saved <= 0:
                 continue
-            i = index_of[id(b)]
             a_tag = a.label or a.kind.value
             b_tag = b.label or b.kind.value
             out.append(Diagnostic(
@@ -172,19 +167,15 @@ class CostAnalysis(Analysis):
         return out
 
     @staticmethod
-    def _compression_flips(program: Program, report: CostReport,
+    def _compression_flips(graph: ProgramGraph, report: CostReport,
                            ctx: AnalysisContext) -> List[Diagnostic]:
         """ALC605: ops whose binding resource leaves HBM under the
         configured compression model (vs the same config without it)."""
-        from dataclasses import replace
-
-        from repro.compiler.cost.analyzer import analyze_program
-
         comp = ctx.config.compression
         if comp is None or not comp.enabled:
             return []
         baseline = analyze_program(
-            program, replace(ctx.config, compression=None))
+            graph.program, replace(ctx.config, compression=None), graph)
         out: List[Diagnostic] = []
         if baseline.bottleneck == "hbm" and report.bottleneck != "hbm":
             saved = baseline.total_hbm_bytes - report.total_hbm_bytes

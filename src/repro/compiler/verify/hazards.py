@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.ops import OpKind, Program
+from repro.compiler.ops import OpKind, Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
 
@@ -47,28 +47,16 @@ def _normalize(schedule: Sequence[object]) -> List[Tuple[int, float, float]]:
     return entries
 
 
-def _reader_bindings(program: Program) -> Dict[int, List[Tuple[str, int]]]:
-    """Map reader op index -> [(value, bound def op index)] using the same
-    closest-earlier-def / first-later-def rule as ``dependency_edges``."""
-    def_sites: Dict[str, List[int]] = {}
-    for i, op in enumerate(program.ops):
-        for v in op.defs:
-            def_sites.setdefault(v, []).append(i)
-    bindings: Dict[int, List[Tuple[str, int]]] = {}
-    for i, op in enumerate(program.ops):
-        for v in op.uses:
-            sites = def_sites.get(v)
-            if not sites:
-                continue
-            earlier = [s for s in sites if s < i]
-            bound = earlier[-1] if earlier else sites[0]
-            bindings.setdefault(i, []).append((v, bound))
-    return bindings
-
-
 def schedule_diagnostics(program: Program,
-                         schedule: Sequence[object]) -> List[Diagnostic]:
-    """Audit one executed schedule of ``program`` for hazards."""
+                         schedule: Sequence[object],
+                         graph: Optional[ProgramGraph] = None
+                         ) -> List[Diagnostic]:
+    """Audit one executed schedule of ``program`` for hazards.
+
+    ``graph`` is ``program``'s :class:`ProgramGraph` when the caller
+    already holds one; it is built here otherwise."""
+    if graph is None:
+        graph = ProgramGraph(program)
     entries = _normalize(schedule)
     out: List[Diagnostic] = []
     times: Dict[int, Tuple[float, float]] = {}
@@ -86,18 +74,19 @@ def schedule_diagnostics(program: Program,
                 f"op {i} ({op.label or op.kind.value}) missing from the "
                 f"schedule",
                 op_index=i, op_label=op.label))
-    out.extend(_dependency_hazards(program, times))
-    out.extend(_war_hazards(program, times))
+    out.extend(_dependency_hazards(graph, times))
+    out.extend(_war_hazards(graph, times))
     out.extend(spill_fill_diagnostics(program, times))
     return out
 
 
-def _dependency_hazards(program: Program,
+def _dependency_hazards(graph: ProgramGraph,
                         times: Dict[int, Tuple[float, float]]
                         ) -> List[Diagnostic]:
     """ALC500/ALC501: each dependency edge must be respected in time."""
+    program = graph.program
     out: List[Diagnostic] = []
-    for i, preds in sorted(program.dependency_edges().items()):
+    for i, preds in sorted(graph.edges.items()):
         if i not in times:
             continue                 # coverage already reported
         op = program.ops[i]
@@ -129,21 +118,17 @@ def _dependency_hazards(program: Program,
     return out
 
 
-def _war_hazards(program: Program,
+def _war_hazards(graph: ProgramGraph,
                  times: Dict[int, Tuple[float, float]]) -> List[Diagnostic]:
     """ALC502: a redefinition must wait for readers of the previous def."""
-    def_sites: Dict[str, List[int]] = {}
-    for i, op in enumerate(program.ops):
-        for v in op.defs:
-            def_sites.setdefault(v, []).append(i)
-    bindings = _reader_bindings(program)
+    program = graph.program
     # readers_of[(value, def_site)] -> reader op indices
     readers_of: Dict[Tuple[str, int], List[int]] = {}
-    for reader, pairs in bindings.items():
+    for reader, pairs in graph.bindings.items():
         for v, bound in pairs:
             readers_of.setdefault((v, bound), []).append(reader)
     out: List[Diagnostic] = []
-    for v, sites in sorted(def_sites.items()):
+    for v, sites in sorted(graph.def_sites.items()):
         for prev, nxt in zip(sites, sites[1:]):
             if nxt not in times:
                 continue
@@ -210,5 +195,6 @@ class HazardAnalysis(Analysis):
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
         if ctx.schedule is not None:
-            return schedule_diagnostics(program, ctx.schedule)
+            return schedule_diagnostics(program, ctx.schedule,
+                                        ctx.graph_of(program))
         return spill_fill_diagnostics(program)

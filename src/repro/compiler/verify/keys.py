@@ -64,7 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.compiler.ops import OpKind, Program
+from repro.compiler.cost.analyzer import analyze_program
+from repro.compiler.cost.model import cost_op
+from repro.compiler.ops import OpKind, Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
@@ -186,7 +188,7 @@ def required_keys(program: Program) -> Tuple[str, ...]:
     return tuple(sorted({op.key for op in program.ops if op.key}))
 
 
-def _key_events(program: Program,
+def _key_events(graph: ProgramGraph,
                 config: AlchemistConfig) -> List[KeyEvent]:
     """Key touches in linearized order, with charged fetch bytes.
 
@@ -197,19 +199,16 @@ def _key_events(program: Program,
     model the key as already resident) charge nothing, exactly like the
     simulator.
     """
-    from repro.compiler.cost.model import cost_op
-
-    order = program.linearize()
-    index_of = {id(op): i for i, op in enumerate(program.ops)}
     events: List[KeyEvent] = []
-    for position, op in enumerate(order):
+    for position, i in enumerate(graph.order):
+        op = graph.program.ops[i]
         if not op.key:
             continue
         fetch = 0
         if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
             fetch = cost_op(op, config).hbm_bytes
         events.append(KeyEvent(
-            position=position, op_index=index_of[id(op)],
+            position=position, op_index=i,
             label=op.label, key=op.key, fetch_bytes=fetch))
     return events
 
@@ -320,16 +319,20 @@ def _greedy_schedule(events: List[KeyEvent],
 
 
 def analyze_keys(program: Program,
-                 config: AlchemistConfig = ALCHEMIST_DEFAULT
+                 config: AlchemistConfig = ALCHEMIST_DEFAULT,
+                 graph: Optional[ProgramGraph] = None
                  ) -> Optional[KeyResidencyReport]:
-    """Key dependency/residency report (None when not key-annotated)."""
+    """Key dependency/residency report (None when not key-annotated).
+
+    ``graph`` is ``program``'s :class:`ProgramGraph` when the caller
+    already holds one; it is built here otherwise."""
     meta = _keys_meta(program)
     if meta is None:
         return None
     scheme = meta.get("scheme")
     scheme_name = scheme if isinstance(scheme, str) else ""
     try:
-        events = _key_events(program, config)
+        events = _key_events(graph or ProgramGraph(program), config)
     except ValueError:
         return None                   # cycle: structure analysis reports it
     declared = _provisioned_sizes(meta)
@@ -364,13 +367,14 @@ class KeyResidencyAnalysis(Analysis):
 
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
-        report = analyze_keys(program, ctx.config)
+        graph = ctx.graph_of(program)
+        report = analyze_keys(program, ctx.config, graph)
         if report is None:
             return []
         out: List[Diagnostic] = []
         out.extend(self._unprovisioned(report))
         out.extend(self._working_set(report))
-        out.extend(self._dominance(program, ctx.config, report))
+        out.extend(self._dominance(graph, ctx.config, report))
         out.extend(self._inventory(report, ctx.config))
         return out
 
@@ -403,18 +407,17 @@ class KeyResidencyAnalysis(Analysis):
             op_index=report.peak_op_index)]
 
     @staticmethod
-    def _dominance(program: Program, config: AlchemistConfig,
+    def _dominance(graph: ProgramGraph, config: AlchemistConfig,
                    report: KeyResidencyReport) -> List[Diagnostic]:
         """ALC803: the worst key-dominated consuming op on the critical
         path (key bytes > the declared ciphertext bytes)."""
+        program = graph.program
         meta = _keys_meta(program)
         ct_bytes = _meta_size(meta, "ciphertext_bytes") if meta else None
         if not ct_bytes or ct_bytes <= 0:
             return []
         try:
-            from repro.compiler.cost.analyzer import analyze_program
-
-            cost = analyze_program(program, config)
+            cost = analyze_program(program, config, graph)
         except Exception:
             return []                 # ill-formed program: reported elsewhere
         critical = {r.index for r in cost.rows if r.critical}

@@ -23,21 +23,11 @@ Advisory notes:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Set
+from typing import List, Set
 
-from repro.compiler.ops import HighLevelOp, OpKind, Program
+from repro.compiler.ops import OpKind, Program, ProgramGraph, bind_use
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
-
-
-def value_bytes(op: HighLevelOp, word_bytes: float) -> int:
-    """On-chip footprint of the value(s) ``op`` defines (0 for HBM ops)."""
-    if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
-        return 0
-    if op.kind in (OpKind.EW_MULT, OpKind.EW_ADD):
-        return int(op.num_elements() * word_bytes)
-    return int(op.poly_degree * op.channels * op.polys * word_bytes)
 
 
 class LivenessAnalysis(Analysis):
@@ -47,18 +37,15 @@ class LivenessAnalysis(Analysis):
 
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
+        graph = ctx.graph_of(program)
         out: List[Diagnostic] = []
-        def_sites: Dict[str, List[int]] = {}
-        for i, op in enumerate(program.ops):
-            for v in op.defs:
-                def_sites.setdefault(v, []).append(i)
         declared = set(getattr(program, "inputs", ()) or ())
         used: Set[str] = set()
         for i, op in enumerate(program.ops):
             tag = op.label or f"op{i}"
             for v in op.uses:
                 used.add(v)
-                sites = def_sites.get(v)
+                sites = graph.def_sites.get(v)
                 if not sites:
                     if declared and v not in declared:
                         out.append(Diagnostic(
@@ -67,28 +54,24 @@ class LivenessAnalysis(Analysis):
                             f"is not a declared program input",
                             op_index=i, op_label=op.label, values=(v,)))
                     continue
-                k = bisect_left(sites, i)
-                if k == 0 and sites[0] != i:
+                site = bind_use(sites, i)
+                if site is not None and site > i:
                     out.append(Diagnostic(
                         "ALC302",
                         f"{tag}: uses {v!r} before its definition "
-                        f"(op {sites[0]})",
+                        f"(op {site})",
                         op_index=i, op_label=op.label, values=(v,)))
-        out.extend(self._dead_defs(program, used))
-        out.extend(self._capacity(program, ctx))
+        out.extend(self._dead_defs(graph, used))
+        out.extend(self._capacity(graph, ctx))
         return out
 
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _dead_defs(program: Program, used: Set[str]) -> List[Diagnostic]:
-        edges = program.dependency_edges()
-        has_succ: Set[int] = set()
-        for i, preds in edges.items():
-            has_succ.update(preds)
+    def _dead_defs(graph: ProgramGraph, used: Set[str]) -> List[Diagnostic]:
         out: List[Diagnostic] = []
-        for i, op in enumerate(program.ops):
-            if i not in has_succ:
+        for i, op in enumerate(graph.program.ops):
+            if i not in graph.succs:
                 continue             # terminal op: defs are program outputs
             if any(v in used for v in op.defs):
                 continue             # at least one alias is consumed
@@ -100,54 +83,35 @@ class LivenessAnalysis(Analysis):
         return out
 
     @staticmethod
-    def _capacity(program: Program,
+    def _capacity(graph: ProgramGraph,
                   ctx: AnalysisContext) -> List[Diagnostic]:
         """Peak-live-set and per-op footprint pressure (spill prediction)."""
         capacity = ctx.config.total_onchip_bytes
         wb = ctx.config.word_bytes
         out: List[Diagnostic] = []
         try:
-            order = program.linearize()
+            order = graph.order
         except ValueError:
             return out               # cycle: structure analysis reports it
-        index_of = {id(op): i for i, op in enumerate(program.ops)}
-        # last use position (in linearized order) of each producing op
-        last_use: Dict[int, int] = {}
-        producer: Dict[str, int] = {}
-        for pos, op in enumerate(order):
-            for v in op.uses:
-                if v in producer:
-                    last_use[producer[v]] = pos
-            for v in op.defs:
-                producer[v] = index_of[id(op)]
-                last_use.setdefault(index_of[id(op)], pos)
-        expiry: Dict[int, List[int]] = {}
-        for src, pos in last_use.items():
-            expiry.setdefault(pos, []).append(src)
-        live = 0
-        peak_reported = False
-        for pos, op in enumerate(order):
-            i = index_of[id(op)]
+        live = graph.live_bytes(wb)
+        first_over = next(
+            (pos for pos, b in enumerate(live) if b > capacity), None)
+        for pos, i in enumerate(order):
+            op = graph.program.ops[i]
+            tag = op.label or f"op{i}"
             footprint = op.footprint_bytes(wb)
             if (footprint > capacity
                     and op.kind not in (OpKind.HBM_LOAD, OpKind.HBM_STORE)):
-                tag = op.label or f"op{i}"
                 out.append(Diagnostic(
                     "ALC403",
                     f"{tag}: working footprint {footprint / 1e6:.1f} MB "
                     f"exceeds on-chip capacity {capacity / 1e6:.1f} MB — "
                     f"SpillInsertionPass will spill here",
                     op_index=i, op_label=op.label))
-            live += value_bytes(op, wb)
-            if live > capacity and not peak_reported:
-                tag = op.label or f"op{i}"
+            if pos == first_over:
                 out.append(Diagnostic(
                     "ALC402",
-                    f"{tag}: peak live set reaches {live / 1e6:.1f} MB, "
+                    f"{tag}: peak live set reaches {live[pos] / 1e6:.1f} MB, "
                     f"beyond the {capacity / 1e6:.1f} MB of on-chip SRAM",
                     op_index=i, op_label=op.label))
-                peak_reported = True
-            for src in expiry.get(pos, ()):
-                src_op = program.ops[src]
-                live -= value_bytes(src_op, wb)
         return out

@@ -58,7 +58,7 @@ from repro.ckks.noise import (
     key_norm_from_hamming,
     keyswitch_std,
 )
-from repro.compiler.ops import HighLevelOp, OpKind, Program
+from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.tfhe.params import TFHEParams
@@ -482,7 +482,7 @@ class NoiseBudgetAnalysis(Analysis):
         domain = noise_domain(meta)
         if domain is None:
             return []
-        records = _walk(program, domain)
+        records = _walk(ctx.graph_of(program), domain)
         if not records:
             return []
         return self._diagnose(domain, records)
@@ -557,18 +557,19 @@ class NoiseBudgetAnalysis(Analysis):
         return _min_headroom(program, domain)
 
 
-def _walk(program: Program, domain: NoiseDomain) -> List[_OpHeadroom]:
+def _walk(graph: ProgramGraph, domain: NoiseDomain) -> List[_OpHeadroom]:
     """Interpret ``domain`` over the program; one record per defining op,
     in program order."""
     try:
-        order = program.linearize()
+        order = graph.order
     except ValueError:
         return []                     # cycle: structure analysis reports it
-    index_of = {id(op): i for i, op in enumerate(program.ops)}
-    defined = {v for op in program.ops for v in op.defs}
+    ops = graph.program.ops
+    defined = graph.def_sites
     state: Dict[str, NoiseState] = {}
     records: List[_OpHeadroom] = []
-    for op in order:
+    for i in order:
+        op = ops[i]
         if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
             continue                  # streamed operands carry no ct state
         # seed external inputs (uses with no producer) at a fresh state
@@ -580,8 +581,7 @@ def _walk(program: Program, domain: NoiseDomain) -> List[_OpHeadroom]:
         if op.defs:
             bits = domain.headroom_bits(out_state)
             hint = domain.recovery_hint(op, ins, exhausted=bits <= 0.0)
-            records.append(_OpHeadroom(
-                index_of[id(op)], op.label, op.defs, bits, hint))
+            records.append(_OpHeadroom(i, op.label, op.defs, bits, hint))
         for v in op.defs:
             state[v] = out_state
     records.sort(key=lambda r: r.index)
@@ -590,7 +590,7 @@ def _walk(program: Program, domain: NoiseDomain) -> List[_OpHeadroom]:
 
 def _min_headroom(program: Program,
                   domain: NoiseDomain) -> Optional[float]:
-    records = _walk(program, domain)
+    records = _walk(ProgramGraph(program), domain)
     if not records:
         return None
     return min(r.bits for r in records)

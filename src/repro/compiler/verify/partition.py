@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.compiler.ops import OpKind, Program
+from repro.compiler.ops import OpKind, Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.hw.datalayout import SlotPartition
@@ -66,16 +66,17 @@ class SlotPartitionAnalysis(Analysis):
                         f"{tag}: {op.kind.value} lowering is not unit-local "
                         f"under slot partitioning",
                         op_index=i, op_label=op.label))
-        out.extend(self._edge_conformance(program, out))
+        out.extend(self._edge_conformance(ctx.graph_of(program), out))
         return out
 
     @staticmethod
-    def _edge_conformance(program: Program,
+    def _edge_conformance(graph: ProgramGraph,
                           prior: List[Diagnostic]) -> List[Diagnostic]:
         """ALC201: degree changes along edges imply cross-unit traffic."""
+        program = graph.program
         flagged = {d.op_index for d in prior}
         out: List[Diagnostic] = []
-        for i, preds in sorted(program.dependency_edges().items()):
+        for i, preds in sorted(graph.edges.items()):
             op = program.ops[i]
             if op.kind in _LAYOUT_CHANGERS or op.poly_degree <= 0:
                 continue

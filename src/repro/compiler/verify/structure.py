@@ -25,7 +25,7 @@ class StructureAnalysis(Analysis):
             ctx: AnalysisContext) -> List[Diagnostic]:
         out: List[Diagnostic] = []
         try:
-            program.linearize()
+            ctx.graph_of(program).order        # raises on a cycle
         except ValueError as exc:
             out.append(Diagnostic("ALC001", str(exc)))
         seen_defs: Dict[str, int] = {}

@@ -7,9 +7,11 @@ the steady-state (pipelined) maximum of the three resource totals, which is
 how a throughput-oriented accelerator with decoupled load/compute/store
 behaves.  Utilization accounting reproduces Figure 7(b).
 
-:mod:`repro.sim.engine` adds the event-driven view: dependency-aware
+:mod:`repro.sim.schedule` is the one resource-frontier scheduling kernel:
+program order for the simulator's traces and fault runs, dataflow order
+for :mod:`repro.sim.engine`, the event-driven view (dependency-aware
 scheduling over the same per-op timings, plus multi-tenant mixes with
-pluggable dispatch policies.
+pluggable dispatch policies).
 
 :mod:`repro.sim.faults` adds seeded fault injection (HBM brown-outs, core
 dropout, scratchpad loss, transient op failures) with resilience policies
@@ -30,7 +32,6 @@ from repro.sim.faults import (
     ResiliencePolicy,
     ResilienceReport,
 )
-from repro.sim.scheduler import ScheduleDecision, TimeSharingScheduler
 from repro.sim.simulator import (
     CycleSimulator,
     OpTiming,
@@ -47,9 +48,7 @@ __all__ = [
     "ResilienceReport",
     "OpTiming",
     "POLICIES",
-    "ScheduleDecision",
     "ScheduledOp",
     "SimulationReport",
     "TenantStats",
-    "TimeSharingScheduler",
 ]

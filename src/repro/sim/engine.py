@@ -3,64 +3,37 @@
 :class:`EventDrivenSimulator` schedules operators across the three
 pipelined resources of the timing model (compute, on-chip bandwidth, HBM
 bandwidth) while honoring the program's def/use dependency edges — the
-dynamic counterpart of :meth:`SimulationReport.timeline`, which replays
-ops strictly in program order.  For a dependency-free program under FCFS
-the engine reproduces the timeline exactly; with real edges it additionally
-stalls consumers until their producers finish.
+dataflow mode of the shared kernel :func:`repro.sim.schedule.schedule`,
+whose program-order mode times the cycle simulator's traces.  For a
+dependency-free program under FCFS the two modes agree exactly; with real
+edges the engine additionally stalls consumers until their producers
+finish.
 
 It also runs *mixes*: several tenant programs time-sharing one Alchemist
 (the paper's cross-scheme scenario, Section 6.5) under a pluggable
 dispatch policy — FCFS, round-robin, or priority — reporting per-tenant
-latency, slowdown versus running alone, and a Jain fairness index.
-
-Bounds (hold for every policy and dependency structure):
-
-* ``makespan >= pipelined_cycles`` — each resource serves ops serially, so
-  its final free time is at least its total demand;
-* ``makespan <= serialized_cycles`` — every dispatched op starts no later
-  than the current global frontier, so each op extends the frontier by at
-  most its own serialized duration.
+latency, slowdown versus running alone, and a Jain fairness index.  The
+kernel's docstring states the makespan bounds every run satisfies.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.compiler.cost.model import ResourceBound
-from repro.compiler.ops import Program
+from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.compiler.verify.hazards import schedule_diagnostics
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+from repro.sim.schedule import POLICIES, ScheduledOp, Tenant, schedule
 from repro.sim.simulator import CycleSimulator, OpTiming
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.sim.faults
     from repro.sim.faults.injector import FaultInjector
 
-#: Dispatch policies understood by :meth:`EventDrivenSimulator.run_mix`.
-POLICIES = ("fcfs", "round-robin", "priority")
-
-_RESOURCES = ("compute", "sram", "hbm")
-
-
-@dataclass(frozen=True)
-class ScheduledOp:
-    """One dispatched operator in the event schedule."""
-
-    tenant: str
-    index: int                       # op index within the tenant's program
-    label: str
-    kind: str
-    start: float
-    end: float
-    compute_cycles: float
-    sram_cycles: float
-    hbm_cycles: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+__all__ = ["EventDrivenSimulator", "MixReport", "POLICIES", "ScheduledOp",
+           "TenantStats"]
 
 
 @dataclass(frozen=True)
@@ -99,9 +72,9 @@ class MixReport:
     def resource_cycles(self) -> ResourceBound:
         """Aggregate demand the schedule placed on each pipelined resource."""
         return ResourceBound(
-            compute_cycles=sum(s.compute_cycles for s in self.schedule),
-            sram_cycles=sum(s.sram_cycles for s in self.schedule),
-            hbm_cycles=sum(s.hbm_cycles for s in self.schedule),
+            compute_cycles=sum(s.timing.compute_cycles for s in self.schedule),
+            sram_cycles=sum(s.timing.sram_cycles for s in self.schedule),
+            hbm_cycles=sum(s.timing.hbm_cycles for s in self.schedule),
         )
 
     @property
@@ -193,14 +166,17 @@ class EventDrivenSimulator:
                             audit=audit, injector=injector)
 
     def run_mix(self, programs: Sequence[Program], policy: str = "fcfs",
-                priorities: Optional[Dict[str, int]] = None,
-                timings_by_tenant=None, audit: bool = False,
+                priorities: Optional[Mapping[str, int]] = None,
+                timings_by_tenant: Optional[Sequence[List[OpTiming]]] = None,
+                audit: bool = False,
                 injector: Optional["FaultInjector"] = None) -> MixReport:
         """Schedule ``programs`` sharing the machine under ``policy``.
 
         ``priorities`` (policy="priority") maps tenant name -> priority;
         higher dispatches first.  Tenant names are the program names,
-        suffixed ``#k`` when a name repeats in the mix.
+        suffixed ``#k`` when a name repeats in the mix.  Each program's
+        :class:`ProgramGraph` is built once and serves the shared run,
+        its solo baseline and the audit.
 
         ``audit=True`` re-checks the produced schedule against each
         program's dependency edges via the static verifier's hazard
@@ -210,50 +186,45 @@ class EventDrivenSimulator:
 
         ``injector`` (a :class:`repro.sim.faults.FaultInjector`) applies a
         fault campaign to the shared run: programs are first re-spilled via
-        ``injector.prepare`` (identity without scratchpad loss — skipped
-        when explicit ``timings_by_tenant`` are supplied, since those were
-        timed against the caller's programs), each dispatched op is
-        adjusted, and aborted tenants stop executing while their remaining
-        ops drain as skipped.  Per-tenant *solo* baselines stay fault-free,
-        so :attr:`TenantStats.slowdown` isolates sharing contention from
-        fault inflation.
+        ``injector.prepare`` (identity without scratchpad loss; a re-spill
+        cannot match explicit ``timings_by_tenant``, so that raises
+        ``ValueError``), each dispatched op is adjusted, and aborted
+        tenants stop executing while their remaining ops drain.  Per-tenant
+        *solo* baselines stay fault-free, so :attr:`TenantStats.slowdown`
+        isolates sharing contention from fault inflation.
         """
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}")
-        if injector is not None and timings_by_tenant is None:
-            programs = [injector.prepare(p) for p in programs]
-        names = self._tenant_names(programs)
+        if injector is not None:
+            timed = timings_by_tenant is not None
+            programs = [injector.prepare(p, timed=timed) for p in programs]
         if timings_by_tenant is None:
             timings_by_tenant = [
                 self.simulator.time_program(p) for p in programs]
-        schedule, makespan = self._schedule(
-            names, programs, timings_by_tenant, policy, priorities or {},
-            injector=injector)
-        if injector is not None:
-            injector.observe_end(makespan)
-        tenants = []
-        for name, program, timings in zip(names, programs, timings_by_tenant):
-            if len(programs) == 1:
-                solo = makespan
-            else:
-                _, solo = self._schedule(
-                    [name], [program], [timings], "fcfs", {})
-            finish = max(
-                (s.end for s in schedule if s.tenant == name), default=0.0)
-            tenants.append(TenantStats(
+        names = self._tenant_names(programs)
+        graphs = [ProgramGraph(p) for p in programs]
+        tenants: List[Tenant] = list(zip(names, graphs, timings_by_tenant))
+        ops, makespan = schedule(
+            tenants, policy, priorities,
+            adjust=injector.adjust if injector is not None else None)
+        stats = []
+        for tenant, program in zip(tenants, programs):
+            name = tenant[0]
+            solo = makespan if len(tenants) == 1 else schedule([tenant])[1]
+            finish = max((s.end for s in ops if s.tenant == name),
+                         default=0.0)
+            stats.append(TenantStats(
                 name=name, num_ops=len(program.ops),
                 finish_cycles=finish, solo_cycles=solo))
         diagnostics: List[Diagnostic] = []
         if audit:
-            for name, program in zip(names, programs):
-                tenant_sched = [s for s in schedule if s.tenant == name]
+            for name, graph in zip(names, graphs):
+                tenant_sched = [s for s in ops if s.tenant == name]
                 diagnostics.extend(
                     replace(d, analysis="hazards", program=name)
-                    for d in schedule_diagnostics(program, tenant_sched))
+                    for d in schedule_diagnostics(
+                        graph.program, tenant_sched, graph))
         return MixReport(policy=policy, config=self.config,
-                         makespan_cycles=makespan, schedule=schedule,
-                         tenants=tenants, diagnostics=diagnostics)
+                         makespan_cycles=makespan, schedule=ops,
+                         tenants=stats, diagnostics=diagnostics)
 
     # ------------------------------------------------------------------ #
 
@@ -266,126 +237,3 @@ class EventDrivenSimulator:
             counts[p.name] = k + 1
             names.append(p.name if k == 0 else f"{p.name}#{k}")
         return names
-
-    def _schedule(self, names, programs, timings_by_tenant, policy,
-                  priorities,
-                  injector: Optional["FaultInjector"] = None,
-                  ) -> Tuple[List[ScheduledOp], float]:
-        """Event-driven list scheduling across all tenants."""
-        n_tenants = len(programs)
-        edges = [p.dependency_edges() for p in programs]
-        succs: List[Dict[int, List[int]]] = []
-        indeg: List[List[int]] = []
-        finish: List[List[float]] = []
-        ready: List[List[int]] = []
-        for t, p in enumerate(programs):
-            s: Dict[int, List[int]] = {}
-            d = [0] * len(p.ops)
-            for i, preds in edges[t].items():
-                d[i] = len(preds)
-                for q in preds:
-                    s.setdefault(q, []).append(i)
-            succs.append(s)
-            indeg.append(d)
-            finish.append([0.0] * len(p.ops))
-            heap = [i for i in range(len(p.ops)) if d[i] == 0]
-            heapq.heapify(heap)
-            ready.append(heap)
-        free = {r: 0.0 for r in _RESOURCES}
-        schedule: List[ScheduledOp] = []
-        makespan = 0.0
-        rr_next = 0                              # round-robin pointer
-        remaining = sum(len(p.ops) for p in programs)
-        while remaining:
-            t = self._pick_tenant(
-                names, ready, policy, priorities, rr_next)
-            if policy == "round-robin":
-                rr_next = (t + 1) % n_tenants
-            i = heapq.heappop(ready[t])
-            timing = timings_by_tenant[t][i]
-            dep_ready = max(
-                (finish[t][q] for q in edges[t].get(i, ())), default=0.0)
-            if injector is not None and names[t] in injector.aborted:
-                # tenant abandoned: drain the op unexecuted so successors
-                # release and the loop terminates; nothing is scheduled
-                injector.note_skipped(names[t])
-                finish[t][i] = dep_ready
-                for sidx in succs[t].get(i, ()):
-                    indeg[t][sidx] -= 1
-                    if indeg[t][sidx] == 0:
-                        heapq.heappush(ready[t], sidx)
-                remaining -= 1
-                continue
-            needs = {
-                "compute": timing.compute_cycles,
-                "sram": timing.sram_cycles,
-                "hbm": timing.hbm_cycles,
-            }
-            used = {r: c for r, c in needs.items() if c > 0}
-            if injector is not None:
-                # provisional start is valid on the adjusted timing too:
-                # adjustments preserve the set of used resources
-                provisional = (max(dep_ready, max(free[r] for r in used))
-                               if used else dep_ready)
-                adjusted = injector.adjust(
-                    names[t], i, programs[t].ops[i], timing, provisional)
-                if adjusted is None:             # policy aborted the tenant
-                    finish[t][i] = provisional
-                    for sidx in succs[t].get(i, ()):
-                        indeg[t][sidx] -= 1
-                        if indeg[t][sidx] == 0:
-                            heapq.heappush(ready[t], sidx)
-                    remaining -= 1
-                    continue
-                if adjusted is not timing:
-                    timing = adjusted
-                    needs = {
-                        "compute": timing.compute_cycles,
-                        "sram": timing.sram_cycles,
-                        "hbm": timing.hbm_cycles,
-                    }
-                    used = {r: c for r, c in needs.items() if c > 0}
-            if used:
-                start = max(dep_ready,
-                            max(free[r] for r in used))
-                end = start + max(used.values())
-                for r in used:
-                    free[r] = start + used[r]
-            else:                                # zero-duration marker
-                start = end = dep_ready
-            finish[t][i] = end
-            makespan = max(makespan, end)
-            op = programs[t].ops[i]
-            schedule.append(ScheduledOp(
-                tenant=names[t], index=i,
-                label=op.label or op.kind.value, kind=op.kind.value,
-                start=start, end=end,
-                compute_cycles=timing.compute_cycles,
-                sram_cycles=timing.sram_cycles,
-                hbm_cycles=timing.hbm_cycles,
-            ))
-            for sidx in succs[t].get(i, ()):
-                indeg[t][sidx] -= 1
-                if indeg[t][sidx] == 0:
-                    heapq.heappush(ready[t], sidx)
-            remaining -= 1
-        return schedule, makespan
-
-    @staticmethod
-    def _pick_tenant(names, ready, policy, priorities, rr_next) -> int:
-        """Index of the tenant to dispatch from next (deterministic)."""
-        candidates = [t for t in range(len(ready)) if ready[t]]
-        if not candidates:
-            raise RuntimeError(
-                "no dispatchable op but work remains — dependency deadlock "
-                "(did a pass introduce a cross-tenant cycle?)")
-        if policy == "priority":
-            return max(candidates,
-                       key=lambda t: (priorities.get(names[t], 0), -t))
-        if policy == "round-robin":
-            for k in range(len(ready)):
-                t = (rr_next + k) % len(ready)
-                if ready[t]:
-                    return t
-        # fcfs: lowest pending op index wins, tenant order breaks ties
-        return min(candidates, key=lambda t: (ready[t][0], t))

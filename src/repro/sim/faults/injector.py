@@ -1,10 +1,12 @@
 """The fault injector: applies a :class:`FaultModel` to a running schedule.
 
 One :class:`FaultInjector` instance accompanies one simulation run (cycle
-simulator or event engine).  The drivers hand it every op just before
-committing it to the timeline — :meth:`FaultInjector.adjust` returns the
-(possibly inflated) :class:`~repro.sim.simulator.OpTiming` to charge, or
-``None`` when the resilience policy aborts the program.
+simulator or event engine).  Both drive it through the scheduling kernel
+(:func:`repro.sim.schedule.schedule`), which hands it every op just
+before committing it to the timeline — :meth:`FaultInjector.adjust`
+returns the (possibly inflated) :class:`~repro.sim.simulator.OpTiming` to
+charge, or ``None`` when the resilience policy aborts the program (and
+for every later op of an aborted program, which drains unexecuted).
 
 Invariants the adjustment maintains (relied on by the property tests):
 
@@ -12,9 +14,9 @@ Invariants the adjustment maintains (relied on by the property tests):
   OpTiming object it was given, so float accumulation downstream is
   bit-identical to a fault-free run;
 * **used-set preservation** — a resource with zero demand stays zero and a
-  nonzero demand stays nonzero, so the drivers' resource-frontier logic
-  (which keys on the *set* of used resources) sees the same shape and the
-  provisional start cycle computed before adjustment remains valid;
+  nonzero demand stays nonzero, so the scheduling kernel (which keys on
+  the *set* of used resources) sees the same shape and the provisional
+  start cycle computed before adjustment remains valid;
 * **monotonicity** — every per-resource demand can only grow (HBM scaling
   divides by a factor <= 1, dropout shrinks the wave pool, retries and
   backoff only add), so makespans under faults dominate fault-free
@@ -26,6 +28,7 @@ scheduling only, which is exactly what the differential harness verifies.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.compiler.cost.model import cost_op
@@ -68,8 +71,6 @@ class FaultInjector:
         self.aborted: Set[str] = set()
         self.ops_total = 0
         self.ops_completed = 0
-        #: Largest end-cycle the drivers reported (fault-path makespan).
-        self.observed_makespan = 0.0
         # era configs: cumulative dead cores -> degraded machine config
         self._era_configs: Dict[int, AlchemistConfig] = {0: config}
         self._announced_dropouts: Set[int] = set()
@@ -78,7 +79,7 @@ class FaultInjector:
 
     # ------------------------------ program prep ------------------------ #
 
-    def prepare(self, program: Program) -> Program:
+    def prepare(self, program: Program, timed: bool = False) -> Program:
         """Re-schedule ``program`` against the post-fault scratchpad.
 
         With no scratchpad loss this is the identity.  Otherwise the
@@ -86,6 +87,10 @@ class FaultInjector:
         degraded schedule carries its extra HBM traffic where the overflow
         occurs; the program keeps its name so tenant accounting and the
         campaign reports stay stable.
+
+        ``timed`` says the caller already holds per-op timings for
+        ``program``.  A re-spill adds ops those timings cannot describe,
+        so it raises ``ValueError`` rather than charging the wrong op list.
         """
         loss = self.model.total_scratchpad_loss()
         if loss == 0:
@@ -99,6 +104,11 @@ class FaultInjector:
         spilled = SpillInsertionPass(capacity_bytes=capacity).run(
             program, ctx)
         added = len(spilled.ops) - len(program.ops)
+        if timed and added:
+            raise ValueError(
+                f"scratchpad loss ({loss} B) re-spills {program.name!r} "
+                f"(+{added} ops), so the supplied timings no longer match "
+                f"its ops; let the simulator time the program")
         self.respill_ops_added += added
         self._emit(FaultEvent(
             program=program.name, kind="scratchpad_loss", cycle=0.0,
@@ -123,9 +133,12 @@ class FaultInjector:
 
         Returns the input ``timing`` object itself when no fault touches
         this op (the zero-overhead invariant), an inflated copy when one
-        does, or ``None`` when the policy aborts the tenant's program.
+        does, or ``None`` when the policy aborts the tenant's program — and
+        for every later op of an aborted tenant, which drains unexecuted.
         """
         self.ops_total += 1
+        if tenant in self.aborted:
+            return None
         if self.model.is_empty():
             self.ops_completed += 1
             return timing
@@ -156,15 +169,6 @@ class FaultInjector:
 
         self.ops_completed += 1
         return adjusted
-
-    def note_skipped(self, tenant: str, count: int = 1) -> None:
-        """Account ops never executed because ``tenant`` aborted."""
-        self.ops_total += count
-
-    def observe_end(self, cycle: float) -> None:
-        """Drivers report op end-cycles; tracks the fault-path makespan."""
-        if cycle > self.observed_makespan:
-            self.observed_makespan = cycle
 
     # ------------------------------ summaries --------------------------- #
 
@@ -205,53 +209,25 @@ class FaultInjector:
         static analysis of the degraded config predicts the same charge)."""
         from repro.sim.simulator import OpTiming
 
-        cost = cost_op(op, config)
-        return OpTiming(
-            op=op,
-            busy_core_cycles=cost.busy_core_cycles,
-            compute_cycles=cost.compute_cycles,
-            sram_cycles=cost.sram_cycles,
-            hbm_cycles=cost.hbm_cycles,
-            waves=cost.waves,
-            meta_ops=cost.meta_ops,
-            patterns=cost.patterns,
-        )
+        return OpTiming.of(op, cost_op(op, config))
 
     @staticmethod
     def _scale_hbm(timing: "OpTiming", factor: float) -> "OpTiming":
-        from repro.sim.simulator import OpTiming
-
-        return OpTiming(
-            op=timing.op,
-            busy_core_cycles=timing.busy_core_cycles,
-            compute_cycles=timing.compute_cycles,
-            sram_cycles=timing.sram_cycles,
-            hbm_cycles=timing.hbm_cycles / factor,
-            waves=timing.waves,
-            meta_ops=timing.meta_ops,
-            patterns=timing.patterns,
-        )
+        return replace(timing, hbm_cycles=timing.hbm_cycles / factor)
 
     @staticmethod
     def _inflate(timing: "OpTiming", penalty: float) -> "OpTiming":
         """Fold wasted cycles (failed attempts + backoff + safe mode) into
         every resource the op occupies — a documented pessimism: during a
         retry the op's reservations are held, so nothing else slips in."""
-        from repro.sim.simulator import OpTiming
-
-        return OpTiming(
-            op=timing.op,
-            busy_core_cycles=timing.busy_core_cycles,
+        return replace(
+            timing,
             compute_cycles=(timing.compute_cycles + penalty
                             if timing.compute_cycles > 0 else 0.0),
             sram_cycles=(timing.sram_cycles + penalty
                          if timing.sram_cycles > 0 else 0.0),
             hbm_cycles=(timing.hbm_cycles + penalty
-                        if timing.hbm_cycles > 0 else 0.0),
-            waves=timing.waves,
-            meta_ops=timing.meta_ops,
-            patterns=timing.patterns,
-        )
+                        if timing.hbm_cycles > 0 else 0.0))
 
     def _apply_transients(self, tenant: str, index: int, op: HighLevelOp,
                           timing: "OpTiming",

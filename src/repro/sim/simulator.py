@@ -12,24 +12,35 @@ Bottleneck classification (per op and per program) goes through the shared
 :func:`repro.compiler.cost.model.classify_bound`, whose documented
 tie-break (``hbm > sram > compute`` on exact ties — a roofline ridge point
 counts as bandwidth-bound) replaces the old branch-order behaviour.
+
+Start/end cycles (trace events, fault windows, :meth:`SimulationReport.
+scheduled_cycles`) come from the program-order mode of the shared
+scheduling kernel, :func:`repro.sim.schedule.schedule`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.compiler.cost.model import (
     ENERGY_PJ_PER_HBM_BYTE,
     ENERGY_PJ_PER_LANE_CYCLE,
     ENERGY_PJ_PER_SRAM_BYTE,
     STATIC_WATTS,
-    ResourceBound,
+    OpCost,
     classify_bound,
     cost_op,
 )
 from repro.compiler.ops import HighLevelOp, Program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+from repro.sim.schedule import schedule
+
+if TYPE_CHECKING:  # runtime imports would be circular (faults -> simulator)
+    from repro.sim.faults.injector import FaultInjector
+    from repro.sim.faults.model import FaultModel
+    from repro.sim.faults.policy import ResiliencePolicy
+    from repro.telemetry.collector import TraceCollector
 
 
 @dataclass
@@ -46,10 +57,14 @@ class OpTiming:
     meta_ops: int = 0
     patterns: Tuple[str, ...] = ()
 
-    @property
-    def resource_bound(self) -> ResourceBound:
-        return ResourceBound(self.compute_cycles, self.sram_cycles,
-                             self.hbm_cycles)
+    @classmethod
+    def of(cls, op: HighLevelOp, cost: OpCost) -> "OpTiming":
+        """``op``'s timing from its :func:`cost_op` record ``cost``."""
+        return cls(op=op, busy_core_cycles=cost.busy_core_cycles,
+                   compute_cycles=cost.compute_cycles,
+                   sram_cycles=cost.sram_cycles, hbm_cycles=cost.hbm_cycles,
+                   waves=cost.waves, meta_ops=cost.meta_ops,
+                   patterns=cost.patterns)
 
     @property
     def bound(self) -> str:
@@ -159,41 +174,12 @@ class SimulationReport:
             return 0.0
         return self.energy_joules() / self.seconds
 
-    # ------------------------------ timeline --------------------------- #
-
-    def timeline(self) -> List[Tuple[str, float, float]]:
-        """Resource-pipelined schedule: ``(label, start, end)`` per op.
-
-        Models the decoupled access/execute pipeline: compute, on-chip
-        bandwidth and HBM are three independent resources; each op occupies
-        each resource it needs in program order, starting when both its
-        predecessor-on-each-resource finishes (no op reordering).  Total
-        makespan lands between the pipelined lower bound and the serialized
-        upper bound.
-        """
-        free = {"compute": 0.0, "sram": 0.0, "hbm": 0.0}
-        out = []
-        for t in self.timings:
-            needs = {
-                "compute": t.compute_cycles,
-                "sram": t.sram_cycles,
-                "hbm": t.hbm_cycles,
-            }
-            used = {r: c for r, c in needs.items() if c > 0}
-            if not used:
-                continue
-            start = max(free[r] for r in used)
-            duration = max(used.values())
-            end = start + duration
-            for r in used:
-                free[r] = start + used[r]
-            out.append((t.op.label or t.op.kind.value, start, end))
-        return out
+    # ------------------------------ schedule --------------------------- #
 
     def scheduled_cycles(self) -> float:
-        """Makespan of :meth:`timeline` (pipelined <= this <= serialized)."""
-        timeline = self.timeline()
-        return max((end for _, _, end in timeline), default=0.0)
+        """Makespan of the resource-pipelined program-order schedule
+        (pipelined <= this <= serialized)."""
+        return schedule([(self.program_name, None, self.timings)])[1]
 
     # ------------------------------ rendering -------------------------- #
 
@@ -224,10 +210,12 @@ class CycleSimulator:
     """
 
     def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT,
-                 collector=None, faults=None, policy=None):
+                 collector: Optional[TraceCollector] = None,
+                 faults: Union[FaultModel, FaultInjector, None] = None,
+                 policy: Optional[ResiliencePolicy] = None) -> None:
         self.config = config
         self.collector = collector
-        self.injector = None
+        self.injector: Optional[FaultInjector] = None
         if faults is not None:
             from repro.sim.faults.injector import FaultInjector
             from repro.sim.faults.policy import DEFAULT_POLICY
@@ -242,17 +230,7 @@ class CycleSimulator:
     # ------------------------------------------------------------------ #
 
     def time_op(self, op: HighLevelOp) -> OpTiming:
-        cost = cost_op(op, self.config)
-        return OpTiming(
-            op=op,
-            busy_core_cycles=cost.busy_core_cycles,
-            compute_cycles=cost.compute_cycles,
-            sram_cycles=cost.sram_cycles,
-            hbm_cycles=cost.hbm_cycles,
-            waves=cost.waves,
-            meta_ops=cost.meta_ops,
-            patterns=cost.patterns,
-        )
+        return OpTiming.of(op, cost_op(op, self.config))
 
     def time_program(self, program: Program) -> List[OpTiming]:
         """One :class:`OpTiming` per op, in program order (single pass)."""
@@ -260,104 +238,41 @@ class CycleSimulator:
 
     def run(self, program: Program,
             timings: Optional[List[OpTiming]] = None) -> SimulationReport:
-        if self.injector is not None:
-            return self._run_with_faults(program, timings)
-        report = SimulationReport(program.name, self.config)
-        collector = self.collector
+        """Time ``program`` (``timings`` from :meth:`time_program` reuses
+        an earlier timing pass).
+
+        With neither a collector nor an injector this only sums the
+        timings — no schedule is built.  Otherwise one program-order
+        schedule feeds both: the injector adjusts each op at its start
+        cycle (fault windows are time-addressed) and the collector records
+        the same start/end cycles.  Under scratchpad loss the injector
+        re-spills the program first, which supplied ``timings`` cannot
+        describe, so that combination raises ``ValueError``.
+        """
+        injector, collector = self.injector, self.collector
+        if injector is not None:
+            program = injector.prepare(program, timed=timings is not None)
         if timings is None:
             timings = self.time_program(program)
-        if collector is not None:
-            collector.begin_program(program.name, self.config)
-            edges = program.dependency_edges()
-        for i, t in enumerate(timings):
+        if injector is not None or collector is not None:
+            ops, _ = schedule(
+                [(program.name, None, timings)],
+                adjust=injector.adjust if injector is not None else None)
+            timings = [s.timing for s in ops]      # the ops that ran
+            if collector is not None:
+                collector.begin_program(program.name, self.config)
+                edges = program.dependency_edges()
+                for s in ops:
+                    collector.record_op(s, deps=edges.get(s.index, ()))
+                collector.end_program()
+        report = SimulationReport(program.name, self.config)
+        for t in timings:
             report.timings.append(t)
             report.total_compute_cycles += t.compute_cycles
             report.total_sram_cycles += t.sram_cycles
             report.total_hbm_cycles += t.hbm_cycles
             report.total_busy_core_cycles += t.busy_core_cycles
-            if collector is not None:
-                collector.record_op(t.op, t, deps=edges.get(i, ()))
-        if collector is not None:
-            collector.end_program()
         return report
-
-    def _run_with_faults(self, program: Program,
-                         timings: Optional[List[OpTiming]]) -> SimulationReport:
-        """The injected twin of :meth:`run`.
-
-        Walks the same resource-pipelined frontier as the trace collector
-        to know each op's start cycle (fault windows are time-addressed),
-        hands every op to the injector, and accumulates the *adjusted*
-        timings.  With an empty fault model ``adjust`` returns the original
-        objects, so the accumulation below is bit-identical to :meth:`run`.
-        """
-        injector = self.injector
-        program = injector.prepare(program)
-        if timings is None:
-            timings = self.time_program(program)
-        report = SimulationReport(program.name, self.config)
-        collector = self.collector
-        if collector is not None:
-            collector.begin_program(program.name, self.config)
-            edges = program.dependency_edges()
-        free = {"compute": 0.0, "sram": 0.0, "hbm": 0.0}
-        aborted = False
-        for i, t in enumerate(timings):
-            if aborted:
-                injector.note_skipped(program.name)
-                continue
-            needs = {
-                "compute": t.compute_cycles,
-                "sram": t.sram_cycles,
-                "hbm": t.hbm_cycles,
-            }
-            used = [r for r, c in needs.items() if c > 0]
-            start = (max(free[r] for r in used) if used
-                     else max(free.values()))
-            adjusted = injector.adjust(program.name, i, t.op, t, start)
-            if adjusted is None:
-                aborted = True
-                continue
-            report.timings.append(adjusted)
-            report.total_compute_cycles += adjusted.compute_cycles
-            report.total_sram_cycles += adjusted.sram_cycles
-            report.total_hbm_cycles += adjusted.hbm_cycles
-            report.total_busy_core_cycles += adjusted.busy_core_cycles
-            if used:  # adjustment preserves the used-resource set
-                adjusted_needs = {
-                    "compute": adjusted.compute_cycles,
-                    "sram": adjusted.sram_cycles,
-                    "hbm": adjusted.hbm_cycles,
-                }
-                for r in used:
-                    free[r] = start + adjusted_needs[r]
-                injector.observe_end(start + adjusted.serialized_cycles)
-            if collector is not None:
-                collector.record_op(adjusted.op, adjusted,
-                                    deps=edges.get(i, ()))
-        if collector is not None:
-            collector.end_program()
-        return report
-
-    # ------------------------------------------------------------------ #
-
-    def run_concurrent(self, programs: List[Program]) -> SimulationReport:
-        """Time several workloads sharing the machine (cross-scheme mode).
-
-        This is the paper's headline scenario: arithmetic- and logic-FHE
-        programs time-share one Alchemist.  Because every core runs every
-        Meta-OP, co-scheduling is trivial — the unified report simply
-        accumulates all programs' resource demands (no partitioning losses,
-        unlike the modular baselines, which would idle whole engine classes
-        while the "wrong" scheme runs).
-        """
-        combined = Program(
-            "+".join(p.name for p in programs),
-            description="concurrent cross-scheme mix",
-        )
-        for program in programs:
-            combined.extend(program.ops)
-        return self.run(combined)
 
     def operator_class_cycles(
             self, program: Program,

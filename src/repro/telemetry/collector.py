@@ -1,13 +1,14 @@
 """The telemetry sink: collects events and computes aggregate views.
 
 A :class:`TraceCollector` is handed to the producers (``CycleSimulator``,
-``MetaOpExecutor``, ``TimeSharingScheduler``, the memory models) which call
-its ``record_*`` methods.  Producers hold ``collector=None`` by default and
-guard every call with ``if collector is not None`` — with tracing off no
-telemetry code runs at all, keeping the calibration path bit-identical.
+``MetaOpExecutor``, the fault injector, the memory models, the verify,
+analyze and serving layers) which call its ``record_*`` methods.
+Producers hold ``collector=None`` by default and guard every call with
+``if collector is not None`` — with tracing off no telemetry code runs at
+all, keeping the calibration path bit-identical.
 
-Event start/end cycles follow the same resource-pipelined schedule as
-:meth:`repro.sim.simulator.SimulationReport.timeline`: compute, on-chip
+Event start/end cycles are the ones the simulator's program-order
+schedule (:func:`repro.sim.schedule.schedule`) assigned: compute, on-chip
 bandwidth and HBM are three independent resources; each op occupies the
 resources it needs in program order, starting when every one of them is
 free.
@@ -17,15 +18,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.sim.schedule import RESOURCES
 from repro.telemetry.events import (
     FaultEvent,
     MemoryEvent,
     MetaOpEvent,
     TraceEvent,
 )
-
-#: The three pipelined hardware resources of the timing model.
-RESOURCES = ("compute", "sram", "hbm")
 
 
 class TraceCollector:
@@ -37,7 +36,6 @@ class TraceCollector:
         self.memory_events: List[MemoryEvent] = []
         #: Fault injections/recoveries (from repro.sim.faults injectors).
         self.fault_events: List[FaultEvent] = []
-        self.schedule_decisions: List[object] = []
         self.pass_telemetry: List[object] = []
         #: LintReports recorded by the verify layer (PassManager lint gate,
         #: ``repro lint`` runs handed this collector).
@@ -52,7 +50,6 @@ class TraceCollector:
         self.program_configs: Dict[str, Dict[str, float]] = {}
         self._program: Optional[str] = None
         self._config = None
-        self._free: Dict[str, float] = {}
         self._index = 0
 
     # ------------------------------ program scope ---------------------- #
@@ -65,7 +62,6 @@ class TraceCollector:
             )
         self._program = name
         self._config = config
-        self._free = {r: 0.0 for r in RESOURCES}
         self._index = 0
         self.program_configs[name] = {
             "total_cores": config.total_cores,
@@ -78,27 +74,17 @@ class TraceCollector:
 
     # ------------------------------ producers -------------------------- #
 
-    def record_op(self, op, timing, deps=()) -> TraceEvent:
-        """Record one timed high-level op (called by the simulator).
+    def record_op(self, scheduled, deps=()) -> TraceEvent:
+        """Record one scheduled op (a :class:`repro.sim.schedule.
+        ScheduledOp`, called by the simulator) at its start/end cycles.
 
         ``deps`` are the producer op indices from the program's dataflow
         graph (:meth:`repro.compiler.ops.Program.dependency_edges`).
         """
         if self._program is None:
             raise RuntimeError("record_op outside begin_program/end_program")
-        needs = {
-            "compute": timing.compute_cycles,
-            "sram": timing.sram_cycles,
-            "hbm": timing.hbm_cycles,
-        }
-        used = {r: c for r, c in needs.items() if c > 0}
-        if used:
-            start = max(self._free[r] for r in used)
-            end = start + max(used.values())
-            for r in used:
-                self._free[r] = start + used[r]
-        else:  # zero-cost op: zero-duration marker at the current frontier
-            start = end = max(self._free.values())
+        timing = scheduled.timing
+        op = timing.op
         event = TraceEvent(
             program=self._program,
             index=self._index,
@@ -106,8 +92,8 @@ class TraceCollector:
             kind=op.kind.value,
             operator_class=op.operator_class,
             patterns=timing.patterns,
-            start_cycle=start,
-            end_cycle=end,
+            start_cycle=scheduled.start,
+            end_cycle=scheduled.end,
             compute_cycles=timing.compute_cycles,
             sram_cycles=timing.sram_cycles,
             hbm_cycles=timing.hbm_cycles,
@@ -145,10 +131,6 @@ class TraceCollector:
     def record_fault(self, event: FaultEvent) -> None:
         """Record one fault injection/recovery (from a FaultInjector)."""
         self.fault_events.append(event)
-
-    def record_schedule(self, decision) -> None:
-        """Record a scheduler working-set decision."""
-        self.schedule_decisions.append(decision)
 
     def record_pass(self, telemetry) -> None:
         """Record one compiler-pass telemetry record (from PassManager)."""

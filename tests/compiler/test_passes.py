@@ -14,8 +14,9 @@ from repro.compiler.passes import (
     validation_errors,
 )
 from repro.compiler.passes.base import PassContext
+from repro.compiler.passes.spill import peak_footprint_bytes
 from repro.hw.config import ALCHEMIST_DEFAULT
-from repro.sim.scheduler import TimeSharingScheduler
+from repro.sim.engine import EventDrivenSimulator
 from repro.sim.simulator import CycleSimulator
 
 
@@ -144,14 +145,20 @@ def test_spill_resident_program_is_unchanged():
 
 
 def test_scheduler_delegates_to_spill_pass():
+    """Spilling is the pass's job; the scheduler only orders what it
+    emits: evict before the oversized op, restore after it."""
     prog = Program("huge")
     prog.add(_oversized_op())
-    scheduler = TimeSharingScheduler()
-    decision = scheduler.schedule(prog)
-    spilled = scheduler.schedule_with_spills(prog)
+    spilled = SpillInsertionPass().run(prog, _ctx())
     assert [op.kind for op in spilled.ops] == [
         OpKind.HBM_STORE, OpKind.EW_MULT, OpKind.HBM_LOAD]
-    assert spilled.total_hbm_bytes() == 2 * decision.spill_bytes
+    # evict exactly the overflow of the largest footprint, restore it after
+    overflow = (peak_footprint_bytes(prog, ALCHEMIST_DEFAULT.word_bytes)
+                - ALCHEMIST_DEFAULT.total_onchip_bytes)
+    assert spilled.total_hbm_bytes() == 2 * overflow > 0
+    store, op, fill = EventDrivenSimulator().run(spilled).schedule
+    assert store.end <= op.start
+    assert op.end <= fill.start
 
 
 # ------------------------------ traffic ---------------------------------- #

@@ -19,7 +19,7 @@ from repro.compiler.ckks_programs import (
     rotation_program,
 )
 from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.tfhe_programs import pbs_batch_program
+from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.sim import CycleSimulator, EventDrivenSimulator, POLICIES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -57,18 +57,24 @@ def test_event_makespan_bracketed(builder, sim, engine):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_mix_makespan_bracketed(policy, sim, engine):
     """Under any policy the mix makespan stays within the combined
-    pipelined/serialized envelope of its tenants."""
-    progs = [cmult_program(), pbs_batch_program(), bfv_cmult_program()]
-    reports = [sim.run(p) for p in progs]
-    mix = engine.run_mix(progs, policy=policy)
-    pipelined = max(
-        sum(r.total_compute_cycles for r in reports),
-        sum(r.total_sram_cycles for r in reports),
-        sum(r.total_hbm_cycles for r in reports),
-    )
-    serialized = sum(r.serialized_cycles for r in reports)
-    assert pipelined <= mix.makespan_cycles + 1e-6
-    assert mix.makespan_cycles <= serialized + 1e-6
+    pipelined/serialized envelope of its tenants, and the resource demand
+    it schedules is the sum of its tenants' demands."""
+    for progs in ([cmult_program(), pbs_batch_program(), bfv_cmult_program()],
+                  [cmult_program(), pbs_batch_program(PBS_SET_I, batch=64)]):
+        reports = [sim.run(p) for p in progs]
+        mix = engine.run_mix(progs, policy=policy)
+        totals = mix.resource_cycles()
+        for field in ("compute_cycles", "sram_cycles", "hbm_cycles"):
+            assert getattr(totals, field) == pytest.approx(
+                sum(getattr(r, f"total_{field}") for r in reports))
+        pipelined = max(
+            sum(r.total_compute_cycles for r in reports),
+            sum(r.total_sram_cycles for r in reports),
+            sum(r.total_hbm_cycles for r in reports),
+        )
+        serialized = sum(r.serialized_cycles for r in reports)
+        assert pipelined <= mix.makespan_cycles + 1e-6
+        assert mix.makespan_cycles <= serialized + 1e-6
 
 
 def test_pipelined_cycles_bit_identical_to_golden(sim):

@@ -303,6 +303,35 @@ def test_scratchpad_loss_beyond_capacity_rejected():
         FaultInjector(model).prepare(_keyswitch())
 
 
+def test_respill_with_supplied_timings_is_rejected_by_both_simulators():
+    """A scratchpad loss that re-spills the program cannot be charged
+    against timings of the original op list: both simulators refuse
+    instead of silently dropping (or skipping) the spill traffic."""
+    from repro.compiler.ckks_programs import bootstrapping_program
+
+    program = bootstrapping_program()
+    largest = max(op.footprint_bytes(ALCHEMIST_DEFAULT.word_bytes)
+                  for op in program.ops)
+    model = FaultModel(seed=0, scratchpad_losses=(ScratchpadLoss(
+        ALCHEMIST_DEFAULT.total_onchip_bytes - largest + 1),))
+    timings = CycleSimulator().time_program(program)
+    with pytest.raises(ValueError, match="supplied timings"):
+        CycleSimulator(faults=model).run(program, timings=timings)
+    with pytest.raises(ValueError, match="supplied timings"):
+        EventDrivenSimulator().run(program, timings=timings,
+                                   injector=FaultInjector(model))
+    # left to time the program themselves, both charge the re-spill
+    injector = FaultInjector(model)
+    report = CycleSimulator(faults=injector).run(program)
+    assert injector.respill_ops_added > 0
+    assert len(report.timings) == len(program.ops) + injector.respill_ops_added
+    assert (report.total_hbm_cycles
+            > CycleSimulator().run(program).total_hbm_cycles)
+    engine = EventDrivenSimulator()
+    hit = engine.run(program, injector=FaultInjector(model))
+    assert hit.makespan_cycles > engine.run(program).makespan_cycles
+
+
 def test_same_model_same_failures_in_both_simulators():
     """Failure draws are time-independent, so the cycle simulator and the
     event engine replay the identical transient pattern."""

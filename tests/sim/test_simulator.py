@@ -158,39 +158,46 @@ def test_timeline_schedule_bounds(sim):
 
 
 def test_timeline_entries_ordered(sim):
+    from repro.sim.schedule import schedule
+
     report = sim.run(cmult_program())
-    timeline = report.timeline()
-    assert timeline, "non-empty schedule"
-    for label, start, end in timeline:
-        assert end >= start >= 0
+    timeline, makespan = schedule([("cmult", None, report.timings)])
+    assert [s.index for s in timeline] == list(range(len(report.timings)))
+    for s in timeline:
+        assert s.end >= s.start >= 0
     # the makespan equals the last op to finish
-    assert report.scheduled_cycles() == max(end for _, _, end in timeline)
+    assert report.scheduled_cycles() == makespan == max(
+        s.end for s in timeline)
     # the evk load may start while earlier compute is still running
     # (independent resources), so starts need not be monotone — but no op
     # may finish after the makespan
-    assert all(end <= report.scheduled_cycles() for _, _, end in timeline)
+    assert all(s.end <= makespan for s in timeline)
 
 
 def test_run_concurrent_cross_scheme(sim):
     """Co-scheduling CKKS and TFHE work keeps utilization high — the
     unified architecture has no scheme-specific engines to idle."""
     from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
+    from repro.sim.engine import EventDrivenSimulator
 
     ckks = cmult_program()
     tfhe = pbs_batch_program(PBS_SET_I, batch=64)
-    combined = sim.run_concurrent([ckks, tfhe])
-    assert "+" in combined.program_name
+    combined = EventDrivenSimulator(sim.config, sim).run_mix([ckks, tfhe])
+    assert [t.name for t in combined.tenants] == [ckks.name, tfhe.name]
     # resource totals are the sums of the parts
     a, b = sim.run(ckks), sim.run(tfhe)
-    assert combined.total_compute_cycles == pytest.approx(
+    totals = combined.resource_cycles()
+    assert totals.compute_cycles == pytest.approx(
         a.total_compute_cycles + b.total_compute_cycles)
-    assert combined.total_hbm_cycles == pytest.approx(
+    assert totals.hbm_cycles == pytest.approx(
         a.total_hbm_cycles + b.total_hbm_cycles)
     # and the mix still sustains the paper-level utilization
-    assert combined.overall_compute_utilization() > 0.8
+    busy = sum(s.timing.busy_core_cycles for s in combined.schedule)
+    assert busy / (totals.compute_cycles * sim.config.total_cores) > 0.8
     # co-scheduling overlaps the HBM-bound keyswitch with PBS compute:
     # the mix finishes faster than running the phases back-to-back
-    assert combined.pipelined_cycles < a.pipelined_cycles + b.pipelined_cycles
+    assert combined.makespan_cycles < sum(
+        t.solo_cycles for t in combined.tenants)
 
 
 # ------------------- deterministic bottleneck tie-break ------------------- #

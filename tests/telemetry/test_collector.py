@@ -15,7 +15,7 @@ from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.hw.memory import HBMModel, LocalScratchpad, TransposeBuffer
 from repro.metaop.meta_op import AccessPattern, MetaOp, MetaOpExecutor
-from repro.sim.scheduler import TimeSharingScheduler
+from repro.sim.schedule import schedule
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry import TraceCollector
 
@@ -69,17 +69,15 @@ def test_one_event_per_op(traced_cmult):
 
 
 def test_event_schedule_matches_report_timeline(traced_cmult):
-    """Collector start/end assignment == SimulationReport.timeline()."""
+    """Collector start/end cycles are the program-order kernel schedule of
+    the report's timings, and its makespan is scheduled_cycles()."""
     collector, report = traced_cmult
-    timeline = report.timeline()
-    scheduled = [e for e in collector.events if e.duration_cycles > 0]
-    assert len(scheduled) == len(timeline)
-    for e, (label, start, end) in zip(scheduled, timeline):
-        assert e.name == label
-        assert e.start_cycle == pytest.approx(start)
-        assert e.end_cycle == pytest.approx(end)
-    assert collector.makespan_cycles() == pytest.approx(
-        report.scheduled_cycles())
+    ops, makespan = schedule([("cmult", None, report.timings)])
+    assert len(collector.events) == len(ops)
+    for e, s in zip(collector.events, ops):
+        assert e.name == s.label
+        assert (e.start_cycle, e.end_cycle) == (s.start, s.end)
+    assert collector.makespan_cycles() == makespan == report.scheduled_cycles()
 
 
 def test_per_resource_occupancy_never_overlaps(traced_cmult):
@@ -191,14 +189,6 @@ def test_memory_models_untouched_without_collector():
     pad = LocalScratchpad(capacity_bytes=1 << 20)
     pad.record_read(256)
     assert pad.bytes_read == 256
-
-
-def test_scheduler_decision_hook():
-    collector = TraceCollector()
-    scheduler = TimeSharingScheduler(collector=collector)
-    decision = scheduler.schedule(cmult_program())
-    assert collector.schedule_decisions == [decision]
-    assert decision.resident
 
 
 def test_zero_cost_ops_get_zero_duration_markers():
