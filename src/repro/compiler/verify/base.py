@@ -5,16 +5,23 @@ An :class:`Analysis` inspects one :class:`~repro.compiler.ops.Program`
 :class:`Linter` runs a list of analyses and merges their findings into a
 deterministically ordered :class:`LintReport` — the same program always
 produces the same report, so CI can diff lint output textually.
+Facts several analyses read (graph, cost report) are computed once per
+run on :class:`AnalysisContext`, and :func:`forward` is the one
+abstract-interpretation loop the level/scale and noise analyses share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
-from repro.compiler.ops import Program, ProgramGraph
+from repro.compiler.cost.analyzer import CostReport, analyze_program
+from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.compiler.verify.diagnostics import Diagnostic, Severity
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+
+S = TypeVar("S")
 
 
 @dataclass
@@ -28,12 +35,60 @@ class AnalysisContext:
     #: The linted program's graph, shared by every analysis of the run.
     graph: Optional[ProgramGraph] = None
 
+    _cost: Optional[CostReport] = field(default=None, init=False, repr=False)
+
     def graph_of(self, program: Program) -> ProgramGraph:
         """The shared graph when it is ``program``'s, else a fresh one
         (analyses run directly, outside a :class:`Linter`)."""
         if self.graph is not None and self.graph.program is program:
             return self.graph
         return ProgramGraph(program)
+
+    def cost_of(self, program: Program) -> CostReport:
+        """:func:`analyze_program` of ``program`` on :meth:`graph_of`,
+        computed at most once per run for the shared graph.  Raises
+        ``ValueError`` on an ill-formed program (e.g. a shape the cost
+        model rejects)."""
+        graph = self.graph_of(program)
+        if graph is not self.graph:
+            return analyze_program(program, self.config, graph)
+        if self._cost is None:
+            self._cost = analyze_program(program, self.config, graph)
+        return self._cost
+
+
+def forward(graph: ProgramGraph,
+            seed: Callable[[HighLevelOp], S],
+            transfer: Callable[[HighLevelOp, List[S]], S],
+            ) -> Iterator[Tuple[int, HighLevelOp, List[S], S]]:
+    """Forward abstract interpretation over ``graph`` in dependency order.
+
+    Yields ``(index, op, ins, out)`` per op: ``ins`` are the states of
+    its operands in use order and ``out = transfer(op, ins)`` is the
+    state bound to every value it defines.  An external input takes
+    ``seed(op)`` of its first reader.  ``HBM_LOAD``/``HBM_STORE`` ops are
+    skipped (streamed operands carry no ciphertext state), and a cyclic
+    graph yields nothing (the structure analysis reports it, ``ALC001``).
+    """
+    try:
+        order = graph.order
+    except ValueError:
+        return
+    ops = graph.program.ops
+    defined = graph.def_sites
+    state: Dict[str, S] = {}
+    for i in order:
+        op = ops[i]
+        if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
+            continue
+        for v in op.uses:
+            if v not in state and v not in defined:
+                state[v] = seed(op)
+        ins = [state[v] for v in op.uses if v in state]
+        out = transfer(op, ins)
+        for v in op.defs:
+            state[v] = out
+        yield i, op, ins, out
 
 
 class Analysis:

@@ -55,10 +55,10 @@ class CostAnalysis(Analysis):
             ctx: AnalysisContext) -> List[Diagnostic]:
         graph = ctx.graph_of(program)
         try:
-            report = analyze_program(program, ctx.config, graph)
-        except Exception:
-            # ill-formed programs (bad shapes, cyclic graphs) are the
-            # structure analysis's findings, not ours
+            report = ctx.cost_of(program)
+        except ValueError:
+            # ill-formed programs (bad shapes) are the structure
+            # analysis's findings, not ours
             return []
         out: List[Diagnostic] = []
         out.extend(self._hbm_on_critical_path(report))

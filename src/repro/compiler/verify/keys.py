@@ -64,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.compiler.cost.analyzer import analyze_program
 from repro.compiler.cost.model import cost_op
 from repro.compiler.ops import OpKind, Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
@@ -374,7 +373,7 @@ class KeyResidencyAnalysis(Analysis):
         out: List[Diagnostic] = []
         out.extend(self._unprovisioned(report))
         out.extend(self._working_set(report))
-        out.extend(self._dominance(graph, ctx.config, report))
+        out.extend(self._dominance(program, ctx, report))
         out.extend(self._inventory(report, ctx.config))
         return out
 
@@ -407,18 +406,17 @@ class KeyResidencyAnalysis(Analysis):
             op_index=report.peak_op_index)]
 
     @staticmethod
-    def _dominance(graph: ProgramGraph, config: AlchemistConfig,
+    def _dominance(program: Program, ctx: AnalysisContext,
                    report: KeyResidencyReport) -> List[Diagnostic]:
         """ALC803: the worst key-dominated consuming op on the critical
         path (key bytes > the declared ciphertext bytes)."""
-        program = graph.program
         meta = _keys_meta(program)
         ct_bytes = _meta_size(meta, "ciphertext_bytes") if meta else None
         if not ct_bytes or ct_bytes <= 0:
             return []
         try:
-            cost = analyze_program(program, config, graph)
-        except Exception:
+            cost = ctx.cost_of(program)
+        except ValueError:
             return []                 # ill-formed program: reported elsewhere
         critical = {r.index for r in cost.rows if r.critical}
         worst: Optional[KeyEvent] = None

@@ -23,10 +23,10 @@ exhausted chain (a bootstrap was omitted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.verify.base import Analysis, AnalysisContext
+from repro.compiler.verify.base import Analysis, AnalysisContext, forward
 from repro.compiler.verify.diagnostics import Diagnostic
 
 #: Op kinds whose ``channels`` field declares the RNS chain they carry.
@@ -53,6 +53,12 @@ class AbstractCt:
     fresh: bool = False              # scale is a seeded lower bound
 
 
+def _seed(op: HighLevelOp) -> AbstractCt:
+    """An external input: a fresh ciphertext on its first reader's chain."""
+    declared = op.channels if op.kind in _POLY_SHAPED else 0
+    return AbstractCt(chain=max(1, declared), scale=1, fresh=True)
+
+
 class LevelScaleAnalysis(Analysis):
     """Abstract interpretation of CKKS level/scale bookkeeping."""
 
@@ -60,59 +66,34 @@ class LevelScaleAnalysis(Analysis):
 
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
-        graph = ctx.graph_of(program)
-        try:
-            order = graph.order
-        except ValueError:
-            return []                # cycle: structure analysis reports it
-        defined = graph.def_sites
-        state: Dict[str, AbstractCt] = {}
         out: List[Diagnostic] = []
-        for i in order:
-            op = program.ops[i]
-            if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
-                continue             # streamed operands carry no ct state
-            declared = op.channels if op.kind in _POLY_SHAPED else 0
-            # seed external inputs at a fresh ciphertext state
-            for v in op.uses:
-                if v not in state and v not in defined:
-                    state[v] = AbstractCt(chain=max(1, declared), scale=1,
-                                          fresh=True)
-            in_states = [state[v] for v in op.uses if v in state]
-            in_chain = max((s.chain for s in in_states), default=None)
-            in_scale = max((s.scale for s in in_states), default=1)
-            out.extend(self._check_op(op, i, in_states, in_chain))
-            out_chain, out_scale, out_fresh = self._transfer(
-                op, declared, in_states, in_chain, in_scale)
+        for i, op, ins, res in forward(ctx.graph_of(program), _seed,
+                                       self._transfer):
+            out.extend(self._check_op(op, i, ins))
             # scale must fit the remaining modulus budget (~1 prime per
             # log-Delta unit); exceeding it means a rescale was omitted
-            if out_scale > max(2, out_chain):
+            if res.scale > max(2, res.chain):
                 out.append(Diagnostic(
                     "ALC102",
-                    f"{op.label or f'op{i}'}: scale {out_scale} exceeds the "
-                    f"remaining modulus budget (chain {out_chain}) — "
+                    f"{op.label or f'op{i}'}: scale {res.scale} exceeds the "
+                    f"remaining modulus budget (chain {res.chain}) — "
                     f"rescale omitted upstream?",
                     op_index=i, op_label=op.label, values=op.defs))
-            for v in op.defs:
-                state[v] = AbstractCt(chain=out_chain, scale=out_scale,
-                                      fresh=out_fresh)
         return out
 
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _transfer(op: HighLevelOp, declared: int,
-                  in_states: List[AbstractCt],
-                  in_chain: Optional[int],
-                  in_scale: int) -> Tuple[int, int, bool]:
-        """Abstract (chain, scale, freshness) of the values ``op`` defines."""
+    def _transfer(op: HighLevelOp, in_states: List[AbstractCt]) -> AbstractCt:
+        """Abstract state of the values ``op`` defines."""
         # a polynomial-shaped op's channels ARE its chain (0 included — a
         # rescale block built at level 0 declares 0 remaining channels);
         # shapeless ops pass the incoming chain through
         if op.kind in _POLY_SHAPED:
             chain = max(0, op.channels)
         else:
-            chain = in_chain if in_chain is not None else 1
+            chain = max((s.chain for s in in_states), default=1)
+        in_scale = max((s.scale for s in in_states), default=1)
         fresh = any(s.fresh for s in in_states) if in_states else True
         if op.role == "tensor":
             if len(in_states) >= 2:
@@ -128,12 +109,13 @@ class LevelScaleAnalysis(Analysis):
             fresh = False
         else:
             scale = in_scale
-        return chain, scale, fresh
+        return AbstractCt(chain=chain, scale=scale, fresh=fresh)
 
     @staticmethod
-    def _check_op(op: HighLevelOp, i: int, in_states: List[AbstractCt],
-                  in_chain: Optional[int]) -> List[Diagnostic]:
+    def _check_op(op: HighLevelOp, i: int,
+                  in_states: List[AbstractCt]) -> List[Diagnostic]:
         tag = op.label or f"op{i}"
+        in_chain = max((s.chain for s in in_states), default=None)
         out: List[Diagnostic] = []
         if op.role == "rescale":
             if in_chain is not None and in_chain < 1:

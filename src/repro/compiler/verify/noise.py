@@ -3,9 +3,10 @@
 The verify layer's other passes prove structural facts (levels, scales,
 partitioning); this pass answers the question that actually gates
 correctness: *will this program still decrypt?*  It interprets a
-per-scheme noise abstract domain over ``Program.dependency_edges`` —
-the BASALISC approach of conservative static noise tracking, applied to
-all three schemes the Alchemist pipeline serves:
+per-scheme noise abstract domain over ``Program.dependency_edges`` (the
+shared :func:`~repro.compiler.verify.base.forward` loop) — the BASALISC
+approach of conservative static noise tracking, applied to all three
+schemes the Alchemist pipeline serves:
 
 * **CKKS** — coefficient-error standard deviation in the log2 domain,
   reusing the exact formulas of :mod:`repro.ckks.noise` (the module the
@@ -59,7 +60,7 @@ from repro.ckks.noise import (
     keyswitch_std,
 )
 from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
-from repro.compiler.verify.base import Analysis, AnalysisContext
+from repro.compiler.verify.base import Analysis, AnalysisContext, forward
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.tfhe.params import TFHEParams
 
@@ -554,43 +555,19 @@ class NoiseBudgetAnalysis(Analysis):
         domain = noise_domain(meta)
         if domain is None:
             return None
-        return _min_headroom(program, domain)
+        records = _walk(ProgramGraph(program), domain)
+        return min((r.bits for r in records), default=None)
 
 
 def _walk(graph: ProgramGraph, domain: NoiseDomain) -> List[_OpHeadroom]:
-    """Interpret ``domain`` over the program; one record per defining op,
-    in program order."""
-    try:
-        order = graph.order
-    except ValueError:
-        return []                     # cycle: structure analysis reports it
-    ops = graph.program.ops
-    defined = graph.def_sites
-    state: Dict[str, NoiseState] = {}
+    """Interpret ``domain`` over the program with :func:`forward`; one
+    record per defining op, in program order."""
     records: List[_OpHeadroom] = []
-    for i in order:
-        op = ops[i]
-        if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
-            continue                  # streamed operands carry no ct state
-        # seed external inputs (uses with no producer) at a fresh state
-        for v in op.uses:
-            if v not in state and v not in defined:
-                state[v] = domain.fresh()
-        ins = [state[v] for v in op.uses if v in state]
-        out_state = domain.transfer(op, ins)
+    for i, op, ins, out_state in forward(graph, lambda op: domain.fresh(),
+                                         domain.transfer):
         if op.defs:
             bits = domain.headroom_bits(out_state)
             hint = domain.recovery_hint(op, ins, exhausted=bits <= 0.0)
             records.append(_OpHeadroom(i, op.label, op.defs, bits, hint))
-        for v in op.defs:
-            state[v] = out_state
     records.sort(key=lambda r: r.index)
     return records
-
-
-def _min_headroom(program: Program,
-                  domain: NoiseDomain) -> Optional[float]:
-    records = _walk(ProgramGraph(program), domain)
-    if not records:
-        return None
-    return min(r.bits for r in records)

@@ -71,10 +71,10 @@ def run_serving(
 ) -> Dict[str, object]:
     """Sweep offered load over the traffic profiles; JSON-ready result.
 
-    One :class:`ServingSimulator` is shared across the whole sweep so the
-    engine's per-shape makespan cache amortizes — results are identical
-    to fresh simulators because the serving loop itself is stateless
-    between runs.
+    One :class:`ServingSimulator` is shared across the whole sweep so its
+    program-shape memo (verdicts and service time per batch shape)
+    amortizes — results are identical to fresh simulators because the
+    serving loop itself is stateless between runs.
     """
     names = list(profiles) if profiles is not None else list(PROFILES)
     unknown = [n for n in names if n not in PROFILES]

@@ -9,11 +9,12 @@
    the queues — SLA classes in rank order, FIFO within a class — through
    :class:`~repro.serve.batching.SlotBatcher` into one batch;
 3. the batch's operator program runs on
-   :class:`~repro.sim.engine.EventDrivenSimulator` (makespans memoized per
-   program shape, since CKKS/BFV batch cost is occupancy-independent);
-   every request in the batch completes when the batch does.
+   :class:`~repro.sim.engine.EventDrivenSimulator`; every request in the
+   batch completes when the batch does.
 
-Every batch program shape is validated once per run against the static
+Each batch program shape (:meth:`~repro.serve.batching.Batch.program_key`)
+is built once per simulator, and one memo keeps its noise and key
+verdicts and its service latency.  Building it runs the static
 slot-partition lint (:func:`~repro.serve.batching.assert_zero_exchange`),
 so a packing rule that implied cross-unit slot traffic fails loudly
 instead of producing optimistic latencies.
@@ -314,74 +315,57 @@ class ServingSimulator:
         self.admission = admission or AdmissionController()
         self.engine = engine or EventDrivenSimulator(config)
         self.collector = collector
-        self._linted: set[str] = set()
-        self._noise_ok: Dict[str, bool] = {}
-        self._keys_ok: Dict[str, bool] = {}
+        #: program_key -> (noise_ok, keys_ok, service_us): one entry per
+        #: batch program shape, shared by admission and dispatch
+        self._shapes: Dict[str, Tuple[bool, bool, float]] = {}
 
     # ------------------------------------------------------------------ #
 
-    def noise_admissible(self, request: Request) -> bool:
-        """Static noise-budget gate for one request (memoized per program
-        shape).
-
-        Builds the request's single-occupancy batch program and asks the
-        noise verifier for its minimum headroom; a proof of exhaustion
-        (headroom <= 0, i.e. ``ALC701``) sheds the request before it can
-        waste a dispatch slot.  Programs without a noise annotation — and
-        requests that cannot even form a batch (the capacity error will
-        surface on the normal path) — pass.
+    def _shape(self, batch: Batch) -> Tuple[bool, bool, float]:
+        """``(noise_ok, keys_ok, service_us)`` of ``batch``'s program
+        shape.  The first batch of a :meth:`Batch.program_key` builds the
+        program, gates it on :func:`assert_zero_exchange` (which raises),
+        verifies and times it; batches sharing a key build equal programs.
         """
+        key = batch.program_key()
+        entry = self._shapes.get(key)
+        if entry is None:
+            program = self.batcher.program(batch)
+            assert_zero_exchange(program, self.config)
+            headroom = NoiseBudgetAnalysis.program_headroom_bits(program)
+            cycles = self.engine.makespan(program)
+            entry = (headroom is None or headroom > 0.0,
+                     not KeyResidencyAnalysis.missing_keys(program),
+                     cycles / self.config.cycles_per_second * 1e6)
+            self._shapes[key] = entry
+        return entry
+
+    def _probe(self, request: Request) -> Tuple[bool, bool]:
+        """``(noise_ok, keys_ok)`` of the request's single-occupancy batch
+        shape.  A request that cannot even form a batch passes: its
+        capacity error surfaces on the normal path."""
         try:
             probe = Batch(scheme=request.scheme, kind=request.kind,
                           slots=self.batcher.capacity(request.scheme),
                           requests=(request,))
         except BatchingError:
-            return True
-        key = probe.program_key()
-        cached = self._noise_ok.get(key)
-        if cached is None:
-            headroom = NoiseBudgetAnalysis.program_headroom_bits(
-                self.batcher.program(probe))
-            cached = headroom is None or headroom > 0.0
-            self._noise_ok[key] = cached
-        return cached
+            return True, True
+        noise_ok, keys_ok, _ = self._shape(probe)
+        return noise_ok, keys_ok
+
+    def noise_admissible(self, request: Request) -> bool:
+        """Static noise-budget gate: False when the verifier proves the
+        request's program exhausts its budget (headroom <= 0, ``ALC701``),
+        so it is shed before it can waste a dispatch slot.  Programs
+        without a noise annotation pass."""
+        return self._probe(request)[0]
 
     def keys_admissible(self, request: Request) -> bool:
-        """Static evaluation-key gate for one request (memoized per
-        program shape).
-
-        Builds the request's single-occupancy batch program and asks the
-        key verifier for required-but-unprovisioned keys; a non-empty
-        set (``ALC801``) sheds the request before dispatch — the first
-        keyswitch would fault on the missing key material.  Programs
-        without a key annotation, and requests that cannot form a batch,
-        pass.
-        """
-        try:
-            probe = Batch(scheme=request.scheme, kind=request.kind,
-                          slots=self.batcher.capacity(request.scheme),
-                          requests=(request,))
-        except BatchingError:
-            return True
-        key = probe.program_key()
-        cached = self._keys_ok.get(key)
-        if cached is None:
-            missing = KeyResidencyAnalysis.missing_keys(
-                self.batcher.program(probe))
-            cached = not missing
-            self._keys_ok[key] = cached
-        return cached
-
-    def batch_service_us(self, batch: Batch) -> float:
-        """Service latency of one batch on the machine (memoized per
-        program shape; the shape is zero-exchange-linted on first use)."""
-        key = batch.program_key()
-        program = self.batcher.program(batch)
-        if key not in self._linted:
-            assert_zero_exchange(program, self.config)
-            self._linted.add(key)
-        cycles = self.engine.makespan(program, cache_key=key)
-        return cycles / self.config.cycles_per_second * 1e6
+        """Static evaluation-key gate: False when the request's program
+        consumes a key the tenant has not provisioned (``ALC801``) — the
+        first keyswitch would fault on the missing key material.
+        Programs without a key annotation pass."""
+        return self._probe(request)[1]
 
     def simulate(self, trace: Sequence[Request], *, profile: str = "",
                  seed: int = 0, rate_rps: float = 0.0) -> ServeReport:
@@ -437,7 +421,7 @@ class ServingSimulator:
             kept = {r.rid for r in remaining}
             for name in queues:
                 queues[name] = [r for r in queues[name] if r.rid in kept]
-            service_us = self.batch_service_us(batch)
+            service_us = self._shape(batch)[2]
             report.batches.append(BatchRecord(
                 batch_id=batch_id, scheme=batch.scheme, kind=batch.kind,
                 occupancy=batch.occupancy, total_width=batch.total_width,

@@ -135,26 +135,15 @@ class EventDrivenSimulator:
                  simulator: Optional[CycleSimulator] = None):
         self.config = config
         self.simulator = simulator or CycleSimulator(config)
-        self._makespan_cache: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
 
-    def makespan(self, program: Program,
-                 cache_key: Optional[str] = None) -> float:
-        """Fault-free event-driven makespan, optionally memoized.
+    def makespan(self, program: Program) -> float:
+        """Fault-free event-driven makespan of ``program`` in cycles.
 
-        The serving layer (:mod:`repro.serve`) dispatches thousands of
-        batches whose programs recur in a handful of shapes; ``cache_key``
-        names the shape so each is scheduled once per simulator instance.
-        Callers own key uniqueness — two programs sharing a key must be
-        identical.  Uncached calls behave exactly like ``run(...)``.
-        """
-        if cache_key is not None and cache_key in self._makespan_cache:
-            return self._makespan_cache[cache_key]
-        value = self.run(program).makespan_cycles
-        if cache_key is not None:
-            self._makespan_cache[cache_key] = value
-        return value
+        Not memoized: the serving layer (:mod:`repro.serve`) calls it once
+        per batch program shape and keeps the result in its shape memo."""
+        return self.run(program).makespan_cycles
 
     def run(self, program: Program,
             timings: Optional[List[OpTiming]] = None,

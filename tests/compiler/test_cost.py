@@ -393,6 +393,34 @@ class TestCostDiagnostics:
             report = lint_program(builder())
             assert not report.errors and not report.warnings, report.format()
 
+    def test_one_cost_report_per_lint_run(self, monkeypatch):
+        """ALC6xx and ALC803 both read the run's one cost report."""
+        import repro.compiler.verify.base as base
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return analyze_program(*args)
+
+        monkeypatch.setattr(base, "analyze_program", counting)
+        codes = lint_program(cmult_program()).codes()
+        assert "ALC601" in codes and "ALC803" in codes
+        assert len(calls) == 1
+
+    def test_cost_model_failure_is_not_swallowed(self, monkeypatch):
+        """Only an ill-formed program (``ValueError``) silences the cost
+        and key-dominance notes; a fault inside the cost model surfaces
+        instead of quietly dropping ALC601/602/604/803."""
+        import repro.compiler.cost.analyzer as analyzer
+
+        def broken(op, config):
+            raise TypeError("cost model fault")
+
+        monkeypatch.setattr(analyzer, "cost_op", broken)
+        with pytest.raises(TypeError, match="cost model fault"):
+            lint_program(cmult_program())
+
 
 # ------------------------------ report API ------------------------------- #
 

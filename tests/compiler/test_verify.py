@@ -18,7 +18,7 @@ from repro.compiler.ckks_programs import (
     rescale_program,
     rotation_program,
 )
-from repro.compiler.ops import HighLevelOp, OpKind, Program
+from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.compiler.passes import (
     CompileError,
     PassManager,
@@ -45,6 +45,7 @@ from repro.compiler.verify import (
     lint_program,
     schedule_diagnostics,
 )
+from repro.compiler.verify.base import forward
 from repro.sim.engine import EventDrivenSimulator
 from repro.telemetry import TraceCollector
 
@@ -159,6 +160,37 @@ def test_validation_diagnostics_matches_legacy_messages():
     diags = validation_diagnostics(prog)
     assert [d.code for d in diags] == ["ALC004"]
     assert "in_channels" in diags[0].message
+
+
+# ------------------------------ forward walk ------------------------------ #
+
+
+def test_forward_seeds_each_external_once_and_skips_hbm_ops():
+    prog = Program("f", inputs=("ct", "key"))
+    prog.add(HighLevelOp(OpKind.HBM_LOAD, "load", bytes_moved=64,
+                         defs=("k",), uses=("key",)))
+    prog.add(_ew("a", defs=("a",), uses=("ct", "k")))
+    prog.add(_ew("b", defs=("b",), uses=("a", "ct")))
+    seeded = []
+
+    def seed(op):
+        seeded.append(op.label)
+        return 0
+
+    steps = [(i, op.label, ins, out) for i, op, ins, out in forward(
+        ProgramGraph(prog), seed, lambda op, ins: 1 + sum(ins))]
+    # "ct" is seeded by its first reader only; the load and the value it
+    # streams in carry no state
+    assert seeded == ["a"]
+    assert steps == [(1, "a", [0], 1), (2, "b", [1, 0], 2)]
+
+
+def test_forward_yields_nothing_on_a_cycle():
+    prog = Program("c")
+    prog.add(_ew("x", defs=("x",), uses=("y",)))
+    prog.add(_ew("y", defs=("y",), uses=("x",)))
+    assert list(forward(ProgramGraph(prog), lambda op: 0,
+                        lambda op, ins: 0)) == []
 
 
 # ----------------------------- level / scale ------------------------------ #

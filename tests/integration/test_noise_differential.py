@@ -36,7 +36,7 @@ from repro.bfv.scheme import (
 )
 from repro.compiler.ops import HighLevelOp, OpKind, Program
 from repro.compiler.verify import Linter, NoiseBudgetAnalysis
-from repro.compiler.verify.noise import _min_headroom, noise_domain
+from repro.compiler.verify.noise import noise_domain
 from repro.tfhe.lwe import LweKey, lwe_decrypt_phase, lwe_encrypt
 from repro.tfhe.params import TEST_PARAMS
 
@@ -459,11 +459,3 @@ def test_tfhe_pbs_variance_formula_tracks_reality(tfhe_kit, rng_factory):
         out = tfhe_kit.gate_bootstrap(tfhe_kit.encrypt(mu), mu)
         err = abs(_centered(lwe_decrypt_phase(out, tfhe_kit.lwe_key) - mu))
         assert err / TORUS < 6.0 * std
-
-
-def test_min_headroom_matches_program_headroom():
-    """The serving gate's entry point agrees with the walk it wraps."""
-    program = _bfv_program(("square", 2, 1))
-    domain = noise_domain(_bfv_meta())
-    assert _min_headroom(program, domain) == pytest.approx(
-        NoiseBudgetAnalysis.program_headroom_bits(program))

@@ -64,14 +64,28 @@ def test_batch_offsets_are_cumulative_widths():
 
 
 def test_program_key_is_occupancy_independent_for_ckks_and_bfv():
+    # the serving shape memo relies on the key's contract: batches that
+    # share a key build equal programs
+    batcher = SlotBatcher()
     one = Batch(scheme="ckks", kind="scale", slots=1024,
                 requests=(_req(0),))
     many = Batch(scheme="ckks", kind="scale", slots=1024,
                  requests=tuple(_req(i) for i in range(8)))
     assert one.program_key() == many.program_key() == "ckks:scale"
+    assert batcher.program(one) == batcher.program(many)
     dot = Batch(scheme="ckks", kind="dot", slots=1024,
                 requests=(_req(0, kind="dot", width=128),))
-    assert dot.program_key() == "ckks:dot:w128"
+    dots = Batch(scheme="ckks", kind="dot", slots=1024,
+                 requests=tuple(_req(i, kind="dot", width=128)
+                                for i in range(4)))
+    assert dot.program_key() == dots.program_key() == "ckks:dot:w128"
+    assert batcher.program(dot) == batcher.program(dots)
+    for kind in ("add", "mul"):
+        bfv = [Batch(scheme="bfv", kind=kind, slots=1024,
+                     requests=tuple(_req(i, scheme="bfv", kind=kind)
+                                    for i in range(n))) for n in (1, 5)]
+        assert bfv[0].program_key() == bfv[1].program_key() == f"bfv:{kind}"
+        assert batcher.program(bfv[0]) == batcher.program(bfv[1])
 
 
 def test_program_key_buckets_tfhe_occupancy():
@@ -82,6 +96,11 @@ def test_program_key_buckets_tfhe_occupancy():
     assert tfhe_batch(1).program_key() == "tfhe:gate:b1"
     assert tfhe_batch(3).program_key() == "tfhe:gate:b4"
     assert tfhe_batch(8).program_key() == "tfhe:gate:b8"
+    # one bucket, one program; distinct buckets, distinct programs
+    batcher = SlotBatcher()
+    assert tfhe_batch(4).program_key() == "tfhe:gate:b4"
+    assert batcher.program(tfhe_batch(3)) == batcher.program(tfhe_batch(4))
+    assert batcher.program(tfhe_batch(4)) != batcher.program(tfhe_batch(8))
 
 
 def test_pbs_bucket_rounds_up_to_powers_of_two():

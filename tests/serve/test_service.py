@@ -1,5 +1,7 @@
 """Tests for the serving event loop and its report."""
 
+import dataclasses
+
 import pytest
 
 from repro.serve import (
@@ -9,6 +11,7 @@ from repro.serve import (
     generate_trace,
     percentile,
 )
+from repro.serve.batching import BatchingError
 from repro.serve.traffic import SlaClass
 from repro.telemetry import TraceCollector
 
@@ -176,14 +179,51 @@ def test_report_dict_shape_and_summary_text():
     assert "interactive" in text and "p99" in text
 
 
-def test_engine_makespan_cache_shared_across_runs():
+def _count_builds(sim):
+    """Record the program key of every batch program ``sim`` builds."""
+    real = sim.batcher.program
+    built = []
+
+    def counting(batch):
+        built.append(batch.program_key())
+        return real(batch)
+
+    sim.batcher.program = counting
+    return built
+
+
+def test_shape_memo_builds_each_program_once_across_runs():
     sim = ServingSimulator()
-    sim.simulate(_trace(n=40))
-    cached = dict(sim.engine._makespan_cache)
-    assert cached                      # the batch shapes were memoized
-    sim.simulate(_trace(seed=9, n=40))
-    for key, value in cached.items():
-        assert sim.engine._makespan_cache[key] == value
+    built = _count_builds(sim)
+    first = sim.simulate(_trace(n=40))
+    assert built                       # the batch shapes were built...
+    assert len(built) == len(set(built))   # ...once per distinct key
+    assert len(first.batches) > len(built)  # dispatches reuse shapes
+    runs_before = len(built)
+    again = sim.simulate(_trace(n=40))
+    assert len(built) == runs_before   # a replay reads the memo only
+    assert again.as_dict() == first.as_dict()
+
+
+def test_zero_exchange_violation_raises_even_from_admission():
+    """A shape's memo entry is linted when it is built, whether an
+    admission probe or a dispatch builds it: a program that implies
+    cross-unit slot traffic raises and is never read as admissible."""
+    sim = ServingSimulator()
+    real = sim.batcher.program
+
+    def cross_unit(batch):
+        program = real(batch)
+        program.ops[0] = dataclasses.replace(program.ops[0],
+                                             poly_degree=3072)
+        return program
+
+    sim.batcher.program = cross_unit
+    trace = _trace(n=5)
+    with pytest.raises(BatchingError, match="zero-exchange"):
+        sim.noise_admissible(trace[0])
+    with pytest.raises(BatchingError, match="zero-exchange"):
+        ServingSimulator(batcher=sim.batcher).simulate(trace)
 
 
 def test_batch_amortization_beats_unbatched_p99_at_high_load():
@@ -239,11 +279,20 @@ def test_statically_undecryptable_requests_are_shed_pre_dispatch():
 def test_noise_gate_memoizes_per_program_shape():
     sim = ServingSimulator()
     _poison_ckks_programs(sim)
-    sim.simulate(_trace(n=80))
-    # one cached verdict per distinct program key, not per request
-    assert sim._noise_ok
-    assert len(sim._noise_ok) < 80
-    assert not all(sim._noise_ok.values())    # the poisoned shapes
+    built = _count_builds(sim)
+    trace = _trace(n=80)
+    first = sim.simulate(trace)
+    # one program build per distinct program key, not per request
+    assert built and len(built) == len(set(built))
+    assert any(key.startswith("ckks:") for key in built)
+    runs_before = len(built)
+    second = sim.simulate(trace)
+    assert len(built) == runs_before
+    # the poisoned shapes are still shed from the memoized verdict
+    ckks = {r.rid for r in trace if r.scheme == "ckks"}
+    for report in (first, second):
+        assert {o.request.rid for o in report.outcomes
+                if o.shed_reason == "noise"} == ckks
 
 
 def test_shed_by_noise_key_only_present_when_nonzero():
@@ -265,3 +314,74 @@ def test_noise_shed_requests_count_as_shed_in_totals():
     report = sim.simulate(trace)
     assert report.served + report.shed == report.offered
     assert report.shed >= report.shed_by_noise
+
+
+# -------------------------- key-admission gate -------------------------- #
+
+
+def _unprovision_rotation_key(sim):
+    """Drop ``rot:1`` from the CKKS dot programs' provisioned keys, so the
+    static key verifier proves every dot request needs a Galois key the
+    tenant never uploaded."""
+    real = sim.batcher.program
+
+    def unprovisioned(batch):
+        program = real(batch)
+        if batch.scheme == "ckks" and batch.kind == "dot":
+            keys = dict(program.metadata["keys"])
+            keys["provisioned"] = {
+                name: size for name, size in keys["provisioned"].items()
+                if name != "rot:1"}
+            program.metadata["keys"] = keys
+        return program
+
+    sim.batcher.program = unprovisioned
+
+
+def _dot_rids(trace):
+    rids = {r.rid for r in trace if r.scheme == "ckks" and r.kind == "dot"}
+    assert rids, "trace has no CKKS dot requests; pick another seed"
+    return rids
+
+
+def test_requests_needing_unprovisioned_keys_are_shed_pre_dispatch():
+    trace = _trace(n=200)
+    sim = ServingSimulator()
+    _unprovision_rotation_key(sim)
+    report = sim.simulate(trace)
+    keys_shed = [o for o in report.outcomes if o.shed_reason == "keys"]
+    # every CKKS dot request is shed by the key gate, and nothing else is
+    assert {o.request.rid for o in keys_shed} == _dot_rids(trace)
+    assert report.shed_by_keys == len(keys_shed)
+    assert report.shed_by_noise == 0
+    for o in keys_shed:
+        assert o.shed and not o.served
+        assert o.sla is None
+    # traffic that needs no rotation key still flows
+    assert any(o.served for o in report.outcomes
+               if o.request.kind != "dot")
+
+
+def test_shed_by_keys_key_only_present_when_nonzero():
+    trace = _trace(n=200)
+    clean = ServingSimulator().simulate(trace)
+    assert clean.shed_by_keys == 0
+    assert "shed_by_keys" not in clean.as_dict()
+
+    sim = ServingSimulator()
+    _unprovision_rotation_key(sim)
+    unprovisioned = sim.simulate(trace)
+    assert unprovisioned.shed_by_keys > 0
+    assert unprovisioned.as_dict()["shed_by_keys"] == \
+        unprovisioned.shed_by_keys
+
+
+def test_shape_failing_both_gates_is_shed_as_noise():
+    trace = _trace(n=200)
+    sim = ServingSimulator()
+    _poison_ckks_programs(sim)
+    _unprovision_rotation_key(sim)
+    report = sim.simulate(trace)
+    reasons = {o.request.rid: o.shed_reason for o in report.outcomes}
+    assert {reasons[rid] for rid in _dot_rids(trace)} == {"noise"}
+    assert report.shed_by_keys == 0
