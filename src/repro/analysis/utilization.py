@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.baselines.models import MODULAR_DESIGNS, ModularAcceleratorModel
+from repro.compiler.cost.model import by_class
 from repro.compiler.ops import Program
 from repro.sim.simulator import CycleSimulator
 
@@ -30,11 +31,8 @@ def modular_utilization(
     simulator = simulator or CycleSimulator()
     model: ModularAcceleratorModel = MODULAR_DESIGNS[design]
     report = simulator.run(program)
-    demand: Dict[str, float] = {}
-    for t in report.timings:
-        if t.busy_core_cycles > 0:
-            cls = t.op.operator_class
-            demand[cls] = demand.get(cls, 0.0) + t.busy_core_cycles
+    demand = {cls: busy
+              for cls, (busy, _) in by_class(report.timings).items()}
     return model.utilization(demand)
 
 

@@ -4,11 +4,12 @@ from the IR without simulating.
 The package has three layers:
 
 * :mod:`repro.compiler.cost.model` — the single source of truth for the
-  per-op cost formulas and calibration constants.  Both the cycle-level
-  simulator (:mod:`repro.sim.simulator`) and the static analyzer consume
-  :func:`cost_op`, so the static prediction of one op's resource demand is
-  *identical by construction* to what the simulator charges — no duplicated
-  constants, no drift.
+  per-op cost formulas and calibration constants, the one per-op record
+  (:class:`OpCost`) and every roll-up over such records.  Both the
+  cycle-level simulator (:mod:`repro.sim.simulator`) and the static
+  analyzer consume :func:`cost_op`, so the static prediction of one op's
+  resource demand is *identical by construction* to what the simulator
+  charges — no duplicated constants, no drift.
 * :mod:`repro.compiler.cost.analyzer` — abstract cost interpretation over a
   :class:`~repro.compiler.ops.Program`'s dependency edges: per-op and
   per-program Meta-OP counts, compute/SRAM/HBM cycles, deterministic

@@ -19,10 +19,17 @@ static lower and upper bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.compiler.cost.model import OpCost, ResourceBound, cost_op
+from repro.compiler.cost.model import (
+    CostTotals,
+    OpCost,
+    bound_histogram,
+    cost_op,
+    totals,
+    utilization,
+)
 from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 
@@ -32,9 +39,12 @@ class OpCostRow:
     """One op's static cost facts."""
 
     index: int
-    op: HighLevelOp
     cost: OpCost
     critical: bool                  # on the static critical path
+
+    @property
+    def op(self) -> HighLevelOp:
+        return self.cost.op
 
     @property
     def label(self) -> str:
@@ -73,12 +83,8 @@ class CostReport:
     # ------------------------------ totals ----------------------------- #
 
     @property
-    def totals(self) -> ResourceBound:
-        return ResourceBound(
-            compute_cycles=sum(r.cost.compute_cycles for r in self.rows),
-            sram_cycles=sum(r.cost.sram_cycles for r in self.rows),
-            hbm_cycles=sum(r.cost.hbm_cycles for r in self.rows),
-        )
+    def totals(self) -> CostTotals:
+        return totals(r.cost for r in self.rows)
 
     @property
     def pipelined_cycles(self) -> float:
@@ -106,23 +112,11 @@ class CostReport:
 
     @property
     def total_meta_ops(self) -> int:
-        return sum(r.cost.meta_ops for r in self.rows)
-
-    @property
-    def total_waves(self) -> int:
-        return sum(r.cost.waves for r in self.rows)
-
-    @property
-    def total_busy_core_cycles(self) -> float:
-        return sum(r.cost.busy_core_cycles for r in self.rows)
-
-    @property
-    def total_sram_bytes(self) -> int:
-        return sum(r.cost.sram_bytes for r in self.rows)
+        return self.totals.meta_ops
 
     @property
     def total_hbm_bytes(self) -> int:
-        return sum(r.cost.hbm_bytes for r in self.rows)
+        return self.totals.hbm_bytes
 
     @property
     def total_key_hbm_bytes(self) -> int:
@@ -130,17 +124,12 @@ class CostReport:
         return sum(r.key_bytes for r in self.rows)
 
     def bound_histogram(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.rows:
-            out[r.bound] = out.get(r.bound, 0) + 1
-        return out
+        return bound_histogram(r.cost for r in self.rows)
 
     def overall_compute_utilization(self) -> float:
-        elapsed = sum(r.cost.compute_cycles for r in self.rows)
-        if elapsed == 0:
-            return 0.0
-        busy = self.total_busy_core_cycles
-        return min(1.0, busy / (elapsed * self.config.total_cores))
+        t = self.totals
+        return utilization(t.busy_core_cycles, t.compute_cycles,
+                           self.config.total_cores)
 
     # ------------------------------ rendering -------------------------- #
 
@@ -154,7 +143,7 @@ class CostReport:
             f"{us:,.1f} us ({self.bottleneck}-bound; "
             f"compute {t.compute_cycles:,.0f}, sram {t.sram_cycles:,.0f}, "
             f"hbm {t.hbm_cycles:,.0f}; critical path "
-            f"{self.critical_path_cycles:,.0f}; {self.total_meta_ops:,} "
+            f"{self.critical_path_cycles:,.0f}; {t.meta_ops:,} "
             f"Meta-OPs; peak occupancy {occupancy_mb:,.1f}/{capacity_mb:,.0f} "
             f"MB; util {self.overall_compute_utilization():.2f})"
         )
@@ -190,10 +179,10 @@ class CostReport:
                 "sram": t.sram_cycles,
                 "hbm": t.hbm_cycles,
             },
-            "meta_ops": self.total_meta_ops,
-            "waves": self.total_waves,
-            "sram_bytes": self.total_sram_bytes,
-            "hbm_bytes": self.total_hbm_bytes,
+            "meta_ops": t.meta_ops,
+            "waves": t.waves,
+            "sram_bytes": t.sram_bytes,
+            "hbm_bytes": t.hbm_bytes,
             "key_hbm_bytes": self.total_key_hbm_bytes,
             "peak_occupancy_bytes": self.peak_occupancy_bytes,
             "bound_histogram": self.bound_histogram(),
@@ -213,7 +202,8 @@ class CostReport:
                     "meta_ops": r.cost.meta_ops,
                     "waves": r.cost.waves,
                     "critical": r.critical,
-                    "utilization": r.cost.utilization(
+                    "utilization": utilization(
+                        r.cost.busy_core_cycles, r.cost.compute_cycles,
                         self.config.total_cores),
                 }
                 for r in self.rows
@@ -283,18 +273,16 @@ def analyze_program(program: Program,
         # serialized chain so cost totals stay available
         cp_cycles, cp_members = sum(serialized), tuple(range(len(costs)))
     member_set = set(cp_members)
-    report = CostReport(
+    return CostReport(
         program=program.name,
         config=config,
+        rows=[OpCostRow(index=i, cost=cost, critical=i in member_set)
+              for i, cost in enumerate(costs)],
         critical_path_cycles=cp_cycles,
         critical_path=cp_members,
         peak_occupancy_bytes=peak,
         peak_occupancy_index=peak_index,
     )
-    for i, (op, cost) in enumerate(zip(program.ops, costs)):
-        report.rows.append(OpCostRow(
-            index=i, op=op, cost=cost, critical=i in member_set))
-    return report
 
 
 @dataclass(frozen=True)
@@ -350,9 +338,10 @@ def differential_check(program: Program,
                        ) -> DifferentialCheck:
     """Validate the static analysis of ``program`` against the simulators.
 
-    Exact-match check against :meth:`CycleSimulator.time_program` (shared
-    cost model — any drift fails), bounded check against the event-driven
-    engine's makespan.
+    Exact-match check against :meth:`CycleSimulator.time_program`: every
+    field of each op's static and simulated :class:`OpCost` (shared cost
+    model — any drift fails), then the program totals.  Bounded check
+    against the event-driven engine's makespan.
     """
     from repro.sim.engine import EventDrivenSimulator
     from repro.sim.simulator import CycleSimulator
@@ -363,22 +352,17 @@ def differential_check(program: Program,
     sim_report = sim.run(program, timings=timings)
     mismatches: List[str] = []
     for row, timing in zip(static.rows, timings):
-        for field_name in ("compute_cycles", "sram_cycles", "hbm_cycles",
-                           "busy_core_cycles", "waves", "meta_ops"):
-            s = getattr(row.cost, field_name)
-            d = getattr(timing, field_name)
+        for f in fields(OpCost):
+            s = getattr(row.cost, f.name)
+            d = getattr(timing, f.name)
             if s != d:
                 mismatches.append(
-                    f"{row.label}.{field_name}: static {s!r} != sim {d!r}")
-        if row.bound != timing.bound:
-            mismatches.append(
-                f"{row.label}.bound: static {row.bound} != sim {timing.bound}")
-    totals = static.totals
+                    f"{row.label}.{f.name}: static {s!r} != sim {d!r}")
+    st, dt = static.totals, sim_report.totals
     for name, s, d in (
-            ("total_compute", totals.compute_cycles,
-             sim_report.total_compute_cycles),
-            ("total_sram", totals.sram_cycles, sim_report.total_sram_cycles),
-            ("total_hbm", totals.hbm_cycles, sim_report.total_hbm_cycles),
+            ("total_compute", st.compute_cycles, dt.compute_cycles),
+            ("total_sram", st.sram_cycles, dt.sram_cycles),
+            ("total_hbm", st.hbm_cycles, dt.hbm_cycles),
             ("serialized", static.serialized_cycles,
              sim_report.serialized_cycles),
             ("pipelined", static.pipelined_cycles,

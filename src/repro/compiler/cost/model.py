@@ -18,16 +18,19 @@ Calibration against the paper's published anchors (see DESIGN.md):
   (seed-expanded key halves, compressed ciphertexts) — the lever that
   flips the keyswitch-class ops from hbm- to compute-bound.
 
-:func:`cost_op` is the *only* place these formulas live.
-:meth:`repro.sim.simulator.CycleSimulator.time_op` and the static analyzer
-(:mod:`repro.compiler.cost.analyzer`) both call it, so static predictions
-match simulated charges exactly, by construction.
+:func:`cost_op` is the *only* place these formulas live, and its
+:class:`OpCost` is the one per-op record: the simulators, the fault
+injector, the static analyzer (:mod:`repro.compiler.cost.analyzer`) and
+the trace all carry it, so static predictions match simulated charges
+exactly, by construction.  Every roll-up of such records lives here too
+(:func:`totals`, :func:`utilization_by_class`, :func:`bound_histogram`),
+so no two reports can disagree on a sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Protocol, Tuple
 
 from repro.compiler.ops import HighLevelOp, OpKind
 from repro.hw.config import AlchemistConfig
@@ -56,7 +59,7 @@ STATIC_WATTS = 8.0
 #: whose demands on two resources are *exactly* equal sits on a roofline
 #: ridge point, and roofline convention classifies a ridge point as
 #: bandwidth-limited — so the bandwidth resources win ties, scarcest
-#: (off-chip) first.  Every consumer (OpTiming.bound,
+#: (off-chip) first.  Every consumer (OpCost.bound,
 #: SimulationReport.bottleneck, the static analyzer, the bench JSONs)
 #: classifies through :func:`classify_bound`, so they can never disagree.
 BOUND_PRIORITY: Tuple[str, ...] = ("hbm", "sram", "compute")
@@ -106,13 +109,106 @@ class ResourceBound:
 
 
 @dataclass(frozen=True)
+class CostTotals(ResourceBound):
+    """Summed cost of a sequence of records: the three resource demands
+    (so ``bottleneck`` and ``serialized_cycles`` apply) plus the tallies."""
+
+    busy_core_cycles: float = 0.0
+    waves: int = 0
+    meta_ops: int = 0
+    sram_bytes: int = 0
+    hbm_bytes: int = 0
+
+
+class CostRecord(Protocol):
+    """The per-op fields :class:`OpCost` and the trace's
+    :class:`~repro.telemetry.events.TraceEvent` share; the roll-ups below
+    read nothing else."""
+
+    @property
+    def operator_class(self) -> str: ...
+    @property
+    def bound(self) -> str: ...
+    @property
+    def compute_cycles(self) -> float: ...
+    @property
+    def sram_cycles(self) -> float: ...
+    @property
+    def hbm_cycles(self) -> float: ...
+    @property
+    def busy_core_cycles(self) -> float: ...
+    @property
+    def waves(self) -> int: ...
+    @property
+    def meta_ops(self) -> int: ...
+    @property
+    def sram_bytes(self) -> int: ...
+    @property
+    def hbm_bytes(self) -> int: ...
+
+
+def totals(records: Iterable[CostRecord]) -> CostTotals:
+    """Field-wise sums over ``records``, accumulated in record order (the
+    BENCH goldens pin these floats bit-exactly)."""
+    compute = sram = hbm = busy = 0.0
+    waves = meta_ops = sram_bytes = hbm_bytes = 0
+    for r in records:
+        compute += r.compute_cycles
+        sram += r.sram_cycles
+        hbm += r.hbm_cycles
+        busy += r.busy_core_cycles
+        waves += r.waves
+        meta_ops += r.meta_ops
+        sram_bytes += r.sram_bytes
+        hbm_bytes += r.hbm_bytes
+    return CostTotals(compute_cycles=compute, sram_cycles=sram,
+                      hbm_cycles=hbm, busy_core_cycles=busy, waves=waves,
+                      meta_ops=meta_ops, sram_bytes=sram_bytes,
+                      hbm_bytes=hbm_bytes)
+
+
+def utilization(busy: float, compute: float, cores: int) -> float:
+    """Core occupancy: ``busy`` core-cycles over the capacity of ``cores``
+    cores across ``compute`` elapsed cycles (0 with no compute window)."""
+    if compute <= 0:
+        return 0.0
+    return min(1.0, busy / (compute * cores))
+
+
+def by_class(records: Iterable[CostRecord]) -> Dict[str, Tuple[float, float]]:
+    """``(busy core-cycles, compute cycles)`` per operator class, over the
+    records with a compute window, summed in record order."""
+    out: Dict[str, Tuple[float, float]] = {}
+    for r in records:
+        if r.compute_cycles > 0:
+            busy, compute = out.get(r.operator_class, (0.0, 0.0))
+            out[r.operator_class] = (busy + r.busy_core_cycles,
+                                     compute + r.compute_cycles)
+    return out
+
+
+def utilization_by_class(records: Iterable[CostRecord],
+                         cores: int) -> Dict[str, float]:
+    """Compute-core utilization per operator class (Figure 7(b)): busy
+    core-cycles over core capacity during that class's compute windows."""
+    return {cls: utilization(busy, compute, cores)
+            for cls, (busy, compute) in by_class(records).items()}
+
+
+def bound_histogram(records: Iterable[CostRecord]) -> Dict[str, int]:
+    """How many records land in each roofline regime."""
+    out: Dict[str, int] = {}
+    for r in records:
+        out[r.bound] = out.get(r.bound, 0) + 1
+    return out
+
+
+@dataclass(frozen=True)
 class OpCost:
-    """Statically derived cost of one :class:`HighLevelOp` on a config.
+    """The cost of one :class:`HighLevelOp` on a config, as :func:`cost_op`
+    derives it: what the simulators charge and the trace exports."""
 
-    Exactly the numbers :meth:`CycleSimulator.time_op` charges — the
-    simulator builds its ``OpTiming`` from this record.
-    """
-
+    op: HighLevelOp
     compute_cycles: float = 0.0
     busy_core_cycles: float = 0.0
     sram_cycles: float = 0.0
@@ -121,27 +217,21 @@ class OpCost:
     meta_ops: int = 0
     patterns: Tuple[str, ...] = ()
     sram_bytes: int = 0
-    hbm_bytes: int = 0
+    hbm_bytes: int = 0           # wire bytes (after any compression)
 
     @property
-    def resource_bound(self) -> ResourceBound:
-        return ResourceBound(self.compute_cycles, self.sram_cycles,
-                             self.hbm_cycles)
+    def operator_class(self) -> str:
+        return self.op.operator_class
 
     @property
     def serialized_cycles(self) -> float:
-        return self.resource_bound.serialized_cycles
+        """Elapsed cycles when the op runs alone (the worst resource)."""
+        return max(self.compute_cycles, self.sram_cycles, self.hbm_cycles)
 
     @property
     def bound(self) -> str:
-        return self.resource_bound.bottleneck
-
-    def utilization(self, total_cores: int) -> float:
-        """Core occupancy during this op's compute window (0 when idle)."""
-        if self.compute_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_core_cycles
-                   / (self.compute_cycles * total_cores))
+        return classify_bound(self.compute_cycles, self.sram_cycles,
+                              self.hbm_cycles)
 
 
 def cost_op(op: HighLevelOp, config: AlchemistConfig) -> OpCost:
@@ -198,6 +288,7 @@ def cost_op(op: HighLevelOp, config: AlchemistConfig) -> OpCost:
             hbm_bytes = wire_bytes
     sram_bpc = config.onchip_bytes_per_cycle * SRAM_EFFICIENCY
     return OpCost(
+        op=op,
         compute_cycles=compute_cycles,
         busy_core_cycles=busy_core_cycles,
         sram_cycles=sram_bytes / sram_bpc,

@@ -78,11 +78,11 @@ def roofline_points(report: CostReport,
         for r in report.rows
     ]
     if include_program:
+        t = report.totals
         points.append(_point(
-            report.program, "program", report.bottleneck,
-            report.total_busy_core_cycles * lanes,
-            report.total_sram_bytes, report.total_hbm_bytes,
-            report.pipelined_cycles, peak))
+            report.program, "program", t.bottleneck,
+            t.busy_core_cycles * lanes, t.sram_bytes, t.hbm_bytes,
+            t.serialized_cycles, peak))
     return points
 
 

@@ -35,7 +35,7 @@ from dataclasses import replace
 from typing import Dict, List
 
 from repro.compiler.cost.analyzer import CostReport, analyze_program
-from repro.compiler.cost.model import cost_op
+from repro.compiler.cost.model import cost_op, utilization
 from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
@@ -116,7 +116,8 @@ class CostAnalysis(Analysis):
         for row in report.rows:
             if row.cost.compute_cycles <= 0:
                 continue
-            util = row.cost.utilization(cores)
+            util = utilization(row.cost.busy_core_cycles,
+                               row.cost.compute_cycles, cores)
             if util >= self.utilization_threshold:
                 continue
             out.append(Diagnostic(

@@ -34,7 +34,6 @@ from repro.sim.faults import (
 )
 from repro.sim.simulator import (
     CycleSimulator,
-    OpTiming,
     SimulationReport,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "MixReport",
     "ResiliencePolicy",
     "ResilienceReport",
-    "OpTiming",
     "POLICIES",
     "ScheduledOp",
     "SimulationReport",

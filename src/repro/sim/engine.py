@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.compiler.cost.model import ResourceBound
+from repro.compiler.cost.model import OpCost, ResourceBound, totals
 from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.compiler.verify.hazards import schedule_diagnostics
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.schedule import POLICIES, ScheduledOp, Tenant, schedule
-from repro.sim.simulator import CycleSimulator, OpTiming
+from repro.sim.simulator import CycleSimulator
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.sim.faults
     from repro.sim.faults.injector import FaultInjector
@@ -71,11 +71,7 @@ class MixReport:
 
     def resource_cycles(self) -> ResourceBound:
         """Aggregate demand the schedule placed on each pipelined resource."""
-        return ResourceBound(
-            compute_cycles=sum(s.timing.compute_cycles for s in self.schedule),
-            sram_cycles=sum(s.timing.sram_cycles for s in self.schedule),
-            hbm_cycles=sum(s.timing.hbm_cycles for s in self.schedule),
-        )
+        return totals(s.timing for s in self.schedule)
 
     @property
     def bottleneck(self) -> str:
@@ -146,7 +142,7 @@ class EventDrivenSimulator:
         return self.run(program).makespan_cycles
 
     def run(self, program: Program,
-            timings: Optional[List[OpTiming]] = None,
+            timings: Optional[List[OpCost]] = None,
             audit: bool = False,
             injector: Optional["FaultInjector"] = None) -> MixReport:
         """Event-driven makespan of a single program (FCFS dispatch)."""
@@ -156,7 +152,7 @@ class EventDrivenSimulator:
 
     def run_mix(self, programs: Sequence[Program], policy: str = "fcfs",
                 priorities: Optional[Mapping[str, int]] = None,
-                timings_by_tenant: Optional[Sequence[List[OpTiming]]] = None,
+                timings_by_tenant: Optional[Sequence[List[OpCost]]] = None,
                 audit: bool = False,
                 injector: Optional["FaultInjector"] = None) -> MixReport:
         """Schedule ``programs`` sharing the machine under ``policy``.

@@ -4,14 +4,15 @@ One :class:`FaultInjector` instance accompanies one simulation run (cycle
 simulator or event engine).  Both drive it through the scheduling kernel
 (:func:`repro.sim.schedule.schedule`), which hands it every op just
 before committing it to the timeline — :meth:`FaultInjector.adjust`
-returns the (possibly inflated) :class:`~repro.sim.simulator.OpTiming` to
-charge, or ``None`` when the resilience policy aborts the program (and
-for every later op of an aborted program, which drains unexecuted).
+returns the (possibly inflated) :class:`~repro.compiler.cost.model.OpCost`
+record to charge, or ``None`` when the resilience policy aborts the
+program (and for every later op of an aborted program, which drains
+unexecuted).
 
 Invariants the adjustment maintains (relied on by the property tests):
 
 * **zero-overhead** — with an empty model, :meth:`adjust` returns the very
-  OpTiming object it was given, so float accumulation downstream is
+  OpCost object it was given, so float accumulation downstream is
   bit-identical to a fault-free run;
 * **used-set preservation** — a resource with zero demand stays zero and a
   nonzero demand stays nonzero, so the scheduling kernel (which keys on
@@ -29,9 +30,9 @@ scheduling only, which is exactly what the differential harness verifies.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.compiler.cost.model import cost_op
+from repro.compiler.cost.model import OpCost, cost_op
 from repro.compiler.ops import HighLevelOp, Program
 from repro.compiler.passes.base import PassContext
 from repro.compiler.passes.spill import SpillInsertionPass
@@ -39,9 +40,6 @@ from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.faults.model import FaultModel
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
 from repro.telemetry.events import FaultEvent
-
-if TYPE_CHECKING:  # runtime import would be circular (simulator -> faults)
-    from repro.sim.simulator import OpTiming
 
 
 class FaultInjector:
@@ -128,7 +126,7 @@ class FaultInjector:
     # ------------------------------ per-op hook ------------------------- #
 
     def adjust(self, tenant: str, index: int, op: HighLevelOp,
-               timing: "OpTiming", start: float) -> Optional["OpTiming"]:
+               timing: OpCost, start: float) -> Optional[OpCost]:
         """Fault-adjusted timing for op ``index`` dispatched at ``start``.
 
         Returns the input ``timing`` object itself when no fault touches
@@ -147,7 +145,9 @@ class FaultInjector:
         lost = self.model.cores_lost_at(start)
         if lost and timing.compute_cycles > 0:
             self._announce_dropouts(tenant, start)
-            adjusted = self._retime(op, self._era_config(lost))
+            # re-cost on the degraded machine (shared cost model, so static
+            # analysis of the degraded config predicts the same charge)
+            adjusted = cost_op(op, self._era_config(lost))
         window = self.model.hbm_window_at(start)
         self._announce_hbm(tenant, start)
         if window is not None and adjusted.hbm_cycles > 0:
@@ -203,20 +203,12 @@ class FaultInjector:
             self._era_configs[cores_lost] = cfg
         return cfg
 
-    def _retime(self, op: HighLevelOp,
-                config: AlchemistConfig) -> "OpTiming":
-        """Re-cost ``op`` on the degraded machine (shared cost model, so
-        static analysis of the degraded config predicts the same charge)."""
-        from repro.sim.simulator import OpTiming
-
-        return OpTiming.of(op, cost_op(op, config))
-
     @staticmethod
-    def _scale_hbm(timing: "OpTiming", factor: float) -> "OpTiming":
+    def _scale_hbm(timing: OpCost, factor: float) -> OpCost:
         return replace(timing, hbm_cycles=timing.hbm_cycles / factor)
 
     @staticmethod
-    def _inflate(timing: "OpTiming", penalty: float) -> "OpTiming":
+    def _inflate(timing: OpCost, penalty: float) -> OpCost:
         """Fold wasted cycles (failed attempts + backoff + safe mode) into
         every resource the op occupies — a documented pessimism: during a
         retry the op's reservations are held, so nothing else slips in."""
@@ -230,7 +222,7 @@ class FaultInjector:
                         if timing.hbm_cycles > 0 else 0.0))
 
     def _apply_transients(self, tenant: str, index: int, op: HighLevelOp,
-                          timing: "OpTiming",
+                          timing: OpCost,
                           start: float) -> Tuple[bool, float]:
         """Run the retry loop; returns ``(survived, penalty_cycles)``."""
         label = op.label or op.kind.value

@@ -22,13 +22,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.compiler.cost.model import OpCost
 from repro.compiler.ops import HighLevelOp, ProgramGraph
-
-if TYPE_CHECKING:  # runtime import would be circular via the simulator
-    from repro.sim.simulator import OpTiming
 
 #: The three pipelined hardware resources of the timing model.
 RESOURCES = ("compute", "sram", "hbm")
@@ -36,34 +33,33 @@ RESOURCES = ("compute", "sram", "hbm")
 #: Dispatch policies understood by :func:`schedule`.
 POLICIES = ("fcfs", "round-robin", "priority")
 
-#: ``(name, graph or None, per-op timings)`` — one program sharing the
-#: machine; ``None`` runs it in program order.
-Tenant = Tuple[str, Optional[ProgramGraph], Sequence["OpTiming"]]
+#: ``(name, graph or None, per-op cost records)`` — one program sharing
+#: the machine; ``None`` runs it in program order.
+Tenant = Tuple[str, Optional[ProgramGraph], Sequence[OpCost]]
 
 #: The fault hook (:meth:`repro.sim.faults.FaultInjector.adjust`):
-#: ``(tenant, index, op, timing, provisional start)`` -> the timing to
-#: charge, or ``None`` when the op does not run (its tenant aborted).
-Adjust = Callable[[str, int, HighLevelOp, "OpTiming", float],
-                  Optional["OpTiming"]]
+#: ``(tenant, index, op, cost record, provisional start)`` -> the record
+#: to charge, or ``None`` when the op does not run (its tenant aborted).
+Adjust = Callable[[str, int, HighLevelOp, OpCost, float], Optional[OpCost]]
 
 
 @dataclass(frozen=True)
 class ScheduledOp:
-    """One dispatched operator: its slot on the timeline and the timing
-    charged for it (fault-adjusted when an injector ran)."""
+    """One dispatched operator: its slot on the timeline and the cost
+    record charged for it (fault-adjusted when an injector ran)."""
 
     tenant: str
     index: int                       # op index within the tenant's program
     start: float
     end: float
-    timing: OpTiming
+    timing: OpCost
 
     @property
     def label(self) -> str:
         return self.timing.op.label or self.timing.op.kind.value
 
 
-def _demands(timing: OpTiming) -> Dict[str, float]:
+def _demands(timing: OpCost) -> Dict[str, float]:
     """Cycles per resource the op actually occupies (zero demands drop)."""
     needs = (("compute", timing.compute_cycles),
              ("sram", timing.sram_cycles),

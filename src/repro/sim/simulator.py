@@ -8,6 +8,10 @@ simulated charges exactly, by construction.  See that module's docstring
 for the calibration anchors (Figure 7(b) utilizations, Table 7's
 bandwidth-bound Hadd and ~135 us HBM-bound Keyswitch).
 
+A timing is the :class:`~repro.compiler.cost.model.OpCost` record
+``cost_op`` returns; :class:`SimulationReport` rolls those records up
+with that module's roll-ups, so its bytes are the charged wire bytes.
+
 Bottleneck classification (per op and per program) goes through the shared
 :func:`repro.compiler.cost.model.classify_bound`, whose documented
 tie-break (``hbm > sram > compute`` on exact ties — a roofline ridge point
@@ -21,16 +25,20 @@ scheduling kernel, :func:`repro.sim.schedule.schedule`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.compiler.cost.model import (
     ENERGY_PJ_PER_HBM_BYTE,
     ENERGY_PJ_PER_LANE_CYCLE,
     ENERGY_PJ_PER_SRAM_BYTE,
     STATIC_WATTS,
+    CostTotals,
     OpCost,
-    classify_bound,
+    by_class,
     cost_op,
+    totals,
+    utilization,
+    utilization_by_class,
 )
 from repro.compiler.ops import HighLevelOp, Program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
@@ -44,60 +52,39 @@ if TYPE_CHECKING:  # runtime imports would be circular (faults -> simulator)
 
 
 @dataclass
-class OpTiming:
-    """Resolved timing of one high-level operator."""
-
-    op: HighLevelOp
-    busy_core_cycles: float = 0.0
-    compute_cycles: float = 0.0   # elapsed on the full machine
-    sram_cycles: float = 0.0
-    hbm_cycles: float = 0.0
-    # Telemetry tallies (integer bookkeeping; no effect on the cycle math).
-    waves: int = 0
-    meta_ops: int = 0
-    patterns: Tuple[str, ...] = ()
-
-    @classmethod
-    def of(cls, op: HighLevelOp, cost: OpCost) -> "OpTiming":
-        """``op``'s timing from its :func:`cost_op` record ``cost``."""
-        return cls(op=op, busy_core_cycles=cost.busy_core_cycles,
-                   compute_cycles=cost.compute_cycles,
-                   sram_cycles=cost.sram_cycles, hbm_cycles=cost.hbm_cycles,
-                   waves=cost.waves, meta_ops=cost.meta_ops,
-                   patterns=cost.patterns)
-
-    @property
-    def bound(self) -> str:
-        return classify_bound(self.compute_cycles, self.sram_cycles,
-                              self.hbm_cycles)
-
-    @property
-    def serialized_cycles(self) -> float:
-        return max(self.compute_cycles, self.sram_cycles, self.hbm_cycles)
-
-
-@dataclass
 class SimulationReport:
     """Workload-level results."""
 
     program_name: str
     config: AlchemistConfig
-    timings: List[OpTiming] = field(default_factory=list)
-    total_compute_cycles: float = 0.0
-    total_sram_cycles: float = 0.0
-    total_hbm_cycles: float = 0.0
-    total_busy_core_cycles: float = 0.0
+    timings: List[OpCost] = field(default_factory=list)
 
     # ------------------------------ totals ----------------------------- #
 
     @property
+    def totals(self) -> CostTotals:
+        return totals(self.timings)
+
+    @property
+    def total_compute_cycles(self) -> float:
+        return self.totals.compute_cycles
+
+    @property
+    def total_sram_cycles(self) -> float:
+        return self.totals.sram_cycles
+
+    @property
+    def total_hbm_cycles(self) -> float:
+        return self.totals.hbm_cycles
+
+    @property
+    def total_busy_core_cycles(self) -> float:
+        return self.totals.busy_core_cycles
+
+    @property
     def pipelined_cycles(self) -> float:
         """Steady-state execution: resources overlap perfectly."""
-        return max(
-            self.total_compute_cycles,
-            self.total_sram_cycles,
-            self.total_hbm_cycles,
-        )
+        return self.totals.serialized_cycles
 
     @property
     def serialized_cycles(self) -> float:
@@ -119,53 +106,36 @@ class SimulationReport:
 
     @property
     def bottleneck(self) -> str:
-        return classify_bound(self.total_compute_cycles,
-                              self.total_sram_cycles, self.total_hbm_cycles)
+        return self.totals.bottleneck
 
     # ------------------------------ utilization ------------------------ #
 
     def utilization_by_class(self) -> Dict[str, float]:
-        """Compute-resource utilization per operator class (Figure 7(b)):
-        busy core-cycles over core capacity during that class's compute
-        windows.  Data-movement and HBM ops are excluded (they do not
-        occupy the cores)."""
-        busy: Dict[str, float] = {}
-        elapsed: Dict[str, float] = {}
-        for t in self.timings:
-            if t.compute_cycles <= 0:
-                continue
-            cls = t.op.operator_class
-            busy[cls] = busy.get(cls, 0.0) + t.busy_core_cycles
-            elapsed[cls] = elapsed.get(cls, 0.0) + t.compute_cycles
-        cores = self.config.total_cores
-        return {
-            cls: min(1.0, busy[cls] / (elapsed[cls] * cores))
-            for cls in busy
-        }
+        """Compute-resource utilization per operator class (Figure 7(b)).
+        Data-movement and HBM ops are excluded (they do not occupy the
+        cores)."""
+        return utilization_by_class(self.timings, self.config.total_cores)
 
     def overall_compute_utilization(self) -> float:
         """Weighted-average utilization across all compute windows."""
-        busy = sum(t.busy_core_cycles for t in self.timings)
-        elapsed = sum(t.compute_cycles for t in self.timings)
-        if elapsed == 0:
-            return 0.0
-        return min(1.0, busy / (elapsed * self.config.total_cores))
+        t = self.totals
+        return utilization(t.busy_core_cycles, t.compute_cycles,
+                           self.config.total_cores)
 
     def hbm_gigabytes(self) -> float:
-        return sum(t.op.hbm_bytes() for t in self.timings) / 1e9
+        """HBM wire bytes moved, in GB (what ``cost_op`` charged)."""
+        return self.totals.hbm_bytes / 1e9
 
     # ------------------------------ energy ----------------------------- #
 
     def energy_joules(self) -> float:
         """Dynamic + static energy of the workload (simple activity model)."""
-        lane_cycles = self.total_busy_core_cycles * self.config.lanes_per_core
-        sram_bytes = sum(
-            t.op.sram_bytes(self.config.word_bytes) for t in self.timings)
-        hbm_bytes = sum(t.op.hbm_bytes() for t in self.timings)
+        t = self.totals
+        lane_cycles = t.busy_core_cycles * self.config.lanes_per_core
         dynamic = (
             lane_cycles * ENERGY_PJ_PER_LANE_CYCLE
-            + sram_bytes * ENERGY_PJ_PER_SRAM_BYTE
-            + hbm_bytes * ENERGY_PJ_PER_HBM_BYTE
+            + t.sram_bytes * ENERGY_PJ_PER_SRAM_BYTE
+            + t.hbm_bytes * ENERGY_PJ_PER_HBM_BYTE
         ) * 1e-12
         return dynamic + STATIC_WATTS * self.seconds
 
@@ -184,11 +154,12 @@ class SimulationReport:
     # ------------------------------ rendering -------------------------- #
 
     def summary(self) -> str:
+        t = self.totals
         us = self.seconds * 1e6
         return (
             f"{self.program_name}: {self.cycles:,.0f} cycles = {us:,.1f} us "
-            f"({self.bottleneck}-bound; compute {self.total_compute_cycles:,.0f}, "
-            f"sram {self.total_sram_cycles:,.0f}, hbm {self.total_hbm_cycles:,.0f}; "
+            f"({t.bottleneck}-bound; compute {t.compute_cycles:,.0f}, "
+            f"sram {t.sram_cycles:,.0f}, hbm {t.hbm_cycles:,.0f}; "
             f"util {self.overall_compute_utilization():.2f})"
         )
 
@@ -229,23 +200,23 @@ class CycleSimulator:
 
     # ------------------------------------------------------------------ #
 
-    def time_op(self, op: HighLevelOp) -> OpTiming:
-        return OpTiming.of(op, cost_op(op, self.config))
+    def time_op(self, op: HighLevelOp) -> OpCost:
+        return cost_op(op, self.config)
 
-    def time_program(self, program: Program) -> List[OpTiming]:
-        """One :class:`OpTiming` per op, in program order (single pass)."""
+    def time_program(self, program: Program) -> List[OpCost]:
+        """One :class:`OpCost` per op, in program order (single pass)."""
         return [self.time_op(op) for op in program.ops]
 
     def run(self, program: Program,
-            timings: Optional[List[OpTiming]] = None) -> SimulationReport:
+            timings: Optional[List[OpCost]] = None) -> SimulationReport:
         """Time ``program`` (``timings`` from :meth:`time_program` reuses
         an earlier timing pass).
 
-        With neither a collector nor an injector this only sums the
-        timings — no schedule is built.  Otherwise one program-order
-        schedule feeds both: the injector adjusts each op at its start
-        cycle (fault windows are time-addressed) and the collector records
-        the same start/end cycles.  Under scratchpad loss the injector
+        With neither a collector nor an injector no schedule is built.
+        Otherwise one program-order schedule feeds both: the injector
+        adjusts each op at its start cycle (fault windows are
+        time-addressed) and the collector records the scheduled program
+        in one call.  Under scratchpad loss the injector
         re-spills the program first, which supplied ``timings`` cannot
         describe, so that combination raises ``ValueError``.
         """
@@ -260,31 +231,17 @@ class CycleSimulator:
                 adjust=injector.adjust if injector is not None else None)
             timings = [s.timing for s in ops]      # the ops that ran
             if collector is not None:
-                collector.begin_program(program.name, self.config)
-                edges = program.dependency_edges()
-                for s in ops:
-                    collector.record_op(s, deps=edges.get(s.index, ()))
-                collector.end_program()
-        report = SimulationReport(program.name, self.config)
-        for t in timings:
-            report.timings.append(t)
-            report.total_compute_cycles += t.compute_cycles
-            report.total_sram_cycles += t.sram_cycles
-            report.total_hbm_cycles += t.hbm_cycles
-            report.total_busy_core_cycles += t.busy_core_cycles
-        return report
+                collector.record_program(program.name, self.config, ops,
+                                         program.dependency_edges())
+        return SimulationReport(program.name, self.config, list(timings))
 
     def operator_class_cycles(
             self, program: Program,
-            timings: Optional[List[OpTiming]] = None) -> Dict[str, float]:
+            timings: Optional[List[OpCost]] = None) -> Dict[str, float]:
         """Compute-cycles per operator class — the Figure 1 operator-ratio
         breakdown (NTT / Bconv / DecompPolyMult / elementwise).  Pass an
         existing :meth:`time_program` result to avoid re-timing every op."""
         if timings is None:
             timings = self.time_program(program)
-        out: Dict[str, float] = {}
-        for t in timings:
-            if t.compute_cycles > 0:
-                cls = t.op.operator_class
-                out[cls] = out.get(cls, 0.0) + t.compute_cycles
-        return out
+        return {cls: compute
+                for cls, (_, compute) in by_class(timings).items()}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.baselines.published import (
     ACCELERATOR_SPECS,
@@ -35,10 +35,12 @@ from repro.compiler.ckks_programs import (
     pmult_program,
     rotation_program,
 )
+from repro.compiler.cost.model import utilization
 from repro.compiler.tfhe_programs import PBS_SET_I, PBS_SET_II, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry.collector import TraceCollector
+from repro.telemetry.events import TraceEvent
 
 #: Schema identifiers embedded in the emitted files.
 TABLE7_SCHEMA = "alchemist-bench/table7/v1"
@@ -66,21 +68,19 @@ def _config_dict(config: AlchemistConfig) -> Dict[str, object]:
     }
 
 
-def _per_op_records(collector: TraceCollector, program_name: str, hz: float):
+def _per_op_records(events: Sequence[TraceEvent], config: AlchemistConfig):
     """Per-op latency/utilization/bound rows for one traced program."""
-    cores = collector.program_configs[program_name]["total_cores"]
+    hz = config.cycles_per_second
     rows = []
-    for e in collector._select(program_name):
-        util = 0.0
-        if e.compute_cycles > 0:
-            util = min(1.0, e.busy_core_cycles / (e.compute_cycles * cores))
+    for e in events:
         rows.append({
             "name": e.name,
             "kind": e.kind,
             "operator_class": e.operator_class,
             "latency_us": e.duration_cycles / hz * 1e6,
             "start_us": e.start_cycle / hz * 1e6,
-            "utilization": util,
+            "utilization": utilization(e.busy_core_cycles, e.compute_cycles,
+                                       config.total_cores),
             "bound": e.bound,
             "compute_cycles": e.compute_cycles,
             "sram_cycles": e.sram_cycles,
@@ -100,8 +100,7 @@ def _run_traced(builder, config: AlchemistConfig):
     sim = CycleSimulator(config, collector=collector)
     program = builder()
     report = sim.run(program)
-    hz = config.cycles_per_second
-    rows = _per_op_records(collector, program.name, hz)
+    rows = _per_op_records(collector.events, config)
     summary = collector.summary_dict()["programs"][program.name]
     return report, rows, summary
 

@@ -1,24 +1,31 @@
 """The telemetry sink: collects events and computes aggregate views.
 
 A :class:`TraceCollector` is handed to the producers (``CycleSimulator``,
-``MetaOpExecutor``, the fault injector, the memory models, the verify,
-analyze and serving layers) which call its ``record_*`` methods.
-Producers hold ``collector=None`` by default and guard every call with
-``if collector is not None`` — with tracing off no telemetry code runs at
-all, keeping the calibration path bit-identical.
+``MetaOpExecutor``, the fault injector, the memory models, the verify and
+serving layers) which call its ``record_*`` methods.  Producers hold
+``collector=None`` by default and guard every call with ``if collector
+is not None`` — with tracing off no telemetry code runs at all, keeping
+the calibration path bit-identical.
 
-Event start/end cycles are the ones the simulator's program-order
-schedule (:func:`repro.sim.schedule.schedule`) assigned: compute, on-chip
-bandwidth and HBM are three independent resources; each op occupies the
-resources it needs in program order, starting when every one of them is
-free.
+The simulator records each program in one :meth:`TraceCollector.
+record_program` call: one :class:`TraceEvent` per op, copied from its
+:class:`~repro.compiler.cost.model.OpCost` record, at the start/end
+cycles the program-order schedule (:func:`repro.sim.schedule.schedule`)
+assigned.  The aggregate views are the cost model's roll-ups over those
+events, so they agree with the simulator's report bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.sim.schedule import RESOURCES
+from repro.compiler.cost.model import (
+    bound_histogram,
+    totals,
+    utilization_by_class,
+)
+from repro.hw.config import AlchemistConfig
+from repro.sim.schedule import RESOURCES, ScheduledOp
 from repro.telemetry.events import (
     FaultEvent,
     MemoryEvent,
@@ -40,75 +47,51 @@ class TraceCollector:
         #: LintReports recorded by the verify layer (PassManager lint gate,
         #: ``repro lint`` runs handed this collector).
         self.lint_reports: List[object] = []
-        #: CostReports recorded by the static analyzer (``repro analyze``
-        #: runs handed this collector).
-        self.cost_reports: List[object] = []
         #: ServeReports recorded by the serving layer (``repro serve``
         #: runs handed this collector).
         self.serving_reports: List[object] = []
         #: program name -> (total_cores, cycles_per_second) at record time.
         self.program_configs: Dict[str, Dict[str, float]] = {}
-        self._program: Optional[str] = None
-        self._config = None
-        self._index = 0
 
-    # ------------------------------ program scope ---------------------- #
+    # ------------------------------ producers -------------------------- #
 
-    def begin_program(self, name: str, config) -> None:
-        """Open a program scope; op events are attributed to ``name``."""
-        if self._program is not None:
-            raise RuntimeError(
-                f"program {self._program!r} is still open; call end_program"
-            )
-        self._program = name
-        self._config = config
-        self._index = 0
+    def record_program(self, name: str, config: AlchemistConfig,
+                       ops: Sequence[ScheduledOp],
+                       edges: Mapping[int, Sequence[int]]) -> None:
+        """Record one simulated program: an event per scheduled op, in
+        schedule order, at its start/end cycles.
+
+        ``edges`` maps each op index to its producer op indices (the
+        program's :meth:`~repro.compiler.ops.Program.dependency_edges`).
+        """
         self.program_configs[name] = {
             "total_cores": config.total_cores,
             "cycles_per_second": config.cycles_per_second,
         }
-
-    def end_program(self) -> None:
-        self._program = None
-        self._config = None
-
-    # ------------------------------ producers -------------------------- #
-
-    def record_op(self, scheduled, deps=()) -> TraceEvent:
-        """Record one scheduled op (a :class:`repro.sim.schedule.
-        ScheduledOp`, called by the simulator) at its start/end cycles.
-
-        ``deps`` are the producer op indices from the program's dataflow
-        graph (:meth:`repro.compiler.ops.Program.dependency_edges`).
-        """
-        if self._program is None:
-            raise RuntimeError("record_op outside begin_program/end_program")
-        timing = scheduled.timing
-        op = timing.op
-        event = TraceEvent(
-            program=self._program,
-            index=self._index,
-            name=op.label or op.kind.value,
-            kind=op.kind.value,
-            operator_class=op.operator_class,
-            patterns=timing.patterns,
-            start_cycle=scheduled.start,
-            end_cycle=scheduled.end,
-            compute_cycles=timing.compute_cycles,
-            sram_cycles=timing.sram_cycles,
-            hbm_cycles=timing.hbm_cycles,
-            busy_core_cycles=timing.busy_core_cycles,
-            waves=timing.waves,
-            meta_ops=timing.meta_ops,
-            sram_bytes=op.sram_bytes(self._config.word_bytes),
-            hbm_bytes=op.hbm_bytes(),
-            bound=timing.bound,
-            args=op.trace_args(),
-            deps=tuple(deps),
-        )
-        self.events.append(event)
-        self._index += 1
-        return event
+        for i, s in enumerate(ops):
+            cost = s.timing
+            op = cost.op
+            self.events.append(TraceEvent(
+                program=name,
+                index=i,
+                name=s.label,
+                kind=op.kind.value,
+                operator_class=cost.operator_class,
+                patterns=cost.patterns,
+                start_cycle=s.start,
+                end_cycle=s.end,
+                compute_cycles=cost.compute_cycles,
+                sram_cycles=cost.sram_cycles,
+                hbm_cycles=cost.hbm_cycles,
+                busy_core_cycles=cost.busy_core_cycles,
+                waves=cost.waves,
+                meta_ops=cost.meta_ops,
+                sram_bytes=cost.sram_bytes,
+                hbm_bytes=cost.hbm_bytes,
+                bound=cost.bound,
+                args=op.trace_args(),
+                deps=tuple(edges.get(s.index, ())),
+            ))
 
     def record_meta_op(self, op, count: int = 1) -> None:
         """Record Meta-OP executions (called by ``MetaOpExecutor``)."""
@@ -140,10 +123,6 @@ class TraceCollector:
         """Record one static-verifier LintReport (from the lint gate)."""
         self.lint_reports.append(report)
 
-    def record_cost_report(self, report) -> None:
-        """Record one static-analyzer CostReport (from ``repro analyze``)."""
-        self.cost_reports.append(report)
-
     def record_serving_report(self, report) -> None:
         """Record one ServeReport (from a ServingSimulator run)."""
         self.serving_reports.append(report)
@@ -154,31 +133,15 @@ class TraceCollector:
         events = self._select(program)
         return max((e.end_cycle for e in events), default=0.0)
 
-    def component_utilization(
-        self, program: Optional[str] = None
-    ) -> Dict[str, float]:
-        """Compute-core utilization per operator class (Figure 7(b) view)."""
-        busy: Dict[str, float] = {}
-        elapsed_cores: Dict[str, float] = {}
-        for e in self._select(program):
-            if e.compute_cycles <= 0:
-                continue
-            cores = self.program_configs[e.program]["total_cores"]
-            busy[e.operator_class] = (
-                busy.get(e.operator_class, 0.0) + e.busy_core_cycles)
-            elapsed_cores[e.operator_class] = (
-                elapsed_cores.get(e.operator_class, 0.0)
-                + e.compute_cycles * cores)
-        return {
-            cls: min(1.0, busy[cls] / elapsed_cores[cls]) for cls in busy
-        }
+    def component_utilization(self, program: str) -> Dict[str, float]:
+        """Compute-core utilization per operator class (Figure 7(b) view)
+        of ``program``, on the core count it was recorded with."""
+        cores = int(self.program_configs[program]["total_cores"])
+        return utilization_by_class(self._select(program), cores)
 
     def bound_histogram(self, program: Optional[str] = None) -> Dict[str, int]:
         """How many ops land in each roofline regime."""
-        out: Dict[str, int] = {}
-        for e in self._select(program):
-            out[e.bound] = out.get(e.bound, 0) + 1
-        return out
+        return bound_histogram(self._select(program))
 
     def bound_cycles(self, program: Optional[str] = None) -> Dict[str, float]:
         """Critical-resource cycles per roofline regime."""
@@ -194,23 +157,21 @@ class TraceCollector:
         makespan = self.makespan_cycles(program)
         if makespan == 0:
             return {r: 0.0 for r in RESOURCES}
-        busy = {r: 0.0 for r in RESOURCES}
-        for e in self._select(program):
-            busy["compute"] += e.compute_cycles
-            busy["sram"] += e.sram_cycles
-            busy["hbm"] += e.hbm_cycles
+        t = totals(self._select(program))
+        busy = {"compute": t.compute_cycles, "sram": t.sram_cycles,
+                "hbm": t.hbm_cycles}
         return {r: min(1.0, busy[r] / makespan) for r in RESOURCES}
 
     def meta_op_totals(self) -> Dict[str, int]:
         """Aggregate Meta-OP executor activity."""
-        totals = {"meta_ops": 0, "core_cycles": 0, "raw_mults": 0,
-                  "raw_adds": 0}
+        out = {"meta_ops": 0, "core_cycles": 0, "raw_mults": 0,
+               "raw_adds": 0}
         for e in self.meta_op_events:
-            totals["meta_ops"] += e.count
-            totals["core_cycles"] += e.core_cycles
-            totals["raw_mults"] += e.raw_mults
-            totals["raw_adds"] += e.raw_adds
-        return totals
+            out["meta_ops"] += e.count
+            out["core_cycles"] += e.core_cycles
+            out["raw_mults"] += e.raw_mults
+            out["raw_adds"] += e.raw_adds
+        return out
 
     def memory_totals(self) -> Dict[str, int]:
         """Bytes per memory component across all recorded transfers."""
@@ -231,17 +192,18 @@ class TraceCollector:
         programs = {}
         for name in self.program_configs:
             events = self._select(name)
+            t = totals(events)
             programs[name] = {
                 "num_ops": len(events),
                 "makespan_cycles": self.makespan_cycles(name),
-                "bound_histogram": self.bound_histogram(name),
+                "bound_histogram": bound_histogram(events),
                 "bound_cycles": self.bound_cycles(name),
                 "component_utilization": self.component_utilization(name),
                 "bandwidth_occupancy": self.bandwidth_occupancy(name),
-                "waves": sum(e.waves for e in events),
-                "meta_ops": sum(e.meta_ops for e in events),
-                "sram_bytes": sum(e.sram_bytes for e in events),
-                "hbm_bytes": sum(e.hbm_bytes for e in events),
+                "waves": t.waves,
+                "meta_ops": t.meta_ops,
+                "sram_bytes": t.sram_bytes,
+                "hbm_bytes": t.hbm_bytes,
             }
         out: Dict[str, object] = {
             "programs": programs,
@@ -258,12 +220,6 @@ class TraceCollector:
                 "warnings": sum(len(r.warnings) for r in self.lint_reports),
                 "notes": sum(len(r.notes) for r in self.lint_reports),
                 "reports": [r.as_dict() for r in self.lint_reports],
-            }
-        if self.cost_reports:
-            # same convention: only present when the static analyzer ran
-            out["analyze"] = {
-                "programs": len(self.cost_reports),
-                "reports": [r.as_dict() for r in self.cost_reports],
             }
         if self.serving_reports:
             # same convention: only present when the serving layer ran

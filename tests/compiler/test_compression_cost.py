@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro import serialization as ser
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
+from repro.cli import _workloads
 from repro.compiler.ckks_programs import (
     WORD_BYTES,
     CKKSWorkload,
@@ -51,6 +52,8 @@ from repro.hw.config import (
     DEFAULT_COMPRESSION,
     CompressionModel,
 )
+from repro.sim.simulator import CycleSimulator
+from repro.telemetry import TraceCollector
 
 COMPRESSED = ALCHEMIST_DEFAULT.with_compression()
 
@@ -173,6 +176,19 @@ def test_static_matches_simulators_under_compression(build):
     """Static and simulated costs share cost_op, so the differential
     check stays exact with compression on — not just off."""
     assert differential_check(build(), COMPRESSED).ok
+
+
+@pytest.mark.parametrize("name", sorted(_workloads()))
+def test_reports_count_the_wire_bytes_cost_op_charges(name):
+    """Under compression the simulator report, the static analyzer and
+    the trace all count the HBM wire bytes ``cost_op`` charged — never
+    the unexpanded bytes of the op."""
+    program = _workloads()[name]
+    collector = TraceCollector()
+    report = CycleSimulator(COMPRESSED, collector=collector).run(program)
+    traced = collector.summary_dict()["programs"][program.name]["hbm_bytes"]
+    static = analyze_program(program, COMPRESSED).total_hbm_bytes
+    assert round(report.hbm_gigabytes() * 1e9) == static == traced
 
 
 # ---------------------------- diagnostics -------------------------------- #

@@ -227,6 +227,29 @@ def test_differential_check_on_random_programs(prog):
     assert differential_check(prog).ok
 
 
+def test_differential_check_reports_a_drifted_simulator(monkeypatch):
+    """A simulator that charges different cost records than the static
+    analyzer fails the check, names the drifted field, and makes
+    ``repro analyze --check`` exit 1."""
+    from dataclasses import replace
+
+    import repro.sim.simulator as simulator
+    from repro import cli
+
+    def drifted(op, config):
+        cost = cost_op(op, config)
+        if cost.hbm_cycles:
+            return replace(cost, hbm_cycles=2 * cost.hbm_cycles)
+        return cost
+
+    monkeypatch.setattr(simulator, "cost_op", drifted)
+    check = differential_check(keyswitch_program())
+    assert not check.exact
+    assert not check.ok
+    assert any(m.startswith("ks.evk.hbm_cycles:") for m in check.mismatches)
+    assert cli.main(["analyze", "keyswitch", "--check"]) == 1
+
+
 # --------------------- critical path / peak occupancy -------------------- #
 
 

@@ -206,18 +206,18 @@ def test_run_concurrent_cross_scheme(sim):
 def test_op_timing_tie_break_is_deterministic():
     """Equal resource demands resolve by the documented BOUND_PRIORITY
     (hbm > sram > compute) — never by branch order."""
-    from repro.sim.simulator import OpTiming
+    from repro.compiler.cost.model import OpCost
 
     op = HighLevelOp(OpKind.EW_ADD, poly_degree=64)
-    three_way = OpTiming(op=op, compute_cycles=5.0, sram_cycles=5.0,
-                         hbm_cycles=5.0)
+    three_way = OpCost(op=op, compute_cycles=5.0, sram_cycles=5.0,
+                       hbm_cycles=5.0)
     assert three_way.bound == "hbm"
-    assert OpTiming(op=op, compute_cycles=5.0, sram_cycles=5.0,
-                    hbm_cycles=1.0).bound == "sram"
-    assert OpTiming(op=op, compute_cycles=5.0, sram_cycles=1.0,
-                    hbm_cycles=5.0).bound == "hbm"
-    assert OpTiming(op=op, compute_cycles=0.0, sram_cycles=0.0,
-                    hbm_cycles=0.0).bound == "free"
+    assert OpCost(op=op, compute_cycles=5.0, sram_cycles=5.0,
+                  hbm_cycles=1.0).bound == "sram"
+    assert OpCost(op=op, compute_cycles=5.0, sram_cycles=1.0,
+                  hbm_cycles=5.0).bound == "hbm"
+    assert OpCost(op=op, compute_cycles=0.0, sram_cycles=0.0,
+                  hbm_cycles=0.0).bound == "free"
 
 
 def test_simulator_and_analyzer_classify_identically(sim):
