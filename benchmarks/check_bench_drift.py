@@ -97,11 +97,17 @@ def check_kernels_golden(repo_root: pathlib.Path) -> int:
     Raw ops/sec in ``BENCH_kernels.json`` are machine-dependent, so unlike
     the other goldens this is not regenerate-and-diff: the gate checks the
     schema, op coverage, the backend bit-identity flags, internal
-    consistency of the speedup fields, and the >= 5x batched-vs-reference
+    consistency of the speedup fields, the >= 5x batched-vs-reference
     floor on the gated ops (forward NTT and full Cmult+rescale) that the
-    kernel-backend refactor promises at paper chain scale.
+    kernel-backend refactor promises at paper chain scale, and the
+    per-gate floor of the one-pass ``pbs_batch`` over one-gate ``pbs``.
     """
-    from repro.kernels.bench import PAPER_SPEEDUP_FLOOR, SCHEMA, check_floors
+    from repro.kernels.bench import (
+        PAPER_SPEEDUP_FLOOR,
+        PBS_BATCH_FLOOR,
+        SCHEMA,
+        check_floors,
+    )
 
     path = repo_root / "BENCH_kernels.json"
     if not path.exists():
@@ -120,7 +126,9 @@ def check_kernels_golden(repo_root: pathlib.Path) -> int:
         print(f"DRIFT kernels: {problem}")
     if not problems:
         print(f"OK    kernels: committed golden is well-formed (gated ops "
-              f">= {PAPER_SPEEDUP_FLOOR:g}x, all backends bit-identical)")
+              f">= {PAPER_SPEEDUP_FLOOR:g}x, pbs_batch >= "
+              f"{PBS_BATCH_FLOOR:g}x pbs per gate, all backends "
+              f"bit-identical)")
     return 1 if problems else 0
 
 

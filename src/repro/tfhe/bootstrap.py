@@ -109,31 +109,44 @@ class KeyswitchKey:
         return cls(params, table, n, expand_seed=expand_seed)
 
     def keyswitch(self, sample: LweSample) -> LweSample:
-        """Switch an extracted-key LWE sample down to the small key."""
+        """Switch extracted-key LWE samples down to the small key.
+
+        ``sample`` is one sample or a batch along leading axes.  Each
+        ``a_i`` is rounded to ``t`` base-``2**base_bit`` digits, and digit
+        ``v > 0`` at level ``j`` subtracts key row ``table[i, j, v-1]``.
+        The batch is switched one digit level at a time: gather the
+        level's ``(k, N, n+1)`` key rows, zero those of digit 0, and sum
+        them in uint64 (``N * t`` rows below ``2**32`` cannot overflow).
+        One level's gather bounds the memory a large batch needs.
+        """
         params = self.params
         t = params.ks_length
         base_bit = params.ks_base_bit
         base = params.ks_base
         n = self.out_dim
-        big_n = sample.dim
-        if big_n != self.table.shape[0]:
-            raise ValueError("sample dimension does not match keyswitch key")
-        acc_a = np.zeros(n, dtype=np.uint32)
-        acc_b = int(sample.b)
+        big_n = self.table.shape[0]
+        if sample.dim != big_n:
+            raise ValueError(
+                f"sample dimension {sample.dim} does not match keyswitch "
+                f"key ({big_n})"
+            )
+        batch = sample.a.shape[:-1]
         # round each a_i to t digits of base_bit bits (with rounding offset)
         offset = np.uint32(1 << (31 - t * base_bit)) if t * base_bit < 32 else np.uint32(0)
-        a_round = sample.a + offset
+        a_round = (sample.a.reshape(-1, big_n) + offset).astype(np.uint64)
+        coeffs = np.arange(big_n)
+        total = np.zeros((a_round.shape[0], n + 1), dtype=np.uint64)
         for j in range(t):
             shift = np.uint64(32 - (j + 1) * base_bit)
-            digits = (
-                (a_round.astype(np.uint64) >> shift) & np.uint64(base - 1)
-            ).astype(np.int64)
-            nz = np.nonzero(digits)[0]
-            for i in nz:
-                row = self.table[i, j, int(digits[i]) - 1]
-                acc_a -= row[:n]
-                acc_b -= int(row[n])
-        return LweSample(acc_a, np.uint32(acc_b % TORUS_MODULUS))
+            digits = ((a_round >> shift) & np.uint64(base - 1)).astype(np.intp)
+            rows = self.table[coeffs, j, np.maximum(digits - 1, 0)]
+            rows[digits == 0] = 0
+            total += rows.sum(axis=1, dtype=np.uint64)
+        # subtracting mod 2**64 and keeping the low 32 bits is mod 2**32
+        a = (np.uint64(0) - total[:, :n]).astype(np.uint32)
+        b = (np.asarray(sample.b, dtype=np.uint64).reshape(-1)
+             - total[:, n]).astype(np.uint32)
+        return LweSample(a.reshape(batch + (n,)), b.reshape(batch)[()])
 
 
 def make_sign_test_polynomial(params: TFHEParams, mu: int) -> np.ndarray:
@@ -182,14 +195,16 @@ class BootstrapKit:
         )
         self.extracted_key = extracted
         #: When set to a list, every evaluation-key touch is appended as
-        #: its canonical name ("bsk" on a blind rotate, "ksk" on an LWE
-        #: keyswitch) — ground truth for the static key analysis
-        #: (tests/integration/test_keys_differential.py).
+        #: its canonical name — ground truth for the static key analysis
+        #: (tests/integration/test_keys_differential.py).  A blind-rotation
+        #: pass appends one "bsk" however many samples it refreshes (the
+        #: key is fetched once per batch, as ``pbs_batch_program``
+        #: charges); every keyswitched output appends one "ksk".
         self.key_trace = None
 
-    def _trace_key(self, name: str) -> None:
+    def _trace_key(self, name: str, count: int = 1) -> None:
         if self.key_trace is not None:
-            self.key_trace.append(name)
+            self.key_trace.extend([name] * count)
 
     # ------------------------------------------------------------------ #
 
@@ -212,26 +227,35 @@ class BootstrapKit:
     def blind_rotate(
         self, sample: LweSample, test_poly: np.ndarray
     ) -> TrlweSample:
-        """Rotate ``test_poly`` by the (encrypted) negated phase of ``sample``."""
-        self._trace_key("bsk")
+        """Rotate ``test_poly`` by the (encrypted) negated phase of ``sample``.
+
+        ``sample`` is one LWE sample or a batch of ``k`` (``a`` of shape
+        ``(k, n)``, see :meth:`LweSample.stack`); the accumulator has one
+        row per sample.  One pass over the ``n`` bootstrapping-key entries
+        refreshes the whole batch: step ``i`` is one batched CMux on
+        ``bsk[i]`` between every row and that row rotated by its own
+        ``a_bar[i]``.  A row whose rotation is 0 has a zero difference,
+        whose external product is exactly zero, so no row needs a branch.
+        """
         params = self.params
+        if sample.dim != params.lwe_dim:
+            raise ValueError(
+                f"PBS input has LWE dimension {sample.dim}; the "
+                f"bootstrapping key expects lwe_dim {params.lwe_dim}"
+            )
+        self._trace_key("bsk")
         n2 = 2 * params.ring_degree
-        # mod-switch from Torus32 to Z_{2N}
-        b_bar = int(
-            (int(sample.b) * n2 + TORUS_MODULUS // 2) // TORUS_MODULUS
-        ) % n2
-        a_bar = (
-            (sample.a.astype(np.uint64) * np.uint64(n2)
-             + np.uint64(TORUS_MODULUS // 2))
-            >> np.uint64(32)
-        ).astype(np.int64) % n2
-        acc = TrlweSample.trivial(test_poly).monomial_mul(-b_bar)
+
+        def mod_switch(x) -> np.ndarray:
+            """Torus32 -> Z_{2N}, rounding to nearest."""
+            scaled = (np.asarray(x).astype(np.uint64) * np.uint64(n2)
+                      + np.uint64(TORUS_MODULUS // 2)) >> np.uint64(32)
+            return scaled.astype(np.int64) % n2
+
+        a_bar = mod_switch(sample.a)
+        acc = TrlweSample.trivial(test_poly).monomial_mul(-mod_switch(sample.b))
         for i, bk_i in enumerate(self.bootstrap_key.trgsw_samples):
-            rot = int(a_bar[i])
-            if rot == 0:
-                continue
-            rotated = acc.monomial_mul(rot)
-            acc = acc + bk_i.external_product(rotated - acc)
+            acc = bk_i.cmux(acc, acc.monomial_mul(a_bar[..., i]))
         return acc
 
     def bootstrap_to_extracted(
@@ -243,10 +267,10 @@ class BootstrapKit:
     def programmable_bootstrap(
         self, sample: LweSample, test_poly: np.ndarray
     ) -> LweSample:
-        """Full PBS: blind rotate + extract + keyswitch to the small key."""
-        extracted = self.bootstrap_to_extracted(sample, test_poly)
-        self._trace_key("ksk")
-        return self.keyswitch_key.keyswitch(extracted)
+        """Full PBS: blind rotate + extract + keyswitch to the small key.
+
+        ``sample`` may be a batch; the result is then a batch too."""
+        return self.multi_value_bootstrap(sample, test_poly, (0,))[0]
 
     def multi_value_bootstrap(
         self, sample: LweSample, test_poly: np.ndarray, shifts
@@ -256,15 +280,14 @@ class BootstrapKit:
         Extracting coefficient ``j`` of the rotated accumulator evaluates
         the test polynomial shifted by ``j`` positions — e.g. a staircase
         of thresholds from a single (expensive) blind rotate, at one cheap
-        keyswitch per output.  All shifts must be in ``[0, N)``.
+        keyswitch per output.  All shifts must be in ``[0, N)``.  Returns
+        one output per shift, each shaped like ``sample`` (one sample or a
+        batch); every extraction is keyswitched in one call.
         """
         acc = self.blind_rotate(sample, test_poly)
-        out = []
-        for shift in shifts:
-            extracted = acc.extract_lwe(int(shift))
-            self._trace_key("ksk")
-            out.append(self.keyswitch_key.keyswitch(extracted))
-        return out
+        extracted = LweSample.stack([acc.extract_lwe(int(s)) for s in shifts])
+        self._trace_key("ksk", extracted.b.size)
+        return self.keyswitch_key.keyswitch(extracted).unstack()
 
     def gate_bootstrap(self, sample: LweSample, mu: int) -> LweSample:
         """Sign bootstrap: returns an encryption of ``±mu`` by phase sign."""

@@ -3,12 +3,15 @@
 Bits are encoded as torus values ``±1/8`` (TFHE-lib convention: true = +1/8,
 false = -1/8).  Every binary gate is one linear combination followed by one
 gate bootstrapping, so gate latency ≈ PBS latency — which is exactly why the
-paper treats TFHE PBS throughput as *the* logic-FHE benchmark.
+paper treats TFHE PBS throughput as *the* logic-FHE benchmark.  All binary
+gates bootstrap with the same sign test polynomial, so
+:meth:`TFHEGates.bootstrap` refreshes the linear combinations of any mix
+of gates in one blind-rotation pass.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List, Sequence
 
 from repro.tfhe.bootstrap import BootstrapKit
 from repro.tfhe.lwe import LweSample, lwe_decrypt_phase
@@ -17,6 +20,16 @@ from repro.tfhe.torus import TORUS_MODULUS
 
 #: The gate encoding constant: 1/8 of the torus.
 MU = TORUS_MODULUS // 8
+
+#: Each binary gate's bootstrap input, a linear combination of its inputs.
+_LINEAR = {
+    "nand": lambda x, y: LweSample.trivial(MU, x.dim) - x - y,
+    "and": lambda x, y: LweSample.trivial(TORUS_MODULUS - MU, x.dim) + x + y,
+    "or": lambda x, y: LweSample.trivial(MU, x.dim) + x + y,
+    "nor": lambda x, y: LweSample.trivial(TORUS_MODULUS - MU, x.dim) - x - y,
+    "xor": lambda x, y: (x + y).scaled(2).add_constant(2 * MU),
+    "xnor": lambda x, y: (x - y).scaled(2).add_constant(2 * MU),
+}
 
 
 class TFHEGates:
@@ -43,32 +56,39 @@ class TFHEGates:
 
     # ------------------------------ gates ------------------------------ #
 
-    def _bootstrap_sign(self, lin: LweSample) -> LweSample:
-        return self.kit.gate_bootstrap(lin, MU)
+    def linear(self, gate: str, x: LweSample, y: LweSample) -> LweSample:
+        """The bootstrap input of binary ``gate`` (``"and"``, ``"xor"``,
+        ...) on ``x`` and ``y``."""
+        if gate not in _LINEAR:
+            raise ValueError(
+                f"unknown gate {gate!r}; expected one of {sorted(_LINEAR)}")
+        return _LINEAR[gate](x, y)
+
+    def bootstrap(self, lins: Sequence[LweSample]) -> List[LweSample]:
+        """Sign-bootstrap gate linear combinations in one blind-rotation
+        pass: the bootstrapping key is read once for the whole list."""
+        return self.kit.gate_bootstrap(LweSample.stack(lins), MU).unstack()
+
+    def _gate(self, gate: str, x: LweSample, y: LweSample) -> LweSample:
+        return self.bootstrap([self.linear(gate, x, y)])[0]
 
     def gate_nand(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = LweSample.trivial(MU, x.dim) - x - y
-        return self._bootstrap_sign(lin)
+        return self._gate("nand", x, y)
 
     def gate_and(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = LweSample.trivial(TORUS_MODULUS - MU, x.dim) + x + y
-        return self._bootstrap_sign(lin)
+        return self._gate("and", x, y)
 
     def gate_or(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = LweSample.trivial(MU, x.dim) + x + y
-        return self._bootstrap_sign(lin)
+        return self._gate("or", x, y)
 
     def gate_nor(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = LweSample.trivial(TORUS_MODULUS - MU, x.dim) - x - y
-        return self._bootstrap_sign(lin)
+        return self._gate("nor", x, y)
 
     def gate_xor(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = (x + y).scaled(2).add_constant(2 * MU)
-        return self._bootstrap_sign(lin)
+        return self._gate("xor", x, y)
 
     def gate_xnor(self, x: LweSample, y: LweSample) -> LweSample:
-        lin = (x - y).scaled(2).add_constant(2 * MU)
-        return self._bootstrap_sign(lin)
+        return self._gate("xnor", x, y)
 
     def gate_not(self, x: LweSample) -> LweSample:
         """NOT is free: negate the sample (no bootstrap needed)."""
@@ -77,8 +97,9 @@ class TFHEGates:
     def gate_mux(
         self, sel: LweSample, x: LweSample, y: LweSample
     ) -> LweSample:
-        """``sel ? x : y`` — two bootstraps plus one (AND-OR style)."""
-        picked_x = self.gate_and(sel, x)
-        picked_y = self.gate_and(self.gate_not(sel), y)
-        lin = picked_x + picked_y + LweSample.trivial(MU, x.dim)
-        return self._bootstrap_sign(lin)
+        """``sel ? x : y`` — one pass of two ANDs, then one OR."""
+        picked_x, picked_y = self.bootstrap([
+            self.linear("and", sel, x),
+            self.linear("and", self.gate_not(sel), y),
+        ])
+        return self.gate_or(picked_x, picked_y)

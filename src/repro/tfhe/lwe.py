@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +36,14 @@ class LweSample:
     ``seed_meta`` is ``(expand_seed, stream)`` when ``a`` is a
     seed-expanded uniform mask (fresh encryptions only); arithmetic
     results drop it — their masks are no longer single-stream uniform.
+
+    The PBS pipeline also carries a *batch* of samples as one object:
+    ``a`` of shape ``(k, ..., n)`` and ``b`` of shape ``(k, ...)`` (see
+    :meth:`stack`).  The arithmetic operators are for single samples.
     """
 
-    a: np.ndarray  # (n,) uint32
-    b: np.uint32
+    a: np.ndarray  # (n,) uint32, or (k, ..., n) for a batch
+    b: np.uint32   # or a (k, ...) uint32 array for a batch
     seed_meta: Optional[Tuple[int, str]] = None
 
     def __add__(self, other: "LweSample") -> "LweSample":
@@ -69,12 +73,22 @@ class LweSample:
 
     @property
     def dim(self) -> int:
-        return int(self.a.shape[0])
+        return int(self.a.shape[-1])
 
     @classmethod
     def trivial(cls, mu: int, dim: int) -> "LweSample":
         """Noiseless sample of a public constant (a = 0)."""
         return cls(np.zeros(dim, dtype=np.uint32), np.uint32(int(mu) % (1 << 32)))
+
+    @classmethod
+    def stack(cls, samples: Sequence["LweSample"]) -> "LweSample":
+        """One batch holding ``samples`` along a new leading axis."""
+        return cls(np.stack([s.a for s in samples]),
+                   np.array([s.b for s in samples], dtype=np.uint32))
+
+    def unstack(self) -> List["LweSample"]:
+        """The samples of a batch, split along its leading axis."""
+        return [LweSample(a, b) for a, b in zip(self.a, self.b)]
 
 
 @dataclass

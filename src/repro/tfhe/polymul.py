@@ -58,7 +58,7 @@ class TorusNTT:
     def mul_sum(self, u: np.ndarray, v_spec: np.ndarray) -> np.ndarray:
         """``sum_j u[j] (*) v[j]`` (negacyclic), returned as Torus32.
 
-        ``u``: ``(rows, n)`` small centered int64 polynomials.
+        ``u``: ``(rows, ..., n)`` small centered int64 polynomials.
         ``v_spec``: ``(2, rows, n)`` spectra from :meth:`spectrum`.
         """
         return self.mul_sum_multi(u, [v_spec])[0]
@@ -70,6 +70,11 @@ class TorusNTT:
         rows against both the mask and body spectra of the TRGSW rows —
         sharing the forward NTT halves the transform count (this is also
         what the hardware does: the digit rows are transformed once).
+
+        ``u`` is ``(rows, ..., n)``: the digit rows lead, and any batch
+        axes after them (one per ciphertext of a batched blind rotation)
+        broadcast against the shared spectra.  Each result is the row sum,
+        shaped ``(..., n)``.
         """
         u = np.asarray(u, dtype=np.int64)
         if u.ndim == 1:
@@ -81,25 +86,22 @@ class TorusNTT:
                     f"spectrum shape {v_spec.shape} does not match "
                     f"({rows} rows)"
                 )
+        batch = u.shape[1:-1]
         backend = get_backend()
-        fwd = backend.ntt_forward(
-            np.stack(
-                [np.mod(u, self.p1).astype(np.uint64),
-                 np.mod(u, self.p2).astype(np.uint64)]
-            ),
-            self.primes,
-        )
-        accs = np.empty((2, len(v_specs), self.n), dtype=np.uint64)
+        moduli = np.array(self.primes, dtype=np.int64).reshape(
+            (2,) + (1,) * u.ndim)
+        fwd = backend.ntt_forward(np.mod(u, moduli).astype(np.uint64),
+                                  self.primes)          # (2, rows, ..., n)
+        accs = np.empty((2, len(v_specs)) + batch + (self.n,), dtype=np.uint64)
         for k, v_spec in enumerate(v_specs):
-            prod = backend.pointwise_mul(fwd, v_spec, self.primes)
+            shared = v_spec.reshape((2, rows) + (1,) * len(batch) + (self.n,))
+            prod = backend.pointwise_mul(
+                fwd, np.broadcast_to(shared, fwd.shape), self.primes)
             # accumulate over rows: summands < 2**36, hundreds of rows fit
-            accs[0, k] = prod[0].sum(axis=0, dtype=np.uint64) % np.uint64(self.p1)
-            accs[1, k] = prod[1].sum(axis=0, dtype=np.uint64) % np.uint64(self.p2)
+            accs[:, k] = (prod.sum(axis=1, dtype=np.uint64)
+                          % moduli[:, 0].astype(np.uint64))
         inv = backend.ntt_inverse(accs, self.primes)
-        return [
-            self._crt_to_torus(inv[0, k], inv[1, k])
-            for k in range(len(v_specs))
-        ]
+        return list(self._crt_to_torus(inv[0], inv[1]))
 
     def multiply(self, u: np.ndarray, v_torus: np.ndarray) -> np.ndarray:
         """Single negacyclic product of small-int ``u`` and Torus32 ``v``."""

@@ -16,11 +16,13 @@ from repro.tfhe.trlwe import TrlweKey, TrlweSample, trlwe_encrypt
 def gadget_decompose(
     poly: np.ndarray, bg_bit: int, length: int
 ) -> np.ndarray:
-    """Signed gadget decomposition of a Torus32 polynomial.
+    """Signed gadget decomposition of Torus32 polynomials.
 
-    Returns ``(length, N)`` int64 digits ``d_i`` in ``[-Bg/2, Bg/2)`` with
-    ``sum_i d_i * 2**(32 - (i+1)*bg_bit) ≈ poly`` (error below
+    Returns ``(length, ..., N)`` int64 digits ``d_i`` in ``[-Bg/2, Bg/2)``
+    with ``sum_i d_i * 2**(32 - (i+1)*bg_bit) ≈ poly`` (error below
     ``2**(32 - length*bg_bit - 1)``), following TFHE-lib's offset trick.
+    The digit level leads; ``poly``'s own axes (a batch of ``k``
+    polynomials is ``(k, N)``) follow unchanged.
     """
     poly = np.asarray(poly, dtype=np.uint32)
     bg = 1 << bg_bit
@@ -31,13 +33,10 @@ def gadget_decompose(
     t = (poly.astype(np.uint64) + np.uint64(offset % (1 << 32))) & np.uint64(
         0xFFFFFFFF
     )
-    digits = np.empty((length, poly.shape[0]), dtype=np.int64)
-    for i in range(1, length + 1):
-        shift = np.uint64(32 - i * bg_bit)
-        digits[i - 1] = (
-            (t >> shift) & np.uint64(bg - 1)
-        ).astype(np.int64) - half
-    return digits
+    shifts = np.array(
+        [32 - i * bg_bit for i in range(1, length + 1)], dtype=np.uint64
+    ).reshape((length,) + (1,) * poly.ndim)
+    return ((t >> shifts) & np.uint64(bg - 1)).astype(np.int64) - half
 
 
 @dataclass
@@ -78,7 +77,12 @@ class TrgswSample:
     # ------------------------------------------------------------------ #
 
     def external_product(self, sample: TrlweSample) -> TrlweSample:
-        """``self ⊡ sample``: TRLWE encrypting ``m * message(sample)``."""
+        """``self ⊡ sample``: TRLWE encrypting ``m * message(sample)``.
+
+        ``sample`` may be a batch of ``k`` TRLWE samples (``(k, N)``
+        polynomials): its ``(2l, k, N)`` digit rows go through one forward
+        transform and meet this key's spectra once for the whole batch.
+        """
         params = self.params
         if self.spectra_a is None:
             self.precompute_spectra()
@@ -88,7 +92,7 @@ class TrgswSample:
         digits_b = gadget_decompose(
             sample.b, params.bg_bit, params.decomp_length
         )
-        u = np.concatenate([digits_a, digits_b], axis=0)  # (2l, N)
+        u = np.concatenate([digits_a, digits_b], axis=0)  # (2l, ..., N)
         ntt = get_torus_ntt(params.ring_degree)
         out_a, out_b = ntt.mul_sum_multi(u, [self.spectra_a, self.spectra_b])
         return TrlweSample(out_a, out_b)

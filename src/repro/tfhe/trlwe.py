@@ -14,24 +14,20 @@ from repro.tfhe.polymul import get_torus_ntt
 from repro.tfhe.torus import from_int64, gaussian_noise
 
 
-def negacyclic_monomial_mul(poly: np.ndarray, degree: int) -> np.ndarray:
-    """``poly * X**degree`` in ``T_N[X]/(X^N + 1)`` (Torus32 coefficients)."""
+def negacyclic_monomial_mul(poly: np.ndarray, degree) -> np.ndarray:
+    """``poly * X**degree`` in ``T_N[X]/(X^N + 1)`` (Torus32 coefficients).
+
+    ``degree`` is one int, or an integer array with one degree per row of
+    ``poly``'s leading (batch) axes.  Since ``X^N = -1``, coefficient ``c``
+    of the product is entry ``(c - degree) mod 2N`` of ``(poly, -poly)``,
+    so every row rotates by its own degree in one gather.
+    """
     n = poly.shape[-1]
-    degree %= 2 * n
-    if degree == 0:
-        return poly.copy()
-    sign_flip = degree >= n
-    shift = degree - n if sign_flip else degree
-    out = np.empty_like(poly)
-    if shift:
-        out[..., shift:] = poly[..., : n - shift]
-        out[..., :shift] = (-poly[..., n - shift :].astype(np.int64) % (1 << 32)
-                            ).astype(np.uint32)
-    else:
-        out[...] = poly
-    if sign_flip:
-        out = (-out.astype(np.int64) % (1 << 32)).astype(np.uint32)
-    return out
+    extended = np.concatenate([poly, np.negative(poly)], axis=-1)
+    index = (np.arange(n) - np.asarray(degree, dtype=np.int64)[..., None]) % (2 * n)
+    if extended.ndim > 1 and index.ndim > 1:     # per-row degrees
+        return np.take_along_axis(extended, index, axis=-1)
+    return np.take(extended, index, axis=-1)
 
 
 @dataclass
@@ -53,10 +49,14 @@ class TrlweKey:
 
 @dataclass
 class TrlweSample:
-    """A TRLWE sample ``(a(X), b(X))`` with phase ``b - a*s``."""
+    """A TRLWE sample ``(a(X), b(X))`` with phase ``b - a*s``.
 
-    a: np.ndarray  # (N,) uint32
-    b: np.ndarray  # (N,) uint32
+    A blind-rotation accumulator for a batch of ``k`` ciphertexts holds
+    ``(k, N)`` polynomials, one row per ciphertext.
+    """
+
+    a: np.ndarray  # (N,) uint32, or (k, N) for a batch
+    b: np.ndarray  # (N,) uint32, or (k, N) for a batch
 
     def __add__(self, other: "TrlweSample") -> "TrlweSample":
         return TrlweSample(self.a + other.a, self.b + other.b)
@@ -64,7 +64,8 @@ class TrlweSample:
     def __sub__(self, other: "TrlweSample") -> "TrlweSample":
         return TrlweSample(self.a - other.a, self.b - other.b)
 
-    def monomial_mul(self, degree: int) -> "TrlweSample":
+    def monomial_mul(self, degree) -> "TrlweSample":
+        """Multiply by ``X**degree`` (one degree per row of a batch)."""
         return TrlweSample(
             negacyclic_monomial_mul(self.a, degree),
             negacyclic_monomial_mul(self.b, degree),
@@ -81,19 +82,16 @@ class TrlweSample:
 
     def extract_lwe(self, index: int = 0) -> LweSample:
         """Extract coefficient ``index`` of the phase as an LWE sample under
-        the extracted key (ring key coefficients)."""
-        n = self.a.shape[0]
+        the extracted key (ring key coefficients); a batch of accumulators
+        gives a batch of samples."""
+        n = self.a.shape[-1]
         if not 0 <= index < n:
             raise ValueError(f"index {index} out of [0, {n})")
-        # phase coeff: b[index] - sum_j a_j * s_? — standard extraction:
         # a'_j = a[index - j] for j <= index, -a[N + index - j] for j > index
-        a_prime = np.empty(n, dtype=np.uint32)
-        a_prime[: index + 1] = self.a[index::-1]
-        if index + 1 < n:
-            a_prime[index + 1 :] = (
-                -self.a[n - 1 : index : -1].astype(np.int64) % (1 << 32)
-            ).astype(np.uint32)
-        return LweSample(a_prime, np.uint32(self.b[index]))
+        a_prime = np.empty_like(self.a)
+        a_prime[..., : index + 1] = self.a[..., index::-1]
+        a_prime[..., index + 1 :] = np.negative(self.a[..., n - 1 : index : -1])
+        return LweSample(a_prime, self.b[..., index][()])
 
 
 def trlwe_encrypt(

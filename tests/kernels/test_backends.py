@@ -134,3 +134,23 @@ def test_rns_ring_contexts_are_lazy():
     assert set(ring._rings) == {primes[0]}
     with pytest.raises(KeyError):
         ring.ring(9999991)  # not a chain prime
+
+
+def test_kernels_golden_gates_batched_pbs_per_gate():
+    """The committed golden passes the floors, and ``check_floors`` flags a
+    one-pass ``pbs_batch`` that is not 1.5x faster per gate than ``pbs``."""
+    import copy
+    import json
+    import pathlib
+
+    from repro.kernels.bench import PAPER_SPEEDUP_FLOOR, check_floors
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    doc = json.loads((root / "BENCH_kernels.json").read_text())
+    assert check_floors(doc, PAPER_SPEEDUP_FLOOR) == []
+    slow = copy.deepcopy(doc)
+    entry = slow["ops"]["pbs_batch"]
+    entry["batched_ops_per_s"] = 1.4 * slow["ops"]["pbs"]["batched_ops_per_s"]
+    entry["speedup"] = entry["batched_ops_per_s"] / entry["reference_ops_per_s"]
+    problems = check_floors(slow, PAPER_SPEEDUP_FLOOR)
+    assert len(problems) == 1 and "pbs_batch" in problems[0], problems

@@ -70,3 +70,52 @@ def test_select(ev):
     no = ev.gates.encrypt_bit(False)
     assert ev.decrypt(ev.select(yes, ca, cb)) == 2
     assert ev.decrypt(ev.select(no, ca, cb)) == 6
+
+
+def test_empty_width_is_rejected(ev):
+    """Width 0 used to return ``None`` from ``equal`` and a ``None`` bit
+    from ``add``."""
+    empty = EncryptedInt([])
+    for op in (ev.equal, ev.add, ev.sub):
+        with pytest.raises(ValueError, match="at least one bit"):
+            op(empty, empty)
+    with pytest.raises(ValueError, match="at least one bit"):
+        ev.select(ev.gates.encrypt_bit(True), empty, empty)
+
+
+# ------------------------ one blind-rotation pass per level ------------- #
+
+def _bsk_passes(ev, run):
+    """``run()``'s result and how many blind-rotation passes it made."""
+    kit = ev.gates.kit
+    kit.key_trace = []
+    try:
+        out = run()
+        return out, kit.key_trace.count("bsk")
+    finally:
+        kit.key_trace = None
+
+
+@pytest.mark.parametrize("a,b", [(9, 9), (9, 13)])
+def test_equal_width4_runs_three_passes(ev, a, b):
+    """One XNOR pass plus a two-level AND tree (a chain made 7 PBS)."""
+    ca, cb = ev.encrypt(a, 4), ev.encrypt(b, 4)
+    out, passes = _bsk_passes(ev, lambda: ev.equal(ca, cb))
+    assert passes == 3
+    assert ev.gates.decrypt_bit(out) == (a == b)
+
+
+def test_add_width3_runs_five_passes(ev):
+    """One XOR/AND pass, then two passes per carry stage (was 12 PBS)."""
+    ca, cb = ev.encrypt(6, WIDTH), ev.encrypt(3, WIDTH)
+    out, passes = _bsk_passes(ev, lambda: ev.add(ca, cb))
+    assert passes == 5
+    assert ev.decrypt(out) == 9
+
+
+def test_select_runs_two_passes(ev):
+    ca, cb = ev.encrypt(2, WIDTH), ev.encrypt(6, WIDTH)
+    no = ev.gates.encrypt_bit(False)
+    out, passes = _bsk_passes(ev, lambda: ev.select(no, ca, cb))
+    assert passes == 2
+    assert ev.decrypt(out) == 6
