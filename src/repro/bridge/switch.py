@@ -57,6 +57,7 @@ class CKKSToTFHEBridge:
         j = np.arange(slots)
         e_head = np.exp(1j * np.pi * rot[:, None] * j[None, :] / n)
         self.stc_matrix = self.gain * e_head
+        self._stc = SlotLinearTransform(self.stc_matrix)
         # switching key: CKKS ternary key (centered) -> TFHE binary key
         q0 = self.q0
         half = q0 // 2
@@ -73,7 +74,7 @@ class CKKSToTFHEBridge:
         self, evaluator: CKKSEvaluator, ct: Ciphertext
     ) -> Ciphertext:
         """Move slot values into coefficients: coeff j = gain*Delta*s_j."""
-        out = SlotLinearTransform(self.stc_matrix).apply(evaluator, ct)
+        out = self._stc.apply(evaluator, ct)
         return evaluator.mod_switch_to(out, 0)
 
     def extract_lwe_mod_q0(self, ct: Ciphertext, index: int) -> LweSample:

@@ -25,10 +25,9 @@ import numpy as np
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
-from repro.ckks.linear import apply_real_transform, required_rotations_for
+from repro.ckks.linear import BabySteps, SlotLinearTransform
 from repro.ckks.params import CKKSParams
 from repro.ckks.poly_eval import double_angle, even_poly_eval
-from repro.rns.rns_poly import RNSPoly
 
 
 class CKKSBootstrapper:
@@ -65,12 +64,17 @@ class CKKSBootstrapper:
         rot = np.array([pow(5, k, 2 * n) for k in range(slots)])
         j = np.arange(n)
         e_matrix = np.exp(1j * np.pi * rot[:, None] * j[None, :] / n)
-        # CoeffToSlot: t = c / q0 = (Delta / (n q0)) (E^H z + conj(E^H z))
+        # CoeffToSlot: t = c / q0 = (Delta / (n q0)) (E^H z + conj(E^H z));
+        # each (head, tail) half is a pair (A, conj(A)) for A z + conj(A z)
         a_full = (params.scale / (n * self.q0)) * e_matrix.conj().T
-        self.cts_a = (a_full[:slots, :], a_full[slots:, :])     # (head, tail)
+        self.cts = tuple(
+            (SlotLinearTransform(a), SlotLinearTransform(np.conj(a)))
+            for a in (a_full[:slots, :], a_full[slots:, :])
+        )
         # SlotToCoeff: z = (q0 / (2 pi Delta)) E m
         m_full = (self.q0 / (2 * np.pi * params.scale)) * e_matrix
-        self.stc = (m_full[:, :slots], m_full[:, slots:])
+        self.stc = (SlotLinearTransform(m_full[:, :slots]),
+                    SlotLinearTransform(m_full[:, slots:]))
 
         required = self.levels_consumed()
         if params.num_levels < required + 1:
@@ -86,9 +90,8 @@ class CKKSBootstrapper:
 
     def required_rotations(self) -> set:
         """Rotation steps for which Galois keys must exist."""
-        matrices = list(self.cts_a) + [np.conj(m) for m in self.cts_a]
-        matrices += list(self.stc)
-        return required_rotations_for(matrices)
+        transforms = [lt for pair in self.cts for lt in pair] + list(self.stc)
+        return set().union(*(lt.required_rotations() for lt in transforms))
 
     # ------------------------------------------------------------------ #
 
@@ -97,8 +100,6 @@ class CKKSBootstrapper:
         if ct.level != 0:
             ct = self.evaluator.mod_switch_to(ct, 0)
         full = tuple(self.params.base_primes)
-        ring = self.evaluator.ring
-        q_col = np.array(full, dtype=np.int64)[:, None]
         parts = []
         for part in ct.parts:
             coeff = part.to_coeff()
@@ -108,17 +109,20 @@ class CKKSBootstrapper:
             (q0,) = coeff.primes
             centered = coeff.data[0].astype(np.int64)
             centered[centered > q0 // 2] -= np.int64(q0)
-            data = np.mod(centered[None, :], q_col).astype(np.uint64)
-            parts.append(RNSPoly(ring, data, full, ntt_form=False))
+            parts.append(self.evaluator.ring.from_ints(centered, primes=full))
         return Ciphertext(parts, ct.scale, ct.params)
 
     def coeff_to_slot(self, raised: Ciphertext):
-        """Two ciphertexts whose slots hold ``c_j / q0`` (head/tail half)."""
-        out = []
-        for a_half in self.cts_a:
-            out.append(apply_real_transform(
-                self.evaluator, raised, a_half, np.conj(a_half)))
-        return tuple(out)
+        """Two ciphertexts whose slots hold ``c_j / q0`` (head/tail half).
+
+        Both halves read one conjugate of ``raised`` and one set of baby
+        rotations of ``raised`` and of that conjugate.
+        """
+        ev = self.evaluator
+        direct = BabySteps(ev, raised)
+        conj = BabySteps(ev, ev.conjugate(raised))
+        return tuple(ev.add(lt_a.apply(ev, direct), lt_b.apply(ev, conj))
+                     for lt_a, lt_b in self.cts)
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """``sin(2 pi t)`` on the slots, via cosine + double angles."""
@@ -146,10 +150,8 @@ class CKKSBootstrapper:
         fixups are needed.
         """
         ev = self.evaluator
-        m1, m2 = self.stc
-        out1 = apply_real_transform(ev, head, m1)
-        out2 = apply_real_transform(ev, tail, m2)
-        return ev.add(out1, out2)
+        lt_head, lt_tail = self.stc
+        return ev.add(lt_head.apply(ev, head), lt_tail.apply(ev, tail))
 
     # ------------------------------------------------------------------ #
 

@@ -116,7 +116,7 @@ class CKKSEncryptor:
             scale = self.params.scale
         coeffs = self.encoder.encode(values)
         primes = self.params.primes_at_level(level)
-        poly = self.ring.from_ints(coeffs.astype(object), primes=primes)
+        poly = self.ring.from_ints(coeffs, primes=primes)
         return Plaintext(poly, float(scale))
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:

@@ -17,6 +17,7 @@ from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext, Plaintext
 from repro.ckks.keys import GaloisKey, RelinKey, SwitchingKeyLevel
 from repro.ckks.params import CKKSParams
+from repro.kernels import get_backend
 from repro.rns.rns_poly import RNSPoly, RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
@@ -120,7 +121,7 @@ class CKKSEvaluator:
     def _encode_at(self, values, ct: Ciphertext, scale: float = None) -> Plaintext:
         scale = self.params.scale if scale is None else scale
         coeffs = CKKSEncoder(self.params.n, scale).encode(values)
-        poly = self.ring.from_ints(coeffs.astype(object), primes=ct.primes)
+        poly = self.ring.from_ints(coeffs, primes=ct.primes)
         return Plaintext(poly, scale)
 
     def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
@@ -216,23 +217,29 @@ class CKKSEvaluator:
 
     # ------------------------------ rotations -------------------------- #
 
-    def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
-        """Rotate slots left by ``steps`` (Galois automorphism + keyswitch)."""
+    def _require_galois_keys(self) -> GaloisKey:
         if self.galois_key is None:
             raise ValueError("no Galois keys available")
+        return self.galois_key
+
+    def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
+        """Rotate slots left by ``steps`` (Galois automorphism + keyswitch)."""
+        self._require_galois_keys()
         self._trace_key(f"rot:{steps}")
         g = pow(5, steps % self.params.slots, 2 * self.params.n)
         return self.apply_galois(ct, g)
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex-conjugate every slot (Galois element 2n-1)."""
+        self._require_galois_keys()
         self._trace_key("conj")
         return self.apply_galois(ct, 2 * self.params.n - 1)
 
     def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
+        galois_key = self._require_galois_keys()
         if ct.size != 2:
             raise ValueError("relinearize before applying Galois maps")
-        key = self.galois_key.keys.get((g, ct.level))
+        key = galois_key.keys.get((g, ct.level))
         if key is None:
             raise ValueError(f"no Galois key for element {g} at level {ct.level}")
         c0 = ct.parts[0].to_coeff().automorphism(g)
@@ -254,58 +261,34 @@ class CKKSEvaluator:
         decomposition and with Bconv — permuting the *raised* digits equals
         raising the permuted polynomial.
         """
-        if self.galois_key is None:
-            raise ValueError("no Galois keys available")
+        galois_key = self._require_galois_keys()
         if ct.size != 2:
             raise ValueError("relinearize before rotating")
-        from repro.rns.bconv import bconv
+        from repro.rns.keyswitch import keyswitch_raised, modup_digits
 
         params = self.params
-        chain = ct.primes
         special = params.special_primes
-        extended = chain + special
+        extended = ct.primes + special
         level = ct.level
-        digits = params.digits_at_level(level)
+        backend = get_backend()
         c0 = ct.parts[0].to_coeff()
-        c1 = ct.parts[1].to_coeff()
-        chain_index = {q: i for i, q in enumerate(chain)}
-
         # shared Modup: raise every digit of c1 once (coefficient domain)
-        ext_index = {q: i for i, q in enumerate(extended)}
-        raised_digits = []
-        for digit in digits:
-            digit_rows = c1.data[
-                np.array([chain_index[q] for q in digit], dtype=np.intp)
-            ]
-            others = tuple(q for q in extended if q not in digit)
-            converted = bconv(digit_rows, digit, others)
-            # Scatter pass-through and converted rows into extended-basis
-            # order with two fancy-indexed assignments.
-            full = np.empty((len(extended), params.n), dtype=np.uint64)
-            full[np.array([ext_index[q] for q in digit], dtype=np.intp)] = (
-                digit_rows
-            )
-            full[np.array([ext_index[q] for q in others], dtype=np.intp)] = (
-                converted
-            )
-            raised_digits.append(RNSPoly(self.ring, full, extended, False))
+        raised = modup_digits(
+            ct.parts[1].to_coeff(), params.digits_at_level(level), special)
 
         out = {}
         for step in steps:
             self._trace_key(f"rot:{step}")
             g = pow(5, step % params.slots, 2 * params.n)
-            key = self.galois_key.keys.get((g, level))
+            key = galois_key.keys.get((g, level))
             if key is None:
                 raise ValueError(
                     f"no Galois key for element {g} at level {level}")
-            acc0 = self.ring.zero(primes=extended, ntt_form=True)
-            acc1 = self.ring.zero(primes=extended, ntt_form=True)
-            for raised, (b_t, a_t) in zip(raised_digits, key.pairs):
-                d_t = raised.automorphism(g).to_ntt()
-                acc0 = acc0 + d_t * b_t
-                acc1 = acc1 + d_t * a_t
-            k0 = acc0.to_coeff().moddown(len(special))
-            k1 = acc1.to_coeff().moddown(len(special))
+            rotated = np.stack(
+                [backend.automorphism(raised[:, t], g, extended)
+                 for t in range(raised.shape[1])], axis=1)
+            k0, k1 = keyswitch_raised(
+                self.ring, rotated, extended, len(special), key.pairs)
             rotated0 = c0.automorphism(g) + k0
             out[step] = Ciphertext([rotated0, k1], ct.scale, ct.params)
         return out

@@ -17,10 +17,41 @@ workloads.
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import numpy as np
 
+from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
+from repro.kernels import get_backend
+from repro.rns.rns_poly import RNSPoly, reduce_signed
+
+
+class BabySteps:
+    """The NTT-form baby-step rotations of one ciphertext, made on first use.
+
+    Transforms applied to the same ciphertext can share one instance, so
+    each baby rotation is keyswitched once however many transforms read
+    it (CoeffToSlot's two halves do).
+    """
+
+    def __init__(self, evaluator: CKKSEvaluator, ct: Ciphertext):
+        self.evaluator = evaluator
+        self.ct = ct
+        self._ntt: Dict[int, np.ndarray] = {}
+
+    def __call__(self, j: int) -> np.ndarray:
+        """Every part of ``rot(ct, j)`` in NTT form, one ``(C, parts, n)``
+        batch made by one forward NTT call."""
+        batch = self._ntt.get(j)
+        if batch is None:
+            rotated = self.evaluator.rotate(self.ct, j) if j else self.ct
+            coeff = np.stack([p.to_coeff().data for p in rotated.parts],
+                             axis=1)
+            batch = get_backend().ntt_forward(coeff, rotated.primes)
+            self._ntt[j] = batch
+        return batch
 
 
 class SlotLinearTransform:
@@ -37,6 +68,8 @@ class SlotLinearTransform:
         if not 1 <= giant_step <= self.slots:
             raise ValueError("giant_step out of range")
         self.giant_step = giant_step
+        # (n, scale) -> giant groups; see _groups
+        self._encoded: Dict[Tuple[int, float], dict] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -63,45 +96,80 @@ class SlotLinearTransform:
         steps.discard(0)
         return steps
 
+    def _groups(
+        self, n: int, scale: float
+    ) -> Dict[int, Tuple[List[int], np.ndarray]]:
+        """``{i: (baby steps j, int64 coefficients (J, n))}`` per giant group.
+
+        Row ``k`` encodes ``rot(diag_{g*i + j_k}, -g*i)`` at ``scale``.
+        The coefficients do not depend on the level, so each diagonal is
+        encoded once per transform and reduced into the current chain at
+        apply time.
+        """
+        groups = self._encoded.get((n, scale))
+        if groups is None:
+            g = self.giant_step
+            encoder = CKKSEncoder(n, scale)
+            babies: Dict[int, List[int]] = {}
+            for d in self.nonzero_diagonals():
+                i, j = divmod(d, g)
+                babies.setdefault(i, []).append(j)
+            groups = {
+                i: (js, np.stack([
+                    encoder.encode(np.roll(self.diagonal(g * i + j), g * i))
+                    for j in js]))
+                for i, js in sorted(babies.items())
+            }
+            self._encoded[(n, scale)] = groups
+        return groups
+
     # ------------------------------------------------------------------ #
 
-    def apply(self, evaluator: CKKSEvaluator, ct: Ciphertext) -> Ciphertext:
+    def apply(self, evaluator: CKKSEvaluator, ct) -> Ciphertext:
         """BSGS evaluation; consumes one level (diagonal Pmult + rescale).
 
         ``rot(z, g*i + j) = rot(rot(z, j), g*i)`` and
         ``diag_d ⊙ rot(x, g*i) = rot(rot(diag_d, -g*i) ⊙ x, g*i)``, so the
         baby rotations of the input are shared across all giant groups.
+        ``ct`` is a ciphertext or the :class:`BabySteps` of one, which
+        shares the baby rotations with other transforms too.
+
+        Each giant group multiplies and sums its terms in the NTT domain:
+        its diagonals enter it in one forward NTT call, and its
+        accumulator leaves it in one inverse call before the giant
+        rotation.
         """
-        if evaluator.params.slots != self.slots:
+        params = evaluator.params
+        if params.slots != self.slots:
             raise ValueError(
                 f"transform is {self.slots} slots, params have "
-                f"{evaluator.params.slots}"
+                f"{params.slots}"
             )
-        g = self.giant_step
-        diagonals = self.nonzero_diagonals()
-        if not diagonals:
+        groups = self._groups(params.n, params.scale)
+        if not groups:
             raise ValueError("matrix is identically zero")
-        groups = {}
-        for d in diagonals:
-            i, j = divmod(d, g)
-            groups.setdefault(i, []).append((j, d))
-
-        baby_cache = {0: ct}
-
-        def baby(j: int) -> Ciphertext:
-            if j not in baby_cache:
-                baby_cache[j] = evaluator.rotate(ct, j)
-            return baby_cache[j]
-
+        babies = ct if isinstance(ct, BabySteps) else BabySteps(evaluator, ct)
+        ct = babies.ct
+        primes = ct.primes
+        backend = get_backend()
         result = None
-        for i, entries in sorted(groups.items()):
-            inner = None
-            for j, d in entries:
-                diag = np.roll(self.diagonal(d), g * i)
-                term = evaluator.mul_plain(baby(j), diag)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if g * i:
-                inner = evaluator.rotate(inner, g * i)
+        for i, (js, coeffs) in groups.items():
+            diags = backend.ntt_forward(reduce_signed(coeffs, primes), primes)
+            acc = None
+            for k, j in enumerate(js):
+                batch = babies(j)
+                term = backend.pointwise_mul(
+                    batch, np.broadcast_to(diags[:, k:k + 1], batch.shape),
+                    primes)
+                acc = term if acc is None else backend.pointwise_add(
+                    acc, term, primes)
+            acc = backend.ntt_inverse(acc, primes)
+            inner = Ciphertext(
+                [RNSPoly(evaluator.ring, acc[:, p], primes, ntt_form=False)
+                 for p in range(acc.shape[1])],
+                ct.scale * params.scale, ct.params)
+            if self.giant_step * i:
+                inner = evaluator.rotate(inner, self.giant_step * i)
             result = inner if result is None else evaluator.add(result, inner)
         return evaluator.rescale(result)
 
@@ -126,11 +194,3 @@ def apply_real_transform(
         out = evaluator.add(
             out, lt_b.apply(evaluator, evaluator.conjugate(ct)))
     return out
-
-
-def required_rotations_for(matrices, giant_step: int = None) -> set:
-    """Union of rotation steps a set of transforms needs (keygen helper)."""
-    steps = set()
-    for m in matrices:
-        steps |= SlotLinearTransform(m, giant_step).required_rotations()
-    return steps

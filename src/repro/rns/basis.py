@@ -101,8 +101,9 @@ def get_conversion_table(
 def crt_reconstruct(residues, primes: Sequence[int]) -> list:
     """Exact CRT reconstruction to Python big ints in ``[0, Q)``.
 
-    ``residues`` has shape ``(len(primes), n)``.  Slow (object arithmetic);
-    intended for tests and decryption of small instances.
+    ``residues`` has shape ``(len(primes), n)``.  Each channel contributes
+    ``r_i * [(Q/q_i)^{-1}]_{q_i} * (Q/q_i)`` to one object-dtype
+    accumulator, reduced by ``Q`` once at the end.
     """
     primes = [int(q) for q in primes]
     product = 1
@@ -113,12 +114,8 @@ def crt_reconstruct(residues, primes: Sequence[int]) -> list:
         residues = residues[None, :]
     if residues.shape[0] != len(primes):
         raise ValueError("channel count does not match prime count")
-    n = residues.shape[1]
-    out = [0] * n
-    for i, q in enumerate(primes):
+    acc = np.zeros(residues.shape[1], dtype=object)
+    for row, q in zip(residues, primes):
         qhat = product // q
-        coeff = (invmod(qhat, q) * qhat) % product
-        row = residues[i]
-        for k in range(n):
-            out[k] = (out[k] + int(row[k]) * coeff) % product
-    return out
+        acc += row.astype(object) * ((invmod(qhat, q) * qhat) % product)
+    return (acc % product).tolist()

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels import get_backend
 from repro.rns.bconv import bconv
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, digit_stream
@@ -99,6 +100,56 @@ def make_switching_key(
     return pairs
 
 
+def modup_digits(
+    d: RNSPoly, digits: Sequence[Sequence[int]], special: Sequence[int]
+) -> np.ndarray:
+    """Modup every digit of ``d`` (coefficient form, over the chain).
+
+    Returns one ``(C_ext, dnum, n)`` coefficient-form batch over
+    ``d.primes + special``: column ``t`` holds digit ``t``'s own rows and
+    their Bconv into every other channel.
+    """
+    extended = d.primes + tuple(int(p) for p in special)
+    index = {q: i for i, q in enumerate(extended)}
+    out = np.empty((len(extended), len(digits), d.ctx.n), dtype=np.uint64)
+    for t, digit in enumerate(digits):
+        digit = tuple(int(q) for q in digit)
+        others = tuple(q for q in extended if q not in digit)
+        rows = [index[q] for q in digit]    # chain primes lead ``extended``
+        out[rows, t] = d.data[rows]
+        out[[index[q] for q in others], t] = bconv(d.data[rows], digit, others)
+    return out
+
+
+def keyswitch_raised(
+    ring: RNSRing,
+    raised: np.ndarray,
+    extended: Tuple[int, ...],
+    special_count: int,
+    pairs: Sequence[Tuple[RNSPoly, RNSPoly]],
+) -> Tuple[RNSPoly, RNSPoly]:
+    """DecompPolyMult and Moddown of a :func:`modup_digits` batch.
+
+    Every digit enters the NTT domain in one call, both accumulators
+    ``sum_t raised_t * key_t`` leave it in one, and each is Moddowned by
+    the trailing ``special_count`` primes of ``extended``.
+    """
+    backend = get_backend()
+    raised = backend.ntt_forward(raised, extended)
+    acc = None
+    for t, (b_t, a_t) in enumerate(pairs):
+        if {b_t.primes, a_t.primes} != {extended}:
+            raise ValueError("switching key is not over chain + special")
+        term = backend.pointwise_mul(np.stack([b_t.data, a_t.data], axis=1),
+                                     raised[:, t:t + 1], extended)
+        acc = term if acc is None else backend.pointwise_add(
+            acc, term, extended)
+    acc = backend.ntt_inverse(acc, extended)
+    k0 = RNSPoly(ring, acc[:, 0], extended, False).moddown(special_count)
+    k1 = RNSPoly(ring, acc[:, 1], extended, False).moddown(special_count)
+    return k0, k1
+
+
 def hybrid_keyswitch(
     ring: RNSRing,
     d: RNSPoly,
@@ -116,28 +167,6 @@ def hybrid_keyswitch(
             f"switching key has {len(pairs)} digits, chain needs {len(digits)}"
         )
     d = d.to_coeff()
-    chain = d.primes
     special = tuple(int(p) for p in special)
-    extended = chain + special
-    chain_index = {q: i for i, q in enumerate(chain)}
-    acc0 = ring.zero(primes=extended, ntt_form=True)
-    acc1 = ring.zero(primes=extended, ntt_form=True)
-    ext_index = {q: i for i, q in enumerate(extended)}
-    for digit, (b_t, a_t) in zip(digits, pairs):
-        digit = tuple(int(q) for q in digit)
-        digit_rows = d.data[
-            np.array([chain_index[q] for q in digit], dtype=np.intp)
-        ]
-        others = tuple(q for q in extended if q not in digit)
-        converted = bconv(digit_rows, digit, others)
-        # Scatter the pass-through digit rows and the converted rows into
-        # extended-basis order with two fancy-indexed assignments.
-        full = np.empty((len(extended), ring.n), dtype=np.uint64)
-        full[np.array([ext_index[q] for q in digit], dtype=np.intp)] = digit_rows
-        full[np.array([ext_index[q] for q in others], dtype=np.intp)] = converted
-        d_t = RNSPoly(ring, full, extended, False).to_ntt()
-        acc0 = acc0 + d_t * b_t
-        acc1 = acc1 + d_t * a_t
-    k0 = acc0.to_coeff().moddown(len(special))
-    k1 = acc1.to_coeff().moddown(len(special))
-    return k0, k1
+    return keyswitch_raised(ring, modup_digits(d, digits, special),
+                            d.primes + special, len(special), pairs)

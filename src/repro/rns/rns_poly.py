@@ -28,6 +28,19 @@ from repro.poly.polynomial import NegacyclicRing
 from repro.rns.basis import crt_reconstruct
 
 
+def reduce_signed(values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """Residues of signed machine integers over each prime, ``(C, ...)``.
+
+    One broadcast ``np.mod`` against a ``(C, 1, ..., 1)`` prime column
+    reduces every channel at once; the floor-mod of int64 is the exact
+    residue in ``[0, q)`` for negative values too.
+    """
+    values = np.asarray(values).astype(np.int64, copy=False)
+    q_col = np.array(primes, dtype=np.int64).reshape(
+        (len(primes),) + (1,) * values.ndim)
+    return np.mod(values[None], q_col).astype(np.uint64)
+
+
 class RNSRing:
     """Factory/namespace for RNS polynomials over ``Z[X]/(X^n+1)``."""
 
@@ -58,12 +71,24 @@ class RNSRing:
         return RNSPoly(self, data, primes, ntt_form)
 
     def from_ints(self, values, primes=None) -> "RNSPoly":
-        """Residues of arbitrary integer coefficients over each prime."""
+        """Residues of integer coefficients over each prime.
+
+        A numpy signed-integer array is reduced over every channel at once
+        by :func:`reduce_signed`.  Anything else (Python lists of
+        arbitrary-size ints, object arrays) takes the exact object path;
+        a list is never given a numpy dtype, which could silently round
+        entries beyond 64 bits.
+        """
         primes = self.primes if primes is None else tuple(primes)
-        values = np.asarray(values, dtype=object)
+        signed = isinstance(values, np.ndarray) and values.dtype.kind == "i"
+        if not signed:
+            values = np.asarray(values, dtype=object)
         if values.shape != (self.n,):
             raise ValueError(f"expected {self.n} coefficients")
-        data = np.stack([to_mod_array(values, q) for q in primes])
+        if signed:
+            data = reduce_signed(values, primes)
+        else:
+            data = np.stack([to_mod_array(values, q) for q in primes])
         return RNSPoly(self, data, primes, ntt_form=False)
 
     def sample_uniform(self, rng, primes=None) -> "RNSPoly":
@@ -233,16 +258,15 @@ class RNSPoly:
     # ------------------------------ decoding --------------------------- #
 
     def to_bigint_coeffs(self) -> list:
-        """Exact CRT lift of every coefficient to ``[0, Q)`` (tests only)."""
+        """Exact CRT lift of every coefficient to ``[0, Q)``."""
         poly = self.to_coeff()
         return crt_reconstruct(poly.data, poly.primes)
 
     def to_centered_bigints(self) -> list:
-        """CRT lift to the centered range ``(-Q/2, Q/2]`` (tests only)."""
+        """CRT lift to the centered range ``(-Q/2, Q/2]``."""
         product = 1
         for q in self.primes:
             product *= q
-        half = product // 2
-        return [
-            v - product if v > half else v for v in self.to_bigint_coeffs()
-        ]
+        coeffs = np.array(self.to_bigint_coeffs(), dtype=object)
+        coeffs[coeffs > product // 2] -= product
+        return coeffs.tolist()

@@ -104,6 +104,25 @@ def test_coeff_to_slot_recovers_coefficients(pipeline):
         assert np.abs(diff - np.round(diff)).max() < 1e-3
 
 
+def test_coeff_to_slot_shares_conjugate_and_baby_steps(pipeline):
+    """Both halves read one conjugate of the raised ciphertext and one set
+    of baby rotations of it and of its conjugate: 1 conjugation, 2 x 7
+    baby and 4 x 7 giant rotations (BSGS 8 x 8 over 64 slots)."""
+    encryptor, _, evaluator, boot, rng = pipeline
+    ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
+    raised = boot.mod_raise(ct)
+    evaluator.key_trace = []
+    try:
+        boot.coeff_to_slot(raised)
+        trace = list(evaluator.key_trace)
+    finally:
+        evaluator.key_trace = None
+    babies = [f"rot:{j}" for j in range(1, 8)]
+    assert trace.count("conj") == 1
+    assert sorted(k for k in trace if k in babies) == sorted(babies * 2)
+    assert len(trace) == 1 + 2 * 7 + 4 * 7
+
+
 def test_eval_mod_computes_sine(pipeline):
     """EvalMod on directly-encrypted values approximates sin(2 pi t)."""
     encryptor, decryptor, _, boot, rng = pipeline

@@ -1,5 +1,7 @@
 """Tests for homomorphic slot-space linear transforms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,8 @@ from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
-from repro.ckks.linear import (
-    SlotLinearTransform,
-    apply_real_transform,
-    required_rotations_for,
-)
+from repro.ckks.linear import SlotLinearTransform, apply_real_transform
+from repro.kernels import backend_scope, get_backend
 
 PARAMS = CKKSParams(n=128, num_levels=4, dnum=2, hamming_weight=16)
 SLOTS = PARAMS.slots
@@ -51,8 +50,6 @@ def test_required_rotations_bsgs():
     lt = SlotLinearTransform(np.ones((16, 16)), giant_step=4)
     steps = lt.required_rotations()
     assert steps == {1, 2, 3, 4, 8, 12}
-    union = required_rotations_for([np.ones((16, 16))], giant_step=4)
-    assert union == steps
 
 
 def test_dense_matrix_transform(stack):
@@ -134,3 +131,49 @@ def test_zero_matrix_rejected(stack):
     ct = encryptor.encrypt_values(np.ones(SLOTS))
     with pytest.raises(ValueError):
         SlotLinearTransform(np.zeros((SLOTS, SLOTS))).apply(evaluator, ct)
+
+
+class _CountingBackend:
+    """Delegates every kernel to the active backend and counts the calls."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, attr):
+        kernel = getattr(self.inner, attr)
+
+        def counted(*args, **kwargs):
+            self.calls[attr] += 1
+            return kernel(*args, **kwargs)
+
+        return counted
+
+
+def _kernel_calls(fn):
+    counter = _CountingBackend(get_backend())
+    with backend_scope(counter):
+        fn()
+    return counter.calls
+
+
+def test_dense_transform_ntts_once_per_baby_step_and_giant_group(stack):
+    """The diagonal products stay in the NTT domain: one forward NTT per
+    baby-step ciphertext, one per giant group's diagonals and one inverse
+    per giant group, beyond what the rotations themselves cost."""
+    encryptor, _, evaluator, rng = stack
+    ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
+    m = (rng.normal(size=(SLOTS, SLOTS))
+         + 1j * rng.normal(size=(SLOTS, SLOTS))) / SLOTS
+    lt = SlotLinearTransform(m)
+    g = lt.giant_step
+    assert len(lt.nonzero_diagonals()) == SLOTS and SLOTS == g * g
+    rotation = _kernel_calls(lambda: evaluator.rotate(ct, 1))
+    calls = _kernel_calls(lambda: lt.apply(evaluator, ct))
+    rotations = 2 * (g - 1)                     # 7 baby + 7 giant
+    assert calls["automorphism"] == rotations * rotation["automorphism"]
+    assert calls["ntt_forward"] <= (
+        g + g + rotations * rotation["ntt_forward"])
+    assert calls["ntt_inverse"] <= g + rotations * rotation["ntt_inverse"]

@@ -162,6 +162,28 @@ def test_rotation_missing_key_raises(stack):
         ev.rotate(ct, 3)  # only steps 1, 2, 4 have keys
 
 
+@pytest.mark.parametrize(
+    "op", ["rotate", "conjugate", "apply_galois", "rotate_batch_hoisted"])
+def test_galois_ops_without_keys_raise_value_error(stack, op):
+    """Every Galois operation fails with the same typed error when the
+    evaluator holds no Galois keys, and traces no key touch first."""
+    from repro.ckks.evaluator import CKKSEvaluator
+
+    enc, _, ev, rng = stack
+    keyless = CKKSEvaluator(PARAMS, ev.encoder, relin_key=ev.relin_key)
+    keyless.key_trace = []
+    ct = enc.encrypt_values(_values(rng))
+    calls = {
+        "rotate": lambda: keyless.rotate(ct, 1),
+        "conjugate": lambda: keyless.conjugate(ct),
+        "apply_galois": lambda: keyless.apply_galois(ct, 5),
+        "rotate_batch_hoisted": lambda: keyless.rotate_batch_hoisted(ct, [1]),
+    }
+    with pytest.raises(ValueError, match="no Galois keys"):
+        calls[op]()
+    assert keyless.key_trace == []
+
+
 def test_conjugate(stack):
     enc, dec, ev, rng = stack
     z = _values(rng) + 1j * _values(rng)

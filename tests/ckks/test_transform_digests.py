@@ -1,0 +1,288 @@
+"""Bit-identity corpus for the CKKS slot transforms and what they call.
+
+The SHA-256 digests in ``DIGESTS`` were recorded with the implementation
+that sent every diagonal term of a slot transform through ``mul_plain``
+(one plaintext encode, three forward and two inverse NTTs per term),
+reduced encoded plaintexts through Python integers, reconstructed CRT
+lifts one coefficient at a time and raised keyswitch digits one at a
+time.  Every step that replaced those is an exact linear map mod q, and
+rotations are deterministic, so every output must reproduce its digest.
+The small cases also run under the per-limb ``reference`` kernel backend.
+
+Every generator below is seeded here, so the digests do not follow
+``REPRO_TEST_SEED``.  Encoding rounds FFT outputs, so the digests assume
+numpy's pocketfft; they were recorded with numpy 2.4.
+"""
+
+import contextlib
+import hashlib
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.bfv import (
+    BFVDecryptor,
+    BFVEncoder,
+    BFVEncryptor,
+    BFVEvaluator,
+    BFVKeyGenerator,
+    BFVParams,
+)
+from repro.ckks.bootstrap import CKKSBootstrapper
+from repro.ckks.encoder import CKKSEncoder
+from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
+from repro.ckks.evaluator import CKKSEvaluator
+from repro.ckks.keys import CKKSKeyGenerator
+from repro.ckks.linear import SlotLinearTransform, apply_real_transform
+from repro.ckks.params import CKKSParams
+from repro.kernels import backend_scope
+
+SMALL = CKKSParams(n=32, num_levels=3, dnum=2, hamming_weight=8)
+BOOT = CKKSParams(n=128, num_levels=16, dnum=2, hamming_weight=16)
+BFV = BFVParams(n=64, num_primes=3, hamming_weight=16)
+
+#: Output digests of the per-term implementation, one per case below.
+DIGESTS = {
+    "transform_giant1":
+        "bf9c44dd6ccf432dfd44af517d5317e5bb16dd65a79cd98474b0579cbb2c907a",
+    "transform_default":
+        "a1e17f213fcb556bdc57a66bbf6c446b7e3a99a8791664410e5debb50c83d2fc",
+    "transform_two_diagonals":
+        "50fb5c07b48ad6affac646420ad2b940b15d5c6b2ad5ec295e42a078aa140951",
+    "real_transform":
+        "1d6ccbb60e734b74d5ca79e31beb6f875f18eab2180c85e4bac5a73ff4b7cdf6",
+    "mul_plain":
+        "e070b825cd0359d9713aee83003e0c39a06d3cac50cefdcb48f47f144e60303e",
+    "add_plain":
+        "c8a3780824d4e1287124d1db7d1272af9477271b95b24a2d37a54f803eced453",
+    "encode":
+        "9344445aa7f73bbc4e1044d6458e4d043022e292ced46acd33efbd55e7623156",
+    "rotate_batch_hoisted":
+        "00dcb370f41f9494fdd230322cd9de1794a3ec60b0b9d1e6d75b12e7cab9a2d0",
+    "relinearize":
+        "6cc8cb868fb5df347f91ca391e36bf3666e8c0bc1ca022f75e92146dcd3c74a9",
+    "decrypt":
+        "f146fd38452fcc7ba651c23afdd6d80fde9214073f1869ef319fed11d95b9739",
+    "bfv_multiply":
+        "686414515dac53e8892e29eb9163d49f6f9393a552cc9649953ea6735db28e68",
+    "bootstrap":
+        "1efcacec68d40b248fccb54991eae4bb9a5fdb8497ef41d424c072c9aab6fd80",
+}
+
+
+def _hash(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        if isinstance(chunk, np.ndarray):
+            chunk = np.ascontiguousarray(chunk).tobytes()
+        elif not isinstance(chunk, bytes):
+            chunk = repr(chunk).encode()
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _ct_chunks(ct):
+    """Parts, primes, form and scale of a CKKS or BFV ciphertext."""
+    chunks = [ct.parts[0].primes, getattr(ct, "scale", None)]
+    for part in ct.parts:
+        chunks += [part.ntt_form, part.data.astype(np.uint64)]
+    return chunks
+
+
+def _ckks_stack(params, seed, rotations):
+    rng = np.random.default_rng(seed)
+    encoder = CKKSEncoder(params.n, params.scale)
+    keygen = CKKSKeyGenerator(params, rng)
+    galois = keygen.rotation_key(rotations)
+    galois.keys.update(keygen.conjugation_key().keys)
+    evaluator = CKKSEvaluator(params, encoder, relin_key=keygen.relin_key(),
+                              galois_key=galois)
+    return SimpleNamespace(
+        params=params, encoder=encoder, keygen=keygen, evaluator=evaluator,
+        encryptor=CKKSEncryptor(params, encoder, rng,
+                                public_key=keygen.public_key()),
+        decryptor=CKKSDecryptor(params, encoder, keygen.secret_key()),
+    )
+
+
+def _bfv_stack():
+    rng = np.random.default_rng(0xD1606)
+    encoder = BFVEncoder(BFV.n, BFV.plain_modulus)
+    keygen = BFVKeyGenerator(BFV, rng)
+    return SimpleNamespace(
+        encryptor=BFVEncryptor(BFV, rng, keygen.public_key(), encoder),
+        decryptor=BFVDecryptor(BFV, keygen.secret_key(), encoder),
+        evaluator=BFVEvaluator(BFV, relin_key=keygen.relin_key()),
+    )
+
+
+@pytest.fixture(scope="module")
+def small():
+    return _ckks_stack(SMALL, 0xD1605, range(1, SMALL.slots))
+
+
+@pytest.fixture(scope="module")
+def bfv():
+    return _bfv_stack()
+
+
+def _inputs(stack, seed):
+    """A fresh generator that also drives the encryptor's randomness, so
+    each case depends on its own seed alone."""
+    rng = np.random.default_rng(seed)
+    stack.encryptor.rng = rng
+    return rng
+
+
+def _complex(rng, *shape):
+    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+
+def _fresh(stack, rng, level=None):
+    z = _complex(rng, stack.params.slots) / 2
+    return stack.encryptor.encrypt_values(z, level=level)
+
+
+# ------------------------------ small cases ----------------------------- #
+
+
+def _transform_giant1(s):
+    rng = _inputs(s, 1)
+    ct = _fresh(s, rng)
+    m = _complex(rng, SMALL.slots, SMALL.slots) / SMALL.slots
+    return _hash(*_ct_chunks(
+        SlotLinearTransform(m, giant_step=1).apply(s.evaluator, ct)))
+
+
+def _transform_default(s):
+    rng = _inputs(s, 2)
+    ct = _fresh(s, rng)
+    m = _complex(rng, SMALL.slots, SMALL.slots) / SMALL.slots
+    return _hash(*_ct_chunks(SlotLinearTransform(m).apply(s.evaluator, ct)))
+
+
+def _transform_two_diagonals(s):
+    rng = _inputs(s, 3)
+    ct = _fresh(s, rng)
+    k = np.arange(SMALL.slots)
+    m = np.zeros((SMALL.slots, SMALL.slots), dtype=np.complex128)
+    m[k, k] = _complex(rng, SMALL.slots)
+    m[k, (k + 5) % SMALL.slots] = _complex(rng, SMALL.slots)
+    return _hash(*_ct_chunks(SlotLinearTransform(m).apply(s.evaluator, ct)))
+
+
+def _real_transform(s):
+    rng = _inputs(s, 4)
+    ct = _fresh(s, rng)
+    a = _complex(rng, SMALL.slots, SMALL.slots) / SMALL.slots
+    b = _complex(rng, SMALL.slots, SMALL.slots) / SMALL.slots
+    return _hash(*_ct_chunks(apply_real_transform(s.evaluator, ct, a, b)))
+
+
+def _mul_plain(s):
+    rng = _inputs(s, 5)
+    ct = _fresh(s, rng, level=2)
+    return _hash(*_ct_chunks(
+        s.evaluator.mul_plain(ct, _complex(rng, SMALL.slots))))
+
+
+def _add_plain(s):
+    rng = _inputs(s, 6)
+    ct = _fresh(s, rng, level=1)
+    return _hash(*_ct_chunks(
+        s.evaluator.add_plain(ct, _complex(rng, SMALL.slots))))
+
+
+def _encode(s):
+    rng = _inputs(s, 7)
+    chunks = []
+    for level in (None, 1):
+        pt = s.encryptor.encode(_complex(rng, SMALL.slots), level=level)
+        chunks += [pt.poly.primes, pt.scale, pt.poly.data]
+    return _hash(*chunks)
+
+
+def _rotate_batch_hoisted(s):
+    rng = _inputs(s, 8)
+    rotated = s.evaluator.rotate_batch_hoisted(_fresh(s, rng), [1, 3, 6, 13])
+    return _hash(*(c for step in sorted(rotated)
+                   for c in [step] + _ct_chunks(rotated[step])))
+
+
+def _relinearize(s):
+    rng = _inputs(s, 9)
+    ev = s.evaluator
+    ct = ev.multiply(_fresh(s, rng), _fresh(s, rng), relin=False)
+    return _hash(*_ct_chunks(ev.relinearize(ct)))
+
+
+def _decrypt(s):
+    rng = _inputs(s, 10)
+    ct = s.evaluator.mul_plain(_fresh(s, rng), _complex(rng, SMALL.slots))
+    return _hash(s.decryptor.decrypt(ct), s.decryptor.decrypt(_fresh(s, rng)))
+
+
+SMALL_CASES = {
+    "transform_giant1": _transform_giant1,
+    "transform_default": _transform_default,
+    "transform_two_diagonals": _transform_two_diagonals,
+    "real_transform": _real_transform,
+    "mul_plain": _mul_plain,
+    "add_plain": _add_plain,
+    "encode": _encode,
+    "rotate_batch_hoisted": _rotate_batch_hoisted,
+    "relinearize": _relinearize,
+    "decrypt": _decrypt,
+}
+
+
+def _bfv_multiply(b):
+    rng = np.random.default_rng(11)
+    b.encryptor.rng = rng
+    t = BFV.plain_modulus
+    x = b.encryptor.encrypt_values(rng.integers(0, t, BFV.n))
+    y = b.encryptor.encrypt_values(rng.integers(0, t, BFV.n))
+    product = b.evaluator.multiply(x, y)
+    values = b.decryptor.decrypt_values(product)
+    return _hash(*_ct_chunks(product), np.asarray(values, dtype=np.int64))
+
+
+def _bootstrap():
+    stack = _ckks_stack(BOOT, 0xD1607, ())
+    boot = CKKSBootstrapper(BOOT, stack.encoder, stack.evaluator,
+                            r=7, taylor_terms=5)
+    stack.evaluator.galois_key.keys.update(
+        stack.keygen.rotation_key(boot.required_rotations()).keys)
+    rng = _inputs(stack, 12)
+    ct = stack.encryptor.encrypt_values(rng.uniform(-1, 1, BOOT.slots),
+                                        level=0)
+    return _hash(*_ct_chunks(boot.bootstrap(ct)))
+
+
+#: The active backend (numpy unless ``REPRO_KERNEL_BACKEND`` says
+#: otherwise) and the per-limb reference backend.
+BACKENDS = pytest.mark.parametrize("backend", [None, "reference"],
+                                   ids=["active", "reference"])
+
+
+def _on(backend):
+    return contextlib.nullcontext() if backend is None else (
+        backend_scope(backend))
+
+
+@BACKENDS
+@pytest.mark.parametrize("name", sorted(SMALL_CASES))
+def test_small_case_reproduces_digest(small, name, backend):
+    with _on(backend):
+        assert SMALL_CASES[name](small) == DIGESTS[name]
+
+
+@BACKENDS
+def test_bfv_multiply_reproduces_digest(bfv, backend):
+    with _on(backend):
+        assert _bfv_multiply(bfv) == DIGESTS["bfv_multiply"]
+
+
+def test_bootstrap_reproduces_digest():
+    assert _bootstrap() == DIGESTS["bootstrap"]

@@ -80,6 +80,35 @@ def test_crt_reconstruct_roundtrip(rng):
     assert crt_reconstruct(residues, primes) == values
 
 
+def _crt_loop(residues, primes) -> list:
+    """The per-coefficient CRT loop, kept as the oracle."""
+    from repro.ntmath.modular import invmod
+
+    product = 1
+    for q in primes:
+        product *= q
+    residues = np.atleast_2d(np.asarray(residues, dtype=np.uint64))
+    out = [0] * residues.shape[1]
+    for i, q in enumerate(primes):
+        qhat = product // q
+        coeff = (invmod(qhat, q) * qhat) % product
+        for k, r in enumerate(residues[i]):
+            out[k] = (out[k] + int(r) * coeff) % product
+    return out
+
+
+@pytest.mark.parametrize("channels", [1, 3, 44])
+def test_crt_reconstruct_matches_per_coefficient_loop(rng, channels):
+    primes = generate_ntt_primes(36, 256, channels)
+    residues = np.stack([rng.integers(0, q, 256, dtype=np.uint64)
+                         for q in primes])
+    residues[:, 0] = 0
+    residues[:, 1] = [q - 1 for q in primes]
+    got = crt_reconstruct(residues, primes)
+    assert got == _crt_loop(residues, primes)
+    assert all(type(v) is int for v in got)
+
+
 def test_crt_reconstruct_single_channel():
     q = PRIMES[0]
     got = crt_reconstruct(np.array([5, 7], dtype=np.uint64), [q])

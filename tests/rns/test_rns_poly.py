@@ -35,9 +35,36 @@ def test_from_ints_consistent_channels(ring):
         assert p.data[i].tolist() == [v % q for v in values]
 
 
+def test_from_ints_int64_path_matches_object_path(ring, rng):
+    edge = (1 << 62) - 1
+    values = rng.integers(-edge, edge, N, dtype=np.int64)
+    values[:6] = [0, -1, 1, edge, -edge, -(1 << 62)]
+    fast = ring.from_ints(values)
+    exact = ring.from_ints(values.astype(object))
+    assert fast.data.dtype == np.uint64
+    assert np.array_equal(fast.data, exact.data)
+    assert fast.primes == exact.primes and not fast.ntt_form
+    for i, q in enumerate(PRIMES):
+        assert fast.data[i].tolist() == [int(v) % q for v in values]
+    narrow = values.astype(np.int32)
+    assert np.array_equal(ring.from_ints(narrow).data,
+                          ring.from_ints(narrow.astype(object)).data)
+
+
+def test_from_ints_list_with_unbounded_ints_stays_exact(ring):
+    """A Python list never goes through a numpy integer dtype: numpy
+    would infer float64 for ``[-1, 2**63]`` and round silently."""
+    values = [-1, 1 << 63, -(1 << 80) - 3, (1 << 64) + 5] + list(range(N - 4))
+    p = ring.from_ints(values)
+    for i, q in enumerate(PRIMES):
+        assert p.data[i].tolist() == [v % q for v in values]
+
+
 def test_from_ints_wrong_length(ring):
     with pytest.raises(ValueError):
         ring.from_ints([1, 2, 3])
+    with pytest.raises(ValueError):
+        ring.from_ints(np.arange(3, dtype=np.int64))
 
 
 def test_add_sub_roundtrip(ring, rng):
