@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict
+from typing import Dict, List, Optional, Sequence
 
 from repro.compiler.ckks_programs import (
     bootstrapping_program,
@@ -126,8 +126,20 @@ WORKLOAD_ALIASES = {
 }
 
 
-def _lookup_workload(name: str, workloads: Dict[str, Program]):
-    return workloads.get(WORKLOAD_ALIASES.get(name, name))
+def _resolve_workloads(names: Sequence[str]) -> Optional[List[Program]]:
+    """The programs ``names`` denote (aliases resolved; all of them,
+    sorted by name, when ``names`` is empty).  ``None`` after reporting
+    the first unknown name, before any work starts."""
+    workloads = _workloads()
+    programs = []
+    for name in names or sorted(workloads):
+        program = workloads.get(WORKLOAD_ALIASES.get(name, name))
+        if program is None:
+            print(f"unknown workload {name!r}; try: "
+                  + ", ".join(sorted(workloads)), file=sys.stderr)
+            return None
+        programs.append(program)
+    return programs
 
 
 def _config_from_args(args) -> "AlchemistConfig":
@@ -180,17 +192,15 @@ def cmd_simulate(args) -> int:
     from repro.sim.simulator import CycleSimulator
 
     config = _config_from_args(args)
-    workloads = _workloads()
     if args.mix:
-        return _simulate_mix(args, config, workloads)
+        return _simulate_mix(args, config)
     if not args.workload:
         print("workload name required (or use --mix)", file=sys.stderr)
         return 2
-    program = _lookup_workload(args.workload, workloads)
-    if program is None:
-        print(f"unknown workload {args.workload!r}; try: "
-              + ", ".join(sorted(workloads)), file=sys.stderr)
+    programs = _resolve_workloads([args.workload])
+    if programs is None:
         return 2
+    program = programs[0]
     if args.fuse:
         program = _fuse_programs([program], config)[0]
     sim = CycleSimulator(config)
@@ -216,21 +226,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_mix(args, config, workloads) -> int:
+def _simulate_mix(args, config) -> int:
     from repro.sim.engine import EventDrivenSimulator
 
     names = [s.strip() for s in args.mix.split(",") if s.strip()]
     if len(names) < 1:
         print("--mix needs at least one workload name", file=sys.stderr)
         return 2
-    programs = []
-    for name in names:
-        prog = _lookup_workload(name, workloads)
-        if prog is None:
-            print(f"unknown workload {name!r} in --mix; try: "
-                  + ", ".join(sorted(workloads)), file=sys.stderr)
-            return 2
-        programs.append(prog)
+    programs = _resolve_workloads(names)
+    if programs is None:
+        return 2
     if args.fuse:
         programs = _fuse_programs(programs, config)
     priorities = {}
@@ -256,14 +261,12 @@ def cmd_trace(args) -> int:
         write_csv,
     )
 
-    workloads = _workloads()
-    if args.workload not in workloads:
-        print(f"unknown workload {args.workload!r}; try: "
-              + ", ".join(sorted(workloads)), file=sys.stderr)
+    programs = _resolve_workloads([args.workload])
+    if programs is None:
         return 2
     collector = TraceCollector()
     sim = CycleSimulator(_config_from_args(args), collector=collector)
-    report = sim.run(workloads[args.workload])
+    report = sim.run(programs[0])
     if args.output:
         if args.format == "chrome":
             write_chrome_trace(collector, args.output)
@@ -297,8 +300,9 @@ def cmd_lint(args) -> int:
     )
 
     config = _config_from_args(args)
-    workloads = _workloads()
-    names = args.workloads or sorted(workloads)
+    programs = _resolve_workloads(args.workloads)
+    if programs is None:
+        return 2
     analyses = None
     if getattr(args, "noise", False):
         # focused noise-budget run: only the ALC7xx analysis, and always
@@ -311,12 +315,7 @@ def cmd_lint(args) -> int:
         analyses = [KeyResidencyAnalysis()]
         args.notes = True
     reports = []
-    for name in names:
-        program = _lookup_workload(name, workloads)
-        if program is None:
-            print(f"unknown workload {name!r}; try: "
-                  + ", ".join(sorted(workloads)), file=sys.stderr)
-            return 2
+    for program in programs:
         schedule = None
         if args.engine_audit:
             from repro.sim.engine import EventDrivenSimulator
@@ -368,11 +367,7 @@ def _compression_comparison(base_report, comp_report) -> str:
 def cmd_analyze(args) -> int:
     import json
 
-    from repro.compiler.cost import (
-        analyze_program,
-        differential_check,
-        format_roofline,
-    )
+    from repro.compiler.cost import differential_check, format_roofline
     from repro.compiler.verify import CostAnalysis, KeyResidencyAnalysis, \
         Linter, NoiseBudgetAnalysis
 
@@ -381,30 +376,26 @@ def cmd_analyze(args) -> int:
     # --compressed: the baseline report stays for comparison; the linter
     # and the differential check run under the compression model so the
     # ALC605 flips and the static==sim proof cover the compressed path.
-    comp_config = config.with_compression() if compressed else None
     linter = Linter([CostAnalysis(), NoiseBudgetAnalysis(),
                      KeyResidencyAnalysis()],
-                    config=comp_config if compressed else config)
-    workloads = _workloads()
-    names = args.workloads or sorted(workloads)
+                    config=config.with_compression() if compressed else config)
+    programs = _resolve_workloads(args.workloads)
+    if programs is None:
+        return 2
     threshold = _fail_on_severity(args.fail_on)
     failing = 0
     check_failures = 0
     json_out = []
-    for name in names:
-        program = _lookup_workload(name, workloads)
-        if program is None:
-            print(f"unknown workload {name!r}; try: "
-                  + ", ".join(sorted(workloads)), file=sys.stderr)
-            return 2
-        report = analyze_program(program, config)
-        comp_report = (analyze_program(program, comp_config)
-                       if compressed else None)
-        lint = linter.run(program)
+    for program in programs:
+        # every report comes from the lint run's context, which builds
+        # each (program, config) report once
+        ctx = linter.context(program)
+        lint = linter.run(program, ctx)
+        report = ctx.cost_of(program, config)
+        comp_report = ctx.cost_of(program) if compressed else None
         failing += sum(1 for d in lint.diagnostics
                        if d.severity >= threshold)
-        check_config = comp_config if compressed else config
-        check = (differential_check(program, check_config)
+        check = (differential_check(program, ctx.cost_of(program))
                  if args.check else None)
         if check is not None and not check.ok:
             check_failures += 1
@@ -684,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Alchemist (DAC 2024) reproduction toolkit",
     )
     parser.add_argument(
-        "--kernel-backend", choices=("numpy", "reference", "pool"),
+        "--kernel-backend", choices=("numpy", "reference"),
         default=None,
         help="kernel backend for the functional hot paths (default: "
              "$REPRO_KERNEL_BACKEND or the batched numpy backend)")

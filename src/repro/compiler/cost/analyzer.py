@@ -334,19 +334,25 @@ class DifferentialCheck:
 
 
 def differential_check(program: Program,
-                       config: AlchemistConfig = ALCHEMIST_DEFAULT,
-                       ) -> DifferentialCheck:
-    """Validate the static analysis of ``program`` against the simulators.
+                       static: CostReport) -> DifferentialCheck:
+    """Validate ``static`` — the caller's :func:`analyze_program` report
+    of ``program`` — against the simulators run on ``static.config``.
 
     Exact-match check against :meth:`CycleSimulator.time_program`: every
     field of each op's static and simulated :class:`OpCost` (shared cost
     model — any drift fails), then the program totals.  Bounded check
-    against the event-driven engine's makespan.
+    against the event-driven engine's makespan.  Raises ``ValueError``
+    when ``static`` is not a report of ``program``.
     """
     from repro.sim.engine import EventDrivenSimulator
     from repro.sim.simulator import CycleSimulator
 
-    static = analyze_program(program, config)
+    if (static.program, len(static.rows)) != (program.name, len(program.ops)):
+        raise ValueError(
+            f"static report of {static.program!r} ({len(static.rows)} ops) "
+            f"does not describe program {program.name!r} "
+            f"({len(program.ops)} ops)")
+    config = static.config
     sim = CycleSimulator(config)
     timings = sim.time_program(program)
     sim_report = sim.run(program, timings=timings)

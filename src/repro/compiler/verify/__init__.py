@@ -100,7 +100,7 @@ def lint_program(program: Program,
     """Run the standard (or a custom) analysis suite over one program."""
     linter = Linter(analyses if analyses is not None else default_analyses(),
                     config=config)
-    return linter.run(program, schedule=schedule)
+    return linter.run(program, linter.context(program, schedule))
 
 
 __all__ = [

@@ -26,7 +26,11 @@ S = TypeVar("S")
 
 @dataclass
 class AnalysisContext:
-    """Shared read-only state for one lint run."""
+    """Shared read-only state for one lint run.
+
+    A command that also needs the linted program's cost report reads it
+    from :meth:`cost_of` of the context it linted with, so each
+    (program, config) report is built once per command."""
 
     config: AlchemistConfig = ALCHEMIST_DEFAULT
     #: Optional schedule to audit (``(op_index, start, end)`` triples or
@@ -35,7 +39,8 @@ class AnalysisContext:
     #: The linted program's graph, shared by every analysis of the run.
     graph: Optional[ProgramGraph] = None
 
-    _cost: Optional[CostReport] = field(default=None, init=False, repr=False)
+    _costs: Dict[AlchemistConfig, CostReport] = field(
+        default_factory=dict, init=False, repr=False)
 
     def graph_of(self, program: Program) -> ProgramGraph:
         """The shared graph when it is ``program``'s, else a fresh one
@@ -44,17 +49,19 @@ class AnalysisContext:
             return self.graph
         return ProgramGraph(program)
 
-    def cost_of(self, program: Program) -> CostReport:
-        """:func:`analyze_program` of ``program`` on :meth:`graph_of`,
-        computed at most once per run for the shared graph.  Raises
-        ``ValueError`` on an ill-formed program (e.g. a shape the cost
-        model rejects)."""
+    def cost_of(self, program: Program,
+                config: Optional[AlchemistConfig] = None) -> CostReport:
+        """:func:`analyze_program` of ``program`` on ``config`` (the run's
+        config by default) over :meth:`graph_of`, computed at most once
+        per config for the shared graph.  Raises ``ValueError`` on an
+        ill-formed program (e.g. a shape the cost model rejects)."""
+        config = self.config if config is None else config
         graph = self.graph_of(program)
         if graph is not self.graph:
-            return analyze_program(program, self.config, graph)
-        if self._cost is None:
-            self._cost = analyze_program(program, self.config, graph)
-        return self._cost
+            return analyze_program(program, config, graph)
+        if config not in self._costs:
+            self._costs[config] = analyze_program(program, config, graph)
+        return self._costs[config]
 
 
 def forward(graph: ProgramGraph,
@@ -155,10 +162,19 @@ class Linter:
         self.analyses = list(analyses)
         self.config = config
 
+    def context(self, program: Program,
+                schedule: Optional[Sequence[object]] = None,
+                ) -> AnalysisContext:
+        """A fresh run context for ``program`` on the linter's config."""
+        return AnalysisContext(config=self.config, schedule=schedule,
+                               graph=ProgramGraph(program))
+
     def run(self, program: Program,
-            schedule: Optional[Sequence[object]] = None) -> LintReport:
-        ctx = AnalysisContext(config=self.config, schedule=schedule,
-                              graph=ProgramGraph(program))
+            ctx: Optional[AnalysisContext] = None) -> LintReport:
+        """Lint ``program`` over ``ctx`` (:meth:`context` when absent);
+        the caller keeps ``ctx`` to read the run's cost reports."""
+        if ctx is None:
+            ctx = self.context(program)
         found: List[Diagnostic] = []
         for analysis in self.analyses:
             for diag in analysis.run(program, ctx):

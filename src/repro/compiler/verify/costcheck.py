@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from repro.compiler.cost.analyzer import CostReport, analyze_program
+from repro.compiler.cost.analyzer import CostReport
 from repro.compiler.cost.model import cost_op, utilization
 from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.base import Analysis, AnalysisContext
@@ -64,8 +64,8 @@ class CostAnalysis(Analysis):
         out.extend(self._hbm_on_critical_path(report))
         out.extend(self._occupancy_overflow(report, ctx))
         out.extend(self._lane_underutilization(report, ctx))
-        out.extend(self._fusion_opportunities(graph, ctx))
-        out.extend(self._compression_flips(graph, report, ctx))
+        out.extend(self._fusion_opportunities(graph, report))
+        out.extend(self._compression_flips(program, report, ctx))
         return out
 
     # ------------------------------------------------------------------ #
@@ -131,7 +131,7 @@ class CostAnalysis(Analysis):
 
     @staticmethod
     def _fusion_opportunities(graph: ProgramGraph,
-                              ctx: AnalysisContext) -> List[Diagnostic]:
+                              report: CostReport) -> List[Diagnostic]:
         # lazy import: passes.fusion imports verify modules at load time
         from repro.compiler.passes.fusion import _fusable, _fuse
 
@@ -149,10 +149,9 @@ class CostAnalysis(Analysis):
             a, b = ops[ia], ops[i]
             if not _fusable(a, b, fanout):
                 continue
-            cost_a = cost_op(a, ctx.config)
-            cost_b = cost_op(b, ctx.config)
-            fused = cost_op(_fuse(a, b), ctx.config)
-            saved = (cost_a.serialized_cycles + cost_b.serialized_cycles
+            fused = cost_op(_fuse(a, b), report.config)
+            saved = (report.rows[ia].cost.serialized_cycles
+                     + report.rows[i].cost.serialized_cycles
                      - fused.serialized_cycles)
             if saved <= 0:
                 continue
@@ -168,15 +167,14 @@ class CostAnalysis(Analysis):
         return out
 
     @staticmethod
-    def _compression_flips(graph: ProgramGraph, report: CostReport,
+    def _compression_flips(program: Program, report: CostReport,
                            ctx: AnalysisContext) -> List[Diagnostic]:
         """ALC605: ops whose binding resource leaves HBM under the
         configured compression model (vs the same config without it)."""
         comp = ctx.config.compression
         if comp is None or not comp.enabled:
             return []
-        baseline = analyze_program(
-            graph.program, replace(ctx.config, compression=None), graph)
+        baseline = ctx.cost_of(program, replace(ctx.config, compression=None))
         out: List[Diagnostic] = []
         if baseline.bottleneck == "hbm" and report.bottleneck != "hbm":
             saved = baseline.total_hbm_bytes - report.total_hbm_bytes

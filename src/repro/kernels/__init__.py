@@ -15,9 +15,6 @@ Shipped backends:
     The original limb-at-a-time loops — the differential oracle every other
     backend must be bit-identical to, and the baseline ``BENCH_kernels.json``
     speedups are measured against.
-``pool``
-    The numpy backend with NTTs sharded across a process pool (the seam a
-    future numba/GPU backend plugs into).
 
 Selection: ``set_backend("name")`` programmatically, the
 ``REPRO_KERNEL_BACKEND`` environment variable, or the ``--kernel-backend``
@@ -52,18 +49,11 @@ def _make_reference() -> KernelBackend:
     return ReferenceBackend()
 
 
-def _make_pool() -> KernelBackend:
-    from repro.kernels.pool import ProcessPoolBackend
-
-    return ProcessPoolBackend()
-
-
 #: Lazy factories so importing :mod:`repro.kernels` stays dependency-light
 #: (the rns/poly layers import this module at module scope).
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
     "numpy": _make_numpy,
     "reference": _make_reference,
-    "pool": _make_pool,
 }
 
 _instances: Dict[str, KernelBackend] = {}

@@ -72,7 +72,7 @@ class KernelBackend(Protocol):
     precompute) and return fresh arrays.
     """
 
-    #: Registry name ("numpy", "reference", "pool", ...).
+    #: Registry name ("numpy", "reference", ...).
     name: str
 
     # ------------------------------ NTT -------------------------------- #

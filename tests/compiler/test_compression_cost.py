@@ -175,7 +175,9 @@ def test_paper_chain_flips_hbm_to_compute(build, base_cycles, comp_cycles):
 def test_static_matches_simulators_under_compression(build):
     """Static and simulated costs share cost_op, so the differential
     check stays exact with compression on — not just off."""
-    assert differential_check(build(), COMPRESSED).ok
+    program = build()
+    assert differential_check(
+        program, analyze_program(program, COMPRESSED)).ok
 
 
 @pytest.mark.parametrize("name", sorted(_workloads()))

@@ -167,7 +167,8 @@ class TestPaperScaleGoldens:
                          ids=lambda b: getattr(b, "__name__", "pbs"))
 def test_differential_check_all_workloads(builder):
     """Static == simulator exactly; engine within the static bracket."""
-    check = differential_check(builder())
+    program = builder()
+    check = differential_check(program, analyze_program(program))
     assert check.exact, check.format()
     assert check.engine_within_bounds, check.format()
     assert check.ok
@@ -224,7 +225,7 @@ def test_static_matches_simulator_on_random_programs(prog):
 @given(random_programs())
 @settings(max_examples=30, deadline=None)
 def test_differential_check_on_random_programs(prog):
-    assert differential_check(prog).ok
+    assert differential_check(prog, analyze_program(prog)).ok
 
 
 def test_differential_check_reports_a_drifted_simulator(monkeypatch):
@@ -243,11 +244,62 @@ def test_differential_check_reports_a_drifted_simulator(monkeypatch):
         return cost
 
     monkeypatch.setattr(simulator, "cost_op", drifted)
-    check = differential_check(keyswitch_program())
+    program = keyswitch_program()
+    check = differential_check(program, analyze_program(program))
     assert not check.exact
     assert not check.ok
     assert any(m.startswith("ks.evk.hbm_cycles:") for m in check.mismatches)
     assert cli.main(["analyze", "keyswitch", "--check"]) == 1
+
+
+def test_differential_check_rejects_another_programs_report():
+    """The static side comes from the caller: a report of another
+    program, or one missing ops, must not be zipped against this one."""
+    from dataclasses import replace
+
+    program = keyswitch_program()
+    with pytest.raises(ValueError, match="does not describe"):
+        differential_check(program, analyze_program(cmult_program()))
+    report = analyze_program(program)
+    with pytest.raises(ValueError, match="does not describe"):
+        differential_check(program, replace(report, rows=report.rows[:-1]))
+
+
+@pytest.mark.parametrize("argv, per_program", [
+    (("analyze", "--check", "--json"), 1),
+    (("analyze", "--compressed", "--check", "--json"), 2),
+    (("lint",), 1),
+])
+def test_each_command_builds_one_report_per_program_and_config(
+        monkeypatch, capsys, argv, per_program):
+    """``repro analyze`` reads its printed report, the ``--compressed``
+    baseline, the ALC605 baseline and the static side of ``--check``
+    from the lint run's context: one ``analyze_program`` call per
+    (program, config) per command."""
+    import collections
+    import sys
+
+    import repro.compiler.verify  # noqa: F401  (binds analyze_program)
+    from repro import cli
+    from repro.compiler.cost import analyzer
+
+    original = analyzer.analyze_program
+    calls = collections.Counter()
+
+    def counting(program, *args, **kwargs):
+        calls[program.name] += 1
+        return original(program, *args, **kwargs)
+
+    # wrap it in every module that imported it by name
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == 12
+    assert set(calls.values()) == {per_program}
 
 
 # --------------------- critical path / peak occupancy -------------------- #

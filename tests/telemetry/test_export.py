@@ -112,3 +112,10 @@ def test_cli_trace_chrome_to_file(tmp_path, capsys):
 def test_cli_trace_unknown_workload(capsys):
     assert main(["trace", "nope"]) == 2
     assert "unknown workload" in capsys.readouterr().err
+
+
+def test_cli_trace_accepts_scheme_aliases(capsys):
+    assert main(["trace", "bootstrapping", "--format", "csv"]) == 0
+    canonical = capsys.readouterr().out
+    assert main(["trace", "ckks-bootstrap", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == canonical

@@ -306,6 +306,13 @@ def test_analyze_unknown_workload(capsys):
     assert "unknown workload" in capsys.readouterr().err
 
 
+def test_analyze_rejects_an_unknown_name_before_any_work(capsys):
+    assert main(["analyze", "keyswitch", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown workload 'nope'" in captured.err
+
+
 def test_analyze_fail_on_note_exits_nonzero(capsys):
     assert main(["analyze", "keyswitch"]) == 0
     capsys.readouterr()
