@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from repro.ntmath.primes import generate_ntt_prime, generate_ntt_primes, is_prime
+from repro.ntmath.modular import MAX_FAST_MODULUS_BITS
+from repro.ntmath.primes import (
+    generate_ntt_prime,
+    generate_ntt_primes,
+    is_prime,
+    ntt_primes_below,
+)
 
 
 @dataclass(frozen=True)
@@ -23,6 +29,13 @@ class BFVParams:
         Number of 36-bit RNS primes in the ciphertext modulus ``Q``.
     dnum:
         Relinearization digit count (hybrid keyswitching, like CKKS).
+    aux_primes:
+        Derived, not an argument: the auxiliary basis ``B`` the
+        multiplication tensor is formed over, ``Q∪B``.  It is the fewest
+        NTT primes of the kernels' widest fast-path width, distinct from
+        every key prime and from ``t``, with ``prod(B) > n·Q``.  Then
+        ``Q·B > n·Q²``, twice the largest tensor coefficient, so ``Q∪B``
+        holds every coefficient exactly with its sign.
     """
 
     n: int
@@ -34,6 +47,7 @@ class BFVParams:
     hamming_weight: int = 64
     ct_primes: Tuple[int, ...] = field(init=False)
     special_primes: Tuple[int, ...] = field(init=False)
+    aux_primes: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 8 or self.n & (self.n - 1):
@@ -56,6 +70,20 @@ class BFVParams:
             "special_primes",
             tuple(primes[self.num_primes : self.num_primes + self.alpha]),
         )
+        object.__setattr__(self, "aux_primes", self._pick_aux_primes())
+
+    def _pick_aux_primes(self) -> Tuple[int, ...]:
+        taken = set(self.all_primes) | {self.plain_modulus}
+        bound = self.n * self.q_product
+        aux, product = [], 1
+        for b in ntt_primes_below(MAX_FAST_MODULUS_BITS, self.n):
+            if b in taken:
+                continue
+            aux.append(b)
+            product *= b
+            if product > bound:
+                break
+        return tuple(aux)
 
     # ------------------------------ derived ---------------------------- #
 

@@ -2,10 +2,18 @@
 
 BFV carries the message in the *high* bits (``Delta * m`` with
 ``Delta = floor(Q/t)``), so additions are exact, multiplication requires
-the ``round(t/Q * tensor)`` scaling (computed here over exact big
-integers — the textbook definition, which RNS variants like BEHZ
-approximate), and there is no rescaling/level mechanism: noise grows until
-decryption fails, which the noise-budget API makes observable.
+the ``round(t/Q * tensor)`` scaling, and there is no rescaling/level
+mechanism: noise grows until decryption fails, which the noise-budget API
+makes observable.
+
+Multiplication forms the tensor in RNS form, as the modelled
+``bfv_cmult_program`` does: the operands' centred values are lifted
+exactly from ``Q`` to the extended basis ``Q∪B`` (``params.aux_primes``),
+one batched NTT call transforms all four, and one inverse call returns
+the three tensor polynomials.  ``Q·B`` exceeds twice the largest tensor
+coefficient, so the CRT over ``Q∪B`` recovers the exact integer tensor of
+the textbook definition, and ``round(t/Q * .)`` is then taken exactly over
+big integers (RNS variants like BEHZ/HPS approximate that last step).
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import numpy as np
 from repro import seedexp
 from repro.bfv.encoder import BFVEncoder
 from repro.bfv.params import BFVParams
+from repro.kernels import get_backend
+from repro.rns.basis import crt_centred
 from repro.rns.keyswitch import (
     hybrid_keyswitch,
     make_switching_key,
@@ -151,6 +161,20 @@ class BFVEncryptor:
         self.encoder = encoder
         self.ring = RNSRing(params.n, params.all_primes)
 
+    @property
+    def public_key(self) -> BFVPublicKey:
+        return self._public_key
+
+    @public_key.setter
+    def public_key(self, key: BFVPublicKey) -> None:
+        # Both halves in NTT form, one (C, 2, n) batch per key object.
+        primes = self.params.ct_primes
+        if key.b.primes != primes or key.a.primes != primes:
+            raise ValueError("public key is not over the ciphertext primes")
+        self._public_key = key
+        self._pk_ntt = get_backend().ntt_forward(np.stack(
+            [key.b.to_coeff().data, key.a.to_coeff().data], axis=1), primes)
+
     def encrypt_poly(self, plain_poly) -> BFVCiphertext:
         """Encrypt a plaintext polynomial (coefficients mod t)."""
         params = self.params
@@ -159,16 +183,19 @@ class BFVEncryptor:
             params.plain_modulus)
         # Delta * m over the RNS basis (Delta is a big int: reduce per prime)
         delta_m = self.ring.from_ints(
-            [int(c) for c in plain], primes=primes
+            plain.astype(np.int64), primes=primes
         ).mul_scalar(params.delta)
         u = self.ring.sample_ternary(self.rng, primes=primes)
         e0 = self.ring.sample_error(
             self.rng, primes=primes, sigma=params.error_std)
         e1 = self.ring.sample_error(
             self.rng, primes=primes, sigma=params.error_std)
-        u_ntt = u.to_ntt()
-        c0 = (self.public_key.b.to_ntt() * u_ntt).to_coeff() + e0 + delta_m
-        c1 = (self.public_key.a.to_ntt() * u_ntt).to_coeff() + e1
+        backend = get_backend()
+        u_ntt = backend.ntt_forward(u.data, primes)
+        pk_u = backend.ntt_inverse(backend.pointwise_mul(
+            self._pk_ntt, u_ntt[:, None], primes), primes)
+        c0 = RNSPoly(self.ring, pk_u[:, 0], primes, False) + e0 + delta_m
+        c1 = RNSPoly(self.ring, pk_u[:, 1], primes, False) + e1
         return BFVCiphertext([c0, c1], params)
 
     def encrypt_values(self, values) -> BFVCiphertext:
@@ -188,18 +215,30 @@ class BFVDecryptor:
         encoder: BFVEncoder = None,
     ):
         self.params = params
+        self.ring = RNSRing(params.n, params.all_primes)
         self.secret_key = secret_key
         self.encoder = encoder
-        self.ring = RNSRing(params.n, params.all_primes)
+
+    @property
+    def secret_key(self) -> BFVSecretKey:
+        return self._secret_key
+
+    @secret_key.setter
+    def secret_key(self, key: BFVSecretKey) -> None:
+        # s over the ciphertext primes in NTT form, once per key object.
+        self._secret_key = key
+        self._s_ntt = restrict_channels(
+            self.ring, key.s, self.params.ct_primes).to_ntt()
 
     def _phase_bigints(self, ct: BFVCiphertext) -> list:
         primes = self.params.ct_primes
-        s = restrict_channels(self.ring, self.secret_key.s, primes).to_ntt()
-        acc = ct.parts[0].to_ntt()
+        parts = get_backend().ntt_forward(
+            np.stack([p.to_coeff().data for p in ct.parts], axis=1), primes)
+        acc = RNSPoly(self.ring, parts[:, 0], primes, True)
         s_power = None
         for k in range(1, ct.size):
-            s_power = s if s_power is None else s_power * s
-            acc = acc + ct.parts[k].to_ntt() * s_power
+            s_power = self._s_ntt if s_power is None else s_power * self._s_ntt
+            acc = acc + RNSPoly(self.ring, parts[:, k], primes, True) * s_power
         return acc.to_coeff().to_centered_bigints()
 
     def decrypt_poly(self, ct: BFVCiphertext) -> np.ndarray:
@@ -273,74 +312,75 @@ class BFVEvaluator:
     def negate(self, ct: BFVCiphertext) -> BFVCiphertext:
         return BFVCiphertext([-p for p in ct.parts], self.params)
 
+    def _plain(self, plain_poly) -> RNSPoly:
+        """Plaintext coefficients mod ``t`` over the ciphertext primes."""
+        t = self.params.plain_modulus
+        coeffs = np.array([int(c) % t for c in plain_poly], dtype=np.int64)
+        return self.ring.from_ints(coeffs, primes=self.params.ct_primes)
+
     def add_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
-        delta_m = self.ring.from_ints(
-            [int(c) % self.params.plain_modulus for c in plain_poly],
-            primes=self.params.ct_primes,
-        ).mul_scalar(self.params.delta)
+        delta_m = self._plain(plain_poly).mul_scalar(self.params.delta)
         parts = [ct.parts[0] + delta_m] + [p.copy() for p in ct.parts[1:]]
         return BFVCiphertext(parts, self.params)
 
     def mul_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
         """Multiply by a plaintext polynomial (no Delta scaling needed)."""
-        pt = self.ring.from_ints(
-            [int(c) % self.params.plain_modulus for c in plain_poly],
-            primes=self.params.ct_primes,
-        ).to_ntt()
+        pt = self._plain(plain_poly).to_ntt()
         parts = [(p.to_ntt() * pt).to_coeff() for p in ct.parts]
         return BFVCiphertext(parts, self.params)
 
     # ------------------------------ multiplication --------------------- #
 
-    def _negacyclic_bigint_mul(self, a: list, b: list) -> list:
-        n = self.params.n
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n):
-                k = i + j
-                if k < n:
-                    out[k] += ai * b[j]
-                else:
-                    out[k - n] -= ai * b[j]
-        return out
+    def _check_params(self, *cts: BFVCiphertext) -> None:
+        for ct in cts:
+            if ct.params != self.params:
+                raise ValueError(
+                    "ciphertext parameters differ from the evaluator's")
 
     def multiply(
         self, a: BFVCiphertext, b: BFVCiphertext, relin: bool = True
     ) -> BFVCiphertext:
         """Tensor product with exact ``round(t/Q * .)`` scaling.
 
-        The tensor is computed over the integers (centered lifts), scaled
-        by ``t/Q`` with exact rounding, and reduced back into the RNS
-        basis — the textbook BFV multiplication.  O(n^2) big-int work;
-        intended for the functional parameter sizes.
+        The four operand polynomials are lifted exactly, as their centred
+        values, from ``Q`` to ``Q∪B`` (``params.aux_primes``).  One forward
+        NTT call transforms all four, ``d0 = a0*b0``, ``d1 = a0*b1 + a1*b0``
+        and ``d2 = a1*b1`` are formed pointwise, and one inverse call
+        returns all three.  ``|d_k| <= n(Q-1)^2/2 < Q*B/2``, so the centred
+        CRT over ``Q∪B`` is the exact integer tensor; each coefficient is
+        then scaled by ``t/Q`` with exact rounding and reduced into ``Q``.
         """
+        self._check_params(a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects size-2 inputs")
         params = self.params
         q, t = params.q_product, params.plain_modulus
-        a_lift = [p.to_centered_bigints() for p in a.parts]
-        b_lift = [p.to_centered_bigints() for p in b.parts]
-        d0 = self._negacyclic_bigint_mul(a_lift[0], b_lift[0])
-        d1a = self._negacyclic_bigint_mul(a_lift[0], b_lift[1])
-        d1b = self._negacyclic_bigint_mul(a_lift[1], b_lift[0])
-        d1 = [x + y for x, y in zip(d1a, d1b)]
-        d2 = self._negacyclic_bigint_mul(a_lift[1], b_lift[1])
-
-        def scale_round(coeffs):
-            # round(t*c/Q) for signed c: floor((2tc + Q) / 2Q) is exact
-            scaled = [((2 * t * c + q) // (2 * q)) for c in coeffs]
-            return self.ring.from_ints(scaled, primes=params.ct_primes)
-
-        parts = [scale_round(d0), scale_round(d1), scale_round(d2)]
-        ct = BFVCiphertext(parts, params)
+        chain, aux = params.ct_primes, params.aux_primes
+        basis = chain + aux
+        backend = get_backend()
+        # a0, a1, b0, b1 as one (C, 4, n) batch over Q, then over Q∪B
+        coeffs = np.stack([p.to_coeff().data for p in a.parts + b.parts],
+                          axis=1)
+        lifted = crt_centred(coeffs, chain)
+        x = backend.ntt_forward(np.concatenate(
+            [coeffs, np.stack([lifted % p for p in aux]).astype(np.uint64)]),
+            basis)
+        prods = backend.pointwise_mul(x[:, [0, 0, 1, 1]], x[:, [2, 3, 2, 3]],
+                                      basis)
+        d1 = backend.pointwise_add(prods[:, 1], prods[:, 2], basis)
+        tensor = backend.ntt_inverse(
+            np.stack([prods[:, 0], d1, prods[:, 3]], axis=1), basis)
+        # round(t*d/Q) for signed d: floor((2td + Q) / 2Q) is exact
+        scaled = (2 * t * crt_centred(tensor, basis) + q) // (2 * q)
+        residues = np.stack([scaled % p for p in chain], axis=1)
+        ct = BFVCiphertext([RNSPoly(self.ring, r, chain, False)
+                            for r in residues.astype(np.uint64)], params)
         if relin:
             ct = self.relinearize(ct)
         return ct
 
     def relinearize(self, ct: BFVCiphertext) -> BFVCiphertext:
+        self._check_params(ct)
         if ct.size == 2:
             return ct.copy()
         if ct.size != 3:
@@ -359,6 +399,7 @@ class BFVEvaluator:
     # ------------------------------ rotations -------------------------- #
 
     def apply_galois(self, ct: BFVCiphertext, g: int) -> BFVCiphertext:
+        self._check_params(ct)
         if self.galois_keys is None or g not in self.galois_keys.keys:
             raise ValueError(f"no Galois key for element {g}")
         if ct.size != 2:

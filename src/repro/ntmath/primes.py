@@ -8,7 +8,7 @@ derives the roots of unity used by :mod:`repro.poly.ntt`.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 # Deterministic Miller-Rabin witnesses valid for all n < 3.3 * 10**24
 # (covers every modulus this library can represent).
@@ -77,13 +77,9 @@ def previous_prime(n: int) -> int:
     return candidate
 
 
-def generate_ntt_prime(bits: int, ring_degree: int, *, seed_offset: int = 0) -> int:
-    """Generate a prime ``q ≡ 1 (mod 2 * ring_degree)`` with ``bits`` bits.
-
-    Scans downward from ``2**bits`` in steps of ``2 * ring_degree`` so the
-    result is the largest suitable prime below ``2**bits`` (after skipping
-    ``seed_offset`` hits, which lets callers enumerate distinct primes).
-    """
+def ntt_primes_below(bits: int, ring_degree: int) -> Iterator[int]:
+    """Every prime ``q ≡ 1 (mod 2 * ring_degree)`` below ``2**bits``,
+    largest first (a downward scan in steps of ``2 * ring_degree``)."""
     if bits < 2:
         raise ValueError("bits must be >= 2")
     if ring_degree < 1 or ring_degree & (ring_degree - 1):
@@ -92,13 +88,22 @@ def generate_ntt_prime(bits: int, ring_degree: int, *, seed_offset: int = 0) -> 
     candidate = (1 << bits) - (1 << bits) % m + 1
     if candidate >= (1 << bits):
         candidate -= m
-    skipped = 0
     while candidate > m:
         if is_prime(candidate):
-            if skipped == seed_offset:
-                return candidate
-            skipped += 1
+            yield candidate
         candidate -= m
+
+
+def generate_ntt_prime(bits: int, ring_degree: int, *, seed_offset: int = 0) -> int:
+    """Generate a prime ``q ≡ 1 (mod 2 * ring_degree)`` with ``bits`` bits.
+
+    The result is the largest suitable prime below ``2**bits`` (after
+    skipping ``seed_offset`` hits, which lets callers enumerate distinct
+    primes).
+    """
+    for skipped, q in enumerate(ntt_primes_below(bits, ring_degree)):
+        if skipped == seed_offset:
+            return q
     raise ValueError(
         f"no NTT prime with {bits} bits for ring degree {ring_degree}"
     )

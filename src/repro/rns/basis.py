@@ -119,3 +119,19 @@ def crt_reconstruct(residues, primes: Sequence[int]) -> list:
         qhat = product // q
         acc += row.astype(object) * ((invmod(qhat, q) * qhat) % product)
     return (acc % product).tolist()
+
+
+def crt_centred(residues, primes: Sequence[int]) -> np.ndarray:
+    """Exact CRT lift to the centred range ``(-Q/2, Q/2]``.
+
+    ``residues`` has shape ``(len(primes), ...)``; the result is an
+    object-dtype array of Python ints shaped like one channel.
+    """
+    residues = np.asarray(residues, dtype=np.uint64)
+    product = 1
+    for q in primes:
+        product *= int(q)
+    values = np.array(crt_reconstruct(
+        residues.reshape(len(primes), -1), primes), dtype=object)
+    values[values > product // 2] -= product
+    return values.reshape(residues.shape[1:])

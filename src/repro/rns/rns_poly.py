@@ -25,7 +25,7 @@ import numpy as np
 from repro.kernels import get_backend
 from repro.ntmath.modular import to_mod_array
 from repro.poly.polynomial import NegacyclicRing
-from repro.rns.basis import crt_reconstruct
+from repro.rns.basis import crt_centred, crt_reconstruct
 
 
 def reduce_signed(values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
@@ -264,9 +264,4 @@ class RNSPoly:
 
     def to_centered_bigints(self) -> list:
         """CRT lift to the centered range ``(-Q/2, Q/2]``."""
-        product = 1
-        for q in self.primes:
-            product *= q
-        coeffs = np.array(self.to_bigint_coeffs(), dtype=object)
-        coeffs[coeffs > product // 2] -= product
-        return coeffs.tolist()
+        return crt_centred(self.to_coeff().data, self.primes).tolist()

@@ -222,3 +222,83 @@ def test_encrypt_requires_encoder_for_values(stack):
                              keygen.public_key())
     with pytest.raises(ValueError):
         encryptor.encrypt_values([1, 2, 3])
+
+
+# ------------------------------ mixed parameter sets ------------------- #
+
+
+def _other_evaluator(params):
+    keygen = BFVKeyGenerator(params, np.random.default_rng(2))
+    return BFVEvaluator(params, relin_key=keygen.relin_key(),
+                        galois_keys=keygen.galois_keys([5]))
+
+
+def test_multiply_rejects_another_parameter_set(stack):
+    encryptor, _, _, rng = stack
+    ct = encryptor.encrypt_values(_vals(rng))
+    other = _other_evaluator(BFVParams(n=32, num_primes=3, hamming_weight=16))
+    with pytest.raises(ValueError, match="parameters differ"):
+        other.multiply(ct, ct)
+
+
+def test_relinearize_rejects_another_parameter_set(stack):
+    encryptor, _, ev, rng = stack
+    ct = encryptor.encrypt_values(_vals(rng))
+    other = _other_evaluator(
+        BFVParams(n=PARAMS.n, num_primes=3, dnum=3, hamming_weight=16))
+    with pytest.raises(ValueError, match="parameters differ"):
+        other.relinearize(ev.multiply(ct, ct, relin=False))
+
+
+def test_apply_galois_rejects_another_parameter_set(stack):
+    encryptor, _, _, rng = stack
+    ct = encryptor.encrypt_values(_vals(rng))
+    other = _other_evaluator(
+        BFVParams(n=PARAMS.n, num_primes=3, dnum=3, hamming_weight=16))
+    with pytest.raises(ValueError, match="parameters differ"):
+        other.apply_galois(ct, 5)
+
+
+# ------------------------------ key forms and NTT calls ---------------- #
+
+
+def test_reassigned_keys_take_effect():
+    """Encryptor and decryptor keep their keys in NTT form; assigning a new
+    key must replace that form, or these round trips fail."""
+    rng = np.random.default_rng(3)
+    encoder = BFVEncoder(PARAMS.n, T)
+    first = BFVKeyGenerator(PARAMS, rng)
+    second = BFVKeyGenerator(PARAMS, rng)
+    encryptor = BFVEncryptor(PARAMS, rng, first.public_key(), encoder)
+    decryptor = BFVDecryptor(PARAMS, first.secret_key(), encoder)
+    encryptor.public_key = second.public_key()
+    decryptor.secret_key = second.secret_key()
+    v = _vals(rng)
+    fresh_encryptor = BFVEncryptor(PARAMS, rng, second.public_key(), encoder)
+    fresh_decryptor = BFVDecryptor(PARAMS, second.secret_key(), encoder)
+    assert np.array_equal(
+        fresh_decryptor.decrypt_values(encryptor.encrypt_values(v)), v)
+    assert np.array_equal(
+        decryptor.decrypt_values(fresh_encryptor.encrypt_values(v)), v)
+    assert np.array_equal(
+        decryptor.decrypt_values(encryptor.encrypt_values(v)), v)
+
+
+def test_encrypt_makes_one_forward_and_one_inverse_ntt(stack, kernel_calls):
+    encryptor, _, _, rng = stack
+    plain = encryptor.encoder.encode(_vals(rng))
+    calls = kernel_calls(lambda: encryptor.encrypt_poly(plain))
+    assert (calls["ntt_forward"], calls["ntt_inverse"]) == (1, 1)
+
+
+def test_decrypt_never_transforms_the_secret_key(stack, kernel_calls):
+    """One forward call transforms every ciphertext part at once; the
+    secret key is already in NTT form."""
+    encryptor, decryptor, ev, rng = stack
+    a, b = _vals(rng), _vals(rng)
+    ca, cb = encryptor.encrypt_values(a), encryptor.encrypt_values(b)
+    for ct, want in ((ca, a), (ev.multiply(ca, cb, relin=False), a * b % T)):
+        got = []
+        calls = kernel_calls(lambda: got.append(decryptor.decrypt_values(ct)))
+        assert (calls["ntt_forward"], calls["ntt_inverse"]) == (1, 1)
+        assert np.array_equal(got[0], want)

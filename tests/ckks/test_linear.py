@@ -1,7 +1,5 @@
 """Tests for homomorphic slot-space linear transforms."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
 from repro.ckks.linear import SlotLinearTransform, apply_real_transform
-from repro.kernels import backend_scope, get_backend
 
 PARAMS = CKKSParams(n=128, num_levels=4, dnum=2, hamming_weight=16)
 SLOTS = PARAMS.slots
@@ -133,33 +130,8 @@ def test_zero_matrix_rejected(stack):
         SlotLinearTransform(np.zeros((SLOTS, SLOTS))).apply(evaluator, ct)
 
 
-class _CountingBackend:
-    """Delegates every kernel to the active backend and counts the calls."""
-
-    name = "counting"
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = Counter()
-
-    def __getattr__(self, attr):
-        kernel = getattr(self.inner, attr)
-
-        def counted(*args, **kwargs):
-            self.calls[attr] += 1
-            return kernel(*args, **kwargs)
-
-        return counted
-
-
-def _kernel_calls(fn):
-    counter = _CountingBackend(get_backend())
-    with backend_scope(counter):
-        fn()
-    return counter.calls
-
-
-def test_dense_transform_ntts_once_per_baby_step_and_giant_group(stack):
+def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
+        stack, kernel_calls):
     """The diagonal products stay in the NTT domain: one forward NTT per
     baby-step ciphertext, one per giant group's diagonals and one inverse
     per giant group, beyond what the rotations themselves cost."""
@@ -170,8 +142,8 @@ def test_dense_transform_ntts_once_per_baby_step_and_giant_group(stack):
     lt = SlotLinearTransform(m)
     g = lt.giant_step
     assert len(lt.nonzero_diagonals()) == SLOTS and SLOTS == g * g
-    rotation = _kernel_calls(lambda: evaluator.rotate(ct, 1))
-    calls = _kernel_calls(lambda: lt.apply(evaluator, ct))
+    rotation = kernel_calls(lambda: evaluator.rotate(ct, 1))
+    calls = kernel_calls(lambda: lt.apply(evaluator, ct))
     rotations = 2 * (g - 1)                     # 7 baby + 7 giant
     assert calls["automorphism"] == rotations * rotation["automorphism"]
     assert calls["ntt_forward"] <= (

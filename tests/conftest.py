@@ -11,6 +11,7 @@ that uses the same parameter set.
 """
 
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,6 +51,43 @@ def rng():
 def rng_factory():
     """Factory for independent deterministic RNG streams."""
     return _derive
+
+
+# --------------------------- kernel call counting ----------------------- #
+
+
+class CountingBackend:
+    """Delegates every kernel to ``inner`` and counts the calls by name."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, attr):
+        kernel = getattr(self.inner, attr)
+
+        def counted(*args, **kwargs):
+            self.calls[attr] += 1
+            return kernel(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def kernel_calls():
+    """``kernel_calls(fn)`` runs ``fn`` on a counting wrapper of the active
+    kernel backend and returns the ``Counter`` of its calls per kernel."""
+    from repro.kernels import backend_scope, get_backend
+
+    def run(fn):
+        counter = CountingBackend(get_backend())
+        with backend_scope(counter):
+            fn()
+        return counter.calls
+
+    return run
 
 
 # --------------------------- shared CKKS stacks ------------------------- #
