@@ -14,6 +14,9 @@ the three tensor polynomials.  ``Q·B`` exceeds twice the largest tensor
 coefficient, so the CRT over ``Q∪B`` recovers the exact integer tensor of
 the textbook definition, and ``round(t/Q * .)`` is then taken exactly over
 big integers (RNS variants like BEHZ/HPS approximate that last step).
+
+The RLWE steps shared with CKKS (keys, encryption, the decryption phase,
+the tensor, the part arithmetic) live in :mod:`repro.rns.rlwe`.
 """
 
 from __future__ import annotations
@@ -26,15 +29,12 @@ import numpy as np
 from repro import seedexp
 from repro.bfv.encoder import BFVEncoder
 from repro.bfv.params import BFVParams
-from repro.kernels import get_backend
 from repro.rns.basis import crt_centred
-from repro.rns.keyswitch import (
-    hybrid_keyswitch,
-    make_switching_key,
-    restrict_channels,
-)
+from repro.rns.keyswitch import hybrid_keyswitch
+from repro.rns.rlwe import (NTTPublicKey, RLWEKeyGenerator, add_parts,
+                            coeff_batch, phase, plain_mul, require_params,
+                            tensor, unstack)
 from repro.rns.rns_poly import RNSPoly, RNSRing
-from repro.seedexp import SeedExpander
 
 
 @dataclass
@@ -82,66 +82,32 @@ class BFVCiphertext:
         return BFVCiphertext([p.copy() for p in self.parts], self.params)
 
 
-class BFVKeyGenerator:
-    """Generates BFV key material.
-
-    ``expand_seed`` opts into seed-expanded uniform key halves, exactly
-    like :class:`repro.ckks.keys.CKKSKeyGenerator` (streams under the
-    ``"bfv"`` scheme prefix; BFV keys are single-level, so the stream
-    level is always 0).
-    """
-
-    def __init__(self, params: BFVParams, rng: np.random.Generator,
-                 expand_seed: int = None):
-        self.params = params
-        self.rng = rng
-        self.expand_seed = expand_seed
-        self._expander = (SeedExpander(expand_seed)
-                          if expand_seed is not None else None)
-        self.ring = RNSRing(params.n, params.all_primes)
-        self._secret = self.ring.sample_ternary(
-            rng, primes=params.all_primes,
-            hamming_weight=params.hamming_weight,
-        )
+class BFVKeyGenerator(RLWEKeyGenerator):
+    """Generates BFV key material over the ciphertext primes, under the
+    ``"bfv"`` stream names (single-level keys: stream level 0)."""
 
     def secret_key(self) -> BFVSecretKey:
         return BFVSecretKey(self.params, self._secret.copy())
 
     def public_key(self) -> BFVPublicKey:
-        primes = self.params.ct_primes
-        s = restrict_channels(self.ring, self._secret, primes)
-        if self._expander is not None:
-            a = self._expander.uniform_rns(
-                self.ring, primes, seedexp.pk_stream("bfv"))
-        else:
-            a = self.ring.sample_uniform(self.rng, primes=primes)
-        e = self.ring.sample_error(
-            self.rng, primes=primes, sigma=self.params.error_std)
-        b = -(a.to_ntt() * s.to_ntt()).to_coeff() + e
+        b, a = self._public_pair(self.params.ct_primes,
+                                 seedexp.pk_stream("bfv"))
         return BFVPublicKey(self.params, b, a, expand_seed=self.expand_seed)
 
     def relin_key(self) -> BFVRelinKey:
         s_squared = (self._secret * self._secret).to_coeff()
-        pairs = make_switching_key(
-            self.ring, self._secret, s_squared,
-            self.params.ct_primes, self.params.special_primes,
-            self.params.digits(), self.rng, self.params.error_std,
-            expander=self._expander,
-            stream_prefix=seedexp.relin_stream("bfv", 0),
-        )
+        pairs = self._switching_key(
+            s_squared, self.params.ct_primes, self.params.digits(),
+            seedexp.relin_stream("bfv", 0))
         return BFVRelinKey(self.params, pairs, expand_seed=self.expand_seed)
 
     def galois_keys(self, elements) -> BFVGaloisKeys:
-        keys = {}
-        for g in elements:
-            s_g = self._secret.automorphism(g)
-            keys[g] = make_switching_key(
-                self.ring, self._secret, s_g,
-                self.params.ct_primes, self.params.special_primes,
-                self.params.digits(), self.rng, self.params.error_std,
-                expander=self._expander,
-                stream_prefix=seedexp.galois_stream("bfv", g, 0),
-            )
+        keys = {
+            g: self._switching_key(
+                self._secret.automorphism(g), self.params.ct_primes,
+                self.params.digits(), seedexp.galois_stream("bfv", g, 0))
+            for g in elements
+        }
         return BFVGaloisKeys(self.params, keys, expand_seed=self.expand_seed)
 
 
@@ -168,35 +134,20 @@ class BFVEncryptor:
     @public_key.setter
     def public_key(self, key: BFVPublicKey) -> None:
         # Both halves in NTT form, one (C, 2, n) batch per key object.
-        primes = self.params.ct_primes
-        if key.b.primes != primes or key.a.primes != primes:
-            raise ValueError("public key is not over the ciphertext primes")
         self._public_key = key
-        self._pk_ntt = get_backend().ntt_forward(np.stack(
-            [key.b.to_coeff().data, key.a.to_coeff().data], axis=1), primes)
+        self._pk_ntt = NTTPublicKey(key.b, key.a)
 
     def encrypt_poly(self, plain_poly) -> BFVCiphertext:
         """Encrypt a plaintext polynomial (coefficients mod t)."""
         params = self.params
-        primes = params.ct_primes
         plain = np.asarray(plain_poly, dtype=np.uint64) % np.uint64(
             params.plain_modulus)
         # Delta * m over the RNS basis (Delta is a big int: reduce per prime)
         delta_m = self.ring.from_ints(
-            plain.astype(np.int64), primes=primes
+            plain.astype(np.int64), primes=params.ct_primes
         ).mul_scalar(params.delta)
-        u = self.ring.sample_ternary(self.rng, primes=primes)
-        e0 = self.ring.sample_error(
-            self.rng, primes=primes, sigma=params.error_std)
-        e1 = self.ring.sample_error(
-            self.rng, primes=primes, sigma=params.error_std)
-        backend = get_backend()
-        u_ntt = backend.ntt_forward(u.data, primes)
-        pk_u = backend.ntt_inverse(backend.pointwise_mul(
-            self._pk_ntt, u_ntt[:, None], primes), primes)
-        c0 = RNSPoly(self.ring, pk_u[:, 0], primes, False) + e0 + delta_m
-        c1 = RNSPoly(self.ring, pk_u[:, 1], primes, False) + e1
-        return BFVCiphertext([c0, c1], params)
+        return BFVCiphertext(
+            self._pk_ntt.encrypt(delta_m, self.rng, params.error_std), params)
 
     def encrypt_values(self, values) -> BFVCiphertext:
         """Batch-encode and encrypt an integer vector."""
@@ -215,7 +166,6 @@ class BFVDecryptor:
         encoder: BFVEncoder = None,
     ):
         self.params = params
-        self.ring = RNSRing(params.n, params.all_primes)
         self.secret_key = secret_key
         self.encoder = encoder
 
@@ -227,26 +177,17 @@ class BFVDecryptor:
     def secret_key(self, key: BFVSecretKey) -> None:
         # s over the ciphertext primes in NTT form, once per key object.
         self._secret_key = key
-        self._s_ntt = restrict_channels(
-            self.ring, key.s, self.params.ct_primes).to_ntt()
+        self._s_ntt = key.s.restrict(self.params.ct_primes).to_ntt()
 
     def _phase_bigints(self, ct: BFVCiphertext) -> list:
-        primes = self.params.ct_primes
-        parts = get_backend().ntt_forward(
-            np.stack([p.to_coeff().data for p in ct.parts], axis=1), primes)
-        acc = RNSPoly(self.ring, parts[:, 0], primes, True)
-        s_power = None
-        for k in range(1, ct.size):
-            s_power = self._s_ntt if s_power is None else s_power * self._s_ntt
-            acc = acc + RNSPoly(self.ring, parts[:, k], primes, True) * s_power
-        return acc.to_coeff().to_centered_bigints()
+        return phase(ct.parts, self._s_ntt).to_centered_bigints()
 
     def decrypt_poly(self, ct: BFVCiphertext) -> np.ndarray:
         """Recover the plaintext polynomial: ``round(t * phase / Q) mod t``."""
         params = self.params
         q, t = params.q_product, params.plain_modulus
-        phase = self._phase_bigints(ct)
-        out = [((2 * t * c + q) // (2 * q)) % t for c in phase]
+        out = [((2 * t * c + q) // (2 * q)) % t
+               for c in self._phase_bigints(ct)]
         return np.array(out, dtype=np.uint64)
 
     def decrypt_values(self, ct: BFVCiphertext) -> np.ndarray:
@@ -262,9 +203,8 @@ class BFVDecryptor:
         """
         params = self.params
         q, t = params.q_product, params.plain_modulus
-        phase = self._phase_bigints(ct)
         worst = 1
-        for c in phase:
+        for c in self._phase_bigints(ct):
             m = ((2 * t * c + q) // (2 * q)) % t
             v = (c - params.delta * int(m)) % q
             if v > q // 2:
@@ -295,16 +235,7 @@ class BFVEvaluator:
     # ------------------------------ linear ops ------------------------- #
 
     def add(self, a: BFVCiphertext, b: BFVCiphertext) -> BFVCiphertext:
-        size = max(a.size, b.size)
-        parts = []
-        for k in range(size):
-            if k < a.size and k < b.size:
-                parts.append(a.parts[k] + b.parts[k])
-            elif k < a.size:
-                parts.append(a.parts[k].copy())
-            else:
-                parts.append(b.parts[k].copy())
-        return BFVCiphertext(parts, self.params)
+        return BFVCiphertext(add_parts(a.parts, b.parts), self.params)
 
     def sub(self, a: BFVCiphertext, b: BFVCiphertext) -> BFVCiphertext:
         return self.add(a, self.negate(b))
@@ -320,22 +251,14 @@ class BFVEvaluator:
 
     def add_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
         delta_m = self._plain(plain_poly).mul_scalar(self.params.delta)
-        parts = [ct.parts[0] + delta_m] + [p.copy() for p in ct.parts[1:]]
-        return BFVCiphertext(parts, self.params)
+        return BFVCiphertext(add_parts(ct.parts, [delta_m]), self.params)
 
     def mul_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
         """Multiply by a plaintext polynomial (no Delta scaling needed)."""
-        pt = self._plain(plain_poly).to_ntt()
-        parts = [(p.to_ntt() * pt).to_coeff() for p in ct.parts]
-        return BFVCiphertext(parts, self.params)
+        return BFVCiphertext(plain_mul(ct.parts, self._plain(plain_poly)),
+                             self.params)
 
     # ------------------------------ multiplication --------------------- #
-
-    def _check_params(self, *cts: BFVCiphertext) -> None:
-        for ct in cts:
-            if ct.params != self.params:
-                raise ValueError(
-                    "ciphertext parameters differ from the evaluator's")
 
     def multiply(
         self, a: BFVCiphertext, b: BFVCiphertext, relin: bool = True
@@ -343,44 +266,37 @@ class BFVEvaluator:
         """Tensor product with exact ``round(t/Q * .)`` scaling.
 
         The four operand polynomials are lifted exactly, as their centred
-        values, from ``Q`` to ``Q∪B`` (``params.aux_primes``).  One forward
-        NTT call transforms all four, ``d0 = a0*b0``, ``d1 = a0*b1 + a1*b0``
-        and ``d2 = a1*b1`` are formed pointwise, and one inverse call
-        returns all three.  ``|d_k| <= n(Q-1)^2/2 < Q*B/2``, so the centred
-        CRT over ``Q∪B`` is the exact integer tensor; each coefficient is
-        then scaled by ``t/Q`` with exact rounding and reduced into ``Q``.
+        values, from ``Q`` to ``Q∪B`` (``params.aux_primes``), and the
+        shared :func:`~repro.rns.rlwe.tensor` forms ``d0 = a0*b0``,
+        ``d1 = a0*b1 + a1*b0`` and ``d2 = a1*b1`` over ``Q∪B`` with one
+        forward and one inverse NTT call.  ``|d_k| <= n(Q-1)^2/2 <
+        Q*B/2``, so the centred CRT over ``Q∪B`` is the exact integer
+        tensor; each coefficient is then scaled by ``t/Q`` with exact
+        rounding and reduced into ``Q``.
         """
-        self._check_params(a, b)
+        require_params(self.params, a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects size-2 inputs")
         params = self.params
         q, t = params.q_product, params.plain_modulus
         chain, aux = params.ct_primes, params.aux_primes
         basis = chain + aux
-        backend = get_backend()
         # a0, a1, b0, b1 as one (C, 4, n) batch over Q, then over Q∪B
-        coeffs = np.stack([p.to_coeff().data for p in a.parts + b.parts],
-                          axis=1)
+        coeffs = coeff_batch(a.parts + b.parts)
         lifted = crt_centred(coeffs, chain)
-        x = backend.ntt_forward(np.concatenate(
+        d = tensor(np.concatenate(
             [coeffs, np.stack([lifted % p for p in aux]).astype(np.uint64)]),
             basis)
-        prods = backend.pointwise_mul(x[:, [0, 0, 1, 1]], x[:, [2, 3, 2, 3]],
-                                      basis)
-        d1 = backend.pointwise_add(prods[:, 1], prods[:, 2], basis)
-        tensor = backend.ntt_inverse(
-            np.stack([prods[:, 0], d1, prods[:, 3]], axis=1), basis)
         # round(t*d/Q) for signed d: floor((2td + Q) / 2Q) is exact
-        scaled = (2 * t * crt_centred(tensor, basis) + q) // (2 * q)
-        residues = np.stack([scaled % p for p in chain], axis=1)
-        ct = BFVCiphertext([RNSPoly(self.ring, r, chain, False)
-                            for r in residues.astype(np.uint64)], params)
+        scaled = (2 * t * crt_centred(d, basis) + q) // (2 * q)
+        residues = np.stack([scaled % p for p in chain]).astype(np.uint64)
+        ct = BFVCiphertext(unstack(self.ring, residues, chain), params)
         if relin:
             ct = self.relinearize(ct)
         return ct
 
     def relinearize(self, ct: BFVCiphertext) -> BFVCiphertext:
-        self._check_params(ct)
+        require_params(self.params, ct)
         if ct.size == 2:
             return ct.copy()
         if ct.size != 3:
@@ -399,7 +315,7 @@ class BFVEvaluator:
     # ------------------------------ rotations -------------------------- #
 
     def apply_galois(self, ct: BFVCiphertext, g: int) -> BFVCiphertext:
-        self._check_params(ct)
+        require_params(self.params, ct)
         if self.galois_keys is None or g not in self.galois_keys.keys:
             raise ValueError(f"no Galois key for element {g}")
         if ct.size != 2:

@@ -1,4 +1,5 @@
-"""CKKS plaintext/ciphertext containers, encryption and decryption."""
+"""CKKS plaintext/ciphertext containers, encryption and decryption (the
+RLWE steps of :mod:`repro.rns.rlwe`, shared with BFV)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from repro import seedexp
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.keys import PublicKey, SecretKey
 from repro.ckks.params import CKKSParams
+from repro.rns.rlwe import NTTPublicKey, phase, rlwe_b
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander
 
@@ -106,6 +108,16 @@ class CKKSEncryptor:
         self._mask_nonce = 0
         self.ring = RNSRing(params.n, params.all_primes)
 
+    @property
+    def public_key(self) -> Optional[PublicKey]:
+        return self._public_key
+
+    @public_key.setter
+    def public_key(self, key: Optional[PublicKey]) -> None:
+        # Both halves in NTT form, one (C, 2, n) batch per key object.
+        self._public_key = key
+        self._pk_ntt = None if key is None else NTTPublicKey(key.b, key.a)
+
     # ------------------------------------------------------------------ #
 
     def encode(self, values, level: int = None, scale: float = None) -> Plaintext:
@@ -121,26 +133,18 @@ class CKKSEncryptor:
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
         """Public-key encryption (falls back to symmetric if no pk)."""
-        if self.public_key is None:
+        if self._pk_ntt is None:
             return self.encrypt_symmetric(plaintext)
-        params = self.params
-        primes = plaintext.poly.primes
-        pk_b = self._restrict(self.public_key.b, primes)
-        pk_a = self._restrict(self.public_key.a, primes)
-        u = self.ring.sample_ternary(self.rng, primes=primes)
-        e0 = self.ring.sample_error(self.rng, primes=primes, sigma=params.error_std)
-        e1 = self.ring.sample_error(self.rng, primes=primes, sigma=params.error_std)
-        u_ntt = u.to_ntt()
-        c0 = (pk_b.to_ntt() * u_ntt).to_coeff() + e0 + plaintext.poly
-        c1 = (pk_a.to_ntt() * u_ntt).to_coeff() + e1
-        return Ciphertext([c0, c1], plaintext.scale, params)
+        parts = self._pk_ntt.encrypt(plaintext.poly, self.rng,
+                                     self.params.error_std)
+        return Ciphertext(parts, plaintext.scale, self.params)
 
     def encrypt_symmetric(self, plaintext: Plaintext) -> Ciphertext:
         if self.secret_key is None:
             raise ValueError("symmetric encryption requires the secret key")
         params = self.params
         primes = plaintext.poly.primes
-        s = self._restrict(self.secret_key.s, primes)
+        s = self.secret_key.s.restrict(primes)
         seed_meta = None
         if self._expander is not None:
             stream = seedexp.ciphertext_stream("ckks", self._mask_nonce)
@@ -150,21 +154,13 @@ class CKKSEncryptor:
         else:
             a = self.ring.sample_uniform(self.rng, primes=primes)
         e = self.ring.sample_error(self.rng, primes=primes, sigma=params.error_std)
-        c0 = -((a.to_ntt() * s.to_ntt()).to_coeff()) + e + plaintext.poly
+        c0 = rlwe_b(a, s, e) + plaintext.poly
         return Ciphertext([c0, a], plaintext.scale, params,
                           seed_meta=seed_meta)
 
     def encrypt_values(self, values, level: int = None) -> Ciphertext:
         """Encode + encrypt in one call."""
         return self.encrypt(self.encode(values, level=level))
-
-    # ------------------------------------------------------------------ #
-
-    def _restrict(self, poly: RNSPoly, primes) -> RNSPoly:
-        primes = tuple(primes)
-        index = {q: i for i, q in enumerate(poly.primes)}
-        idx = np.array([index[q] for q in primes], dtype=np.intp)
-        return RNSPoly(self.ring, poly.data[idx], primes, poly.ntt_form)
 
 
 class CKKSDecryptor:
@@ -176,22 +172,20 @@ class CKKSDecryptor:
         self.params = params
         self.encoder = encoder
         self.secret_key = secret_key
-        self.ring = RNSRing(params.n, params.all_primes)
+
+    @property
+    def secret_key(self) -> SecretKey:
+        return self._secret_key
+
+    @secret_key.setter
+    def secret_key(self, key: SecretKey) -> None:
+        # s over the base chain in NTT form, once per key object.
+        self._secret_key = key
+        self._s_ntt = key.s.restrict(self.params.base_primes).to_ntt()
 
     def decrypt_poly(self, ct: Ciphertext) -> RNSPoly:
         """Raw decryption: ``sum_k c_k * s**k`` over the active chain."""
-        primes = ct.primes
-        index = {q: i for i, q in enumerate(self.secret_key.s.primes)}
-        idx = np.array([index[q] for q in primes], dtype=np.intp)
-        s = RNSPoly(
-            self.ring, self.secret_key.s.data[idx], primes, False
-        ).to_ntt()
-        acc = ct.parts[0].to_ntt()
-        s_power = None
-        for k in range(1, ct.size):
-            s_power = s if s_power is None else s_power * s
-            acc = acc + ct.parts[k].to_ntt() * s_power
-        return acc.to_coeff()
+        return phase(ct.parts, self._s_ntt)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt to complex slot values."""

@@ -15,10 +15,13 @@ import numpy as np
 
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext, Plaintext
-from repro.ckks.keys import GaloisKey, RelinKey, SwitchingKeyLevel
+from repro.ckks.keys import GaloisKey, RelinKey
 from repro.ckks.params import CKKSParams
 from repro.kernels import get_backend
-from repro.rns.rns_poly import RNSPoly, RNSRing
+from repro.rns.keyswitch import hybrid_keyswitch, keyswitch_raised, modup_digits
+from repro.rns.rlwe import (add_parts, coeff_batch, plain_mul, require_params,
+                            tensor, unstack)
+from repro.rns.rns_poly import RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
 _SCALE_RTOL = 1e-6
@@ -89,29 +92,10 @@ class CKKSEvaluator:
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Hadd: homomorphic addition."""
         a, b = self._match(a, b)
-        size = max(a.size, b.size)
-        parts = []
-        for k in range(size):
-            if k < a.size and k < b.size:
-                parts.append(a.parts[k] + b.parts[k])
-            elif k < a.size:
-                parts.append(a.parts[k].copy())
-            else:
-                parts.append(b.parts[k].copy())
-        return Ciphertext(parts, a.scale, a.params)
+        return Ciphertext(add_parts(a.parts, b.parts), a.scale, a.params)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        a, b = self._match(a, b)
-        size = max(a.size, b.size)
-        parts = []
-        for k in range(size):
-            if k < a.size and k < b.size:
-                parts.append(a.parts[k] - b.parts[k])
-            elif k < a.size:
-                parts.append(a.parts[k].copy())
-            else:
-                parts.append(-b.parts[k])
-        return Ciphertext(parts, a.scale, a.params)
+        return self.add(a, self.negate(b))
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         return Ciphertext([-p for p in ct.parts], ct.scale, ct.params)
@@ -127,14 +111,12 @@ class CKKSEvaluator:
     def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
         """Add unencrypted values (encoded at the ciphertext's own scale)."""
         pt = self._encode_at(values, ct, scale=ct.scale)
-        parts = [ct.parts[0] + pt.poly] + [p.copy() for p in ct.parts[1:]]
-        return Ciphertext(parts, ct.scale, ct.params)
+        return Ciphertext(add_parts(ct.parts, [pt.poly]), ct.scale, ct.params)
 
     def add_plaintext(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if abs(pt.scale - ct.scale) > _SCALE_RTOL * ct.scale:
             raise ValueError("plaintext scale must match ciphertext scale")
-        poly = self._project(pt.poly, ct.primes)
-        parts = [ct.parts[0] + poly] + [p.copy() for p in ct.parts[1:]]
+        parts = add_parts(ct.parts, [pt.poly.restrict(ct.primes)])
         return Ciphertext(parts, ct.scale, ct.params)
 
     def mul_plain(self, ct: Ciphertext, values, scale: float = None) -> Ciphertext:
@@ -143,9 +125,8 @@ class CKKSEvaluator:
         return self.mul_plaintext(ct, pt)
 
     def mul_plaintext(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        poly = self._project(pt.poly, ct.primes).to_ntt()
-        parts = [(p.to_ntt() * poly).to_coeff() for p in ct.parts]
-        return Ciphertext(parts, ct.scale * pt.scale, ct.params)
+        return Ciphertext(plain_mul(ct.parts, pt.poly),
+                          ct.scale * pt.scale, ct.params)
 
     def mul_scalar_int(self, ct: Ciphertext, c: int) -> Ciphertext:
         """Exact small-integer multiply (no scale change, no level cost)."""
@@ -161,15 +142,13 @@ class CKKSEvaluator:
         """Cmult: tensor product (+ relinearization).  Call :meth:`rescale`
         afterwards to bring the scale back down (consumes a level).  Operand
         scales need not match — the product scale is tracked exactly."""
+        require_params(self.params, a, b)
         a, b = self._match_levels(a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects relinearized (size-2) inputs")
-        a0, a1 = (p.to_ntt() for p in a.parts)
-        b0, b1 = (p.to_ntt() for p in b.parts)
-        d0 = (a0 * b0).to_coeff()
-        d1 = (a0 * b1 + a1 * b0).to_coeff()
-        d2 = (a1 * b1).to_coeff()
-        ct = Ciphertext([d0, d1, d2], a.scale * b.scale, a.params)
+        d = tensor(coeff_batch(a.parts + b.parts), a.primes)
+        ct = Ciphertext(unstack(self.ring, d, a.primes), a.scale * b.scale,
+                        a.params)
         if relin:
             ct = self.relinearize(ct)
         return ct
@@ -179,6 +158,7 @@ class CKKSEvaluator:
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Reduce a size-3 ciphertext to size 2 using the relin key."""
+        require_params(self.params, ct)
         if ct.size == 2:
             return ct.copy()
         if ct.size != 3:
@@ -186,34 +166,15 @@ class CKKSEvaluator:
         if self.relin_key is None:
             raise ValueError("no relinearization key available")
         self._trace_key("relin")
-        skl = self.relin_key.levels[ct.level]
-        k0, k1 = self.keyswitch_core(ct.parts[2], skl)
+        k0, k1 = hybrid_keyswitch(
+            self.ring, ct.parts[2], self.params.digits_at_level(ct.level),
+            self.params.special_primes, self.relin_key.levels[ct.level].pairs)
         return Ciphertext(
             [ct.parts[0] + k0, ct.parts[1] + k1], ct.scale, ct.params
         )
 
     def multiply_rescale(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.rescale(self.multiply(a, b))
-
-    # ------------------------------ keyswitch core --------------------- #
-
-    def keyswitch_core(
-        self, d: RNSPoly, skl: SwitchingKeyLevel
-    ) -> Tuple[RNSPoly, RNSPoly]:
-        """The hybrid keyswitch inner loop (paper Figure 4 operators).
-
-        Decomposes ``d`` (coefficient form, over the chain at ``skl.level``)
-        into dnum digits, Modups each digit to ``chain + special``, runs
-        DecompPolyMult against the key pairs in the NTT domain, and Moddowns
-        the two accumulators back to the chain.
-        """
-        from repro.rns.keyswitch import hybrid_keyswitch
-
-        params = self.params
-        digits = params.digits_at_level(len(d.primes) - 1)
-        return hybrid_keyswitch(
-            self.ring, d, digits, params.special_primes, skl.pairs
-        )
 
     # ------------------------------ rotations -------------------------- #
 
@@ -237,6 +198,7 @@ class CKKSEvaluator:
 
     def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
         galois_key = self._require_galois_keys()
+        require_params(self.params, ct)
         if ct.size != 2:
             raise ValueError("relinearize before applying Galois maps")
         key = galois_key.keys.get((g, ct.level))
@@ -244,7 +206,9 @@ class CKKSEvaluator:
             raise ValueError(f"no Galois key for element {g} at level {ct.level}")
         c0 = ct.parts[0].to_coeff().automorphism(g)
         c1 = ct.parts[1].to_coeff().automorphism(g)
-        k0, k1 = self.keyswitch_core(c1, key)
+        k0, k1 = hybrid_keyswitch(
+            self.ring, c1, self.params.digits_at_level(ct.level),
+            self.params.special_primes, key.pairs)
         return Ciphertext([c0 + k0, k1], ct.scale, ct.params)
 
     def rotate_batch_hoisted(self, ct: Ciphertext, steps) -> dict:
@@ -262,10 +226,9 @@ class CKKSEvaluator:
         raising the permuted polynomial.
         """
         galois_key = self._require_galois_keys()
+        require_params(self.params, ct)
         if ct.size != 2:
             raise ValueError("relinearize before rotating")
-        from repro.rns.keyswitch import keyswitch_raised, modup_digits
-
         params = self.params
         special = params.special_primes
         extended = ct.primes + special
@@ -292,15 +255,3 @@ class CKKSEvaluator:
             rotated0 = c0.automorphism(g) + k0
             out[step] = Ciphertext([rotated0, k1], ct.scale, ct.params)
         return out
-
-    # ------------------------------ helpers ---------------------------- #
-
-    def _project(self, poly: RNSPoly, primes) -> RNSPoly:
-        """Restrict a polynomial to a prefix of its channels."""
-        primes = tuple(primes)
-        index = {q: i for i, q in enumerate(poly.primes)}
-        try:
-            idx = np.array([index[q] for q in primes], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"plaintext missing channel {exc}") from exc
-        return RNSPoly(self.ring, poly.data[idx], primes, poly.ntt_form)

@@ -25,7 +25,8 @@ from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.kernels import get_backend
-from repro.rns.rns_poly import RNSPoly, reduce_signed
+from repro.rns.rlwe import ntt_batch, unstack
+from repro.rns.rns_poly import reduce_signed
 
 
 class BabySteps:
@@ -47,10 +48,7 @@ class BabySteps:
         batch = self._ntt.get(j)
         if batch is None:
             rotated = self.evaluator.rotate(self.ct, j) if j else self.ct
-            coeff = np.stack([p.to_coeff().data for p in rotated.parts],
-                             axis=1)
-            batch = get_backend().ntt_forward(coeff, rotated.primes)
-            self._ntt[j] = batch
+            batch = self._ntt[j] = ntt_batch(rotated.parts)
         return batch
 
 
@@ -164,10 +162,8 @@ class SlotLinearTransform:
                 acc = term if acc is None else backend.pointwise_add(
                     acc, term, primes)
             acc = backend.ntt_inverse(acc, primes)
-            inner = Ciphertext(
-                [RNSPoly(evaluator.ring, acc[:, p], primes, ntt_form=False)
-                 for p in range(acc.shape[1])],
-                ct.scale * params.scale, ct.params)
+            inner = Ciphertext(unstack(evaluator.ring, acc, primes),
+                               ct.scale * params.scale, ct.params)
             if self.giant_step * i:
                 inner = evaluator.rotate(inner, self.giant_step * i)
             result = inner if result is None else evaluator.add(result, inner)

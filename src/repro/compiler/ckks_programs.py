@@ -190,10 +190,7 @@ def keyswitch_ops(
     wl: CKKSWorkload,
     level: int,
     *,
-    load_evk: bool = True,
-    input_in_ntt: bool = True,
     shared_modup: bool = False,
-    output_ntt: bool = True,
     label: str = "ks",
     src: Optional[str] = None,
     key: str = "relin",
@@ -221,12 +218,9 @@ def keyswitch_ops(
     ops = []
     inner_uses = [src]
     if not shared_modup:
-        cur = src
-        if input_in_ntt:
-            ops.append(HighLevelOp(OpKind.INTT, f"{label}.intt_in",
-                                   poly_degree=wl.n, channels=chain,
-                                   defs=(f"{label}.intt_in",), uses=(src,)))
-            cur = f"{label}.intt_in"
+        ops.append(HighLevelOp(OpKind.INTT, f"{label}.intt_in",
+                               poly_degree=wl.n, channels=chain,
+                               defs=(f"{label}.intt_in",), uses=(src,)))
         remaining = chain
         for t in range(digits):
             digit_size = min(alpha, remaining)
@@ -234,7 +228,7 @@ def keyswitch_ops(
             ops.append(HighLevelOp(
                 OpKind.BCONV, f"{label}.modup{t}", poly_degree=wl.n,
                 in_channels=digit_size, channels=ext - digit_size,
-                defs=(f"{label}.modup{t}",), uses=(cur,)))
+                defs=(f"{label}.modup{t}",), uses=(f"{label}.intt_in",)))
             # only the freshly converted channels need a forward NTT; the
             # digit's own channels reuse the NTT form of the input ct
             ops.append(HighLevelOp(
@@ -242,11 +236,10 @@ def keyswitch_ops(
                 channels=ext - digit_size,
                 defs=(f"{label}.ntt_up{t}",), uses=(f"{label}.modup{t}",)))
             inner_uses.append(f"{label}.ntt_up{t}")
-    if load_evk:
-        ops.append(HighLevelOp(OpKind.HBM_LOAD, f"{label}.evk",
-                               bytes_moved=wl.evk_bytes(level),
-                               defs=(f"{label}.evk",), key=key))
-        inner_uses.append(f"{label}.evk")
+    ops.append(HighLevelOp(OpKind.HBM_LOAD, f"{label}.evk",
+                           bytes_moved=wl.evk_bytes(level),
+                           defs=(f"{label}.evk",), key=key))
+    inner_uses.append(f"{label}.evk")
     ops.append(HighLevelOp(
         OpKind.DECOMP_POLY_MULT, f"{label}.inner", poly_degree=wl.n,
         depth=digits, channels=ext, polys=2,
@@ -264,16 +257,14 @@ def keyswitch_ops(
                            channels=chain, polys=2,
                            defs=(f"{label}.md_sub",),
                            uses=(f"{label}.moddown", src)))
-    last = f"{label}.md_scale"
-    md_scale_defs = (last,) if output_ntt else (last, f"{label}.out")
     ops.append(HighLevelOp(OpKind.EW_MULT, f"{label}.md_scale",
                            poly_degree=wl.n, channels=chain, polys=2,
-                           defs=md_scale_defs, uses=(f"{label}.md_sub",)))
-    if output_ntt:
-        ops.append(HighLevelOp(OpKind.NTT, f"{label}.ntt_out",
-                               poly_degree=wl.n, channels=chain, polys=2,
-                               defs=(f"{label}.ntt_out", f"{label}.out"),
-                               uses=(last,)))
+                           defs=(f"{label}.md_scale",),
+                           uses=(f"{label}.md_sub",)))
+    ops.append(HighLevelOp(OpKind.NTT, f"{label}.ntt_out",
+                           poly_degree=wl.n, channels=chain, polys=2,
+                           defs=(f"{label}.ntt_out", f"{label}.out"),
+                           uses=(f"{label}.md_scale",)))
     return ops
 
 

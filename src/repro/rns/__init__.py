@@ -3,7 +3,8 @@
 Implements equations (1)-(3) of the paper: fast RNS basis conversion between
 prime channels, modulus raising (Modup) and modulus reduction (Moddown), and
 an :class:`RNSPoly` container that stacks one negacyclic-ring residue channel
-per prime.
+per prime.  CKKS and BFV share :mod:`repro.rns.keyswitch` (hybrid
+keyswitching) and :mod:`repro.rns.rlwe` (every other RLWE step).
 """
 
 from repro.rns.basis import RNSBasis, ConversionTable, crt_reconstruct

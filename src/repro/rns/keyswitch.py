@@ -27,19 +27,6 @@ from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, digit_stream
 
 
-def restrict_channels(ring: RNSRing, poly: RNSPoly, primes) -> RNSPoly:
-    """Project a polynomial onto a subset of its channels (by prime)."""
-    primes = tuple(primes)
-    index = {q: i for i, q in enumerate(poly.primes)}
-    try:
-        idx = np.array([index[q] for q in primes], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"polynomial has no channel for prime {exc}") from exc
-    # One fancy-indexed gather (always a fresh copy) instead of a Python
-    # list-of-rows stack.
-    return RNSPoly(ring, poly.data[idx], primes, poly.ntt_form)
-
-
 def make_switching_key(
     ring: RNSRing,
     s_to_full: RNSPoly,
@@ -75,8 +62,8 @@ def make_switching_key(
     for p in special:
         p_product *= p
 
-    s_to = restrict_channels(ring, s_to_full, extended).to_ntt()
-    s_from = restrict_channels(ring, s_from_full, extended)
+    s_to = s_to_full.restrict(extended).to_ntt()
+    s_from = s_from_full.restrict(extended)
 
     pairs = []
     for t, digit in enumerate(digits):

@@ -1,0 +1,168 @@
+"""The RLWE steps CKKS and BFV share, each written once.
+
+Both schemes compute over ``Z[X]/(X^n+1)`` in RNS form and differ only in
+how a message is placed and in what follows a tensor product.  Each step
+here stacks its polynomials into one ``(C, k, n)`` batch, so they enter
+the NTT domain in one kernel call and leave it in one.  Keys are held in
+NTT form over their own basis and cut to a ciphertext's basis by rows,
+which is exact because each channel's transform is independent.
+"""
+
+from __future__ import annotations
+
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.kernels import get_backend
+from repro.rns.keyswitch import make_switching_key
+from repro.rns.rns_poly import RNSPoly, RNSRing, channel_rows
+from repro.seedexp import SeedExpander
+
+
+def coeff_batch(polys: Sequence[RNSPoly]) -> np.ndarray:
+    """Polynomials over one basis as one ``(C, k, n)`` coefficient batch."""
+    return np.stack([p.to_coeff().data for p in polys], axis=1)
+
+
+def ntt_batch(polys: Sequence[RNSPoly]) -> np.ndarray:
+    """:func:`coeff_batch` in NTT form, by one forward call."""
+    return get_backend().ntt_forward(coeff_batch(polys), polys[0].primes)
+
+
+def unstack(ring: RNSRing, batch: np.ndarray,
+            primes: Tuple[int, ...]) -> List[RNSPoly]:
+    """The ``k`` columns of a ``(C, k, n)`` coefficient batch."""
+    return [RNSPoly(ring, batch[:, k], primes, False)
+            for k in range(batch.shape[1])]
+
+
+def require_params(params: Any, *cts: Any) -> None:
+    """Raise :class:`ValueError` for a ciphertext made under other params."""
+    for ct in cts:
+        if ct.params != params:
+            raise ValueError(
+                "ciphertext parameters differ from the evaluator's")
+
+
+def rlwe_b(a: RNSPoly, s: RNSPoly, e: RNSPoly) -> RNSPoly:
+    """``-a·s + e``: the ``b`` half of an RLWE sample with mask ``a``."""
+    return -(a.to_ntt() * s.to_ntt()).to_coeff() + e
+
+
+class RLWEKeyGenerator:
+    """The key material both RLWE schemes draw the same way.
+
+    ``rng`` draws the ternary secret at construction, over
+    ``params.all_primes``, then every error term in call order.  With
+    ``expand_seed`` set, every *uniform* half (a public key's ``a``, each
+    switching-key digit's ``a_t``) comes from a deterministic
+    :class:`~repro.seedexp.SeedExpander` stream instead of ``rng``, and
+    the key objects carry the seed, so the seeded serialization format
+    can drop those halves.  Secrets and errors always come from ``rng``.
+
+    A scheme's generator names its prime sets and its stream names.
+    """
+
+    def __init__(self, params: Any, rng: np.random.Generator,
+                 expand_seed: Optional[int] = None):
+        self.params = params
+        self.rng = rng
+        self.expand_seed = expand_seed
+        self._expander = (SeedExpander(expand_seed)
+                          if expand_seed is not None else None)
+        self.ring = RNSRing(params.n, params.all_primes)
+        self._secret = self.ring.sample_ternary(
+            rng, primes=params.all_primes,
+            hamming_weight=params.hamming_weight)
+
+    def _public_pair(self, primes: Tuple[int, ...],
+                     stream: str) -> Tuple[RNSPoly, RNSPoly]:
+        """``(-a·s + e, a)`` over ``primes``."""
+        s = self._secret.restrict(primes)
+        if self._expander is not None:
+            a = self._expander.uniform_rns(self.ring, primes, stream)
+        else:
+            a = self.ring.sample_uniform(self.rng, primes=primes)
+        e = self.ring.sample_error(
+            self.rng, primes=primes, sigma=self.params.error_std)
+        return rlwe_b(a, s, e), a
+
+    def _switching_key(
+        self, s_from: RNSPoly, chain: Sequence[int],
+        digits: Sequence[Sequence[int]], stream_prefix: str,
+    ) -> List[Tuple[RNSPoly, RNSPoly]]:
+        """Digit pairs switching ``s_from -> s`` over ``chain + special``."""
+        return make_switching_key(
+            self.ring, self._secret, s_from, chain,
+            self.params.special_primes, digits, self.rng,
+            self.params.error_std, expander=self._expander,
+            stream_prefix=stream_prefix)
+
+
+class NTTPublicKey:
+    """A public key ``(b, a)`` as one ``(C, 2, n)`` NTT batch."""
+
+    def __init__(self, b: RNSPoly, a: RNSPoly):
+        if b.primes != a.primes:
+            raise ValueError("public key halves live over different bases")
+        self.primes = b.primes
+        self.batch = ntt_batch([b, a])
+
+    def encrypt(self, m: RNSPoly, rng: np.random.Generator,
+                error_std: float) -> List[RNSPoly]:
+        """``[b·u + e0 + m, a·u + e1]`` over ``m``'s basis, drawing ``u``,
+        ``e0``, ``e1`` in that order; a key that does not cover ``m``'s
+        primes raises :class:`ValueError`."""
+        primes, ring = m.primes, m.ctx
+        key = self.batch[channel_rows(self.primes, primes)]
+        u = ring.sample_ternary(rng, primes=primes)
+        e0 = ring.sample_error(rng, primes=primes, sigma=error_std)
+        e1 = ring.sample_error(rng, primes=primes, sigma=error_std)
+        backend = get_backend()
+        u_ntt = backend.ntt_forward(u.data, primes)
+        c0, c1 = unstack(ring, backend.ntt_inverse(
+            backend.pointwise_mul(key, u_ntt[:, None], primes), primes), primes)
+        return [c0 + e0 + m, c1 + e1]
+
+
+def phase(parts: Sequence[RNSPoly], s_ntt: RNSPoly) -> RNSPoly:
+    """``Σ_k c_k·s^k`` in coefficient form; ``s_ntt`` is the secret in NTT
+    form over a basis covering the parts' (else :class:`ValueError`)."""
+    primes = parts[0].primes
+    s = s_ntt.restrict(primes)
+    x = ntt_batch(parts)
+    acc = RNSPoly(s.ctx, x[:, 0], primes, True)
+    s_power = None
+    for k in range(1, len(parts)):
+        s_power = s if s_power is None else s_power * s
+        acc = acc + RNSPoly(s.ctx, x[:, k], primes, True) * s_power
+    return acc.to_coeff()
+
+
+def tensor(x: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """``(a0·b0, a0·b1 + a1·b0, a1·b1)`` of the ``(C, 4, n)`` coefficient
+    batch ``(a0, a1, b0, b1)``, as a ``(C, 3, n)`` coefficient batch."""
+    backend = get_backend()
+    x = backend.ntt_forward(x, primes)
+    prods = backend.pointwise_mul(x[:, [0, 0, 1, 1]], x[:, [2, 3, 2, 3]],
+                                  primes)
+    d1 = backend.pointwise_add(prods[:, 1], prods[:, 2], primes)
+    return backend.ntt_inverse(
+        np.stack([prods[:, 0], d1, prods[:, 3]], axis=1), primes)
+
+
+def add_parts(a: Sequence[RNSPoly], b: Sequence[RNSPoly]) -> List[RNSPoly]:
+    """Partwise sum; the longer operand's extra parts are copied."""
+    longer = a if len(a) >= len(b) else b
+    return ([x + y for x, y in zip(a, b)]
+            + [p.copy() for p in longer[min(len(a), len(b)):]])
+
+
+def plain_mul(parts: Sequence[RNSPoly], plain: RNSPoly) -> List[RNSPoly]:
+    """Every part times ``plain`` (cut to the parts' basis)."""
+    primes = parts[0].primes
+    backend = get_backend()
+    pt = plain.restrict(primes).to_ntt()
+    prods = backend.pointwise_mul(ntt_batch(parts), pt.data[:, None], primes)
+    return unstack(pt.ctx, backend.ntt_inverse(prods, primes), primes)

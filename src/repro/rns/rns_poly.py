@@ -1,30 +1,30 @@
 """RNS polynomials: one negacyclic residue channel per prime.
 
-:class:`RNSRing` owns the per-prime :class:`~repro.poly.polynomial.NegacyclicRing`
-contexts for a full modulus chain (base primes + special primes);
-:class:`RNSPoly` is the value type the CKKS layer computes with.  A poly
-tracks which primes its channels live over and whether it is in coefficient
-or NTT (evaluation) form; arithmetic enforces matching forms and bases, which
-catches most mis-uses at the API boundary instead of corrupting ciphertexts.
+:class:`RNSRing` names a ring ``Z[X]/(X^n+1)`` and the primes of its full
+modulus chain (base primes + special primes) and makes polynomials over
+any of them; :class:`RNSPoly` is the value type the CKKS and BFV layers
+compute with.  A poly tracks which primes its channels live over and
+whether it is in coefficient or NTT (evaluation) form; arithmetic enforces
+matching forms and bases, which catches most mis-uses at the API boundary
+instead of corrupting ciphertexts.
 
 All heavy math dispatches to the active :mod:`repro.kernels` backend as one
 limb-batched call per op — the default ``numpy`` backend executes each as a
 single 2-D kernel across the whole ``(num_limbs, n)`` residue matrix instead
 of walking the modulus chain limb-at-a-time in Python (the old behaviour,
 preserved verbatim as the ``reference`` backend for differential testing).
-Per-prime :class:`NegacyclicRing` contexts are created lazily so short-chain
-instantiations never pay full-chain NTT precompute.
+The backends cache their per-basis twiddle tables, so a ring holds no
+precompute of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import get_backend
 from repro.ntmath.modular import to_mod_array
-from repro.poly.polynomial import NegacyclicRing
 from repro.rns.basis import crt_centred, crt_reconstruct
 
 
@@ -41,6 +41,15 @@ def reduce_signed(values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     return np.mod(values[None], q_col).astype(np.uint64)
 
 
+def channel_rows(have: Sequence[int], want: Sequence[int]) -> np.ndarray:
+    """Row of each prime of ``want`` in basis ``have`` (else ValueError)."""
+    index = {q: i for i, q in enumerate(have)}
+    try:
+        return np.array([index[q] for q in want], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"no channel for prime {exc}") from exc
+
+
 class RNSRing:
     """Factory/namespace for RNS polynomials over ``Z[X]/(X^n+1)``."""
 
@@ -49,19 +58,6 @@ class RNSRing:
         self.primes = tuple(int(q) for q in primes)
         if len(self.primes) != len(set(self.primes)):
             raise ValueError("primes must be distinct")
-        # Per-prime contexts are built on first use: constructing a ring over
-        # a long chain must not pay the full-chain NTT table precompute when
-        # the caller only ever touches a short prefix (or none at all —
-        # batched ops never need the single-prime contexts).
-        self._rings: Dict[int, NegacyclicRing] = {}
-
-    def ring(self, q: int) -> NegacyclicRing:
-        ring = self._rings.get(q)
-        if ring is None:
-            if q not in self.primes:
-                raise KeyError(q)
-            ring = self._rings[q] = NegacyclicRing(self.n, q)
-        return ring
 
     # ------------------------------ constructors ----------------------- #
 
@@ -218,6 +214,14 @@ class RNSPoly:
         return RNSPoly(self.ctx, data, self.primes, ntt_form=False)
 
     # ------------------------------ basis changes ---------------------- #
+
+    def restrict(self, primes: Sequence[int]) -> "RNSPoly":
+        """A copy of the channels over ``primes`` (any subset and order), in
+        the same form: exact in NTT form too, since each channel's transform
+        is independent.  A prime this poly lacks raises ValueError."""
+        primes = tuple(int(q) for q in primes)
+        return RNSPoly(self.ctx, self.data[channel_rows(self.primes, primes)],
+                       primes, self.ntt_form)
 
     def drop_last(self, count: int = 1) -> "RNSPoly":
         """Discard the last ``count`` channels (no division — see rescale)."""

@@ -4,9 +4,15 @@ These exercise the exact high-level operator pipeline the paper benchmarks
 in Table 7 (Hadd, Pmult, Cmult, Keyswitch, Rotation), at reduced parameters.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.ckks.encoder import CKKSEncoder
+from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
+from repro.ckks.evaluator import CKKSEvaluator
+from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
 
 # Same parameters as the session-scoped ckks512_stack in conftest.py;
@@ -167,8 +173,6 @@ def test_rotation_missing_key_raises(stack):
 def test_galois_ops_without_keys_raise_value_error(stack, op):
     """Every Galois operation fails with the same typed error when the
     evaluator holds no Galois keys, and traces no key touch first."""
-    from repro.ckks.evaluator import CKKSEvaluator
-
     enc, _, ev, rng = stack
     keyless = CKKSEvaluator(PARAMS, ev.encoder, relin_key=ev.relin_key)
     keyless.key_trace = []
@@ -226,3 +230,118 @@ def test_linear_combination_pipeline(stack):
     lin = ev.sub(cx, cy)
     combo = ev.add(ev.mul_scalar_int(xy, 2), lin)
     assert np.abs(dec.decrypt(combo) - (2 * x * y + x - y)).max() < 10 * TOL
+
+
+# ------------------------------ mixed parameter sets ------------------- #
+
+
+@pytest.fixture(scope="module")
+def other():
+    """Keys and an evaluator for n=64 at PARAMS' chain depth: every level
+    and rotation key PARAMS' ciphertexts ask for exists, over other
+    primes."""
+    params = CKKSParams(n=64, num_levels=PARAMS.num_levels, dnum=PARAMS.dnum,
+                        hamming_weight=16)
+    encoder = CKKSEncoder(params.n, params.scale)
+    keygen = CKKSKeyGenerator(params, np.random.default_rng(2))
+    evaluator = CKKSEvaluator(params, encoder, relin_key=keygen.relin_key(),
+                              galois_key=keygen.rotation_key([1]))
+    return SimpleNamespace(
+        params=params, keygen=keygen, evaluator=evaluator,
+        decryptor=CKKSDecryptor(params, encoder, keygen.secret_key()))
+
+
+@pytest.mark.parametrize("op", ["multiply", "relinearize", "apply_galois",
+                                "rotate", "rotate_batch_hoisted"])
+def test_evaluator_rejects_another_parameter_set(stack, other, op):
+    enc, _, ev, rng = stack
+    ct = enc.encrypt_values(_values(rng))
+    foreign = other.evaluator
+    calls = {
+        "multiply": lambda: foreign.multiply(ct, ct),
+        "relinearize": lambda: foreign.relinearize(
+            ev.multiply(ct, ct, relin=False)),
+        "apply_galois": lambda: foreign.apply_galois(
+            ct, pow(5, 1, 2 * other.params.n)),
+        "rotate": lambda: foreign.rotate(ct, 1),
+        "rotate_batch_hoisted": lambda: foreign.rotate_batch_hoisted(ct, [1]),
+    }
+    with pytest.raises(ValueError, match="parameters differ"):
+        calls[op]()
+
+
+def test_decrypt_rejects_another_parameter_set(stack, other):
+    enc, _, _, rng = stack
+    ct = enc.encrypt_values(_values(rng))
+    with pytest.raises(ValueError, match="no channel"):
+        other.decryptor.decrypt(ct)
+
+
+def test_encrypt_rejects_another_parameter_sets_public_key(stack, other):
+    enc, _, ev, rng = stack
+    foreign = CKKSEncryptor(PARAMS, ev.encoder, rng,
+                            public_key=other.keygen.public_key())
+    with pytest.raises(ValueError, match="no channel"):
+        foreign.encrypt_values(_values(rng))
+
+
+# ------------------------------ key forms and NTT calls ---------------- #
+
+
+def test_reassigned_keys_take_effect():
+    """Encryptor and decryptor keep their keys in NTT form; assigning a new
+    key must replace that form, or these round trips fail."""
+    params = CKKSParams(n=64, num_levels=1, dnum=1, hamming_weight=16)
+    rng = np.random.default_rng(3)
+    encoder = CKKSEncoder(params.n, params.scale)
+    first = CKKSKeyGenerator(params, rng)
+    second = CKKSKeyGenerator(params, rng)
+    encryptor = CKKSEncryptor(params, encoder, rng,
+                              public_key=first.public_key())
+    decryptor = CKKSDecryptor(params, encoder, first.secret_key())
+    encryptor.public_key = second.public_key()
+    decryptor.secret_key = second.secret_key()
+    fresh_encryptor = CKKSEncryptor(params, encoder, rng,
+                                    public_key=second.public_key())
+    fresh_decryptor = CKKSDecryptor(params, encoder, second.secret_key())
+    z = rng.normal(size=params.slots)
+    for e, d in ((encryptor, fresh_decryptor), (fresh_encryptor, decryptor),
+                 (encryptor, decryptor)):
+        assert np.abs(d.decrypt(e.encrypt_values(z)) - z).max() < TOL
+
+
+def _ntt_calls(kernel_calls, fn):
+    calls = kernel_calls(fn)
+    return calls["ntt_forward"], calls["ntt_inverse"]
+
+
+def test_encrypt_makes_one_forward_and_one_inverse_ntt(stack, kernel_calls):
+    enc, _, _, rng = stack
+    pt = enc.encode(_values(rng))
+    assert _ntt_calls(kernel_calls, lambda: enc.encrypt(pt)) == (1, 1)
+
+
+def test_decrypt_never_transforms_the_secret_key(stack, kernel_calls):
+    """One forward call transforms every ciphertext part at once; the
+    secret key is already in NTT form."""
+    enc, dec, ev, rng = stack
+    ct = enc.encrypt_values(_values(rng))
+    for c in (ct, ev.multiply(ct, ct, relin=False)):
+        assert _ntt_calls(kernel_calls, lambda: dec.decrypt_poly(c)) == (1, 1)
+
+
+def test_multiply_makes_one_forward_and_one_inverse_ntt(stack, kernel_calls):
+    enc, dec, ev, rng = stack
+    z1, z2 = _values(rng), _values(rng)
+    c1, c2 = enc.encrypt_values(z1), enc.encrypt_values(z2)
+    out = []
+    calls = _ntt_calls(kernel_calls, lambda: out.append(
+        ev.multiply(c1, c2, relin=False)))
+    assert calls == (1, 1)
+    assert np.abs(dec.decrypt(ev.rescale(out[0])) - z1 * z2).max() < TOL
+
+
+def test_mul_plain_transforms_all_parts_in_one_call(stack, kernel_calls):
+    enc, _, ev, rng = stack
+    ct, z = enc.encrypt_values(_values(rng)), _values(rng)
+    assert _ntt_calls(kernel_calls, lambda: ev.mul_plain(ct, z)) == (2, 1)

@@ -108,19 +108,6 @@ def test_module_dispatch_follows_active_backend():
     assert out.shape == (len(target), 64)
 
 
-def test_rns_ring_contexts_are_lazy():
-    """RNSRing construction must not eagerly build per-prime NTT contexts."""
-    from repro.rns.rns_poly import RNSRing
-
-    primes = generate_ntt_primes(30, 64, 5)
-    ring = RNSRing(64, primes)
-    assert not ring._rings  # nothing built yet
-    ring.ring(primes[0])
-    assert set(ring._rings) == {primes[0]}
-    with pytest.raises(KeyError):
-        ring.ring(9999991)  # not a chain prime
-
-
 def test_kernels_golden_gates_batched_pbs_per_gate():
     """The committed golden passes the floors, and ``check_floors`` flags a
     one-pass ``pbs_batch`` that is not 1.5x faster per gate than ``pbs``."""

@@ -173,6 +173,31 @@ def test_drop_last(ring, rng):
         a.drop_last(len(PRIMES))
 
 
+@pytest.mark.parametrize("ntt_form", [False, True])
+def test_restrict_selects_any_subset_in_any_order(ring, rng, ntt_form):
+    a = ring.sample_uniform(rng)
+    a = a.to_ntt() if ntt_form else a
+    for size in range(1, len(PRIMES) + 1):
+        want = tuple(int(q) for q in rng.permutation(PRIMES)[:size])
+        got = a.restrict(want)
+        assert (got.primes, got.ntt_form) == (want, ntt_form)
+        for row, q in zip(got.data, want):
+            assert np.array_equal(row, a.data[PRIMES.index(q)])
+        # cutting the NTT form equals transforming the cut
+        cut = a.to_coeff().restrict(want)
+        assert np.array_equal(a.to_ntt().restrict(want).data,
+                              cut.to_ntt().data)
+    got = a.restrict(PRIMES[:2])
+    got.data[:] = 0
+    assert a.data[:2].any()  # a fresh copy
+
+
+def test_restrict_rejects_a_missing_prime(ring, rng):
+    a = ring.sample_uniform(rng, primes=PRIMES[:3])
+    with pytest.raises(ValueError, match="no channel"):
+        a.restrict(PRIMES[2:4])
+
+
 def test_rescale_reduces_channels(ring, rng):
     a = ring.sample_uniform(rng)
     rescaled = a.rescale()
