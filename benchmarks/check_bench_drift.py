@@ -96,13 +96,16 @@ def check_kernels_golden(repo_root: pathlib.Path) -> int:
 
     Raw ops/sec in ``BENCH_kernels.json`` are machine-dependent, so unlike
     the other goldens this is not regenerate-and-diff: the gate checks the
-    schema, op coverage, the backend bit-identity flags, internal
-    consistency of the speedup fields, the >= 5x batched-vs-reference
-    floor on the gated ops (forward NTT and full Cmult+rescale) that the
-    kernel-backend refactor promises at paper chain scale, and the
-    per-gate floor of the one-pass ``pbs_batch`` over one-gate ``pbs``.
+    schema, that every rate is a median of the full paper-mode loop count
+    with an interquartile range around it, op coverage, the backend
+    bit-identity flags, internal consistency of the speedup fields, the
+    >= 5x batched-vs-reference floor on the gated ops (forward NTT and full
+    Cmult+rescale) that the kernel-backend refactor promises at paper chain
+    scale, and the per-gate floor of the one-pass ``pbs_batch`` over
+    one-gate ``pbs``.  Every floor is gated on the medians.
     """
     from repro.kernels.bench import (
+        PAPER_LOOPS,
         PAPER_SPEEDUP_FLOOR,
         PBS_BATCH_FLOOR,
         SCHEMA,
@@ -121,12 +124,17 @@ def check_kernels_golden(repo_root: pathlib.Path) -> int:
     if committed.get("mode") != "paper":
         problems.append("committed golden must be a paper-scale run, "
                         f"got mode={committed.get('mode')!r}")
+    loops = committed.get("config", {}).get("loops")
+    if loops != PAPER_LOOPS:
+        problems.append(f"rates must be medians of {PAPER_LOOPS} loops, "
+                        f"got loops={loops!r}")
     problems.extend(check_floors(committed, PAPER_SPEEDUP_FLOOR))
     for problem in problems[:40]:
         print(f"DRIFT kernels: {problem}")
     if not problems:
-        print(f"OK    kernels: committed golden is well-formed (gated ops "
-              f">= {PAPER_SPEEDUP_FLOOR:g}x, pbs_batch >= "
+        print(f"OK    kernels: committed golden is well-formed (medians of "
+              f"{PAPER_LOOPS} loops, gated ops >= {PAPER_SPEEDUP_FLOOR:g}x, "
+              f"pbs_batch >= "
               f"{PBS_BATCH_FLOOR:g}x pbs per gate, all backends "
               f"bit-identical)")
     return 1 if problems else 0

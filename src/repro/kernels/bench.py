@@ -10,6 +10,13 @@ the same seeded inputs, and records ops/sec (gates/sec for the PBS
 entries), the speedup ratio, and whether the two backends produced
 bit-identical outputs.
 
+Timing: every op runs ``PAPER_LOOPS`` timed loops per backend (each at
+least one second long; ``QUICK_LOOPS`` shorter ones in ``--quick`` mode),
+alternating reference and batched loops so a change in host speed moves
+both sides alike.  Each rate is the median over the loops, reported with
+its interquartile range; the speedup is the ratio of the two medians, and
+the floors are gated on it.
+
 Scale: the paper's RNS-CKKS chain (L = 44 levels, dnum = 4, i.e. 45 base +
 12 special primes) at a reduced ring degree.  Ring degree scales both
 backends identically — the batching win is across the *limb* axis — so the
@@ -27,15 +34,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import backend_scope, get_backend
 
-SCHEMA = "alchemist-bench/kernels/v1"
+SCHEMA = "alchemist-bench/kernels/v2"
 
 #: Paper chain (L = 44, dnum = 4 -> 45 base + 12 special primes) at a
 #: reduced ring degree.
@@ -43,6 +52,10 @@ PAPER_SCALE: Dict[str, int] = {"n": 256, "num_levels": 44, "dnum": 4}
 
 #: CI smoke scale: a short chain so the whole sweep stays under a minute.
 QUICK_SCALE: Dict[str, int] = {"n": 256, "num_levels": 8, "dnum": 2}
+
+#: Timed loops per backend and op, and each loop's minimum length (s).
+PAPER_LOOPS, PAPER_LOOP_SECONDS = 7, 1.0
+QUICK_LOOPS, QUICK_LOOP_SECONDS = 3, 0.2
 
 #: Ops whose batched/reference speedup the drift gate enforces.  The
 #: committed paper-scale golden must clear ``PAPER_SPEEDUP_FLOOR``; fresh
@@ -74,9 +87,8 @@ REQUIRED_OPS: Tuple[str, ...] = (
 _SEED = 0xA1C
 
 
-def _rate(fn: Callable[[], Any], min_time: float) -> float:
-    """Calls/sec of ``fn``: one warm-up call, then loop for ``min_time``."""
-    fn()
+def _loop_rate(fn: Callable[[], Any], min_time: float) -> float:
+    """Calls/sec of ``fn`` over one loop of at least ``min_time`` seconds."""
     start = time.perf_counter()
     calls = 0
     while True:
@@ -87,25 +99,43 @@ def _rate(fn: Callable[[], Any], min_time: float) -> float:
             return calls / elapsed
 
 
+def _median_iqr(rates: List[float]) -> Tuple[float, List[float]]:
+    """Median of ``rates`` and its interquartile range ``[q1, q3]``."""
+    q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    return median, [q1, q3]
+
+
 def _measure(
     run: Callable[[], Any],
     outputs_equal: Callable[[Any, Any], bool],
+    *,
+    loops: int,
     min_time: float,
     items: int = 1,
 ) -> Dict[str, Any]:
     """One op entry: run under both backends, time each, compare outputs.
-    Rates count ``items`` ops per call of ``run``."""
-    with backend_scope("reference"):
-        out_ref = run()
-        ref_rate = items * _rate(run, min_time)
-    with backend_scope("numpy"):
-        out_np = run()
-        np_rate = items * _rate(run, min_time)
+    The first call per backend is the warm-up and gives the compared
+    output; then ``loops`` timed loops per backend alternate.  Rates count
+    ``items`` ops per call of ``run``."""
+    outputs: Dict[str, Any] = {}
+    for name in ("reference", "numpy"):
+        with backend_scope(name):
+            outputs[name] = run()
+    rates: Dict[str, List[float]] = {"reference": [], "numpy": []}
+    for _ in range(loops):
+        for name in ("reference", "numpy"):
+            with backend_scope(name):
+                rates[name].append(items * _loop_rate(run, min_time))
+    ref, ref_iqr = _median_iqr(rates["reference"])
+    bat, bat_iqr = _median_iqr(rates["numpy"])
     return {
-        "reference_ops_per_s": ref_rate,
-        "batched_ops_per_s": np_rate,
-        "speedup": np_rate / ref_rate,
-        "bit_identical": bool(outputs_equal(out_ref, out_np)),
+        "reference_ops_per_s": ref,
+        "reference_iqr": ref_iqr,
+        "batched_ops_per_s": bat,
+        "batched_iqr": bat_iqr,
+        "speedup": bat / ref,
+        "bit_identical": bool(
+            outputs_equal(outputs["reference"], outputs["numpy"])),
     }
 
 
@@ -151,7 +181,9 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
     from repro.tfhe.torus import TORUS_MODULUS
 
     scale = QUICK_SCALE if quick else PAPER_SCALE
-    min_time = 0.2 if quick else 1.0
+    loops, min_time = ((QUICK_LOOPS, QUICK_LOOP_SECONDS) if quick
+                       else (PAPER_LOOPS, PAPER_LOOP_SECONDS))
+    measure = partial(_measure, loops=loops, min_time=min_time)
     n = scale["n"]
     params = CKKSParams(
         n=n, num_levels=scale["num_levels"], dnum=scale["dnum"]
@@ -174,33 +206,33 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
     spectrum = get_backend().ntt_forward(x_full, full)
 
     ops: Dict[str, Dict[str, Any]] = {}
-    ops["ntt_forward"] = _measure(
+    ops["ntt_forward"] = measure(
         lambda: get_backend().ntt_forward(x_full, full),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["ntt_inverse"] = _measure(
+    ops["ntt_inverse"] = measure(
         lambda: get_backend().ntt_inverse(spectrum, full),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["pointwise_mul"] = _measure(
+    ops["pointwise_mul"] = measure(
         lambda: get_backend().pointwise_mul(spectrum, spectrum, full),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["bconv"] = _measure(
+    ops["bconv"] = measure(
         lambda: get_backend().bconv(x_base, base, special),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["modup"] = _measure(
+    ops["modup"] = measure(
         lambda: get_backend().modup(x_digit, digit, complement),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["moddown"] = _measure(
+    ops["moddown"] = measure(
         lambda: get_backend().moddown(x_full, base, special),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
-    ops["rescale"] = _measure(
+    ops["rescale"] = measure(
         lambda: get_backend().rescale(x_base, base),
-        _arrays_equal, min_time,
+        _arrays_equal,
     )
 
     evaluator, ct = _ckks_stack(scale)
@@ -211,8 +243,8 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
             for pa, pb in zip(a.parts, b.parts)
         )
 
-    ops["cmult_rescale"] = _measure(
-        lambda: evaluator.multiply_rescale(ct, ct), ct_equal, min_time
+    ops["cmult_rescale"] = measure(
+        lambda: evaluator.multiply_rescale(ct, ct), ct_equal
     )
 
     # TFHE gate bootstrap: 2 CRT limbs only, so limb batching wins
@@ -228,12 +260,11 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
     def lwe_equal(a: Any, b: Any) -> bool:
         return bool(np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b))
 
-    ops["pbs"] = _measure(
-        lambda: kit.gate_bootstrap(sample, mu), lwe_equal, min_time
+    ops["pbs"] = measure(
+        lambda: kit.gate_bootstrap(sample, mu), lwe_equal
     )
-    ops["pbs_batch"] = _measure(
-        lambda: kit.gate_bootstrap(batch, mu), lwe_equal, min_time,
-        items=PBS_BATCH,
+    ops["pbs_batch"] = measure(
+        lambda: kit.gate_bootstrap(batch, mu), lwe_equal, items=PBS_BATCH,
     )
 
     return {
@@ -245,6 +276,8 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
             "dnum": scale["dnum"],
             "base_primes": len(base),
             "special_primes": len(special),
+            "loops": loops,
+            "loop_seconds": min_time,
             "pbs_params": {
                 "lwe_dim": TEST_PARAMS.lwe_dim,
                 "ring_degree": TEST_PARAMS.ring_degree,
@@ -256,7 +289,9 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
 
 
 def check_floors(doc: Dict[str, Any], floor: float) -> List[str]:
-    """Invariant violations in a kernels document (empty list = clean)."""
+    """Invariant violations in a kernels document (empty list = clean).
+
+    Every floor is gated on the median rates."""
     problems: List[str] = []
     ops = doc.get("ops", {})
     for name in REQUIRED_OPS:
@@ -277,6 +312,14 @@ def check_floors(doc: Dict[str, Any], floor: float) -> List[str]:
                 f"{name}: speedup field {entry.get('speedup')!r} does not "
                 f"equal batched/reference = {ratio!r}"
             )
+        for side, median in (("reference", ref), ("batched", bat)):
+            iqr = entry.get(f"{side}_iqr")
+            if not (isinstance(iqr, list) and len(iqr) == 2
+                    and iqr[0] <= median <= iqr[1]):
+                problems.append(
+                    f"{name}: {side}_iqr {iqr!r} does not bracket the "
+                    f"median {median!r}"
+                )
     for name in GATED_OPS:
         entry = ops.get(name)
         if entry and entry.get("speedup", 0.0) < floor:
@@ -301,19 +344,23 @@ def _print_table(doc: Dict[str, Any]) -> None:
     print(
         f"kernel throughput (mode={doc['mode']}, n={cfg['n']}, "
         f"L={cfg['num_levels']}, dnum={cfg['dnum']}, "
-        f"{cfg['base_primes']}+{cfg['special_primes']} primes)"
+        f"{cfg['base_primes']}+{cfg['special_primes']} primes; medians of "
+        f"{cfg['loops']} loops per backend, IQR in brackets)"
     )
-    header = (
-        f"  {'op':14s} {'reference/s':>12s} {'batched/s':>12s} "
+    print(
+        f"  {'op':14s} {'reference/s':>29s} {'batched/s':>29s} "
         f"{'speedup':>8s}  bit-identical"
     )
-    print(header)
     for name in REQUIRED_OPS:
         e = doc["ops"][name]
+        cols = [
+            f"{e[f'{side}_ops_per_s']:9.2f} [{lo:7.1f}, {hi:7.1f}]"
+            for side in ("reference", "batched")
+            for lo, hi in [e[f"{side}_iqr"]]
+        ]
         print(
-            f"  {name:14s} {e['reference_ops_per_s']:12.2f} "
-            f"{e['batched_ops_per_s']:12.2f} {e['speedup']:7.2f}x"
-            f"  {e['bit_identical']}"
+            f"  {name:14s} {cols[0]:>29s} {cols[1]:>29s} "
+            f"{e['speedup']:7.2f}x  {e['bit_identical']}"
         )
 
 

@@ -3,10 +3,16 @@
 Every primitive runs as a single vectorized numpy expression over the whole
 ``(C, n)`` residue matrix — the modulus is broadcast as a ``(C, 1)`` column
 (:func:`repro.ntmath.modular.channel_moduli`), so the Python call count per
-op is O(1) instead of O(limbs).  The NTT reuses the stacked-twiddle
-:class:`repro.poly.ntt.MultiNTTContext` (O(log n) calls per transform for
-the entire basis).  Arithmetic is identical to the per-limb reference
-backend, hence bit-identical results (enforced by ``tests/kernels``).
+op is O(1) instead of O(limbs).  Every modular product — in
+``pointwise_mul``, ``mul_channel_scalars``, Bconv, Moddown and rescale — is
+the one float-quotient multiply of :mod:`repro.ntmath.modular`
+(:func:`~repro.ntmath.modular.mulmod_channels`), and additions and
+subtractions use its ``np.minimum`` fix-ups.  The NTT is
+:class:`repro.poly.ntt.MultiNTTContext`: constant-geometry stages over the
+whole basis with lazy butterflies built on the same multiply, O(log n)
+calls per transform.  Every output is the exact residue, so results are
+bit-identical to the per-limb reference backend (enforced by
+``tests/kernels``).
 """
 
 from __future__ import annotations

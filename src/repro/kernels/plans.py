@@ -30,7 +30,7 @@ class BasisPlan:
 
     primes: Primes
     q_col: np.ndarray        # (C, 1) uint64
-    q_inv_col: np.ndarray    # (C, 1) float64
+    q_inv_col: np.ndarray    # (C, 1) float64, 1/q biased low (channel_moduli)
 
 
 @lru_cache(maxsize=1024)

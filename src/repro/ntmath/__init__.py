@@ -3,8 +3,8 @@
 This package provides the scalar and vectorized modular arithmetic that every
 layer above (polynomial rings, RNS, the FHE schemes and the Meta-OP cost
 models) is built on.  All vectorized routines operate on ``numpy.uint64``
-arrays and are exact for moduli below 2**46 (the paper uses 36-bit RNS primes,
-following SHARP [11]).
+arrays and are exact for moduli of at most 42 bits (``MAX_FAST_MODULUS_BITS``;
+the paper uses 36-bit RNS primes, following SHARP [11]).
 """
 
 from repro.ntmath.modular import (

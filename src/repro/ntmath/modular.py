@@ -1,24 +1,43 @@
-"""Vectorized modular arithmetic for moduli up to 46 bits.
+"""Vectorized modular arithmetic for moduli of at most 42 bits.
 
-The FHE schemes in this repository use RNS primes of at most 36 bits (the
-word size the paper adopts from SHARP [11]) and the exact negacyclic NTT used
-by the TFHE substrate uses 44-bit primes.  Both fit the fast ``numpy.uint64``
-path implemented here.
+Every vectorized routine here requires ``q < 2**42``
+(:data:`MAX_FAST_MODULUS_BITS`, enforced by :func:`_check_modulus` and
+:func:`channel_moduli`).  The RNS chains stay inside that bound: CKKS base
+primes have 35–41 bits and its special primes up to 42, BFV uses 36-bit
+primes with a 42-bit auxiliary basis, and the TFHE torus NTT uses two
+36-bit primes.
 
 The multiplication trick (float-assisted Barrett): the quotient
 ``floor(a * b / q)`` is estimated in double precision and the remainder is
-recovered with wrapping ``uint64`` arithmetic.  For ``q < 2**42`` the
-quotient is below ``2**42`` while the accumulated float rounding error is
-below ``2**-9``, so the estimate is off by at most one; the two conditional
-fix-ups afterwards make the result exact.  This replaces the division-based
-split-word path (three ``%`` reductions per call) with one integer multiply,
-one float multiply and two compare/subtract sweeps — the NTT butterfly hot
-path across the whole repository.
+recovered with wrapping ``uint64`` arithmetic, which is exact because the
+true remainder is small and its low 64 bits identify it.
+
+* :func:`mulmod` (scalar modulus, used by the per-prime reference path)
+  truncates an unbiased estimate: below ``2**42`` the quotient's float
+  error is under ``2**-9``, so it is off by at most one either way and two
+  conditional fix-ups make the result exact.
+* The channel-wise functions (the batched kernels' primitives) use a
+  *biased* quotient factor: :func:`channel_moduli` returns
+  ``(1/q) * (1 - 2**-46)``.  Every estimate is then a product of exact
+  integers and that factor with at most four float64 roundings (relative
+  error below ``4.01 * 2**-53``), so it sits strictly below the exact
+  quotient ``x`` (the bias is ``128 * 2**-53``) and above ``x - 1`` while
+  ``x < 2**45``.  The truncated quotient therefore never overestimates and
+  underestimates by at most one: the remainder lands in ``[0, 2q)`` with
+  no sign fix-up.  :func:`mulmod_lazy` stops there (Harvey's lazy
+  product, https://arxiv.org/abs/1205.2926); :func:`mulmod_channels` adds
+  the one conditional subtraction into ``[0, q)``.
+
+Lazy ranges: a lazy product accepts a left operand below ``4q`` (then
+``x < 4q < 2**44``) and returns ``[0, 2q)``; the batched NTT keeps values
+in ``[0, 4q)`` between stages.  Every conditional subtraction is
+``np.minimum(x, x - c)`` on uint64: when ``x < c`` the difference wraps
+to a huge value and the minimum keeps ``x``.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -88,7 +107,7 @@ def negmod(a: ArrayLike, q: int) -> np.ndarray:
 
 
 def mulmod(a: ArrayLike, b: ArrayLike, q: int) -> np.ndarray:
-    """Elementwise ``(a * b) mod q``, exact for ``q < 2**46``.
+    """Elementwise ``(a * b) mod q``, exact for ``q < 2**42``.
 
     Inputs must already be reduced into ``[0, q)``.
     """
@@ -115,36 +134,42 @@ def mulmod(a: ArrayLike, b: ArrayLike, q: int) -> np.ndarray:
 # Channel-wise variants: the modulus is an *array* broadcast against the
 # operands, so one numpy call reduces every RNS limb at once.  These are the
 # primitives the batched kernel backend (:mod:`repro.kernels`) is built on.
-# Arithmetic is identical to the scalar-modulus functions above — for the
-# same ``q`` the float quotient estimate and the fix-up sweeps perform the
-# exact same operations — so results are bit-identical per channel.
+# Every result is the exact residue in ``[0, q)``, so results are
+# bit-identical to the scalar-modulus functions above per channel.
 # --------------------------------------------------------------------- #
+
+#: Relative low bias of the float quotient factor (see the module notes).
+QUOTIENT_BIAS = 1.0 - 2.0 ** -46
 
 
 def channel_moduli(primes, extra_dims: int = 1):
-    """``(q, 1/q)`` arrays shaped ``(C, 1, ..., 1)`` for channel broadcast.
+    """``(q, q_quot)`` arrays shaped ``(C, 1, ..., 1)`` for channel broadcast.
 
-    ``extra_dims`` is the number of trailing axes of the operands after the
-    channel axis (1 for ``(C, n)`` data, 2 for ``(C, batch, n)``, ...).
+    ``q_quot`` is ``1/q`` biased low by :data:`QUOTIENT_BIAS`, the factor
+    :func:`mulmod_lazy` and :func:`mulmod_channels` take.  ``extra_dims`` is
+    the number of trailing axes of the operands after the channel axis (1
+    for ``(C, n)`` data, 2 for ``(C, batch, n)``, ...).
     """
-    q = np.asarray([int(p) for p in primes], dtype=np.uint64)
     for p in primes:
         _check_modulus(int(p))
     shape = (len(primes),) + (1,) * extra_dims
-    q = q.reshape(shape)
-    return q, 1.0 / q.astype(np.float64)
+    q = np.asarray([int(p) for p in primes], dtype=np.uint64).reshape(shape)
+    return q, (1.0 / q.astype(np.float64)) * QUOTIENT_BIAS
 
 
 def addmod_channels(a: np.ndarray, b: np.ndarray, qq: np.ndarray) -> np.ndarray:
     """Channel-wise ``(a + b) mod q`` with array modulus ``qq``."""
     s = a + b
-    return s - qq * (s >= qq)
+    return np.minimum(s, s - qq, out=s)
 
 
 def submod_channels(a: np.ndarray, b: np.ndarray, qq: np.ndarray) -> np.ndarray:
-    """Channel-wise ``(a - b) mod q`` with array modulus ``qq``."""
-    s = a + (qq - b)
-    return s - qq * (s >= qq)
+    """Channel-wise ``(a - b) mod q`` with array modulus ``qq``.
+
+    ``a - b`` wraps when ``a < b``; adding ``q`` wraps it back into
+    ``(0, q)``, below the wrapped value, so the minimum picks it."""
+    d = a - b
+    return np.minimum(d, d + qq, out=d)
 
 
 def negmod_channels(a: np.ndarray, qq: np.ndarray) -> np.ndarray:
@@ -152,22 +177,47 @@ def negmod_channels(a: np.ndarray, qq: np.ndarray) -> np.ndarray:
     return np.where(a == 0, np.uint64(0), qq - a)
 
 
+def mulmod_lazy(
+    a: np.ndarray,
+    b: np.ndarray,
+    b_quot: np.ndarray,
+    qq: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    quot: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Channel-wise ``(a * b) mod q`` lazily reduced into ``[0, 2q)``.
+
+    ``a`` is uint64 below ``4q``; ``b`` is uint64 in ``[0, q)`` and
+    ``b_quot`` is ``b * q_quot`` in float64 (``q_quot`` from
+    :func:`channel_moduli`), so the quotient estimate ``a * b_quot`` never
+    overestimates.  ``out`` and ``quot`` are optional uint64 buffers of the
+    broadcast shape; ``out`` receives the result.
+    """
+    if quot is None:
+        quot = np.empty(np.broadcast_shapes(a.shape, np.shape(b_quot)),
+                        dtype=np.uint64)
+    # a < 2**63 as int64 converts exactly; the estimate is >= 0, so the
+    # float -> int64 cast truncates it to the floor.
+    np.multiply(a.view(np.int64), b_quot, out=quot.view(np.int64),
+                dtype=np.float64, casting="unsafe")
+    np.multiply(quot, qq, out=quot)
+    out = np.multiply(a, b, out=out)
+    return np.subtract(out, quot, out=out)
+
+
 def mulmod_channels(
-    a: np.ndarray, b: np.ndarray, qq: np.ndarray, q_inv: np.ndarray
+    a: np.ndarray, b: np.ndarray, qq: np.ndarray, q_quot: np.ndarray
 ) -> np.ndarray:
     """Channel-wise ``(a * b) mod q`` (float-assisted Barrett, array modulus).
 
-    ``qq``/``q_inv`` come from :func:`channel_moduli`; inputs must already be
-    reduced into ``[0, q)`` per channel.
+    ``qq``/``q_quot`` come from :func:`channel_moduli`; inputs must already
+    be reduced into ``[0, q)`` per channel.  One lazy product, then one
+    conditional subtraction.
     """
-    quot = (a.astype(np.float64) * b.astype(np.float64) * q_inv).astype(
-        np.uint64
-    )
-    with np.errstate(over="ignore"):
-        r = a * b - quot * qq
-        r += qq * (r >= _SIGN_BIT)
-        r -= qq * (r >= qq)
-    return r
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    r = mulmod_lazy(a, b, np.multiply(b, q_quot, dtype=np.float64), qq)
+    return np.minimum(r, r - qq, out=r)
 
 
 def mulmod_scalar(a: int, b: int, q: int) -> int:

@@ -1,12 +1,23 @@
 """Negacyclic number-theoretic transform over ``Z_q[X]/(X^N + 1)``.
 
-Implements the merged-twiddle iterative NTT (Longa–Naehrig style): the
-forward transform uses Cooley–Tukey butterflies with the powers of the 2N-th
-root ``psi`` folded into the twiddle table (so no separate pre-weighting pass
-is needed), and produces bit-reversed output; the inverse uses
-Gentleman–Sande butterflies, consumes bit-reversed input, and returns natural
-order.  All stages are fully vectorized over numpy arrays, with batching over
-arbitrary leading axes (used to transform all RNS channels at once).
+Implements the merged-twiddle NTT (Longa–Naehrig style): the forward
+transform uses Cooley–Tukey butterflies with the powers of the 2N-th root
+``psi`` folded into the twiddle table (so no separate pre-weighting pass is
+needed), and produces bit-reversed output; the inverse uses Gentleman–Sande
+butterflies, consumes bit-reversed input, and returns natural order.
+
+Two implementations compute the same exact residues:
+
+* :class:`NTTContext` — one prime, in-place stages over ``(m, 2t)`` block
+  views with fully reduced butterflies.  The per-limb ``reference`` kernel
+  backend runs it, and it is the oracle the batched transform is tested
+  against.
+* :class:`MultiNTTContext` — every channel of an RNS basis at once, as
+  constant-geometry (Pease) stages with Harvey's lazy butterflies: each
+  stage reads two contiguous half-rows and writes the even and odd lanes of
+  a second buffer (the inverse the reverse), values stay in ``[0, 4q)``
+  between stages, and the transform reduces into ``[0, q)`` once at the
+  end.  The ``numpy`` kernel backend runs it.
 """
 
 from __future__ import annotations
@@ -17,12 +28,11 @@ import numpy as np
 
 from repro.ntmath.modular import (
     addmod,
-    addmod_channels,
+    channel_moduli,
     invmod,
     mulmod,
-    mulmod_channels,
+    mulmod_lazy,
     submod,
-    submod_channels,
 )
 from repro.ntmath.primes import root_of_unity
 
@@ -168,97 +178,134 @@ def get_context(n: int, q: int) -> NTTContext:
     return NTTContext(n, q)
 
 
+def _reduce(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x - c`` where ``x >= c``, else ``x``: one conditional subtraction."""
+    np.subtract(x, c, out=out)
+    return np.minimum(x, out, out=out)
+
+
 class MultiNTTContext:
     """Batched NTT across several moduli of the same ring degree.
 
-    Stacks the per-prime twiddle tables of :class:`NTTContext` along a
-    leading channel axis so one butterfly pass transforms every channel at
-    once (modulus broadcast as an array).  Arithmetic is identical to the
-    per-channel transforms — results are bit-exact equal — but the Python
-    call count per transform drops from ``O(channels * log n)`` to
-    ``O(log n)``, which dominates at the small test-suite ring degrees.
+    Transforms ``(C, ..., n)`` residues, one RNS channel per leading index,
+    with the per-prime twiddle tables of :class:`NTTContext` stacked along
+    that axis; every numpy call covers all channels and batch rows, so a
+    transform costs ``O(log n)`` Python calls.  Outputs equal the per-prime
+    transforms exactly.
+
+    Stage layout (constant geometry).  The forward's stage ``s`` pairs the
+    two contiguous halves of each row, ``k`` and ``k + n/2``, and writes the
+    butterfly's outputs to lanes ``2k`` and ``2k + 1`` of the other buffer.
+    That moves every index's bits one place left, so the butterfly bit of
+    the next stage is again the top bit; after ``log n`` stages the order is
+    the in-place transform's bit-reversed order.  Pair ``k`` of stage ``s``
+    takes twiddle ``psi_br[m + k mod m]`` with ``m = 2**s``: a view of
+    ``psi_br[:, m:2m]`` repeated with period ``m`` across the lanes.  The
+    inverse reads lanes ``2k``/``2k + 1`` and writes halves, with twiddle
+    ``ipsi_br[h + k mod h]`` for ``h = n / 2**(s+1)``.  Two buffers
+    alternate, and the caller's array is never written.
+
+    Lazy butterflies (Harvey).  Forward: ``x`` in ``[0, 4q)`` is reduced to
+    ``[0, 2q)``, ``t = y * w`` is a lazy product in ``[0, 2q)``, and the
+    outputs ``x + t`` and ``x - t + 2q`` lie in ``[0, 4q)``.  Inverse: inputs
+    in ``[0, 2q)``, ``x + y`` is reduced to ``[0, 2q)`` and
+    ``(x - y + 2q) * w`` is a lazy product.  The forward ends with two
+    conditional subtractions, the inverse with one lazy product by ``n^-1``
+    and one subtraction, so every output is the exact residue in
+    ``[0, q)``.
+
+    Tables: the stacked ``psi_br`` and ``ipsi_br`` (``2n`` words per
+    channel) plus per-channel scalars; stage twiddles are views, and their
+    float quotient factors are computed per stage, so no table grows with
+    ``log n``.
     """
 
     def __init__(self, n: int, primes):
         self.n = n
         self.primes = tuple(int(q) for q in primes)
         ctxs = [get_context(n, q) for q in self.primes]
-        #: (C, 1) so it broadcasts against both (C, n) and (C, B, n).
-        self.q_arr = np.array(self.primes, dtype=np.uint64)
-        self.q_inv_float = 1.0 / self.q_arr.astype(np.float64)
+        #: (C, 1, 1): broadcasts against the (C, batch, n/2) stage operands.
+        self._q, self._q_quot = channel_moduli(self.primes, extra_dims=2)
+        self._q2 = self._q + self._q
         self.psi_br = np.stack([c.psi_br for c in ctxs])      # (C, n)
         self.ipsi_br = np.stack([c.ipsi_br for c in ctxs])    # (C, n)
-        self.n_inv = np.stack([c.n_inv for c in ctxs])        # (C,)
-
-    # --- array-modulus primitives (inputs reduced into [0, q)) --------- #
-
-    _mulmod = staticmethod(mulmod_channels)
-    _addmod = staticmethod(addmod_channels)
-    _submod = staticmethod(submod_channels)
+        self.n_inv = np.stack([c.n_inv for c in ctxs]).reshape(self._q.shape)
 
     # ------------------------------------------------------------------ #
 
-    def _shaped_q(self, extra_dims: int):
-        """Modulus arrays broadcastable over ``(C, *extra, m, t)`` views."""
-        shape = (len(self.primes),) + (1,) * (extra_dims + 1)
-        return self.q_arr.reshape(shape), self.q_inv_float.reshape(shape)
+    def _rows(self, a: np.ndarray) -> np.ndarray:
+        """``a`` as a ``(C, rows, n)`` uint64 array (a view when possible)."""
+        a = np.ascontiguousarray(a, dtype=np.uint64)
+        if a.ndim < 2 or a.shape[0] != len(self.primes) or a.shape[-1] != self.n:
+            raise ValueError(
+                f"expected shape ({len(self.primes)}, ..., {self.n}); "
+                f"got {a.shape}"
+            )
+        return a.reshape(a.shape[0], -1, self.n)
+
+    def _twiddle_mul(self, x, table, period, out, quot):
+        """Lazy ``x * table[:, period + k % period]`` along ``x``'s last axis."""
+        c, rows, half = x.shape
+        w = table[:, period:2 * period].reshape(c, 1, 1, period)
+        shape = (c, rows, half // period, period)
+        mulmod_lazy(x.reshape(shape), w, w * self._q_quot[..., None],
+                    self._q[..., None], out=out.reshape(shape),
+                    quot=quot.reshape(shape))
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Forward negacyclic NTT of ``a`` shaped ``(C, ..., n)``."""
-        n = self.n
-        a = np.ascontiguousarray(a, dtype=np.uint64)
-        shape = a.shape
-        if shape[0] != len(self.primes) or shape[-1] != n:
-            raise ValueError(
-                f"expected shape ({len(self.primes)}, ..., {n}); got {shape}"
-            )
-        channels = shape[0]
-        a = a.reshape(channels, -1, n).copy()
-        batch = a.shape[1]
-        qq, q_inv = self._shaped_q(2)
-        t = n
+        shape = np.shape(a)
+        x = self._rows(a)
+        c, rows, n = x.shape
+        h = n // 2
+        q, q2 = self._q, self._q2
+        bufs = [np.empty_like(x), np.empty_like(x)]
+        lo_r, lo_2q, t, quot = (np.empty((c, rows, h), np.uint64)
+                                for _ in range(4))
         m = 1
         while m < n:
-            t //= 2
-            twiddles = self.psi_br[:, None, m : 2 * m, None]
-            view = a.reshape(channels, batch, m, 2 * t)
-            u = view[:, :, :, :t]
-            v = self._mulmod(view[:, :, :, t:], twiddles, qq, q_inv)
-            hi = self._submod(u, v, qq)
-            view[:, :, :, :t] = self._addmod(u, v, qq)
-            view[:, :, :, t:] = hi
+            y = bufs[0]
+            lo, hi = x[..., :h], x[..., h:]
+            if m > 1:                     # stage 0 reads the caller's [0, q)
+                lo = _reduce(lo, q2, out=lo_r)
+            np.add(lo, q2, out=lo_2q)
+            self._twiddle_mul(hi, self.psi_br, m, out=t, quot=quot)
+            lanes = y.reshape(c, rows, h, 2)
+            np.add(lo, t, out=lanes[..., 0])
+            np.subtract(lo_2q, t, out=lanes[..., 1])
+            bufs.reverse()
+            x = y
             m *= 2
-        return a.reshape(shape)
+        _reduce(x, q2, out=bufs[0])
+        return _reduce(bufs[0], q, out=x).reshape(shape)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT of ``a`` shaped ``(C, ..., n)``."""
-        n = self.n
-        a = np.ascontiguousarray(a, dtype=np.uint64)
-        shape = a.shape
-        if shape[0] != len(self.primes) or shape[-1] != n:
-            raise ValueError(
-                f"expected shape ({len(self.primes)}, ..., {n}); got {shape}"
-            )
-        channels = shape[0]
-        a = a.reshape(channels, -1, n).copy()
-        batch = a.shape[1]
-        qq, q_inv = self._shaped_q(2)
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            twiddles = self.ipsi_br[:, None, h : 2 * h, None]
-            view = a.reshape(channels, batch, h, 2 * t)
-            u = view[:, :, :, :t].copy()
-            v = view[:, :, :, t:]
-            diff = self._mulmod(self._submod(u, v, qq), twiddles, qq, q_inv)
-            view[:, :, :, :t] = self._addmod(u, v, qq)
-            view[:, :, :, t:] = diff
-            t *= 2
-            m = h
-        qq2, q_inv2 = self._shaped_q(1)
-        a = self._mulmod(a, self.n_inv[:, None, None], qq2, q_inv2)
-        return a.reshape(shape)
+        shape = np.shape(a)
+        x = self._rows(a)
+        c, rows, n = x.shape
+        h = n // 2
+        q, q2 = self._q, self._q2
+        bufs = [np.empty_like(x), np.empty_like(x)]
+        diff, quot = (np.empty((c, rows, h), np.uint64) for _ in range(2))
+        g = h
+        while g:
+            y = bufs[0]
+            lanes = x.reshape(c, rows, h, 2)
+            even, odd = lanes[..., 0], lanes[..., 1]
+            top = y[..., :h]
+            np.add(even, q2, out=diff)
+            np.subtract(diff, odd, out=diff)
+            np.add(even, odd, out=top)
+            np.subtract(top, q2, out=quot)
+            np.minimum(top, quot, out=top)
+            self._twiddle_mul(diff, self.ipsi_br, g, out=y[..., h:], quot=quot)
+            bufs.reverse()
+            x = y
+            g //= 2
+        out = bufs[0]
+        mulmod_lazy(x, self.n_inv, self.n_inv * self._q_quot, q, out=out)
+        return _reduce(out, q, out=x).reshape(shape)
 
 
 @lru_cache(maxsize=256)

@@ -108,21 +108,51 @@ def test_module_dispatch_follows_active_backend():
     assert out.shape == (len(target), 64)
 
 
+def _golden():
+    import json
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    return json.loads((root / "BENCH_kernels.json").read_text())
+
+
 def test_kernels_golden_gates_batched_pbs_per_gate():
     """The committed golden passes the floors, and ``check_floors`` flags a
     one-pass ``pbs_batch`` that is not 1.5x faster per gate than ``pbs``."""
     import copy
-    import json
-    import pathlib
 
-    from repro.kernels.bench import PAPER_SPEEDUP_FLOOR, check_floors
+    from repro.kernels.bench import PAPER_SPEEDUP_FLOOR, SCHEMA, check_floors
 
-    root = pathlib.Path(__file__).resolve().parents[2]
-    doc = json.loads((root / "BENCH_kernels.json").read_text())
+    doc = _golden()
+    assert doc["schema"] == SCHEMA
     assert check_floors(doc, PAPER_SPEEDUP_FLOOR) == []
     slow = copy.deepcopy(doc)
     entry = slow["ops"]["pbs_batch"]
-    entry["batched_ops_per_s"] = 1.4 * slow["ops"]["pbs"]["batched_ops_per_s"]
+    scale = (1.4 * slow["ops"]["pbs"]["batched_ops_per_s"]
+             / entry["batched_ops_per_s"])
+    entry["batched_ops_per_s"] *= scale
+    entry["batched_iqr"] = [v * scale for v in entry["batched_iqr"]]
     entry["speedup"] = entry["batched_ops_per_s"] / entry["reference_ops_per_s"]
     problems = check_floors(slow, PAPER_SPEEDUP_FLOOR)
     assert len(problems) == 1 and "pbs_batch" in problems[0], problems
+
+
+def test_kernels_golden_reports_medians_with_their_spread():
+    """Each rate is a median of several loops with an IQR around it; an
+    entry without a bracketing IQR fails the gate."""
+    import copy
+
+    from repro.kernels.bench import PAPER_LOOPS, PAPER_SPEEDUP_FLOOR, check_floors
+
+    doc = _golden()
+    assert doc["config"]["loops"] == PAPER_LOOPS
+    for name, entry in doc["ops"].items():
+        for side in ("reference", "batched"):
+            lo, hi = entry[f"{side}_iqr"]
+            assert lo <= entry[f"{side}_ops_per_s"] <= hi, name
+    for mangle in (lambda e: e.pop("batched_iqr"),
+                   lambda e: e.update(reference_iqr=[0.0, 1e-9])):
+        bad = copy.deepcopy(doc)
+        mangle(bad["ops"]["ntt_forward"])
+        problems = check_floors(bad, PAPER_SPEEDUP_FLOOR)
+        assert len(problems) == 1 and "ntt_forward" in problems[0], problems

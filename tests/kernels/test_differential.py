@@ -10,19 +10,51 @@ degrees, and inputs through both backends and asserts ``array_equal``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import backend_scope
+from repro.ntmath.modular import (
+    MAX_FAST_MODULUS_BITS,
+    addmod_channels,
+    channel_moduli,
+    mulmod_channels,
+    submod_channels,
+)
 from repro.ntmath.primes import generate_ntt_primes
 
 DEGREES = st.sampled_from([16, 32, 64])
 PRIME_BITS = st.sampled_from([20, 28, 36])
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
+#: The NTT at every ring degree the workloads use (and the two smallest),
+#: up to the enforced 42-bit prime width.
+NTT_DEGREES = st.sampled_from([2, 4, 16, 32, 64, 128, 256])
+NTT_PRIME_BITS = st.sampled_from([20, 28, 36, MAX_FAST_MODULUS_BITS])
+#: Batch axes between the channel and coefficient axes: none (``(C, n)``),
+#: ``(C, B, n)`` and the TFHE external product's ``(C, rows, B, n)``.
+BATCHES = st.sampled_from([(), (1,), (3,), (6, 2), (2, 4)])
+#: Random residues, then the worst cases of the lazy ``[0, 4q)`` bound:
+#: every coefficient at ``q - 1``, and one ``q - 1`` spike among zeros.
+FILLS = st.sampled_from(["random", "q-1", "spike"])
+
 
 def _residues(rng, primes, n):
     return np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+
+
+def _batch(rng, primes, batch, n, fill):
+    x = np.stack([rng.integers(0, q, batch + (n,), dtype=np.uint64)
+                  for q in primes])
+    top = (np.array(primes, dtype=np.uint64) - np.uint64(1)).reshape(
+        (-1,) + (1,) * (x.ndim - 1))
+    if fill == "q-1":
+        x[...] = top
+    elif fill == "spike":
+        x[...] = 0
+        x[..., :1] = top
+    return x
 
 
 def _both(op):
@@ -34,16 +66,75 @@ def _both(op):
     return want, got
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=DEGREES, bits=PRIME_BITS, count=st.integers(1, 5), seed=SEEDS)
-def test_ntt_forward_inverse_bit_identical(n, bits, count, seed):
+@settings(max_examples=40, deadline=None)
+@given(n=NTT_DEGREES, bits=NTT_PRIME_BITS, count=st.integers(1, 4),
+       batch=BATCHES, fill=FILLS, seed=SEEDS)
+def test_ntt_forward_inverse_bit_identical(n, bits, count, batch, fill, seed):
+    """Both backends agree on ``(C, ..., n)`` batches at the workloads'
+    degrees and prime widths, including the lazy-range worst cases, and
+    neither writes the caller's array."""
     primes = generate_ntt_primes(bits, n, count)
-    x = _residues(np.random.default_rng(seed), primes, n)
+    x = _batch(np.random.default_rng(seed), primes, batch, n, fill)
+    before = x.copy()
     want_fwd, got_fwd = _both(lambda b: b.ntt_forward(x, primes))
+    assert np.array_equal(x, before)
     assert np.array_equal(want_fwd, got_fwd)
-    want_rt, got_rt = _both(lambda b: b.ntt_inverse(got_fwd, primes))
-    assert np.array_equal(want_rt, got_rt)
-    assert np.array_equal(got_rt, x)  # and the round-trip is the identity
+    spectrum = got_fwd.copy()
+    want_inv, got_inv = _both(lambda b: b.ntt_inverse(spectrum, primes))
+    assert np.array_equal(spectrum, got_fwd)
+    assert np.array_equal(want_inv, got_inv)
+    assert np.array_equal(got_inv, x)  # and the round-trip is the identity
+    # the inverse's worst case: every spectrum value at q - 1
+    top = _batch(np.random.default_rng(seed), primes, batch, n, "q-1")
+    want, got = _both(lambda b: b.ntt_inverse(top, primes))
+    assert np.array_equal(want, got)
+
+
+def _channel_case(bits, seed):
+    """A ``(C, 16)`` operand pair at ``bits``-bit moduli with the corner
+    cases spliced in: ``0``, ``1``, ``q - 1``, and products just below,
+    at and just above multiples of ``q``."""
+    rng = np.random.default_rng(seed)
+    moduli = [int(rng.integers(1 << (bits - 1), 1 << bits)) for _ in range(3)]
+    a = np.empty((3, 16), dtype=np.uint64)
+    b = np.empty((3, 16), dtype=np.uint64)
+    for c, q in enumerate(moduli):
+        row_a = [int(v) for v in rng.integers(0, q, 16)]
+        row_b = [int(v) for v in rng.integers(0, q, 16)]
+        row_a[:4], row_b[:4] = [0, 1, q - 1, q - 1], [q - 1, q - 1, 1, q - 1]
+        for i in range(4, 16, 3):
+            x = max(row_a[i], 1)
+            j = int(rng.integers(0, x))      # a * b close to j * q
+            k = -(-j * q // x)               # smallest b with a*b >= j*q
+            for d in (-1, 0, 1):
+                row_a[i + 1 + d] = x
+                row_b[i + 1 + d] = min(max(k + d, 0), q - 1)
+        a[c], b[c] = row_a, row_b
+    return moduli, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(2, MAX_FAST_MODULUS_BITS), seed=SEEDS)
+def test_channel_modular_primitives_match_python_ints(bits, seed):
+    """``mulmod/addmod/submod_channels`` against exact Python integers."""
+    moduli, a, b = _channel_case(bits, seed)
+    a_in, b_in = a.copy(), b.copy()
+    qq, q_quot = channel_moduli(moduli)
+    for fn, exact in (
+        (lambda: mulmod_channels(a, b, qq, q_quot), lambda x, y, q: x * y % q),
+        (lambda: addmod_channels(a, b, qq), lambda x, y, q: (x + y) % q),
+        (lambda: submod_channels(a, b, qq), lambda x, y, q: (x - y) % q),
+    ):
+        got = fn()
+        want = [[exact(int(x), int(y), q) for x, y in zip(ra, rb)]
+                for ra, rb, q in zip(a, b, moduli)]
+        assert got.tolist() == want
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+
+
+def test_channel_moduli_enforce_the_fast_path_bound():
+    with pytest.raises(ValueError):
+        channel_moduli([1 << MAX_FAST_MODULUS_BITS])
 
 
 @settings(max_examples=25, deadline=None)

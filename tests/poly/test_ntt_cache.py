@@ -68,3 +68,35 @@ def test_get_multi_context_evicts_at_the_bound():
     get_multi_context(_N, (primes[0],))
     assert get_multi_context.cache_info().misses == maxsize + 9
     get_multi_context.cache_clear()
+
+
+def _table_bytes(ctx) -> int:
+    return sum(v.nbytes for v in vars(ctx).values() if isinstance(v, np.ndarray))
+
+
+def test_multi_context_tables_stay_compact():
+    """A context holds its stacked ``psi_br`` and ``ipsi_br`` (``2n`` words
+    per channel) plus a few per-channel scalars, and transforms add nothing.
+
+    ``ckks-chain`` keeps dozens of contexts (about 1,660 channels at
+    n = 256) alive: per-stage twiddle tables, or cached per-batch-shape
+    buffers, would cost tens of MiB, so stage twiddles must stay views of
+    the stacked tables.
+    """
+    from repro.ntmath.primes import generate_ntt_primes
+
+    word = np.dtype(np.uint64).itemsize
+    scalars = 8                              # per-channel q, 2q, 1/q, n^-1, ...
+    for n, channels in ((8, 3), (256, 5)):
+        primes = tuple(generate_ntt_primes(36, n, channels))
+        ctx = get_multi_context(n, primes)
+        bound = channels * (2 * n + scalars) * word
+        assert _table_bytes(ctx) <= bound
+        rng = np.random.default_rng(n)
+        before = _table_bytes(ctx)
+        attrs = set(vars(ctx))
+        for batch in ((), (3,), (2, 4)):
+            x = np.stack([rng.integers(0, q, size=batch + (n,),
+                                       dtype=np.uint64) for q in primes])
+            ctx.inverse(ctx.forward(x))
+        assert _table_bytes(ctx) == before and set(vars(ctx)) == attrs
