@@ -23,8 +23,10 @@ class BFVParams:
     n:
         Ring degree (power of two); ``n`` integer slots when ``t ≡ 1 mod 2n``.
     plain_modulus:
-        Plaintext modulus ``t``.  Pass ``None`` to auto-select an
-        NTT-friendly prime of ``plain_bits`` bits (enables batching).
+        Plaintext modulus ``t``, below ``Q`` and of at most 42 bits (the
+        channel width decryption rounds onto).  Pass ``None`` to
+        auto-select an NTT-friendly prime of ``plain_bits`` bits (enables
+        batching).
     num_primes:
         Number of 36-bit RNS primes in the ciphertext modulus ``Q``.
     dnum:
@@ -59,9 +61,15 @@ class BFVParams:
         t = self.plain_modulus
         if t is None:
             t = generate_ntt_prime(self.plain_bits, self.n)
+        t = int(t)
         if t < 2:
             raise ValueError("plaintext modulus must be >= 2")
-        object.__setattr__(self, "plain_modulus", int(t))
+        if t.bit_length() > MAX_FAST_MODULUS_BITS:
+            raise ValueError(
+                f"plaintext modulus {t} has {t.bit_length()} bits; decryption "
+                f"rounds onto t in the {MAX_FAST_MODULUS_BITS}-bit channel "
+                "arithmetic")
+        object.__setattr__(self, "plain_modulus", t)
         primes = generate_ntt_primes(36, self.n, self.num_primes + self.alpha)
         primes = [q for q in primes if q != t]
         object.__setattr__(self, "ct_primes", tuple(primes[: self.num_primes]))
@@ -70,6 +78,10 @@ class BFVParams:
             "special_primes",
             tuple(primes[self.num_primes : self.num_primes + self.alpha]),
         )
+        if t >= self.q_product:
+            raise ValueError(
+                f"plaintext modulus {t} is not below Q; Delta = floor(Q/t) "
+                "would carry no message")
         object.__setattr__(self, "aux_primes", self._pick_aux_primes())
 
     def _pick_aux_primes(self) -> Tuple[int, ...]:

@@ -11,9 +11,12 @@ Multiplication forms the tensor in RNS form, as the modelled
 exactly from ``Q`` to the extended basis ``Q∪B`` (``params.aux_primes``),
 one batched NTT call transforms all four, and one inverse call returns
 the three tensor polynomials.  ``Q·B`` exceeds twice the largest tensor
-coefficient, so the CRT over ``Q∪B`` recovers the exact integer tensor of
-the textbook definition, and ``round(t/Q * .)`` is then taken exactly over
-big integers (RNS variants like BEHZ/HPS approximate that last step).
+coefficient, so the centred value over ``Q∪B`` is the exact integer
+tensor of the textbook definition.  The lift, the ``round(t/Q * .)`` of
+that tensor and decryption's ``round(t/Q * phase)`` are all exact and run
+in uint64 on mixed-radix digits (:func:`~repro.rns.basis.scale_round`),
+so no request step leaves RNS form for Python integers; RNS variants like
+BEHZ/HPS approximate the rounding instead.
 
 The RLWE steps shared with CKKS (keys, encryption, the decryption phase,
 the tensor, the part arithmetic) live in :mod:`repro.rns.rlwe`.
@@ -29,7 +32,8 @@ import numpy as np
 from repro import seedexp
 from repro.bfv.encoder import BFVEncoder
 from repro.bfv.params import BFVParams
-from repro.rns.basis import crt_centred
+from repro.ntmath.modular import to_mod_array
+from repro.rns.basis import scale_round
 from repro.rns.keyswitch import hybrid_keyswitch
 from repro.rns.rlwe import (NTTPublicKey, RLWEKeyGenerator, add_parts,
                             coeff_batch, phase, plain_mul, require_params,
@@ -80,6 +84,13 @@ class BFVCiphertext:
 
     def copy(self) -> "BFVCiphertext":
         return BFVCiphertext([p.copy() for p in self.parts], self.params)
+
+
+def _plain_rns(ring: RNSRing, params: BFVParams, plain_poly) -> RNSPoly:
+    """Plaintext coefficients, any integers, mod ``t`` over the ciphertext
+    primes."""
+    coeffs = to_mod_array(plain_poly, params.plain_modulus).astype(np.int64)
+    return ring.from_ints(coeffs, primes=params.ct_primes)
 
 
 class BFVKeyGenerator(RLWEKeyGenerator):
@@ -140,12 +151,8 @@ class BFVEncryptor:
     def encrypt_poly(self, plain_poly) -> BFVCiphertext:
         """Encrypt a plaintext polynomial (coefficients mod t)."""
         params = self.params
-        plain = np.asarray(plain_poly, dtype=np.uint64) % np.uint64(
-            params.plain_modulus)
-        # Delta * m over the RNS basis (Delta is a big int: reduce per prime)
-        delta_m = self.ring.from_ints(
-            plain.astype(np.int64), primes=params.ct_primes
-        ).mul_scalar(params.delta)
+        delta_m = _plain_rns(self.ring, params, plain_poly).mul_scalar(
+            params.delta)
         return BFVCiphertext(
             self._pk_ntt.encrypt(delta_m, self.rng, params.error_std), params)
 
@@ -179,16 +186,12 @@ class BFVDecryptor:
         self._secret_key = key
         self._s_ntt = key.s.restrict(self.params.ct_primes).to_ntt()
 
-    def _phase_bigints(self, ct: BFVCiphertext) -> list:
-        return phase(ct.parts, self._s_ntt).to_centered_bigints()
-
     def decrypt_poly(self, ct: BFVCiphertext) -> np.ndarray:
-        """Recover the plaintext polynomial: ``round(t * phase / Q) mod t``."""
-        params = self.params
-        q, t = params.q_product, params.plain_modulus
-        out = [((2 * t * c + q) // (2 * q)) % t
-               for c in self._phase_bigints(ct)]
-        return np.array(out, dtype=np.uint64)
+        """Recover the plaintext polynomial: ``round(t * phase / Q) mod t``,
+        rounded exactly in uint64 by :func:`~repro.rns.basis.scale_round`."""
+        t = self.params.plain_modulus
+        ph = phase(ct.parts, self._s_ntt)
+        return scale_round(ph.data, ph.primes, (t,), t=t, s=len(ph.primes))[0]
 
     def decrypt_values(self, ct: BFVCiphertext) -> np.ndarray:
         if self.encoder is None:
@@ -199,14 +202,16 @@ class BFVDecryptor:
         """Remaining noise budget: ``log2(Q/t) - log2(|v|) - 1`` bits.
 
         The phase is ``Delta*m + v (mod Q)``; decryption rounds correctly
-        while ``|v| < Delta/2``, i.e. while the budget is positive.
+        while ``|v| < Delta/2``, i.e. while the budget is positive.  ``m``
+        comes from :meth:`decrypt_poly`; ``|v|`` is taken over big ints.
         """
         params = self.params
         q, t = params.q_product, params.plain_modulus
+        plain = self.decrypt_poly(ct).tolist()
         worst = 1
-        for c in self._phase_bigints(ct):
-            m = ((2 * t * c + q) // (2 * q)) % t
-            v = (c - params.delta * int(m)) % q
+        for c, m in zip(phase(ct.parts, self._s_ntt).to_centered_bigints(),
+                        plain):
+            v = (c - params.delta * m) % q
             if v > q // 2:
                 v -= q
             worst = max(worst, abs(v))
@@ -243,20 +248,15 @@ class BFVEvaluator:
     def negate(self, ct: BFVCiphertext) -> BFVCiphertext:
         return BFVCiphertext([-p for p in ct.parts], self.params)
 
-    def _plain(self, plain_poly) -> RNSPoly:
-        """Plaintext coefficients mod ``t`` over the ciphertext primes."""
-        t = self.params.plain_modulus
-        coeffs = np.array([int(c) % t for c in plain_poly], dtype=np.int64)
-        return self.ring.from_ints(coeffs, primes=self.params.ct_primes)
-
     def add_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
-        delta_m = self._plain(plain_poly).mul_scalar(self.params.delta)
+        delta_m = _plain_rns(self.ring, self.params, plain_poly).mul_scalar(
+            self.params.delta)
         return BFVCiphertext(add_parts(ct.parts, [delta_m]), self.params)
 
     def mul_plain_poly(self, ct: BFVCiphertext, plain_poly) -> BFVCiphertext:
         """Multiply by a plaintext polynomial (no Delta scaling needed)."""
-        return BFVCiphertext(plain_mul(ct.parts, self._plain(plain_poly)),
-                             self.params)
+        plain = _plain_rns(self.ring, self.params, plain_poly)
+        return BFVCiphertext(plain_mul(ct.parts, plain), self.params)
 
     # ------------------------------ multiplication --------------------- #
 
@@ -265,31 +265,28 @@ class BFVEvaluator:
     ) -> BFVCiphertext:
         """Tensor product with exact ``round(t/Q * .)`` scaling.
 
-        The four operand polynomials are lifted exactly, as their centred
-        values, from ``Q`` to ``Q∪B`` (``params.aux_primes``), and the
-        shared :func:`~repro.rns.rlwe.tensor` forms ``d0 = a0*b0``,
+        :func:`~repro.rns.basis.scale_round` lifts the four operand
+        polynomials exactly, as their centred values, from ``Q`` to ``B``
+        (``params.aux_primes``), and the shared
+        :func:`~repro.rns.rlwe.tensor` forms ``d0 = a0*b0``,
         ``d1 = a0*b1 + a1*b0`` and ``d2 = a1*b1`` over ``Q∪B`` with one
         forward and one inverse NTT call.  ``|d_k| <= n(Q-1)^2/2 <
-        Q*B/2``, so the centred CRT over ``Q∪B`` is the exact integer
-        tensor; each coefficient is then scaled by ``t/Q`` with exact
-        rounding and reduced into ``Q``.
+        Q*B/2``, so the centred value over ``Q∪B`` is the exact integer
+        tensor; ``scale_round`` then scales it by ``t/Q`` with exact
+        rounding onto ``Q``.  Both steps stay in uint64.
         """
         require_params(self.params, a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects size-2 inputs")
         params = self.params
-        q, t = params.q_product, params.plain_modulus
         chain, aux = params.ct_primes, params.aux_primes
         basis = chain + aux
         # a0, a1, b0, b1 as one (C, 4, n) batch over Q, then over Q∪B
         coeffs = coeff_batch(a.parts + b.parts)
-        lifted = crt_centred(coeffs, chain)
-        d = tensor(np.concatenate(
-            [coeffs, np.stack([lifted % p for p in aux]).astype(np.uint64)]),
-            basis)
-        # round(t*d/Q) for signed d: floor((2td + Q) / 2Q) is exact
-        scaled = (2 * t * crt_centred(d, basis) + q) // (2 * q)
-        residues = np.stack([scaled % p for p in chain]).astype(np.uint64)
+        d = tensor(np.concatenate([coeffs, scale_round(coeffs, chain, aux)]),
+                   basis)
+        residues = scale_round(d, basis, chain, t=params.plain_modulus,
+                               s=len(chain))
         ct = BFVCiphertext(unstack(self.ring, residues, chain), params)
         if relin:
             ct = self.relinearize(ct)

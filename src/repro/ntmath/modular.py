@@ -28,11 +28,13 @@ true remainder is small and its low 64 bits identify it.
   product, https://arxiv.org/abs/1205.2926); :func:`mulmod_channels` adds
   the one conditional subtraction into ``[0, q)``.
 
-Lazy ranges: a lazy product accepts a left operand below ``4q`` (then
-``x < 4q < 2**44``) and returns ``[0, 2q)``; the batched NTT keeps values
-in ``[0, 4q)`` between stages.  Every conditional subtraction is
-``np.minimum(x, x - c)`` on uint64: when ``x < c`` the difference wraps
-to a huge value and the minimum keeps ``x``.
+Lazy ranges: a lazy product accepts any left operand below ``2**45`` (then
+``x < 2**45``, as ``b < q``) and returns ``[0, 2q)``; the batched NTT keeps
+values in ``[0, 4q)`` between stages, and the mixed-radix rounding of
+:mod:`repro.rns.basis` multiplies unreduced values below ``2**44``.  Every
+conditional subtraction is ``np.minimum(x, x - c)`` on uint64: when
+``x < c`` the difference wraps to a huge value and the minimum keeps
+``x``.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def mulmod_lazy(
 ) -> np.ndarray:
     """Channel-wise ``(a * b) mod q`` lazily reduced into ``[0, 2q)``.
 
-    ``a`` is uint64 below ``4q``; ``b`` is uint64 in ``[0, q)`` and
+    ``a`` is uint64 below ``2**45``; ``b`` is uint64 in ``[0, q)`` and
     ``b_quot`` is ``b * q_quot`` in float64 (``q_quot`` from
     :func:`channel_moduli`), so the quotient estimate ``a * b_quot`` never
     overestimates.  ``out`` and ``quot`` are optional uint64 buffers of the

@@ -52,6 +52,14 @@ def test_params_validation():
         BFVParams(n=64, num_primes=2, dnum=3)
     with pytest.raises(ValueError):
         BFVParams(n=64, num_primes=2, plain_modulus=1)
+    # t >= Q: Delta = floor(Q/t) = 0 would encrypt no message
+    with pytest.raises(ValueError, match="not below Q"):
+        BFVParams(n=8, num_primes=1, dnum=1, hamming_weight=4,
+                  plain_modulus=2**40 + 15)
+    # below Q, but wider than the 42-bit channels decryption rounds onto
+    with pytest.raises(ValueError, match="42-bit"):
+        BFVParams(n=8, num_primes=2, dnum=1, hamming_weight=4,
+                  plain_modulus=2**42 + 15)
 
 
 def test_params_custom_plain_modulus():
@@ -213,6 +221,28 @@ def test_relinearize_requires_key(stack):
     a = encryptor.encrypt_values(_vals(rng))
     with pytest.raises(ValueError):
         bare.multiply(a, a)
+
+
+def test_negative_plaintext_coefficients_reduce_mod_t():
+    """``encrypt_poly`` and ``add_plain_poly`` take any integers, negative
+    ones included, as int64 arrays and as lists."""
+    params = BFVParams(n=16, num_primes=2, hamming_weight=4)
+    t = params.plain_modulus
+    rng = np.random.default_rng(4)
+    keygen = BFVKeyGenerator(params, rng)
+    encryptor = BFVEncryptor(params, rng, keygen.public_key())
+    decryptor = BFVDecryptor(params, keygen.secret_key())
+    evaluator = BFVEvaluator(params)
+    plain = np.zeros(params.n, dtype=np.int64)
+    plain[:3] = [-1, 2, -3]
+    want = (plain % t).tolist()
+    assert want[:3] == [t - 1, 2, t - 3]
+    for poly in (plain, plain.tolist()):
+        assert decryptor.decrypt_poly(encryptor.encrypt_poly(poly)).tolist() \
+            == want
+        zero = encryptor.encrypt_poly(np.zeros(params.n, dtype=np.int64))
+        assert decryptor.decrypt_poly(
+            evaluator.add_plain_poly(zero, poly)).tolist() == want
 
 
 def test_encrypt_requires_encoder_for_values(stack):

@@ -2,13 +2,16 @@
 
 ``BFVEvaluator.multiply`` lifts its operands to the extended basis
 ``Q∪B`` and forms the tensor with NTTs.  The oracle here is the O(n²)
-negacyclic convolution over Python integers, followed by the same exact
-``round(t·d/Q)``.  Every output part must be bit-identical to it, for
-random, deeper and worst-case operands, and a basis one prime short of
-``params.aux_primes`` must not be.
+negacyclic convolution over Python integers, followed by the exact
+``round(t·d/Q)`` over Python integers.  Every output part must be
+bit-identical to it, for random, deeper and worst-case operands, and a
+basis one prime short of ``params.aux_primes`` must not be.  Decryption's
+``round(t·phase/Q)`` must equal the same bigint rounding, and neither
+multiply nor decryption may lift to Python integers at all.
 """
 
 import copy
+import sys
 from functools import lru_cache
 from math import prod
 from types import SimpleNamespace
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bfv import (
     BFVCiphertext,
+    BFVDecryptor,
     BFVEncoder,
     BFVEncryptor,
     BFVEvaluator,
@@ -28,8 +32,14 @@ from repro.bfv import (
 )
 from repro.ntmath.modular import MAX_FAST_MODULUS_BITS
 from repro.ntmath.primes import is_prime, ntt_primes_below
+from repro.rns import basis
+from repro.rns.rlwe import phase
+from repro.rns.rns_poly import RNSRing
 
 BENCH = BFVParams(n=256, num_primes=4)
+#: A 42-bit ``t``, which the auxiliary-prime search must skip.
+T42 = BFVParams(n=32, num_primes=2, dnum=1, hamming_weight=8,
+                plain_modulus=next(ntt_primes_below(MAX_FAST_MODULUS_BITS, 32)))
 
 
 def _negacyclic_bigint_mul(a: list, b: list) -> list:
@@ -79,10 +89,11 @@ def _stack(n: int, num_primes: int) -> SimpleNamespace:
                        dnum=min(2, num_primes), hamming_weight=n // 2)
     rng = np.random.default_rng((n, num_primes))
     keygen = BFVKeyGenerator(params, rng)
+    encoder = BFVEncoder(n, params.plain_modulus)
     return SimpleNamespace(
         params=params,
-        encryptor=BFVEncryptor(params, rng, keygen.public_key(),
-                               BFVEncoder(n, params.plain_modulus)),
+        encryptor=BFVEncryptor(params, rng, keygen.public_key(), encoder),
+        decryptor=BFVDecryptor(params, keygen.secret_key(), encoder),
         evaluator=BFVEvaluator(params, relin_key=keygen.relin_key()),
     )
 
@@ -123,8 +134,8 @@ SIGNS = {
 }
 
 
-@pytest.mark.parametrize("params", [BENCH, BFVParams(n=64, num_primes=3)],
-                         ids=["n256_L4", "n64_L3"])
+@pytest.mark.parametrize("params", [BENCH, BFVParams(n=64, num_primes=3), T42],
+                         ids=["n256_L4", "n64_L3", "t_is_an_aux_candidate"])
 @pytest.mark.parametrize("a_signs,b_signs", [
     ("all_positive", "all_positive"),
     ("all_positive", "all_negative"),
@@ -187,8 +198,7 @@ def test_a_basis_one_prime_short_breaks_the_tensor():
     BENCH,
     BFVParams(n=8, num_primes=1, dnum=1, hamming_weight=4),
     BFVParams(n=64, num_primes=3, hamming_weight=16),
-    BFVParams(n=32, num_primes=2, dnum=1, hamming_weight=8,
-              plain_modulus=next(ntt_primes_below(MAX_FAST_MODULUS_BITS, 32))),
+    T42,
 ], ids=["n256_L4", "n8_L1", "n64_L3", "t_is_an_aux_candidate"])
 def test_aux_primes_are_the_fewest_fast_path_ntt_primes(params):
     aux = params.aux_primes
@@ -214,3 +224,61 @@ def test_multiply_makes_one_forward_and_one_inverse_ntt(kernel_calls):
     b = s.encryptor.encrypt_values(rng.integers(0, t, n))
     calls = kernel_calls(lambda: s.evaluator.multiply(a, b, relin=False))
     assert (calls["ntt_forward"], calls["ntt_inverse"]) == (1, 1)
+
+
+# ------------------------------ decryption and big integers ------------ #
+
+
+@pytest.mark.parametrize("params", [
+    BFVParams(n=16, num_primes=2, hamming_weight=4, plain_modulus=2),
+    BFVParams(n=16, num_primes=2, hamming_weight=4, plain_modulus=256),
+    BFVParams(n=16, num_primes=3, hamming_weight=4,
+              plain_modulus=T42.plain_modulus),
+], ids=["t2", "t256", "t42bit"])
+def test_decrypt_rounds_like_the_bigint_oracle(params):
+    """``decrypt_poly`` equals ``round(t·phase/Q) mod t`` over Python ints,
+    for a fresh encryption and for uniform 2- and 3-part ciphertexts, whose
+    phases cover every rounding case.  (The 42-bit ``t`` takes three
+    primes: over two, ``m·(Q mod t)/Q`` exceeds 1/2 and random messages do
+    not decrypt, with either rounding.)"""
+    q, t, chain = params.q_product, params.plain_modulus, params.ct_primes
+    rng = np.random.default_rng(t)
+    keygen = BFVKeyGenerator(params, rng)
+    secret = keygen.secret_key()
+    decryptor = BFVDecryptor(params, secret)
+    ring = RNSRing(params.n, params.all_primes)
+    plain = rng.integers(0, t, params.n)
+    fresh = BFVEncryptor(params, rng, keygen.public_key()).encrypt_poly(plain)
+    assert decryptor.decrypt_poly(fresh).tolist() == plain.tolist()
+    s_ntt = secret.s.restrict(chain).to_ntt()
+    for ct in [fresh] + [
+            BFVCiphertext([ring.sample_uniform(rng, chain)
+                           for _ in range(size)], params) for size in (2, 3)]:
+        want = [((2 * t * c + q) // (2 * q)) % t
+                for c in phase(ct.parts, s_ntt).to_centered_bigints()]
+        assert decryptor.decrypt_poly(ct).tolist() == want
+
+
+def test_multiply_and_decrypt_never_lift_to_big_integers(monkeypatch):
+    """Every ``crt_centred`` and ``crt_reconstruct`` binding in ``repro``
+    raises; a multiply with relinearization and a decryption still run."""
+    originals = {name: getattr(basis, name)
+                 for name in ("crt_centred", "crt_reconstruct")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BFV request lifted to Python integers")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "repro" or module_name.startswith("repro."):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    s = _stack(64, 3)
+    t, n = s.params.plain_modulus, s.params.n
+    rng = np.random.default_rng(8)
+    x, y = rng.integers(0, t, n), rng.integers(0, t, n)
+    product = s.evaluator.multiply(s.encryptor.encrypt_values(x),
+                                   s.encryptor.encrypt_values(y))
+    assert np.array_equal(s.decryptor.decrypt_values(product), x * y % t)
+    with pytest.raises(AssertionError, match="Python integers"):
+        s.decryptor.noise_budget_bits(product)    # |v| is taken over bigints
