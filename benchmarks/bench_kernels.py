@@ -28,7 +28,6 @@ from repro.kernels import get_backend
 from repro.ntmath.modular import mulmod
 from repro.ntmath.primes import generate_ntt_prime, generate_ntt_primes
 from repro.poly.ntt import get_context
-from repro.rns.bconv import bconv
 from repro.tfhe.params import TEST_PARAMS
 from repro.tfhe.polymul import get_torus_ntt
 
@@ -94,7 +93,7 @@ def test_bench_bconv(benchmark, rng):
     primes = generate_ntt_primes(30, 1024, 8)
     source, target = primes[:6], primes[6:]
     x = np.stack([rng.integers(0, q, 4096, dtype=np.uint64) for q in source])
-    out = benchmark(bconv, x, source, target)
+    out = benchmark(get_backend().bconv, x, source, target)
     assert out.shape == (2, 4096)
 
 

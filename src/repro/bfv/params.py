@@ -24,7 +24,11 @@ class BFVParams:
         Ring degree (power of two); ``n`` integer slots when ``t ≡ 1 mod 2n``.
     plain_modulus:
         Plaintext modulus ``t``, below ``Q`` and of at most 42 bits (the
-        channel width decryption rounds onto).  Pass ``None`` to
+        channel width decryption rounds onto), with
+        ``(t - 1)·(Q mod t) < Q/4``: ``Delta = floor(Q/t)`` shifts a
+        decrypted message ``m`` by ``m·(Q mod t)/Q``, and that shift may
+        take at most half of decryption's rounding margin of 1/2, leaving
+        the other half to the noise.  Pass ``None`` to
         auto-select an NTT-friendly prime of ``plain_bits`` bits (enables
         batching).
     num_primes:
@@ -78,10 +82,17 @@ class BFVParams:
             "special_primes",
             tuple(primes[self.num_primes : self.num_primes + self.alpha]),
         )
-        if t >= self.q_product:
+        q = self.q_product
+        if t >= q:
             raise ValueError(
                 f"plaintext modulus {t} is not below Q; Delta = floor(Q/t) "
                 "would carry no message")
+        # Delta*m decrypts to m - m*(Q mod t)/Q (see plain_modulus above)
+        if 4 * (t - 1) * (q % t) >= q:
+            raise ValueError(
+                f"plaintext modulus {t} shifts a decrypted message by up to "
+                f"(t-1)*(Q mod t)/Q >= 1/4 over {self.num_primes} ciphertext "
+                "primes; use more primes")
         object.__setattr__(self, "aux_primes", self._pick_aux_primes())
 
     def _pick_aux_primes(self) -> Tuple[int, ...]:

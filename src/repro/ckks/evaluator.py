@@ -113,12 +113,6 @@ class CKKSEvaluator:
         pt = self._encode_at(values, ct, scale=ct.scale)
         return Ciphertext(add_parts(ct.parts, [pt.poly]), ct.scale, ct.params)
 
-    def add_plaintext(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        if abs(pt.scale - ct.scale) > _SCALE_RTOL * ct.scale:
-            raise ValueError("plaintext scale must match ciphertext scale")
-        parts = add_parts(ct.parts, [pt.poly.restrict(ct.primes)])
-        return Ciphertext(parts, ct.scale, ct.params)
-
     def mul_plain(self, ct: Ciphertext, values, scale: float = None) -> Ciphertext:
         """Pmult: multiply by unencrypted values (scales multiply)."""
         pt = self._encode_at(values, ct, scale=scale)

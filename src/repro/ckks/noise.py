@@ -80,11 +80,6 @@ def key_norm_from_hamming(hamming_weight: int, n: int) -> float:
     return math.sqrt(hamming_weight or n)
 
 
-def value_error_std(coeff_std: float, n: int, scale: float) -> float:
-    """Expected decoded slot-value error from a coefficient-domain std."""
-    return coeff_std * math.sqrt(n) / scale
-
-
 @dataclass
 class NoiseEstimate:
     """A coefficient-domain error standard deviation plus bookkeeping."""
@@ -122,10 +117,6 @@ class CKKSNoiseEstimator:
         n = self.params.n
         return NoiseEstimate(
             fresh_encryption_std(self.sigma, n), self.params.scale, n)
-
-    def encoding_error(self) -> NoiseEstimate:
-        """Rounding the scaled embedding: uniform on [-1/2, 1/2]."""
-        return NoiseEstimate(encoding_std(), self.params.scale, self.params.n)
 
     # ------------------------------ combinators ------------------------ #
 

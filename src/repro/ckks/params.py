@@ -83,10 +83,6 @@ class CKKSParams:
         return -(-(self.num_levels + 1) // self.dnum)
 
     @property
-    def num_special_primes(self) -> int:
-        return self.alpha
-
-    @property
     def scale(self) -> float:
         return float(1 << self.scale_bits)
 

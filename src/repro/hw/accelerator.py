@@ -8,13 +8,12 @@ simulator drives, plus area/power reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.hw.area import AreaModel, PowerModel
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.hw.core import CoreCluster
-from repro.hw.datalayout import SlotPartition
 from repro.hw.memory import (
     HBMModel,
     LocalScratchpad,
@@ -57,9 +56,6 @@ class Alchemist:
         self.power_model = PowerModel(config)
 
     # ------------------------------------------------------------------ #
-
-    def partition_for(self, poly_degree: int) -> SlotPartition:
-        return SlotPartition(self.config, poly_degree)
 
     @property
     def total_busy_core_cycles(self) -> int:

@@ -23,12 +23,13 @@ vector; the transpose buffer tallies all global word movement.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.hw.config import AlchemistConfig
 from repro.hw.memory import TransposeBuffer
+from repro.kernels import get_backend
 from repro.ntmath.modular import mulmod
 from repro.poly.fourstep import FourStepNTT, _matmul_mod
 
@@ -212,10 +213,9 @@ class DistributedChannelOps:
 
     def bconv(self, x: np.ndarray, source, target) -> np.ndarray:
         """Distributed Bconv: each unit converts only its own slots."""
-        from repro.rns.bconv import bconv as bconv_kernel
-
+        backend = get_backend()
         pieces = [
-            bconv_kernel(local, source, target)
+            backend.bconv(local, source, target)
             for local in self.scatter_channels(x)
         ]
         return self.gather_channels(pieces)
@@ -225,8 +225,6 @@ class DistributedChannelOps:
     ) -> np.ndarray:
         """Distributed evk accumulation: ``sum_t digits[t] * evk[t] mod q``
         computed per unit over its slot block (dnum-group access)."""
-        from repro.ntmath.modular import mulmod
-
         digit_slices = self.scatter_channels(digits)
         evk_slices = self.scatter_channels(evk)
         outs = []

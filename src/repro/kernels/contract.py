@@ -121,7 +121,18 @@ class KernelBackend(Protocol):
         source_primes: Sequence[int],
         target_primes: Sequence[int],
     ) -> np.ndarray:
-        """Fast base conversion (paper eq. (1)): ``(Cs, n) -> (Ct, n)``."""
+        """Fast base conversion (paper eq. (1)): ``(Cs, n) -> (Ct, n)``.
+
+        The *approximate* conversion standard in RNS-CKKS: for ``x`` held
+        over the source basis ``Q = prod q_i``::
+
+            Bconv([x]_Q, p_j) = sum_i [x * qhat_i^{-1}]_{q_i} * qhat_i  mod p_j
+                              = (x + alpha * Q) mod p_j,   0 <= alpha < L
+
+        with ``qhat_i = Q / q_i`` and ``L`` source channels.  The
+        ``alpha * Q`` overshoot is the Bconv error; every backend returns
+        the same ``alpha``.
+        """
 
     def modup(
         self,
@@ -137,7 +148,14 @@ class KernelBackend(Protocol):
         source_primes: Sequence[int],
         special_primes: Sequence[int],
     ) -> np.ndarray:
-        """Moddown (eq. (3)): ``[x]_{Q*P} -> [x/P]_Q`` with the standard rounding."""
+        """Moddown (eq. (3)): ``[x]_{Q*P} -> [x/P]_Q``, up to a small error.
+
+        The result is ``(x - Bconv([x]_P, Q)) / P = floor(x / P) - alpha``
+        over ``source_primes``, with ``0 <= alpha < len(special_primes)``:
+        the division by ``P`` turns Bconv's ``alpha * P`` overshoot into a
+        small additive error, as in every RNS-CKKS library and in the
+        accelerators of the paper.
+        """
 
     def rescale(self, x: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         """CKKS rescale: divide by the last prime and drop its channel."""

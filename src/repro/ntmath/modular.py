@@ -242,25 +242,6 @@ def invmod(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-def powmod_array(base: int, exps: np.ndarray, q: int) -> np.ndarray:
-    """Vector of ``base ** exps[i] mod q`` computed by repeated squaring.
-
-    ``exps`` must be non-negative integers.  Used for twiddle-factor tables.
-    """
-    _check_modulus(q)
-    exps = np.asarray(exps, dtype=np.uint64)
-    result = np.ones(exps.shape, dtype=np.uint64)
-    cur = np.uint64(base % q)
-    remaining = exps.copy()
-    while np.any(remaining):
-        odd = (remaining & np.uint64(1)).astype(bool)
-        if np.any(odd):
-            result[odd] = mulmod(result[odd], cur, q)
-        remaining >>= np.uint64(1)
-        cur = np.uint64(mulmod_scalar(int(cur), int(cur), q))
-    return result
-
-
 def centered(a: ArrayLike, q: int) -> np.ndarray:
     """Map values in [0, q) to the centered representative in (-q/2, q/2]."""
     _check_modulus(q)

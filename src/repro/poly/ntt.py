@@ -148,24 +148,6 @@ class NTTContext:
         """Permute a bit-reversed spectrum to natural (frequency) order."""
         return np.take(a, self._rev, axis=-1)
 
-    def negacyclic_eval_points(self) -> np.ndarray:
-        """Evaluation points of the natural-order spectrum: ``psi^(2k+1)``.
-
-        The forward transform (after :meth:`to_natural_order`) evaluates the
-        polynomial at the odd powers of ``psi`` in index order ``k``.
-        """
-        exps = 2 * np.arange(self.n, dtype=np.uint64) + np.uint64(1)
-        table = _power_table(self.psi, 2 * self.n, self.q)
-        return table[exps.astype(np.int64)]
-
-    # ------------------------------------------------------------------ #
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic polynomial product via NTT, pointwise mult, inverse."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse(mulmod(fa, fb, self.q))
-
 
 @lru_cache(maxsize=1024)
 def get_context(n: int, q: int) -> NTTContext:
@@ -315,26 +297,3 @@ def get_multi_context(n: int, primes) -> MultiNTTContext:
     Bounded (see :func:`get_context`): keys are whole prime chains, so
     the working set is one entry per (scheme, level) in flight."""
     return MultiNTTContext(n, tuple(primes))
-
-
-def negacyclic_convolve_reference(a, b, q: int) -> np.ndarray:
-    """Schoolbook negacyclic convolution — exact reference for testing.
-
-    O(n^2); use only at small sizes.
-    """
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    n = a.shape[-1]
-    out = [0] * n
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * int(b[j])
-            if k < n:
-                out[k] = (out[k] + term) % q
-            else:
-                out[k - n] = (out[k - n] - term) % q
-    return np.array(out, dtype=np.uint64)

@@ -1,7 +1,8 @@
-"""RNS bases and the precomputed constants for fast base conversion.
+"""Precomputed constants for fast base conversion between RNS bases.
 
-For a source basis ``{q_0 .. q_{L-1}}`` with product ``Q``, equation (1) of
-the paper needs, per source channel ``i``:
+A basis is an ordered tuple of primes.  For a source basis
+``{q_0 .. q_{L-1}}`` with product ``Q``, equation (1) of the paper needs,
+per source channel ``i``:
 
 * ``qhat_inv[i] = (Q / q_i)^{-1} mod q_i``  (applied inside the channel), and
 * ``qhat[i] mod p_j = (Q / q_i) mod p_j``    (applied per target channel).
@@ -29,60 +30,13 @@ from repro.ntmath.modular import (MAX_FAST_MODULUS_BITS, addmod_channels,
                                   mulmod_lazy)
 
 
-class RNSBasis:
-    """An ordered set of pairwise-coprime RNS prime moduli."""
-
-    def __init__(self, primes: Sequence[int]):
-        primes = tuple(int(q) for q in primes)
-        if len(primes) != len(set(primes)):
-            raise ValueError("RNS primes must be distinct")
-        if any(q <= 1 for q in primes):
-            raise ValueError("RNS primes must be > 1")
-        self.primes = primes
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __getitem__(self, idx):
-        return self.primes[idx]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RNSBasis) and self.primes == other.primes
-
-    def __hash__(self) -> int:
-        return hash(self.primes)
-
-    def __repr__(self) -> str:
-        return f"RNSBasis({len(self.primes)} primes, {self.product.bit_length()} bits)"
-
-    @property
-    def product(self) -> int:
-        """The full modulus ``Q = prod(q_i)`` as a Python big int."""
-        out = 1
-        for q in self.primes:
-            out *= q
-        return out
-
-    def prefix(self, count: int) -> "RNSBasis":
-        """The sub-basis of the first ``count`` primes (a CKKS level chain)."""
-        if not 1 <= count <= len(self.primes):
-            raise ValueError(f"prefix length {count} out of range")
-        return RNSBasis(self.primes[:count])
-
-
 class ConversionTable:
     """Precomputed constants for ``Bconv`` from one basis to another."""
 
     def __init__(self, source: Tuple[int, ...], target: Tuple[int, ...]):
         self.source = source
         self.target = target
-        product = 1
-        for q in source:
-            product *= q
-        self.source_product = product
+        product = prod(source)
         # per-source-channel (Q/q_i)^{-1} mod q_i
         self.qhat_inv = np.array(
             [invmod(product // q, q) for q in source], dtype=np.uint64
@@ -91,11 +45,6 @@ class ConversionTable:
         self.qhat_mod_target = np.array(
             [[(product // q) % p for q in source] for p in target],
             dtype=np.uint64,
-        )
-        # Q mod p_j — used to strip the alpha*Q overshoot when needed and by
-        # Modup-style conversions in tests.
-        self.product_mod_target = np.array(
-            [product % p for p in target], dtype=np.uint64
         )
 
 

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import get_backend
-from repro.rns.bconv import bconv
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, digit_stream
 
@@ -96,6 +95,7 @@ def modup_digits(
     ``d.primes + special``: column ``t`` holds digit ``t``'s own rows and
     their Bconv into every other channel.
     """
+    backend = get_backend()
     extended = d.primes + tuple(int(p) for p in special)
     index = {q: i for i, q in enumerate(extended)}
     out = np.empty((len(extended), len(digits), d.ctx.n), dtype=np.uint64)
@@ -104,7 +104,8 @@ def modup_digits(
         others = tuple(q for q in extended if q not in digit)
         rows = [index[q] for q in digit]    # chain primes lead ``extended``
         out[rows, t] = d.data[rows]
-        out[[index[q] for q in others], t] = bconv(d.data[rows], digit, others)
+        out[[index[q] for q in others], t] = backend.bconv(
+            d.data[rows], digit, others)
     return out
 
 

@@ -38,7 +38,6 @@ from repro.serve.report import (
     SERVING_SCHEMA,
     run_profile,
     run_serving,
-    write_serving_file,
 )
 from repro.serve.service import (
     BatchRecord,
@@ -88,5 +87,4 @@ __all__ = [
     "run_profile",
     "run_serving",
     "trace_digest",
-    "write_serving_file",
 ]

@@ -1,4 +1,4 @@
-"""Serving benchmark runner + ``BENCH_serving.json`` writer.
+"""Serving benchmark runner: the ``BENCH_serving.json`` document.
 
 :func:`run_serving` sweeps offered load over the seeded traffic profiles
 and emits a deterministic JSON document, ``alchemist-bench/serving/v1``:
@@ -18,8 +18,6 @@ measure load, not sampling noise.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, Optional, Sequence
 
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
@@ -108,25 +106,3 @@ def run_serving(
         "config": _config_dict(config),
         "profiles": per_profile,
     }
-
-
-def write_serving_file(
-    out_dir: str = ".",
-    seed: int = 0,
-    profiles: Optional[Sequence[str]] = None,
-    rates: Sequence[float] = DEFAULT_RATES,
-    n_requests: int = DEFAULT_REQUESTS,
-    admission_mode: str = "degrade",
-    config: AlchemistConfig = ALCHEMIST_DEFAULT,
-) -> str:
-    """Write ``BENCH_serving.json`` (same JSON conventions as the other
-    goldens: ``indent=1, sort_keys=True`` + trailing newline)."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc = run_serving(seed=seed, profiles=profiles, rates=rates,
-                      n_requests=n_requests, admission_mode=admission_mode,
-                      config=config)
-    path = os.path.join(out_dir, "BENCH_serving.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path

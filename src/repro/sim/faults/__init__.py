@@ -33,7 +33,6 @@ from repro.sim.faults.report import (
     ResilienceReport,
     run_campaign,
     run_workload_campaign,
-    write_faults_file,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "campaign_seed",
     "run_campaign",
     "run_workload_campaign",
-    "write_faults_file",
 ]

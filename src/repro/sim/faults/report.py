@@ -11,8 +11,6 @@ the Table 7 / Figure 6 goldens.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +27,7 @@ from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.engine import EventDrivenSimulator
 from repro.sim.faults.injector import FaultInjector
-from repro.sim.faults.model import FaultModel, build_campaign, campaign_seed
+from repro.sim.faults.model import build_campaign, campaign_seed
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
 from repro.telemetry.bench import _config_dict
 
@@ -225,22 +223,3 @@ def run_campaign(
             policy=policy, config=config)
         out["mix"] = mix.as_dict()
     return out
-
-
-def write_faults_file(
-    out_dir: str = ".",
-    campaign: str = "default",
-    seed: int = 0,
-    policy: ResiliencePolicy = DEFAULT_POLICY,
-    config: AlchemistConfig = ALCHEMIST_DEFAULT,
-) -> str:
-    """Write ``BENCH_faults.json`` (same JSON conventions as the other
-    goldens: ``indent=1, sort_keys=True`` + trailing newline)."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc = run_campaign(campaign=campaign, seed=seed, policy=policy,
-                       config=config)
-    path = os.path.join(out_dir, "BENCH_faults.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -14,7 +14,7 @@ is carried out modulo 2**64 (wrapping uint64) with the sign decision made in
 floating point — safe because attainable values sit within 2**66 of either
 end of ``[0, p1*p2)`` while the midpoint is ~2**70 away.
 
-A reference O(N^2) convolution path is provided for cross-checking.
+The tests check every product against an exact O(N^2) convolution.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from repro.kernels import get_backend
 from repro.ntmath.modular import invmod, mulmod, submod
 from repro.ntmath.primes import generate_ntt_prime
-from repro.tfhe.torus import from_int64
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -144,17 +143,3 @@ def get_torus_ntt(n: int) -> TorusNTT:
     (1024 and 2048 in the paper's two sets); eight distinct degrees is
     already exotic, and each entry holds two 36-bit prime table sets."""
     return TorusNTT(n)
-
-
-def negacyclic_mul_reference(u: np.ndarray, v_torus: np.ndarray) -> np.ndarray:
-    """Exact O(n^2) negacyclic product of a small-int poly and a Torus32
-    poly (reference for testing the NTT path)."""
-    from repro.tfhe.torus import to_centered_int64
-
-    u = np.asarray(u, dtype=np.int64)
-    v = to_centered_int64(v_torus)
-    n = u.shape[0]
-    full = np.convolve(u, v)
-    out = full[:n].copy()
-    out[: n - 1] -= full[n:]
-    return from_int64(out)

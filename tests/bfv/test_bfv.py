@@ -11,6 +11,7 @@ from repro.bfv import (
     BFVKeyGenerator,
     BFVParams,
 )
+from repro.rns.rns_poly import RNSRing
 
 PARAMS = BFVParams(n=64, num_primes=3, dnum=2, hamming_weight=16)
 T = PARAMS.plain_modulus
@@ -60,6 +61,12 @@ def test_params_validation():
     with pytest.raises(ValueError, match="42-bit"):
         BFVParams(n=8, num_primes=2, dnum=1, hamming_weight=4,
                   plain_modulus=2**42 + 15)
+    # the largest 42-bit NTT prime for n = 32 over two 36-bit primes:
+    # Delta = floor(Q/t) shifts a decrypted message by up to
+    # (t-1)*(Q mod t)/Q, here far above 1/2
+    with pytest.raises(ValueError, match="Q mod t"):
+        BFVParams(n=32, num_primes=2, dnum=1, hamming_weight=8,
+                  plain_modulus=2**42 - 383)
 
 
 def test_params_custom_plain_modulus():
@@ -90,17 +97,15 @@ def test_encoder_pads_and_validates(rng):
 
 def test_encoder_slotwise_ring_structure(rng):
     """Coefficient-ring ops act slot-wise on encodings (the SIMD property)."""
-    from repro.poly.polynomial import NegacyclicRing
-
     enc = BFVEncoder(PARAMS.n, T)
-    ring = NegacyclicRing(PARAMS.n, T)
+    ring = RNSRing(PARAMS.n, (T,))
     a = rng.integers(0, T, PARAMS.n)
     b = rng.integers(0, T, PARAMS.n)
-    pa, pb = enc.encode(a), enc.encode(b)
+    pa, pb = ring.from_ints(enc.encode(a)), ring.from_ints(enc.encode(b))
     assert np.array_equal(
-        enc.decode(ring.add(pa, pb)), (a + b) % T)
+        enc.decode((pa + pb).data[0]), (a + b) % T)
     assert np.array_equal(
-        enc.decode(ring.mul(pa, pb)), (a * b) % T)
+        enc.decode((pa * pb).data[0]), (a * b) % T)
 
 
 def test_encoder_centered_decode():

@@ -38,7 +38,7 @@ from repro.rns.rns_poly import RNSRing
 
 BENCH = BFVParams(n=256, num_primes=4)
 #: A 42-bit ``t``, which the auxiliary-prime search must skip.
-T42 = BFVParams(n=32, num_primes=2, dnum=1, hamming_weight=8,
+T42 = BFVParams(n=32, num_primes=3, dnum=1, hamming_weight=8,
                 plain_modulus=next(ntt_primes_below(MAX_FAST_MODULUS_BITS, 32)))
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.hw.config import AlchemistConfig
 from repro.hw.distributed import DistributedChannelOps
+from repro.kernels import get_backend
 from repro.ntmath.modular import mulmod
 from repro.ntmath.primes import generate_ntt_primes
-from repro.rns.bconv import bconv
 
 CFG = AlchemistConfig(num_units=16)
 N = 64
@@ -40,7 +40,7 @@ def test_distributed_bconv_matches_global(dops, rng):
     source, target = PRIMES[:3], PRIMES[3:5]
     x = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in source])
     got = dops.bconv(x, source, target)
-    expected = bconv(x, source, target)
+    expected = get_backend().bconv(x, source, target)
     assert np.array_equal(got, expected)
 
 

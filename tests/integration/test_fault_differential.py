@@ -28,7 +28,6 @@ from repro.sim.engine import EventDrivenSimulator
 from repro.sim.faults import (
     CAMPAIGNS,
     FaultInjector,
-    FaultModel,
     POLICY_PRESETS,
     build_campaign,
     campaign_seed,

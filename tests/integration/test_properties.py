@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on the core algebraic invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

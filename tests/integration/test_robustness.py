@@ -17,7 +17,6 @@ from repro.bfv import (
     BFVKeyGenerator,
     BFVParams,
 )
-from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import CKKSKeyGenerator
@@ -113,7 +112,7 @@ def test_bfv_noise_budget_exhaustion():
 def test_tfhe_amplified_noise_breaks_decoding():
     """Scaling an LWE sample amplifies its noise; a large enough factor
     destroys the message — the reason gates re-encode via bootstrapping."""
-    from repro.tfhe.gates import MU, TFHEGates
+    from repro.tfhe.gates import MU
     from repro.tfhe.lwe import LweKey, lwe_decrypt_phase, lwe_encrypt
     from repro.tfhe.params import TEST_PARAMS
     from repro.tfhe.torus import TORUS_MODULUS

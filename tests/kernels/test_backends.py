@@ -81,13 +81,12 @@ def test_backend_scope_restores_on_error():
 
 
 def test_module_dispatch_follows_active_backend():
-    """The rns-layer module functions route through the active backend."""
-    from repro.rns.bconv import bconv
+    """The rns layer routes Moddown through the active backend."""
+    from repro.rns.rns_poly import RNSRing
 
     primes = generate_ntt_primes(30, 64, 4)
-    source, target = primes[:2], primes[2:]
     rng = np.random.default_rng(7)
-    x = np.stack([rng.integers(0, q, 64, dtype=np.uint64) for q in source])
+    x = RNSRing(64, primes).sample_uniform(rng)
 
     class Recording:
         def __init__(self, inner):
@@ -97,15 +96,15 @@ def test_module_dispatch_follows_active_backend():
         def __getattr__(self, item):
             return getattr(self._inner, item)
 
-        def bconv(self, x, source, target):
+        def moddown(self, x, source, special):
             self.calls += 1
-            return self._inner.bconv(x, source, target)
+            return self._inner.moddown(x, source, special)
 
     recorder = Recording(get_backend())
     with backend_scope(recorder):
-        out = bconv(x, source, target)
+        out = x.moddown(2)
     assert recorder.calls == 1
-    assert out.shape == (len(target), 64)
+    assert out.primes == tuple(primes[:2]) and out.data.shape == (2, 64)
 
 
 def _golden():

@@ -112,14 +112,14 @@ def test_executor_radix8_butterfly():
 
 def test_executor_bconv_aggregation(rng):
     """(M8A8)_L R8 reproduces the Bconv channel aggregation exactly."""
+    from repro.kernels import get_backend
     from repro.ntmath.primes import generate_ntt_primes
     from repro.rns.basis import get_conversion_table
-    from repro.rns.bconv import bconv
 
     primes = generate_ntt_primes(30, 8, 4)
     source, target = primes[:3], (primes[3],)
     x = np.stack([rng.integers(0, q, 8, dtype=np.uint64) for q in source])
-    expected = bconv(x, source, target)[0]
+    expected = get_backend().bconv(x, source, target)[0]
 
     table = get_conversion_table(tuple(source), tuple(target))
     from repro.ntmath.modular import mulmod

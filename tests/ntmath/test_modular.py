@@ -14,7 +14,6 @@ from repro.ntmath.modular import (
     mulmod_scalar,
     negmod,
     powmod,
-    powmod_array,
     submod,
     to_mod_array,
 )
@@ -108,14 +107,6 @@ def test_invmod_roundtrip():
     q = 68719476731  # prime
     for a in (2, 3, 12345, q - 1):
         assert (invmod(a, q) * a) % q == 1
-
-
-def test_powmod_array_matches_scalar(rng):
-    q = 65537
-    exps = rng.integers(0, 10000, 50, dtype=np.uint64)
-    got = powmod_array(3, exps, q)
-    expected = [pow(3, int(e), q) for e in exps]
-    assert got.tolist() == expected
 
 
 def test_centered_bounds(rng):

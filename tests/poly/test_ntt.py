@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ntmath.primes import generate_ntt_prime
-from repro.poly.ntt import (
-    NTTContext,
-    bit_reverse_indices,
-    get_context,
+from repro.poly.ntt import NTTContext, bit_reverse_indices, get_context
+from tests.oracles import (
     negacyclic_convolve_reference,
+    negacyclic_eval_points,
+    ntt_multiply,
 )
 
 
@@ -70,7 +70,7 @@ def test_multiply_matches_schoolbook(n, rng):
     ctx = NTTContext(n, q)
     a = rng.integers(0, q, n, dtype=np.uint64)
     b = rng.integers(0, q, n, dtype=np.uint64)
-    got = ctx.multiply(a, b)
+    got = ntt_multiply(ctx, a, b)
     expected = negacyclic_convolve_reference(a, b, q)
     assert np.array_equal(got, expected)
 
@@ -83,7 +83,7 @@ def test_multiply_by_x_shifts(rng):
     a = rng.integers(0, q, n, dtype=np.uint64)
     x = np.zeros(n, dtype=np.uint64)
     x[1] = 1
-    got = ctx.multiply(a, x)
+    got = ntt_multiply(ctx, a, x)
     expected = np.roll(a, 1)
     expected[0] = (q - int(a[-1])) % q
     assert np.array_equal(got, expected)
@@ -98,7 +98,7 @@ def test_negacyclic_wraparound_sign():
     a[n - 1] = 1
     x = np.zeros(n, dtype=np.uint64)
     x[1] = 1
-    got = ctx.multiply(a, x)
+    got = ntt_multiply(ctx, a, x)
     expected = np.zeros(n, dtype=np.uint64)
     expected[0] = q - 1
     assert np.array_equal(got, expected)
@@ -124,7 +124,7 @@ def test_spectrum_evaluates_at_odd_psi_powers(rng):
     ctx = NTTContext(n, q)
     a = rng.integers(0, q, n, dtype=np.uint64)
     spectrum = ctx.to_natural_order(ctx.forward(a))
-    points = ctx.negacyclic_eval_points()
+    points = negacyclic_eval_points(ctx)
     for k in range(n):
         x = int(points[k])
         val = 0
@@ -163,4 +163,4 @@ def test_multiply_commutative_property(data):
     )
     a = np.array(data.draw(coeffs), dtype=np.uint64)
     b = np.array(data.draw(coeffs), dtype=np.uint64)
-    assert np.array_equal(ctx.multiply(a, b), ctx.multiply(b, a))
+    assert np.array_equal(ntt_multiply(ctx, a, b), ntt_multiply(ctx, b, a))

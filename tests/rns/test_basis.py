@@ -1,4 +1,4 @@
-"""Tests for RNS bases, CRT reconstruction and the mixed-radix rounding."""
+"""Tests for the Bconv tables, CRT reconstruction and the mixed-radix rounding."""
 
 from itertools import islice
 from math import prod
@@ -10,7 +10,6 @@ from repro.ntmath.modular import MAX_FAST_MODULUS_BITS
 from repro.ntmath.primes import generate_ntt_primes, ntt_primes_below
 from repro.rns.basis import (
     ConversionTable,
-    RNSBasis,
     crt_centred,
     crt_reconstruct,
     get_conversion_table,
@@ -18,37 +17,6 @@ from repro.rns.basis import (
 )
 
 PRIMES = generate_ntt_primes(30, 64, 6)
-
-
-def test_basis_product():
-    basis = RNSBasis(PRIMES[:3])
-    assert basis.product == PRIMES[0] * PRIMES[1] * PRIMES[2]
-
-
-def test_basis_rejects_duplicates():
-    with pytest.raises(ValueError):
-        RNSBasis([17, 17])
-
-
-def test_basis_rejects_trivial():
-    with pytest.raises(ValueError):
-        RNSBasis([17, 1])
-
-
-def test_basis_prefix():
-    basis = RNSBasis(PRIMES)
-    sub = basis.prefix(2)
-    assert sub.primes == tuple(PRIMES[:2])
-    with pytest.raises(ValueError):
-        basis.prefix(0)
-    with pytest.raises(ValueError):
-        basis.prefix(len(PRIMES) + 1)
-
-
-def test_basis_equality_and_hash():
-    assert RNSBasis(PRIMES[:2]) == RNSBasis(PRIMES[:2])
-    assert RNSBasis(PRIMES[:2]) != RNSBasis(PRIMES[:3])
-    assert hash(RNSBasis(PRIMES[:2])) == hash(RNSBasis(PRIMES[:2]))
 
 
 def test_conversion_table_constants():
@@ -61,8 +29,6 @@ def test_conversion_table_constants():
         assert (int(table.qhat_inv[i]) * qhat) % q == 1
         for j, p in enumerate(target):
             assert int(table.qhat_mod_target[j][i]) == qhat % p
-    for j, p in enumerate(target):
-        assert int(table.product_mod_target[j]) == product % p
 
 
 def test_conversion_table_cached():

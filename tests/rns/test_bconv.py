@@ -1,10 +1,11 @@
-"""Tests for Bconv / Modup / Moddown / rescale (paper equations (1)-(3))."""
+"""Tests for the active kernel backend's Bconv / Modup / Moddown / rescale
+(paper equations (1)-(3))."""
 
 import numpy as np
 import pytest
 
+from repro.kernels import get_backend
 from repro.ntmath.primes import generate_ntt_primes
-from repro.rns.bconv import bconv, moddown, modup, rescale_drop_last
 
 PRIMES = generate_ntt_primes(30, 64, 8)
 N = 16
@@ -20,7 +21,7 @@ def test_bconv_exact_up_to_alpha_q(rng):
     target = PRIMES[4:6]
     product = np.prod([int(q) for q in source], dtype=object)
     values = [int(rng.integers(0, 1 << 50)) % product for _ in range(N)]
-    out = bconv(_residues(values, source), source, target)
+    out = get_backend().bconv(_residues(values, source), source, target)
     for j, p in enumerate(target):
         for k in range(N):
             candidates = {
@@ -38,7 +39,7 @@ def test_bconv_alpha_matches_exact_formula(rng):
     for q in source:
         product *= q
     values = [int(v) for v in rng.integers(0, 1 << 20, N)]
-    out = bconv(_residues(values, source), source, target)
+    out = get_backend().bconv(_residues(values, source), source, target)
     for k in range(N):
         total = 0
         for q in source:
@@ -53,14 +54,14 @@ def test_bconv_alpha_matches_exact_formula(rng):
 
 def test_bconv_shape_validation():
     with pytest.raises(ValueError):
-        bconv(np.zeros((2, N), dtype=np.uint64), PRIMES[:3], PRIMES[3:4])
+        get_backend().bconv(np.zeros((2, N), dtype=np.uint64), PRIMES[:3], PRIMES[3:4])
 
 
 def test_bconv_single_source_channel(rng):
     source = PRIMES[:1]
     target = PRIMES[1:3]
     values = [int(v) for v in rng.integers(0, source[0], N)]
-    out = bconv(_residues(values, source), source, target)
+    out = get_backend().bconv(_residues(values, source), source, target)
     for j, p in enumerate(target):
         assert out[j].tolist() == [v % p for v in values]
 
@@ -71,7 +72,7 @@ def test_modup_preserves_source_channels(rng):
     x = np.stack(
         [rng.integers(0, q, N, dtype=np.uint64) for q in source]
     )
-    up = modup(x, source, special)
+    up = get_backend().modup(x, source, special)
     assert up.shape == (5, N)
     assert np.array_equal(up[:3], x)
 
@@ -86,14 +87,14 @@ def test_moddown_inverts_modup_scaled(rng):
     special = PRIMES[3:5]
     p_product = int(special[0]) * int(special[1])
     x = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in source])
-    up = modup(x, source, special)
+    up = get_backend().modup(x, source, special)
     # scale by P in every channel
     from repro.ntmath.modular import mulmod
 
     scaled = np.empty_like(up)
     for i, q in enumerate(list(source) + list(special)):
         scaled[i] = mulmod(up[i], np.uint64(p_product % q), q)
-    down = moddown(scaled, source, special)
+    down = get_backend().moddown(scaled, source, special)
     # Moddown returns x + round(alpha*Q/P)-ish; alpha*Q/P error here shows up
     # as a small additive integer. Compare per channel allowing |err| <= L.
     for i, q in enumerate(source):
@@ -110,14 +111,14 @@ def test_moddown_exact_for_multiples_of_p(rng):
     y = [int(v) for v in rng.integers(0, 1 << 20, N)]
     value = [p_product * v for v in y]
     x = _residues(value, list(source) + list(special))
-    down = moddown(x, source, special)
+    down = get_backend().moddown(x, source, special)
     for i, q in enumerate(source):
         assert down[i].tolist() == [v % q for v in y]
 
 
 def test_moddown_channel_count_validation():
     with pytest.raises(ValueError):
-        moddown(np.zeros((3, N), dtype=np.uint64), PRIMES[:3], PRIMES[3:5])
+        get_backend().moddown(np.zeros((3, N), dtype=np.uint64), PRIMES[:3], PRIMES[3:5])
 
 
 def test_rescale_divides_by_last_prime(rng):
@@ -126,7 +127,7 @@ def test_rescale_divides_by_last_prime(rng):
     y = [int(v) for v in rng.integers(0, 1 << 40, N)]
     value = [last * v for v in y]  # exactly divisible
     x = _residues(value, primes)
-    out = rescale_drop_last(x, primes)
+    out = get_backend().rescale(x, primes)
     assert out.shape == (3, N)
     for i, q in enumerate(primes[:-1]):
         assert out[i].tolist() == [v % q for v in y]
@@ -139,7 +140,7 @@ def test_rescale_rounding_error_bounded(rng):
     last = int(primes[-1])
     values = [int(rng.integers(0, 1 << 55)) for _ in range(N)]
     x = _residues(values, primes)
-    out = rescale_drop_last(x, primes)
+    out = get_backend().rescale(x, primes)
     for i, q in enumerate(primes[:-1]):
         expected = [((v - (v % last)) // last) % q for v in values]
         assert out[i].tolist() == expected
@@ -147,6 +148,6 @@ def test_rescale_rounding_error_bounded(rng):
 
 def test_rescale_validations():
     with pytest.raises(ValueError):
-        rescale_drop_last(np.zeros((1, N), dtype=np.uint64), PRIMES[:1])
+        get_backend().rescale(np.zeros((1, N), dtype=np.uint64), PRIMES[:1])
     with pytest.raises(ValueError):
-        rescale_drop_last(np.zeros((2, N), dtype=np.uint64), PRIMES[:3])
+        get_backend().rescale(np.zeros((2, N), dtype=np.uint64), PRIMES[:3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ntmath.primes import generate_ntt_primes
-from repro.rns.rns_poly import RNSPoly, RNSRing
+from repro.rns.rns_poly import RNSRing
 
 N = 32
 PRIMES = generate_ntt_primes(30, N, 6)
@@ -65,6 +65,25 @@ def test_from_ints_wrong_length(ring):
         ring.from_ints([1, 2, 3])
     with pytest.raises(ValueError):
         ring.from_ints(np.arange(3, dtype=np.int64))
+
+
+def test_sample_ternary_range(ring, rng):
+    """Every channel holds the same coefficients in {-1, 0, 1}."""
+    coeffs = ring.sample_ternary(rng).to_centered_bigints()
+    assert set(coeffs) <= {-1, 0, 1}
+
+
+def test_sample_ternary_hamming_weight(ring, rng):
+    coeffs = ring.sample_ternary(rng, hamming_weight=8).to_centered_bigints()
+    assert set(coeffs) <= {-1, 0, 1}
+    assert sum(c != 0 for c in coeffs) == 8
+    with pytest.raises(ValueError):
+        ring.sample_ternary(rng, hamming_weight=N + 1)
+
+
+def test_sample_error_small(ring, rng):
+    coeffs = ring.sample_error(rng, sigma=3.2).to_centered_bigints()
+    assert max(abs(c) for c in coeffs) < 40  # ~12 sigma, astronomically safe
 
 
 def test_add_sub_roundtrip(ring, rng):
@@ -156,6 +175,36 @@ def test_automorphism_consistent_across_channels(ring, rng):
             sign = -1
         expected[idx] += sign * vals[i]
     assert rotated.to_centered_bigints() == expected
+
+
+@pytest.fixture
+def one_prime_ring():
+    return RNSRing(N, PRIMES[:1])
+
+
+def test_automorphism_composition(one_prime_ring, rng):
+    a = one_prime_ring.sample_uniform(rng)
+    g1, g2 = 3, 5
+    assert np.array_equal(a.automorphism(g1).automorphism(g2).data,
+                          a.automorphism((g1 * g2) % (2 * N)).data)
+
+
+def test_automorphism_identity(one_prime_ring, rng):
+    a = one_prime_ring.sample_uniform(rng)
+    assert np.array_equal(a.automorphism(1).data, a.data)
+
+
+def test_automorphism_is_ring_homomorphism(one_prime_ring, rng):
+    a = one_prime_ring.sample_uniform(rng)
+    b = one_prime_ring.sample_uniform(rng)
+    k = 2 * N - 1  # conjugation-like map
+    assert np.array_equal((a * b).automorphism(k).data,
+                          (a.automorphism(k) * b.automorphism(k)).data)
+
+
+def test_automorphism_rejects_even(ring):
+    with pytest.raises(ValueError):
+        ring.zero(primes=PRIMES[:1]).automorphism(2)
 
 
 def test_automorphism_requires_coeff_form(ring, rng):

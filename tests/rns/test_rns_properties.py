@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ntmath.primes import generate_ntt_primes
-from repro.poly.ntt import negacyclic_convolve_reference
 from repro.rns.rns_poly import RNSRing
+from tests.oracles import negacyclic_convolve_reference
 
 N = 16
 DEGREES = st.sampled_from([8, 16, 32])

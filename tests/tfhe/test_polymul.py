@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tfhe.polymul import TorusNTT, get_torus_ntt, negacyclic_mul_reference
+from repro.tfhe.polymul import get_torus_ntt
 from repro.tfhe.torus import to_centered_int64
+from tests.oracles import negacyclic_mul_reference
 
 N = 256
 
