@@ -215,9 +215,13 @@ class CKKSEvaluator:
         ``{step: rotated ciphertext}``.
 
         Correctness: the Galois automorphism is a signed coefficient
-        permutation applied per RNS channel, so it commutes with the digit
-        decomposition and with Bconv — permuting the *raised* digits equals
-        raising the permuted polynomial.
+        permutation applied per RNS channel.  It commutes with the digit
+        decomposition exactly, and with Bconv only up to a multiple of the
+        digit modulus: the Bconv of a negated coefficient differs from the
+        negated Bconv by such a multiple.  Permuting the *raised* digits
+        therefore gives a valid raising of the permuted polynomial (Bconv
+        overshoots by a multiple of the digit modulus anyway), but not bit
+        for bit the one that raising the permuted polynomial computes.
         """
         galois_key = self._require_galois_keys()
         require_params(self.params, ct)

@@ -26,7 +26,7 @@ from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.kernels import get_backend
 from repro.rns.rlwe import ntt_batch, unstack
-from repro.rns.rns_poly import reduce_signed
+from repro.rns.rns_poly import channel_rows, reduce_signed
 
 
 class BabySteps:
@@ -66,8 +66,8 @@ class SlotLinearTransform:
         if not 1 <= giant_step <= self.slots:
             raise ValueError("giant_step out of range")
         self.giant_step = giant_step
-        # (n, scale) -> giant groups; see _groups
-        self._encoded: Dict[Tuple[int, float], dict] = {}
+        # (n, scale) -> (basis, giant groups in NTT form); see _groups
+        self._ntt: Dict[Tuple[int, float], tuple] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -95,30 +95,42 @@ class SlotLinearTransform:
         return steps
 
     def _groups(
-        self, n: int, scale: float
+        self, n: int, scale: float, primes: Tuple[int, ...]
     ) -> Dict[int, Tuple[List[int], np.ndarray]]:
-        """``{i: (baby steps j, int64 coefficients (J, n))}`` per giant group.
+        """``{i: (baby steps j, NTT-form diagonals (C, J, n))}`` per giant
+        group, over ``primes``.
 
         Row ``k`` encodes ``rot(diag_{g*i + j_k}, -g*i)`` at ``scale``.
-        The coefficients do not depend on the level, so each diagonal is
-        encoded once per transform and reduced into the current chain at
-        apply time.
+        Each group is encoded and forward-transformed once per
+        ``(n, scale)``, over the basis of first use.  A call over a subset
+        of that basis (a lower level) cuts its rows, which is exact because
+        each channel transforms independently; any other basis encodes the
+        diagonals again and replaces the held form.
         """
-        groups = self._encoded.get((n, scale))
-        if groups is None:
-            g = self.giant_step
-            encoder = CKKSEncoder(n, scale)
-            babies: Dict[int, List[int]] = {}
-            for d in self.nonzero_diagonals():
-                i, j = divmod(d, g)
-                babies.setdefault(i, []).append(j)
-            groups = {
-                i: (js, np.stack([
-                    encoder.encode(np.roll(self.diagonal(g * i + j), g * i))
-                    for j in js]))
-                for i, js in sorted(babies.items())
-            }
-            self._encoded[(n, scale)] = groups
+        held = self._ntt.get((n, scale))
+        if held is not None:
+            basis, groups = held
+            if basis == primes:
+                return groups
+            if set(primes) <= set(basis):
+                rows = channel_rows(basis, primes)
+                return {i: (js, diags[rows])
+                        for i, (js, diags) in groups.items()}
+        g = self.giant_step
+        encoder = CKKSEncoder(n, scale)
+        backend = get_backend()
+        babies: Dict[int, List[int]] = {}
+        for d in self.nonzero_diagonals():
+            i, j = divmod(d, g)
+            babies.setdefault(i, []).append(j)
+        groups = {}
+        for i, js in sorted(babies.items()):
+            coeffs = np.stack([
+                encoder.encode(np.roll(self.diagonal(g * i + j), g * i))
+                for j in js])
+            groups[i] = (js, backend.ntt_forward(
+                reduce_signed(coeffs, primes), primes))
+        self._ntt[(n, scale)] = (primes, groups)
         return groups
 
     # ------------------------------------------------------------------ #
@@ -132,10 +144,10 @@ class SlotLinearTransform:
         ``ct`` is a ciphertext or the :class:`BabySteps` of one, which
         shares the baby rotations with other transforms too.
 
-        Each giant group multiplies and sums its terms in the NTT domain:
-        its diagonals enter it in one forward NTT call, and its
-        accumulator leaves it in one inverse call before the giant
-        rotation.
+        Each giant group sums its terms in the NTT domain: its diagonals
+        are held in NTT form, its products and their sum are one ``mac``
+        call, and its accumulator leaves the NTT domain in one inverse
+        call before the giant rotation.
         """
         params = evaluator.params
         if params.slots != self.slots:
@@ -143,24 +155,17 @@ class SlotLinearTransform:
                 f"transform is {self.slots} slots, params have "
                 f"{params.slots}"
             )
-        groups = self._groups(params.n, params.scale)
-        if not groups:
-            raise ValueError("matrix is identically zero")
         babies = ct if isinstance(ct, BabySteps) else BabySteps(evaluator, ct)
         ct = babies.ct
         primes = ct.primes
+        groups = self._groups(params.n, params.scale, primes)
+        if not groups:
+            raise ValueError("matrix is identically zero")
         backend = get_backend()
         result = None
-        for i, (js, coeffs) in groups.items():
-            diags = backend.ntt_forward(reduce_signed(coeffs, primes), primes)
-            acc = None
-            for k, j in enumerate(js):
-                batch = babies(j)
-                term = backend.pointwise_mul(
-                    batch, np.broadcast_to(diags[:, k:k + 1], batch.shape),
-                    primes)
-                acc = term if acc is None else backend.pointwise_add(
-                    acc, term, primes)
+        for i, (js, diags) in groups.items():
+            acc = backend.mac(np.stack([babies(j) for j in js], axis=1),
+                              diags[:, :, None], primes)
             acc = backend.ntt_inverse(acc, primes)
             inner = Ciphertext(unstack(evaluator.ring, acc, primes),
                                ct.scale * params.scale, ct.params)

@@ -3,8 +3,9 @@
 The functional layer (``repro.poly`` / ``repro.rns`` and everything built on
 them) executes all of its heavy math through one small contract,
 :class:`~repro.kernels.contract.KernelBackend`: forward/inverse NTT,
-pointwise modular arithmetic, Galois automorphisms, Bconv, Modup/Moddown
-and rescale over limb-batched ``(C, n)`` residue matrices.
+pointwise modular arithmetic, the multiply-accumulate ``mac``, Galois
+automorphisms, Bconv, Modup/Moddown and rescale over limb-batched
+``(C, n)`` residue matrices.
 
 Shipped backends:
 
@@ -110,11 +111,18 @@ def set_backend(
 def backend_scope(
     backend: Union[str, KernelBackend]
 ) -> Iterator[KernelBackend]:
-    """Temporarily switch the active backend (restores the prior one)."""
+    """Temporarily switch the active backend (restores the prior one).
+
+    ``backend`` is a name or an instance; ``None`` raises
+    :class:`TypeError` before anything is switched (use
+    ``set_backend(None)`` to clear the selection).
+    """
     global _active
+    if backend is None:
+        raise TypeError("backend_scope needs a backend name or instance")
     prior = _active
-    active = set_backend(backend)
-    assert active is not None  # backend is never None here
+    active = _instance(backend) if isinstance(backend, str) else backend
+    _active = active
     try:
         yield active
     finally:

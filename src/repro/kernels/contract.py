@@ -2,8 +2,9 @@
 
 A :class:`KernelBackend` implements every polynomial/RNS primitive the
 functional layer is hot on — forward/inverse negacyclic NTT, pointwise
-modular arithmetic, Galois automorphisms, fast base conversion (Bconv),
-Modup/Moddown and CKKS rescale — over *limb-batched residue matrices*.
+modular arithmetic, the multiply-accumulate ``mac``, Galois automorphisms,
+fast base conversion (Bconv), Modup/Moddown and CKKS rescale — over
+*limb-batched residue matrices*.
 
 Data contract (shared by every backend; see DESIGN.md "Kernel backends"):
 
@@ -13,7 +14,8 @@ Data contract (shared by every backend; see DESIGN.md "Kernel backends"):
 * **layout** — a polynomial over a basis of ``C`` primes is a contiguous
   ``(C, n)`` matrix: axis 0 is the RNS limb (channel) axis in basis order,
   axis 1 the coefficient/slot axis.  The NTT and pointwise entry points also
-  accept extra *batch* axes between them, i.e. ``(C, ..., n)``.
+  accept extra *batch* axes between them, i.e. ``(C, ..., n)``; ``mac``
+  sums over axis 1 of ``(C, J, ..., n)``.
 * **form invariants** — NTT entry points transform along the last axis only
   (negacyclic, merged-twiddle; forward output bit-reversed, inverse input
   bit-reversed); ``bconv``/``modup``/``moddown``/``rescale`` are
@@ -64,6 +66,30 @@ def check_channel_batch(x: np.ndarray, primes: Primes) -> np.ndarray:
     return x
 
 
+#: Most terms one :meth:`KernelBackend.mac` call sums (its exactness bound).
+MAC_MAX_TERMS = 1 << 21
+
+
+def check_mac_operands(
+    a: np.ndarray, b: np.ndarray, primes: Primes
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """Validate ``mac``'s operands; return them as uint64 together with
+    their broadcast shape ``(C, J, ..., n)``."""
+    a = check_channel_batch(a, primes)
+    b = check_channel_batch(b, primes)
+    if a.ndim != b.ndim or a.ndim < 3:
+        raise ValueError(
+            f"mac takes two (C, J, ..., n) operands of one rank, "
+            f"got {a.shape} and {b.shape}"
+        )
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if not 1 <= shape[1] <= MAC_MAX_TERMS:
+        raise ValueError(
+            f"mac sums 1 to {MAC_MAX_TERMS} terms exactly, got {shape[1]}"
+        )
+    return a, b, shape
+
+
 @runtime_checkable
 class KernelBackend(Protocol):
     """Everything the poly/RNS layers need from a kernel implementation.
@@ -102,6 +128,26 @@ class KernelBackend(Protocol):
 
     def negate(self, a: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         """Elementwise ``-a mod q_i`` per channel."""
+
+    def mac(
+        self, a: np.ndarray, b: np.ndarray, primes: Sequence[int]
+    ) -> np.ndarray:
+        """Multiply-accumulate ``sum_t a[:, t] * b[:, t] mod q_i``.
+
+        The paper's Meta-OP ``(M_j A_j)_n R_j``: ``J`` products summed,
+        then one reduction.  ``a`` and ``b`` are ``(C, J, ..., n)``
+        residues of one rank that broadcast against each other by numpy's
+        rules; axis 1 holds the ``J`` terms.  The result is the broadcast
+        shape without axis 1, ``(C, ..., n)``, as the unique residue.
+
+        Bound: ``1 <= J <= MAC_MAX_TERMS = 2**21``, else
+        :class:`ValueError`.  The numpy backend sums lazy products
+        (``mulmod_lazy``), each in ``[0, 2q)``, in uint64 and reduces the
+        sum once with ``%``.  With ``q < 2**42`` each product is at most
+        ``2**43 - 1``, so ``J`` terms sum to at most
+        ``2**21 * (2**43 - 1) < 2**64``: the sum never wraps, and its
+        remainder is the exact residue.
+        """
 
     def mul_channel_scalars(
         self, a: np.ndarray, scalars: Sequence[int], primes: Sequence[int]

@@ -7,7 +7,8 @@ op is O(1) instead of O(limbs).  Every modular product — in
 ``pointwise_mul``, ``mul_channel_scalars``, Bconv, Moddown and rescale — is
 the one float-quotient multiply of :mod:`repro.ntmath.modular`
 (:func:`~repro.ntmath.modular.mulmod_channels`), and additions and
-subtractions use its ``np.minimum`` fix-ups.  The NTT is
+subtractions use its ``np.minimum`` fix-ups.  ``mac`` sums that multiply's
+lazy products and reduces each sum once.  The NTT is
 :class:`repro.poly.ntt.MultiNTTContext`: constant-geometry stages over the
 whole basis with lazy butterflies built on the same multiply, O(log n)
 calls per transform.  Every output is the exact residue, so results are
@@ -17,6 +18,7 @@ bit-identical to the per-limb reference backend (enforced by
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ import numpy as np
 from repro.kernels.contract import (
     as_primes,
     check_channel_batch,
+    check_mac_operands,
     check_residue_matrix,
 )
 from repro.kernels.plans import (
@@ -37,10 +40,18 @@ from repro.kernels.plans import (
 from repro.ntmath.modular import (
     addmod_channels,
     mulmod_channels,
+    mulmod_lazy,
     negmod_channels,
     submod_channels,
 )
 from repro.poly.ntt import get_multi_context
+
+#: Size of one term of a ``mac`` (its result's element count) from which
+#: the terms are accumulated one at a time.  Below it, one expression over
+#: all terms costs fewer numpy calls; above it, per-term passes over the
+#: result-sized buffers touch less memory than the ``J``-times larger
+#: product array.
+MAC_PER_TERM_FROM = 3072
 
 
 def _shaped_moduli(plan_primes: Sequence[int], ndim: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -102,6 +113,28 @@ class NumpyBackend:
         a = check_channel_batch(a, primes)
         qq, _ = _shaped_moduli(primes, a.ndim)
         return negmod_channels(a, qq)
+
+    def mac(
+        self, a: np.ndarray, b: np.ndarray, primes: Sequence[int]
+    ) -> np.ndarray:
+        primes = as_primes(primes)
+        a, b, shape = check_mac_operands(a, b, primes)
+        qq, q_quot = _shaped_moduli(primes, a.ndim)
+        b_quot = np.multiply(b, q_quot, dtype=np.float64)
+        out_shape = shape[:1] + shape[2:]
+        if math.prod(out_shape) < MAC_PER_TERM_FROM:
+            acc = mulmod_lazy(a, b, b_quot, qq).sum(axis=1, dtype=np.uint64)
+        else:
+            acc = np.empty(out_shape, dtype=np.uint64)
+            term, quot = np.empty_like(acc), np.empty_like(acc)
+            for t in range(shape[1]):
+                # an operand with one term broadcasts it to every term
+                i, k = min(t, a.shape[1] - 1), min(t, b.shape[1] - 1)
+                mulmod_lazy(a[:, i], b[:, k], b_quot[:, k], qq[:, 0],
+                            out=term if t else acc, quot=quot)
+                if t:
+                    acc += term
+        return np.remainder(acc, qq[:, 0], out=acc)
 
     def mul_channel_scalars(
         self, a: np.ndarray, scalars: Sequence[int], primes: Sequence[int]

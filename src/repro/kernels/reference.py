@@ -18,6 +18,7 @@ import numpy as np
 from repro.kernels.contract import (
     as_primes,
     check_channel_batch,
+    check_mac_operands,
     check_residue_matrix,
 )
 from repro.kernels.plans import automorphism_plan
@@ -91,6 +92,18 @@ class ReferenceBackend:
         out = np.empty_like(a)
         for i, q in enumerate(primes):
             out[i] = negmod(a[i], q)
+        return out
+
+    def mac(
+        self, a: np.ndarray, b: np.ndarray, primes: Sequence[int]
+    ) -> np.ndarray:
+        primes = as_primes(primes)
+        a, b, shape = check_mac_operands(a, b, primes)
+        a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        out = np.zeros(shape[:1] + shape[2:], dtype=np.uint64)
+        for i, q in enumerate(primes):
+            for t in range(shape[1]):
+                out[i] = addmod(out[i], mulmod(a[i, t], b[i, t], q), q)
         return out
 
     def mul_channel_scalars(

@@ -16,7 +16,7 @@ Table 2/3 complexity claims.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -30,8 +30,10 @@ true remainder is small and its low 64 bits identify it.
 
 Lazy ranges: a lazy product accepts any left operand below ``2**45`` (then
 ``x < 2**45``, as ``b < q``) and returns ``[0, 2q)``; the batched NTT keeps
-values in ``[0, 4q)`` between stages, and the mixed-radix rounding of
-:mod:`repro.rns.basis` multiplies unreduced values below ``2**44``.  Every
+values in ``[0, 4q)`` between stages, the mixed-radix rounding of
+:mod:`repro.rns.basis` multiplies unreduced values below ``2**44``, and the
+kernels' multiply-accumulate (``KernelBackend.mac``) sums lazy products
+below ``2**64`` before one ``%`` reduces them.  Every
 conditional subtraction is ``np.minimum(x, x - c)`` on uint64: when
 ``x < c`` the difference wraps to a huge value and the minimum keeps
 ``x``.

@@ -119,19 +119,17 @@ def keyswitch_raised(
     """DecompPolyMult and Moddown of a :func:`modup_digits` batch.
 
     Every digit enters the NTT domain in one call, both accumulators
-    ``sum_t raised_t * key_t`` leave it in one, and each is Moddowned by
-    the trailing ``special_count`` primes of ``extended``.
+    ``sum_t raised_t * key_t`` are one ``mac`` call and leave the NTT
+    domain in one, and each is Moddowned by the trailing ``special_count``
+    primes of ``extended``.
     """
     backend = get_backend()
+    if any(p.primes != extended for pair in pairs for p in pair):
+        raise ValueError("switching key is not over chain + special")
+    keys = np.stack([p.data for pair in pairs for p in pair], axis=1)
     raised = backend.ntt_forward(raised, extended)
-    acc = None
-    for t, (b_t, a_t) in enumerate(pairs):
-        if {b_t.primes, a_t.primes} != {extended}:
-            raise ValueError("switching key is not over chain + special")
-        term = backend.pointwise_mul(np.stack([b_t.data, a_t.data], axis=1),
-                                     raised[:, t:t + 1], extended)
-        acc = term if acc is None else backend.pointwise_add(
-            acc, term, extended)
+    acc = backend.mac(keys.reshape(len(extended), len(pairs), 2, -1),
+                      raised[:, :, None], extended)
     acc = backend.ntt_inverse(acc, extended)
     k0 = RNSPoly(ring, acc[:, 0], extended, False).moddown(special_count)
     k1 = RNSPoly(ring, acc[:, 1], extended, False).moddown(special_count)

@@ -91,14 +91,11 @@ class TorusNTT:
             (2,) + (1,) * u.ndim)
         fwd = backend.ntt_forward(np.mod(u, moduli).astype(np.uint64),
                                   self.primes)          # (2, rows, ..., n)
-        accs = np.empty((2, len(v_specs)) + batch + (self.n,), dtype=np.uint64)
-        for k, v_spec in enumerate(v_specs):
-            shared = v_spec.reshape((2, rows) + (1,) * len(batch) + (self.n,))
-            prod = backend.pointwise_mul(
-                fwd, np.broadcast_to(shared, fwd.shape), self.primes)
-            # accumulate over rows: summands < 2**36, hundreds of rows fit
-            accs[:, k] = (prod.sum(axis=1, dtype=np.uint64)
-                          % moduli[:, 0].astype(np.uint64))
+        # the rows are the terms; the spectra broadcast across the batch
+        # and the batch across the spectra: (2, len(v_specs), ..., n)
+        shared = np.stack(v_specs, axis=2).reshape(
+            (2, rows, len(v_specs)) + (1,) * len(batch) + (self.n,))
+        accs = backend.mac(fwd[:, :, None], shared, self.primes)
         inv = backend.ntt_inverse(accs, self.primes)
         return list(self._crt_to_torus(inv[0], inv[1]))
 

@@ -11,7 +11,7 @@ from repro.seedexp import SeedExpander
 from repro.tfhe.lwe import LweKey, LweSample
 from repro.tfhe.params import TFHEParams
 from repro.tfhe.polymul import get_torus_ntt
-from repro.tfhe.torus import from_int64, gaussian_noise
+from repro.tfhe.torus import gaussian_noise
 
 
 def negacyclic_monomial_mul(poly: np.ndarray, degree) -> np.ndarray:

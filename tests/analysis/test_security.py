@@ -1,7 +1,5 @@
 """Tests for the heuristic security estimator."""
 
-import math
-
 import pytest
 
 from repro.analysis.security import (

@@ -134,7 +134,10 @@ def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
         stack, kernel_calls):
     """The diagonal products stay in the NTT domain: one forward NTT per
     baby-step ciphertext, one per giant group's diagonals and one inverse
-    per giant group, beyond what the rotations themselves cost."""
+    per giant group, beyond what the rotations themselves cost.  The
+    diagonals stay held in NTT form, so a second apply transforms none of
+    them, and each group's terms are one ``mac`` with no
+    ``pointwise_mul``."""
     encryptor, _, evaluator, rng = stack
     ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
     m = (rng.normal(size=(SLOTS, SLOTS))
@@ -146,6 +149,61 @@ def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
     calls = kernel_calls(lambda: lt.apply(evaluator, ct))
     rotations = 2 * (g - 1)                     # 7 baby + 7 giant
     assert calls["automorphism"] == rotations * rotation["automorphism"]
-    assert calls["ntt_forward"] <= (
+    assert calls["ntt_forward"] == (
         g + g + rotations * rotation["ntt_forward"])
-    assert calls["ntt_inverse"] <= g + rotations * rotation["ntt_inverse"]
+    assert calls["ntt_inverse"] == g + rotations * rotation["ntt_inverse"]
+    again = kernel_calls(lambda: lt.apply(evaluator, ct))
+    assert again["ntt_forward"] == g + rotations * rotation["ntt_forward"]
+    assert again["ntt_inverse"] == calls["ntt_inverse"]
+    assert rotation["pointwise_mul"] == again["pointwise_mul"] == 0
+    assert again["mac"] == g + rotations * rotation["mac"]
+
+
+def _dense_transform(rng):
+    m = (rng.normal(size=(SLOTS, SLOTS))
+         + 1j * rng.normal(size=(SLOTS, SLOTS))) / SLOTS
+    return m, SlotLinearTransform(m)
+
+
+def _held_words(lt):
+    """Words of every NTT-form diagonal group the transform holds."""
+    return sum(diags.size for _, groups in lt._ntt.values()
+               for _, diags in groups.values())
+
+
+def test_transform_one_level_lower_cuts_rows(stack, kernel_calls):
+    """An apply one level below the held form's basis transforms no
+    diagonal, matches a fresh transform bit for bit, and leaves one NTT
+    form held."""
+    encryptor, _, evaluator, rng = stack
+    ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
+    m, lt = _dense_transform(rng)
+    g = lt.giant_step
+    lt.apply(evaluator, ct)
+    held = _held_words(lt)
+    assert held == SLOTS * len(ct.primes) * PARAMS.n
+    lower = evaluator.mod_switch_to(ct, ct.level - 1)
+    rotation = kernel_calls(lambda: evaluator.rotate(lower, 1))
+    calls = kernel_calls(lambda: lt.apply(evaluator, lower))
+    rotations = 2 * (g - 1)
+    assert calls["ntt_forward"] == g + rotations * rotation["ntt_forward"]
+    got = lt.apply(evaluator, lower)
+    want = SlotLinearTransform(m).apply(evaluator, lower)
+    assert got.primes == want.primes
+    for got_part, want_part in zip(got.parts, want.parts):
+        assert np.array_equal(got_part.data, want_part.data)
+    assert len(lt._ntt) == 1 and _held_words(lt) == held
+
+
+def test_transform_rebuilds_a_basis_it_does_not_cover(stack):
+    """A basis above the held one encodes the diagonals again from the
+    matrix and replaces the held form."""
+    encryptor, decryptor, evaluator, rng = stack
+    z = rng.normal(size=SLOTS)
+    ct = encryptor.encrypt_values(z)
+    m, lt = _dense_transform(rng)
+    lt.apply(evaluator, evaluator.mod_switch_to(ct, ct.level - 1))
+    out = lt.apply(evaluator, ct)
+    assert len(lt._ntt) == 1
+    assert _held_words(lt) == SLOTS * len(ct.primes) * PARAMS.n
+    assert np.abs(decryptor.decrypt(out) - m @ z).max() < 1e-3

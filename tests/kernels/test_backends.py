@@ -72,6 +72,16 @@ def test_backend_scope_restores_prior():
     assert get_backend() is outer
 
 
+def test_backend_scope_rejects_none():
+    """``None`` is a TypeError before any switch, also under ``python -O``
+    (no ``assert`` guards it)."""
+    outer = get_backend()
+    with pytest.raises(TypeError):
+        with backend_scope(None):
+            pass
+    assert get_backend() is outer
+
+
 def test_backend_scope_restores_on_error():
     outer = get_backend()
     with pytest.raises(RuntimeError):

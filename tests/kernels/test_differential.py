@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import backend_scope
+from repro.kernels import available_backends, backend_scope
+from repro.kernels.contract import MAC_MAX_TERMS
 from repro.ntmath.modular import (
     MAX_FAST_MODULUS_BITS,
     addmod_channels,
@@ -154,6 +155,81 @@ def test_pointwise_ops_bit_identical(n, bits, count, seed):
     ):
         want, got = _both(op)
         assert np.array_equal(want, got)
+
+
+#: ``(C, a, b)``: a channel count and the operand shapes after the channel
+#: axis, in every caller's broadcast pattern.  The numpy backend sums in one
+#: expression below 3,072 result elements and term by term from there; the
+#: CoeffToSlot, keyswitch, four-sample TFHE and first J-broadcast cases take
+#: the second form, the others the first.
+MAC_CASES = [
+    (17, (8, 2, 128), (8, 1, 128)),   # CoeffToSlot group: babies x diagonal
+    (4, (8, 2, 128), (8, 1, 128)),    # SlotToCoeff group
+    (26, (2, 2, 128), (2, 1, 128)),   # bootstrap keyswitch: key halves x digit
+    (57, (4, 2, 256), (4, 1, 256)),   # paper-chain keyswitch
+    (2, (6, 1, 4, 256), (6, 2, 1, 256)),  # TFHE rows x both spectra, 4 samples
+    (2, (6, 1, 1, 256), (6, 2, 1, 256)),  # TFHE rows, one sample
+    (3, (1, 4, 256), (5, 4, 256)),    # one term of a broadcast along J
+    (3, (5, 3, 16), (1, 3, 16)),
+]
+#: The most terms a caller sums: a 64-slot transform's giant step (the
+#: bootstrap's; keyswitches sum at most 4 digits and TFHE 6 rows).
+LARGEST_CALLER_TERMS = 8
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(MAC_CASES), bits=NTT_PRIME_BITS, fill=FILLS,
+       seed=SEEDS)
+def test_mac_matches_reference_and_python_ints(case, bits, fill, seed):
+    """``sum_t a[:, t] * b[:, t] mod q`` at every caller's shape and
+    broadcast pattern, on both backends and against Python integers,
+    with the operands unchanged."""
+    count, a_shape, b_shape = case
+    primes = generate_ntt_primes(bits, a_shape[-1], count)
+    rng = np.random.default_rng(seed)
+    a = _batch(rng, primes, a_shape[:-1], a_shape[-1], fill)
+    b = _batch(rng, primes, b_shape[:-1], b_shape[-1], fill)
+    before = a.copy(), b.copy()
+    want, got = _both(lambda k: k.mac(a, b, primes))
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+    full = np.broadcast_shapes(a.shape, b.shape)
+    q_col = np.array(primes, dtype=object).reshape(
+        (count,) + (1,) * (len(full) - 2))
+    exact = (np.broadcast_to(a, full).astype(object)
+             * np.broadcast_to(b, full).astype(object)).sum(axis=1) % q_col
+    assert want.dtype == got.dtype == np.uint64
+    assert np.array_equal(want, got)
+    assert np.array_equal(got.astype(object), exact)
+
+
+@pytest.mark.parametrize("terms", [LARGEST_CALLER_TERMS, 4096])
+@pytest.mark.parametrize("n", [16, 2048])
+def test_mac_worst_lazy_sum_is_exact(terms, n):
+    """Every operand at ``q - 1``, the largest lazy sum, at 42-bit primes:
+    ``terms * (q - 1)**2 = terms mod q``, in one expression (n = 16) and
+    term by term (n = 2048)."""
+    primes = generate_ntt_primes(MAX_FAST_MODULUS_BITS, n, 2)
+    top = (np.array(primes, dtype=np.uint64) - np.uint64(1)).reshape(2, 1, 1)
+    a = np.broadcast_to(top, (2, terms, n))
+    want = np.array([[terms % q] * n for q in primes], dtype=np.uint64)
+    for got in _both(lambda k: k.mac(a, top, primes)):
+        assert np.array_equal(got, want)
+
+
+def test_mac_rejects_more_terms_than_it_sums_exactly():
+    """The term limit raises before any work: the operand is a broadcast
+    view, so this allocates nothing.  An empty sum raises too."""
+    primes = generate_ntt_primes(20, 16, 1)
+    a = np.broadcast_to(np.uint64(1), (1, MAC_MAX_TERMS + 1, 16))
+    for name in available_backends():
+        with backend_scope(name) as backend:
+            with pytest.raises(ValueError, match="terms"):
+                backend.mac(a, a, primes)
+            with pytest.raises(ValueError, match="terms"):
+                backend.mac(a[:, :0], a[:, :0], primes)
+            with pytest.raises(ValueError, match="one rank"):
+                backend.mac(a[:, :2], a[:, 0], primes)
 
 
 @settings(max_examples=25, deadline=None)

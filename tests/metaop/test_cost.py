@@ -1,7 +1,5 @@
 """Tests for the Table 2 / Table 3 multiplication-count model."""
 
-import pytest
-
 from repro.metaop.cost import (
     WorkloadMultCount,
     decomp_polymult_mults_metaop,

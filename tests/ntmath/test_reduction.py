@@ -4,7 +4,6 @@ These dataflows underpin the paper's Table 2/3 mult-count claims, so the
 tests check both arithmetic correctness and the exact multiplication tally.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

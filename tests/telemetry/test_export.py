@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.compiler.ckks_programs import bootstrapping_program, cmult_program
+from repro.compiler.ckks_programs import bootstrapping_program
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry import (

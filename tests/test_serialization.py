@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro import serialization as ser
-from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
-from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
 from repro.tfhe.lwe import LweKey, lwe_decrypt_phase, lwe_encrypt
 from repro.tfhe.params import TEST_PARAMS

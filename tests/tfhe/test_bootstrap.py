@@ -1,16 +1,13 @@
 """Tests for blind rotation, programmable bootstrapping and gates."""
 
-import numpy as np
 import pytest
 
 from repro.tfhe.bootstrap import (
-    BootstrapKit,
     make_lut_test_polynomial,
     make_sign_test_polynomial,
 )
 from repro.tfhe.gates import MU, TFHEGates
 from repro.tfhe.lwe import LweSample, lwe_decrypt_phase
-from repro.tfhe.params import TEST_PARAMS
 from repro.tfhe.torus import TORUS_MODULUS, encode_message
 
 

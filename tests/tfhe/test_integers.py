@@ -3,7 +3,6 @@
 Kept to 3-bit operands: a single add is already ~15 bootstrapped gates.
 """
 
-import numpy as np
 import pytest
 
 from repro.tfhe.gates import TFHEGates

@@ -1,7 +1,6 @@
 """Tests for Torus32 arithmetic and message encoding."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
