@@ -34,7 +34,7 @@ from repro.bfv.encoder import BFVEncoder
 from repro.bfv.params import BFVParams
 from repro.ntmath.modular import to_mod_array
 from repro.rns.basis import scale_round
-from repro.rns.keyswitch import hybrid_keyswitch
+from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
 from repro.rns.rlwe import (NTTPublicKey, RLWEKeyGenerator, add_parts,
                             coeff_batch, phase, plain_mul, require_params,
                             tensor, unstack)
@@ -58,14 +58,14 @@ class BFVPublicKey:
 @dataclass
 class BFVRelinKey:
     params: BFVParams
-    pairs: List
+    key: SwitchingKey
     expand_seed: int = None
 
 
 @dataclass
 class BFVGaloisKeys:
     params: BFVParams
-    keys: dict  # galois element -> pair list
+    keys: dict  # galois element -> SwitchingKey
     expand_seed: int = None
 
 
@@ -107,10 +107,10 @@ class BFVKeyGenerator(RLWEKeyGenerator):
 
     def relin_key(self) -> BFVRelinKey:
         s_squared = (self._secret * self._secret).to_coeff()
-        pairs = self._switching_key(
+        key = self._switching_key(
             s_squared, self.params.ct_primes, self.params.digits(),
             seedexp.relin_stream("bfv", 0))
-        return BFVRelinKey(self.params, pairs, expand_seed=self.expand_seed)
+        return BFVRelinKey(self.params, key, expand_seed=self.expand_seed)
 
     def galois_keys(self, elements) -> BFVGaloisKeys:
         keys = {
@@ -304,7 +304,7 @@ class BFVEvaluator:
             self.key_trace.append("relin")
         k0, k1 = hybrid_keyswitch(
             self.ring, ct.parts[2], self.params.digits(),
-            self.params.special_primes, self.relin_key.pairs,
+            self.params.special_primes, self.relin_key.key,
         )
         return BFVCiphertext(
             [ct.parts[0] + k0, ct.parts[1] + k1], self.params)

@@ -18,7 +18,7 @@ from repro.ckks.encryptor import Ciphertext, Plaintext
 from repro.ckks.keys import GaloisKey, RelinKey
 from repro.ckks.params import CKKSParams
 from repro.kernels import get_backend
-from repro.rns.keyswitch import hybrid_keyswitch, keyswitch_raised, modup_digits
+from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
 from repro.rns.rlwe import (add_parts, coeff_batch, plain_mul, require_params,
                             tensor, unstack)
 from repro.rns.rns_poly import RNSRing
@@ -162,7 +162,7 @@ class CKKSEvaluator:
         self._trace_key("relin")
         k0, k1 = hybrid_keyswitch(
             self.ring, ct.parts[2], self.params.digits_at_level(ct.level),
-            self.params.special_primes, self.relin_key.levels[ct.level].pairs)
+            self.params.special_primes, self.relin_key.levels[ct.level].key)
         return Ciphertext(
             [ct.parts[0] + k0, ct.parts[1] + k1], ct.scale, ct.params
         )
@@ -179,9 +179,7 @@ class CKKSEvaluator:
 
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate slots left by ``steps`` (Galois automorphism + keyswitch)."""
-        self._require_galois_keys()
-        self._trace_key(f"rot:{steps}")
-        g = pow(5, steps % self.params.slots, 2 * self.params.n)
+        g, _ = self.rotation_key(ct, steps)
         return self.apply_galois(ct, g)
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
@@ -190,7 +188,9 @@ class CKKSEvaluator:
         self._trace_key("conj")
         return self.apply_galois(ct, 2 * self.params.n - 1)
 
-    def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
+    def _galois_switching_key(self, ct: Ciphertext, g: int) -> SwitchingKey:
+        """The key that switches ``ct`` (size 2, these params) after the
+        Galois map ``g``, at its level; a missing key raises ValueError."""
         galois_key = self._require_galois_keys()
         require_params(self.params, ct)
         if ct.size != 2:
@@ -198,58 +198,52 @@ class CKKSEvaluator:
         key = galois_key.keys.get((g, ct.level))
         if key is None:
             raise ValueError(f"no Galois key for element {g} at level {ct.level}")
+        return key.key
+
+    def rotation_key(self, ct: Ciphertext, steps: int) -> Tuple[int, SwitchingKey]:
+        """``(g, key)`` of a rotation of ``ct`` by ``steps``, traced as one
+        ``rot:<steps>`` touch: :meth:`rotate` and the hoisted rotations of
+        :mod:`repro.ckks.linear`, which permute raised digits instead of
+        calling :meth:`apply_galois`, both start here."""
+        self._require_galois_keys()
+        self._trace_key(f"rot:{steps}")
+        g = pow(5, steps % self.params.slots, 2 * self.params.n)
+        return g, self._galois_switching_key(ct, g)
+
+    def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
+        key = self._galois_switching_key(ct, g)
         c0 = ct.parts[0].to_coeff().automorphism(g)
         c1 = ct.parts[1].to_coeff().automorphism(g)
         k0, k1 = hybrid_keyswitch(
             self.ring, c1, self.params.digits_at_level(ct.level),
-            self.params.special_primes, key.pairs)
+            self.params.special_primes, key)
         return Ciphertext([c0 + k0, k1], ct.scale, ct.params)
 
     def rotate_batch_hoisted(self, ct: Ciphertext, steps) -> dict:
         """Several rotations of one ciphertext with a shared Modup.
 
-        This is Modup *hoisting* (the BSP-L=n+ variant of Figure 1): the
-        digit decomposition and base extension of ``c1`` are computed once;
-        each rotation then only pays the automorphism, the DecompPolyMult
-        against its own Galois key, and the Moddown.  Returns
-        ``{step: rotated ciphertext}``.
+        This is Modup *hoisting* (the BSP-L=n+ variant of Figure 1), by the
+        code of the slot transforms' baby steps
+        (:class:`repro.ckks.linear.BabySteps`): the digits of ``c1`` are
+        raised to ``Q*P`` and forward-transformed once; each rotation then
+        permutes them in the NTT domain (``automorphism_ntt``), takes one
+        ``mac`` against its own Galois key and one Moddown.  Returns
+        ``{step: rotated ciphertext}`` in coefficient form.
 
-        Correctness: the Galois automorphism is a signed coefficient
-        permutation applied per RNS channel.  It commutes with the digit
-        decomposition exactly, and with Bconv only up to a multiple of the
-        digit modulus: the Bconv of a negated coefficient differs from the
-        negated Bconv by such a multiple.  Permuting the *raised* digits
-        therefore gives a valid raising of the permuted polynomial (Bconv
-        overshoots by a multiple of the digit modulus anyway), but not bit
-        for bit the one that raising the permuted polynomial computes.
+        Not bit-identical to :meth:`rotate`: the Galois automorphism
+        commutes with the digit decomposition exactly, but with Bconv only
+        up to a multiple of the digit modulus (the Bconv of a negated
+        coefficient differs from the negated Bconv by one).  A permuted
+        raising is a valid raising of the rotated polynomial, not bit for
+        bit the one that raising the rotated polynomial computes.
         """
-        galois_key = self._require_galois_keys()
-        require_params(self.params, ct)
-        if ct.size != 2:
-            raise ValueError("relinearize before rotating")
-        params = self.params
-        special = params.special_primes
-        extended = ct.primes + special
-        level = ct.level
-        backend = get_backend()
-        c0 = ct.parts[0].to_coeff()
-        # shared Modup: raise every digit of c1 once (coefficient domain)
-        raised = modup_digits(
-            ct.parts[1].to_coeff(), params.digits_at_level(level), special)
+        from repro.ckks.linear import BabySteps
 
-        out = {}
-        for step in steps:
-            self._trace_key(f"rot:{step}")
-            g = pow(5, step % params.slots, 2 * params.n)
-            key = galois_key.keys.get((g, level))
-            if key is None:
-                raise ValueError(
-                    f"no Galois key for element {g} at level {level}")
-            rotated = np.stack(
-                [backend.automorphism(raised[:, t], g, extended)
-                 for t in range(raised.shape[1])], axis=1)
-            k0, k1 = keyswitch_raised(
-                self.ring, rotated, extended, len(special), key.pairs)
-            rotated0 = c0.automorphism(g) + k0
-            out[step] = Ciphertext([rotated0, k1], ct.scale, ct.params)
-        return out
+        babies = BabySteps(self, ct)
+        backend = get_backend()
+        return {
+            step: Ciphertext(
+                unstack(self.ring, backend.ntt_inverse(babies(step), ct.primes),
+                        ct.primes),
+                ct.scale, ct.params)
+            for step in steps}

@@ -17,6 +17,7 @@ workloads.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -25,8 +26,9 @@ from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.kernels import get_backend
+from repro.rns.keyswitch import mod_down, raise_digits, switch_raised
 from repro.rns.rlwe import ntt_batch, unstack
-from repro.rns.rns_poly import channel_rows, reduce_signed
+from repro.rns.rns_poly import RNSPoly, channel_rows, reduce_signed
 
 
 class BabySteps:
@@ -35,21 +37,49 @@ class BabySteps:
     Transforms applied to the same ciphertext can share one instance, so
     each baby rotation is keyswitched once however many transforms read
     it (CoeffToSlot's two halves do).
+
+    The rotations are hoisted: the first one raises ``c1``'s digits to
+    ``Q*P`` in NTT form (:func:`~repro.rns.keyswitch.raise_digits`), and
+    every rotation by ``j`` permutes those raised digits by ``σ_{5^j}`` in
+    the NTT domain, switches them with its key and goes down
+    (:func:`~repro.rns.keyswitch.mod_down`).  Its ``c0`` part is the same
+    permutation of the held NTT-form input.
     """
 
     def __init__(self, evaluator: CKKSEvaluator, ct: Ciphertext):
         self.evaluator = evaluator
         self.ct = ct
         self._ntt: Dict[int, np.ndarray] = {}
+        self._raised = None
 
     def __call__(self, j: int) -> np.ndarray:
         """Every part of ``rot(ct, j)`` in NTT form, one ``(C, parts, n)``
-        batch made by one forward NTT call."""
+        batch."""
         batch = self._ntt.get(j)
         if batch is None:
-            rotated = self.evaluator.rotate(self.ct, j) if j else self.ct
-            batch = self._ntt[j] = ntt_batch(rotated.parts)
+            batch = self._ntt[j] = (self._rotate(j) if j
+                                    else ntt_batch(self.ct.parts))
         return batch
+
+    def _rotate(self, j: int) -> np.ndarray:
+        ev, ct = self.evaluator, self.ct
+        g, key = ev.rotation_key(ct, j)
+        special = ev.params.special_primes
+        if self._raised is None:
+            self._raised = raise_digits(
+                ct.parts[1].to_coeff(), ev.params.digits_at_level(ct.level),
+                special)
+        backend = get_backend()
+        primes = ct.primes
+        extended = primes + special
+        acc = switch_raised(
+            backend.automorphism_ntt(self._raised, g, extended), key)
+        rotated = backend.ntt_forward(
+            mod_down(acc, extended, len(special)), primes)
+        rotated[:, 0] = backend.pointwise_add(
+            rotated[:, 0], backend.automorphism_ntt(self(0)[:, 0], g, primes),
+            primes)
+        return rotated
 
 
 class SlotLinearTransform:
@@ -145,9 +175,13 @@ class SlotLinearTransform:
         shares the baby rotations with other transforms too.
 
         Each giant group sums its terms in the NTT domain: its diagonals
-        are held in NTT form, its products and their sum are one ``mac``
-        call, and its accumulator leaves the NTT domain in one inverse
-        call before the giant rotation.
+        are held in NTT form, and its products and their sum are one
+        ``mac`` call, ``(u0, u1)`` over ``Q``.  The giant rotations are
+        hoisted too (double hoisting): ``u1`` is raised and switched like a
+        baby step, but the switched pairs stay over ``Q*P``, where they
+        are summed with ``P·σ(u0)`` of every group and ``P·(u0, u1)`` of
+        group 0.  The transform then goes down once, which is exact up to
+        rounding because ``ModDown(P·x + y) = x + ModDown(y)``.
         """
         params = evaluator.params
         if params.slots != self.slots:
@@ -162,16 +196,38 @@ class SlotLinearTransform:
         if not groups:
             raise ValueError("matrix is identically zero")
         backend = get_backend()
-        result = None
+        special = params.special_primes
+        extended = primes + special
+        digits = params.digits_at_level(ct.level)
+        ring = evaluator.ring
+        # NTT form: terms over Q that enter Q*P times P, and the giant
+        # steps' switched pairs over Q*P
+        lifted = np.zeros((len(primes), ct.size, params.n), dtype=np.uint64)
+        switched = np.zeros((len(extended),) + lifted.shape[1:],
+                            dtype=np.uint64)
         for i, (js, diags) in groups.items():
-            acc = backend.mac(np.stack([babies(j) for j in js], axis=1),
-                              diags[:, :, None], primes)
-            acc = backend.ntt_inverse(acc, primes)
-            inner = Ciphertext(unstack(evaluator.ring, acc, primes),
-                               ct.scale * params.scale, ct.params)
-            if self.giant_step * i:
-                inner = evaluator.rotate(inner, self.giant_step * i)
-            result = inner if result is None else evaluator.add(result, inner)
+            u = backend.mac(np.stack([babies(j) for j in js], axis=1),
+                            diags[:, :, None], primes)
+            if not self.giant_step * i:
+                lifted = backend.pointwise_add(lifted, u, primes)
+                continue
+            g, key = evaluator.rotation_key(ct, self.giant_step * i)
+            u1 = RNSPoly(ring, backend.ntt_inverse(u[:, 1], primes), primes,
+                         False)
+            raised = raise_digits(u1, digits, special)
+            switched = backend.pointwise_add(switched, switch_raised(
+                backend.automorphism_ntt(raised, g, extended), key), extended)
+            lifted[:, 0] = backend.pointwise_add(
+                lifted[:, 0], backend.automorphism_ntt(u[:, 0], g, primes),
+                primes)
+        p_product = math.prod(special)
+        q_rows = slice(0, len(primes))
+        switched[q_rows] = backend.pointwise_add(
+            switched[q_rows], backend.mul_channel_scalars(
+                lifted, [p_product % q for q in primes], primes), primes)
+        result = Ciphertext(
+            unstack(ring, mod_down(switched, extended, len(special)), primes),
+            ct.scale * params.scale, ct.params)
         return evaluator.rescale(result)
 
 

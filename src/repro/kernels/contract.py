@@ -2,9 +2,9 @@
 
 A :class:`KernelBackend` implements every polynomial/RNS primitive the
 functional layer is hot on — forward/inverse negacyclic NTT, pointwise
-modular arithmetic, the multiply-accumulate ``mac``, Galois automorphisms,
-fast base conversion (Bconv), Modup/Moddown and CKKS rescale — over
-*limb-batched residue matrices*.
+modular arithmetic, the multiply-accumulate ``mac``, Galois automorphisms
+(in coefficient and in NTT form), fast base conversion (Bconv),
+Modup/Moddown and CKKS rescale — over *limb-batched residue matrices*.
 
 Data contract (shared by every backend; see DESIGN.md "Kernel backends"):
 
@@ -18,7 +18,8 @@ Data contract (shared by every backend; see DESIGN.md "Kernel backends"):
   sums over axis 1 of ``(C, J, ..., n)``.
 * **form invariants** — NTT entry points transform along the last axis only
   (negacyclic, merged-twiddle; forward output bit-reversed, inverse input
-  bit-reversed); ``bconv``/``modup``/``moddown``/``rescale`` are
+  bit-reversed); ``automorphism_ntt`` takes that NTT form;
+  ``automorphism``/``bconv``/``modup``/``moddown``/``rescale`` are
   coefficient-domain only, exactly as in the paper's equations (1)-(3).
   Callers (``RNSPoly``) are responsible for form tracking.
 * **bit-exactness** — all backends compute *exact* modular results, so any
@@ -158,6 +159,15 @@ class KernelBackend(Protocol):
         self, a: np.ndarray, k: int, primes: Sequence[int]
     ) -> np.ndarray:
         """Galois map ``X -> X**k`` (odd ``k``) per channel, coefficient form."""
+
+    def automorphism_ntt(
+        self, a: np.ndarray, k: int, primes: Sequence[int]
+    ) -> np.ndarray:
+        """Galois map ``X -> X**k`` (odd ``k``) of NTT-form ``(C, ..., n)``
+        residues: ``ntt_forward(automorphism(x, k))`` computed from
+        ``ntt_forward(x)`` as one gather along the last axis, with no sign
+        flips (:func:`repro.kernels.plans.ntt_automorphism_plan`).  An even
+        ``k`` raises :class:`ValueError`."""
 
     # ------------------------------ basis changes ---------------------- #
 

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.kernels.contract import (
+    Primes,
     as_primes,
     check_channel_batch,
     check_mac_operands,
@@ -35,6 +36,7 @@ from repro.kernels.plans import (
     basis_plan,
     conversion_plan,
     moddown_plan,
+    ntt_automorphism_plan,
     rescale_plan,
 )
 from repro.ntmath.modular import (
@@ -54,9 +56,10 @@ from repro.poly.ntt import get_multi_context
 MAC_PER_TERM_FROM = 3072
 
 
-def _shaped_moduli(plan_primes: Sequence[int], ndim: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Modulus arrays broadcastable against ``(C, ..., n)`` of rank ``ndim``."""
-    plan = basis_plan(as_primes(plan_primes))
+def _shaped_moduli(primes: Primes, ndim: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Modulus arrays broadcastable against ``(C, ..., n)`` of rank ``ndim``,
+    for a basis its caller already normalized with ``as_primes``."""
+    plan = basis_plan(primes)
     extra = ndim - 1
     if extra == 1:
         return plan.q_col, plan.q_inv_col
@@ -160,6 +163,13 @@ class NumpyBackend:
         out = np.zeros_like(a)
         out[:, dest] = vals
         return out
+
+    def automorphism_ntt(
+        self, a: np.ndarray, k: int, primes: Sequence[int]
+    ) -> np.ndarray:
+        primes = as_primes(primes)
+        a = check_channel_batch(a, primes)
+        return a[..., ntt_automorphism_plan(a.shape[-1], k)]
 
     # ------------------------------ basis changes ---------------------- #
 

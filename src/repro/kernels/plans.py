@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.kernels.contract import Primes
 from repro.ntmath.modular import channel_moduli, invmod
+from repro.poly.ntt import bit_reverse_indices
 
 
 @dataclass(frozen=True)
@@ -151,3 +152,20 @@ def automorphism_plan(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     flip = idx >= n
     dest = np.where(flip, idx - n, idx)
     return dest, flip
+
+
+@lru_cache(maxsize=4096)
+def ntt_automorphism_plan(n: int, k: int) -> np.ndarray:
+    """Gather index of the Galois map ``X -> X**k`` (odd ``k``) in NTT form.
+
+    Row ``i`` of the bit-reversed forward NTT holds ``a(psi**e_i)`` with
+    ``e_i = 2*br(i) + 1``, and ``(sigma_k a)(psi**e) = a(psi**(e*k))``, so
+    ``NTT(sigma_k a)[i] = NTT(a)[br((e_i*k mod 2n - 1) / 2)]``: a
+    permutation of the evaluation points with no sign flips, identical per
+    channel.
+    """
+    k %= 2 * n
+    if k % 2 == 0:
+        raise ValueError("automorphism index must be odd")
+    rev = bit_reverse_indices(n)
+    return rev[((2 * rev + 1) * k % (2 * n) - 1) // 2]

@@ -21,7 +21,7 @@ from repro.kernels.contract import (
     check_mac_operands,
     check_residue_matrix,
 )
-from repro.kernels.plans import automorphism_plan
+from repro.kernels.plans import automorphism_plan, ntt_automorphism_plan
 from repro.ntmath.modular import addmod, invmod, mulmod, negmod, submod
 from repro.poly.ntt import get_context
 
@@ -128,6 +128,17 @@ class ReferenceBackend:
         for i, q in enumerate(primes):
             vals = np.where(flip, negmod(a[i], q), a[i])
             out[i, dest] = vals
+        return out
+
+    def automorphism_ntt(
+        self, a: np.ndarray, k: int, primes: Sequence[int]
+    ) -> np.ndarray:
+        primes = as_primes(primes)
+        a = check_channel_batch(a, primes)
+        index = ntt_automorphism_plan(a.shape[-1], k)
+        out = np.empty_like(a)
+        for i in range(len(primes)):
+            out[i] = a[i][..., index]
         return out
 
     # ------------------------------ basis changes ---------------------- #

@@ -13,6 +13,13 @@ DecompPolyMult / Moddown operators accelerate:
 * switching a polynomial ``d`` decomposes it into digit residues, Modups
   each digit to ``Q * P``, accumulates ``sum_t ModUp(d_t) * ksk_t`` in the
   NTT domain (DecompPolyMult), and Moddowns by ``P``.
+
+Those three steps are separate building blocks — :func:`raise_digits`,
+:func:`switch_raised` and :func:`mod_down` — so that hoisted rotations
+can raise one input once, permute its raised digits in the NTT domain
+for each rotation, and sum several switched products over ``Q * P``
+before one Moddown (:mod:`repro.ckks.linear`).  ``ModDown(P*x + y) =
+x + ModDown(y)`` exactly, which is what lets a sum share one Moddown.
 """
 
 from __future__ import annotations
@@ -26,6 +33,49 @@ from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, digit_stream
 
 
+class SwitchingKey:
+    """A switching key's digit pairs as one ``(C_ext, dnum, 2, n)`` array.
+
+    ``data[:, t]`` holds digit ``t``'s pair ``(b_t, a_t)`` in NTT form over
+    ``primes`` (``chain + special``), so DecompPolyMult is one ``mac`` over
+    the stored array with no per-call copy; :attr:`pairs` are views of it.
+    """
+
+    __slots__ = ("ring", "data", "primes")
+
+    def __init__(self, ring: RNSRing, data: np.ndarray,
+                 primes: Tuple[int, ...]):
+        if data.ndim != 4 or data.shape[2] != 2 or (
+                data.shape[0] != len(primes)):
+            raise ValueError(
+                f"switching key data {data.shape} is not "
+                f"({len(primes)}, dnum, 2, n)")
+        self.ring = ring
+        self.data = data
+        self.primes = tuple(primes)
+
+    @classmethod
+    def from_halves(cls, ring: RNSRing, halves: Sequence[np.ndarray],
+                    primes: Tuple[int, ...]) -> "SwitchingKey":
+        """Stack ``(C_ext, n)`` NTT-form halves ``b_0, a_0, b_1, a_1, ...``
+        into one key (the only copy kept)."""
+        data = np.stack([np.asarray(h, dtype=np.uint64) for h in halves],
+                        axis=1)
+        return cls(ring, data.reshape(data.shape[0], -1, 2, data.shape[-1]),
+                   primes)
+
+    @property
+    def dnum(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def pairs(self) -> List[Tuple[RNSPoly, RNSPoly]]:
+        """``[(b_t, a_t)]`` per digit, as NTT-form views of :attr:`data`."""
+        return [tuple(RNSPoly(self.ring, self.data[:, t, k], self.primes, True)
+                      for k in (0, 1))
+                for t in range(self.dnum)]
+
+
 def make_switching_key(
     ring: RNSRing,
     s_to_full: RNSPoly,
@@ -37,11 +87,11 @@ def make_switching_key(
     error_std: float,
     expander: Optional[SeedExpander] = None,
     stream_prefix: str = "",
-) -> List[Tuple[RNSPoly, RNSPoly]]:
+) -> SwitchingKey:
     """Build the per-digit key pairs for switching ``s_from -> s_to``.
 
     ``s_to_full`` / ``s_from_full`` are held over (a superset of)
-    ``chain + special`` in coefficient form; the returned pairs are in NTT
+    ``chain + special`` in coefficient form; the returned key is in NTT
     form over ``chain + special``.
 
     With an ``expander``, each digit's uniform ``a_t`` comes from the
@@ -64,7 +114,7 @@ def make_switching_key(
     s_to = s_to_full.restrict(extended).to_ntt()
     s_from = s_from_full.restrict(extended)
 
-    pairs = []
+    halves = []
     for t, digit in enumerate(digits):
         digit_product = 1
         for q in digit:
@@ -82,8 +132,8 @@ def make_switching_key(
             [pg % q for q in extended]
         ).to_ntt()
         b = -(a * s_to) + e + keyed
-        pairs.append((b, a))
-    return pairs
+        halves += [b.data, a.data]
+    return SwitchingKey.from_halves(ring, halves, extended)
 
 
 def modup_digits(
@@ -109,31 +159,44 @@ def modup_digits(
     return out
 
 
-def keyswitch_raised(
-    ring: RNSRing,
-    raised: np.ndarray,
-    extended: Tuple[int, ...],
-    special_count: int,
-    pairs: Sequence[Tuple[RNSPoly, RNSPoly]],
-) -> Tuple[RNSPoly, RNSPoly]:
-    """DecompPolyMult and Moddown of a :func:`modup_digits` batch.
+def raise_digits(
+    d: RNSPoly, digits: Sequence[Sequence[int]], special: Sequence[int]
+) -> np.ndarray:
+    """*Raise*: :func:`modup_digits` of ``d`` (coefficient form), then one
+    forward NTT — the ``(C_ext, dnum, n)`` digits over
+    ``d.primes + special`` in NTT form, ready for :func:`switch_raised`."""
+    extended = d.primes + tuple(int(p) for p in special)
+    return get_backend().ntt_forward(modup_digits(d, digits, special),
+                                     extended)
 
-    Every digit enters the NTT domain in one call, both accumulators
-    ``sum_t raised_t * key_t`` are one ``mac`` call and leave the NTT
-    domain in one, and each is Moddowned by the trailing ``special_count``
-    primes of ``extended``.
+
+def switch_raised(raised: np.ndarray, key: SwitchingKey) -> np.ndarray:
+    """*Switch*: ``sum_t raised_t * key_t`` as one ``mac`` call.
+
+    ``raised`` is a :func:`raise_digits` batch, or a permutation of one
+    (``automorphism_ntt``), over the key's basis.  The result is the
+    ``(C_ext, 2, n)`` NTT-form pair over ``Q * P``, not yet Moddowned, so
+    several of them can be summed before one :func:`mod_down`.
+    """
+    return get_backend().mac(key.data, raised[:, :, None], key.primes)
+
+
+def mod_down(acc: np.ndarray, extended: Tuple[int, ...],
+             special_count: int) -> np.ndarray:
+    """*Down*: one inverse NTT and one Moddown call for every part of an
+    NTT-form ``(C_ext, parts, n)`` batch over ``extended``, as the
+    coefficient-form ``(C, parts, n)`` batch over its leading ``C``
+    chain primes.
+
+    Moddown works coefficient by coefficient, so one call on the
+    ``(C_ext, parts * n)`` view equals one call per part bit for bit.
     """
     backend = get_backend()
-    if any(p.primes != extended for pair in pairs for p in pair):
-        raise ValueError("switching key is not over chain + special")
-    keys = np.stack([p.data for pair in pairs for p in pair], axis=1)
-    raised = backend.ntt_forward(raised, extended)
-    acc = backend.mac(keys.reshape(len(extended), len(pairs), 2, -1),
-                      raised[:, :, None], extended)
     acc = backend.ntt_inverse(acc, extended)
-    k0 = RNSPoly(ring, acc[:, 0], extended, False).moddown(special_count)
-    k1 = RNSPoly(ring, acc[:, 1], extended, False).moddown(special_count)
-    return k0, k1
+    chain = extended[:len(extended) - special_count]
+    down = backend.moddown(acc.reshape(len(extended), -1), chain,
+                           extended[len(chain):])
+    return down.reshape((len(chain),) + acc.shape[1:])
 
 
 def hybrid_keyswitch(
@@ -141,18 +204,23 @@ def hybrid_keyswitch(
     d: RNSPoly,
     digits: Sequence[Sequence[int]],
     special: Sequence[int],
-    pairs: Sequence[Tuple[RNSPoly, RNSPoly]],
+    key: SwitchingKey,
 ) -> Tuple[RNSPoly, RNSPoly]:
-    """Apply a switching key to ``d`` (over the chain, any form).
+    """Apply a switching key to ``d`` (over the chain, any form):
+    :func:`raise_digits`, :func:`switch_raised`, :func:`mod_down`.
 
     Returns ``(k0, k1)`` over the chain in coefficient form, satisfying
     ``k0 + k1*s ≈ d*s'`` (plus the small Moddown noise).
     """
-    if len(digits) != len(pairs):
+    if len(digits) != key.dnum:
         raise ValueError(
-            f"switching key has {len(pairs)} digits, chain needs {len(digits)}"
+            f"switching key has {key.dnum} digits, chain needs {len(digits)}"
         )
-    d = d.to_coeff()
     special = tuple(int(p) for p in special)
-    return keyswitch_raised(ring, modup_digits(d, digits, special),
-                            d.primes + special, len(special), pairs)
+    extended = d.primes + special
+    if key.primes != extended:
+        raise ValueError("switching key is not over chain + special")
+    acc = switch_raised(raise_digits(d.to_coeff(), digits, special), key)
+    down = mod_down(acc, extended, len(special))
+    return (RNSPoly(ring, down[:, 0], d.primes, False),
+            RNSPoly(ring, down[:, 1], d.primes, False))

@@ -15,7 +15,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import get_backend
-from repro.rns.keyswitch import make_switching_key
+from repro.rns.keyswitch import SwitchingKey, make_switching_key
 from repro.rns.rns_poly import RNSPoly, RNSRing, channel_rows
 from repro.seedexp import SeedExpander
 
@@ -91,7 +91,7 @@ class RLWEKeyGenerator:
     def _switching_key(
         self, s_from: RNSPoly, chain: Sequence[int],
         digits: Sequence[Sequence[int]], stream_prefix: str,
-    ) -> List[Tuple[RNSPoly, RNSPoly]]:
+    ) -> SwitchingKey:
         """Digit pairs switching ``s_from -> s`` over ``chain + special``."""
         return make_switching_key(
             self.ring, self._secret, s_from, chain,

@@ -43,6 +43,7 @@ from repro.ckks.keys import (
     SwitchingKeyLevel,
 )
 from repro.ckks.params import CKKSParams
+from repro.rns.keyswitch import SwitchingKey
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, arrays_digest
 from repro.tfhe.bootstrap import KeyswitchKey
@@ -324,14 +325,10 @@ def _load_switching_level(
 ) -> SwitchingKeyLevel:
     # pairs live in NTT form over the extended basis chain(level) + P
     extended = params.primes_at_level(level) + params.special_primes
-    pairs = []
-    for d in range(digits):
-        b = RNSPoly(ring, blob[f"{prefix}_d{d}_b"].astype(np.uint64),
-                    extended, True)
-        a = RNSPoly(ring, blob[f"{prefix}_d{d}_a"].astype(np.uint64),
-                    extended, True)
-        pairs.append((b, a))
-    return SwitchingKeyLevel(level, pairs)
+    halves = [blob[f"{prefix}_d{d}_{half}"]
+              for d in range(digits) for half in "ba"]
+    return SwitchingKeyLevel(
+        level, SwitchingKey.from_halves(ring, halves, extended))
 
 
 def _seeded_switching_level_arrays(prefix: str, skl: SwitchingKeyLevel,
@@ -351,15 +348,14 @@ def _load_seeded_switching_level(
     regenerated: list,
 ) -> SwitchingKeyLevel:
     extended = params.primes_at_level(level) + params.special_primes
-    pairs = []
+    halves = []
     for d in range(digits):
-        b = RNSPoly(ring, blob[f"{prefix}_d{d}_b"].astype(np.uint64),
-                    extended, True)
         a = expander.uniform_rns(
             ring, extended, seedexp.digit_stream(stream_prefix, d)).to_ntt()
         regenerated.append(a.data)
-        pairs.append((b, a))
-    return SwitchingKeyLevel(level, pairs)
+        halves += [blob[f"{prefix}_d{d}_b"], a.data]
+    return SwitchingKeyLevel(
+        level, SwitchingKey.from_halves(ring, halves, extended))
 
 
 def save_relin_key(path, key: RelinKey, compressed: bool = False) -> None:

@@ -99,6 +99,18 @@ class TFHEParams:
         rounding = n * (1.0 + k * big_n) * eps_sq / 4.0
         return external + rounding
 
+    def modswitch_variance(self) -> float:
+        """Torus variance of the blind rotation's modulus switch.
+
+        Before the blind rotation, ``b`` and every mask entry ``a_i`` are
+        rounded to a multiple of ``1/2N``, each with a uniform error of
+        variance ``(1/2N)^2 / 12``.  The phase collects the ``b`` rounding
+        and the ``a_i`` roundings of the set key bits: at most ``n + 1``
+        roundings.  A phase closer to a decision boundary than a few of
+        these standard deviations bootstraps to the wrong side by chance.
+        """
+        return (self.lwe_dim + 1) / (12.0 * (2 * self.ring_degree) ** 2)
+
     def keyswitch_variance(self, lwe_variance: float = -1.0) -> float:
         """Torus error variance added by the ``kN -> n`` LWE keyswitch:
         ``kN * t`` keyswitch-key samples plus the base-``2^basebit``

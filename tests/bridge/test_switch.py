@@ -104,8 +104,20 @@ def test_encrypted_sign_end_to_end(setup):
         assert gates.decrypt_bit(bit) == (z[slot] > 0), slot
 
 
+def _sign_margin(kit, bridge):
+    """The smallest slot value whose torus image clears 4 standard
+    deviations of the sign bootstrap's modulus-switch rounding."""
+    torus_per_slot = bridge.gain * PARAMS.scale / bridge.q0
+    return 4 * np.sqrt(kit.params.modswitch_variance()) / torus_per_slot
+
+
 def test_switch_after_ckks_computation(setup):
-    """Switch the *result* of homomorphic CKKS arithmetic."""
+    """Switch the *result* of homomorphic CKKS arithmetic.
+
+    The sign bootstrap rounds its input to multiples of ``1/2N``, so a
+    slot is signed reliably only when its value clears a few standard
+    deviations of that rounding; the first four slots of the draw that
+    clear four are checked."""
     encryptor, _, evaluator, bridge, kit, rng = setup
     gates = tfhe.TFHEGates(kit)
     x = rng.uniform(-0.7, 0.7, PARAMS.slots)
@@ -116,9 +128,28 @@ def test_switch_after_ckks_computation(setup):
     half = evaluator.rescale(evaluator.mul_plain(
         diff, np.full(PARAMS.slots, 0.5)))
     stc = bridge.slots_to_coefficients(evaluator, half)
-    for slot in range(4):
+    slots = np.flatnonzero(
+        np.abs(0.5 * (x - y)) > _sign_margin(kit, bridge))[:4]
+    assert len(slots) == 4
+    for slot in slots:
         bit = bridge.encrypted_sign(evaluator, half, slot, stc_ct=stc)
         assert gates.decrypt_bit(bit) == (x[slot] > y[slot]), slot
+
+
+def test_sign_just_above_the_rounding_margin(setup):
+    """A slot value just above the 4-sigma modulus-switch margin is
+    signed correctly in each of 10 fresh encryptions, either sign."""
+    encryptor, _, evaluator, bridge, kit, rng = setup
+    gates = tfhe.TFHEGates(kit)
+    v = 1.05 * _sign_margin(kit, bridge)
+    z = np.zeros(PARAMS.slots)
+    z[:2] = v, -v
+    for _ in range(10):
+        ct = encryptor.encrypt_values(z)
+        stc = bridge.slots_to_coefficients(evaluator, ct)
+        for slot in (0, 1):
+            bit = bridge.encrypted_sign(evaluator, ct, slot, stc_ct=stc)
+            assert gates.decrypt_bit(bit) == (z[slot] > 0), slot
 
 
 def test_bridge_rejects_non_ternary_secret(setup):

@@ -61,8 +61,9 @@ def test_hoisted_shares_one_modup(stack, monkeypatch):
     ct = encryptor.encrypt_values(z)
     evaluator.rotate_batch_hoisted(ct, STEPS)
     digits = len(PARAMS.digits_at_level(PARAMS.num_levels))
-    # digits modup conversions (shared) + 2 moddown conversions per step
-    assert calls["n"] == digits + 2 * len(STEPS)
+    # digits modup conversions (shared) + one moddown conversion of both
+    # parts per step
+    assert calls["n"] == digits + len(STEPS)
 
 
 def test_hoisted_at_lower_level(stack):

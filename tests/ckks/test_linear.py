@@ -130,14 +130,35 @@ def test_zero_matrix_rejected(stack):
         SlotLinearTransform(np.zeros((SLOTS, SLOTS))).apply(evaluator, ct)
 
 
+def _hoisted_counts(g, dnum, diagonal_groups):
+    """Kernel calls of one double-hoisted ``apply`` of a dense ``g*g``
+    transform: ``g - 1`` baby and ``g - 1`` giant rotations."""
+    babies = giants = g - 1
+    raises = 1 + giants            # the input's c1 once, then each u1
+    return {
+        "bconv": raises * dnum,
+        # the input, each raise, each baby's switched pair, the diagonals
+        "ntt_forward": 1 + raises + babies + diagonal_groups,
+        # each baby's down, each giant's u1, the transform's one down
+        "ntt_inverse": babies + giants + 1,
+        "moddown": babies + 1,
+        "mac": babies + g + giants,
+        "automorphism_ntt": 2 * (babies + giants),
+        "automorphism": 0,
+        "pointwise_mul": 0,
+    }
+
+
 def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
         stack, kernel_calls):
-    """The diagonal products stay in the NTT domain: one forward NTT per
-    baby-step ciphertext, one per giant group's diagonals and one inverse
-    per giant group, beyond what the rotations themselves cost.  The
+    """Double hoisting, by exact kernel counts: the input's ``c1`` is
+    raised once (``dnum`` Bconvs and one forward NTT); each baby rotation
+    is one ``mac``, one inverse and one forward NTT and one Moddown, with
+    no coefficient automorphism; each giant group is one ``mac``, and each
+    giant rotation one inverse NTT, one raise and one ``mac``; the
+    transform goes down once (one inverse NTT and one Moddown).  The
     diagonals stay held in NTT form, so a second apply transforms none of
-    them, and each group's terms are one ``mac`` with no
-    ``pointwise_mul``."""
+    them."""
     encryptor, _, evaluator, rng = stack
     ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
     m = (rng.normal(size=(SLOTS, SLOTS))
@@ -145,18 +166,13 @@ def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
     lt = SlotLinearTransform(m)
     g = lt.giant_step
     assert len(lt.nonzero_diagonals()) == SLOTS and SLOTS == g * g
-    rotation = kernel_calls(lambda: evaluator.rotate(ct, 1))
+    dnum = len(PARAMS.digits_at_level(ct.level))
     calls = kernel_calls(lambda: lt.apply(evaluator, ct))
-    rotations = 2 * (g - 1)                     # 7 baby + 7 giant
-    assert calls["automorphism"] == rotations * rotation["automorphism"]
-    assert calls["ntt_forward"] == (
-        g + g + rotations * rotation["ntt_forward"])
-    assert calls["ntt_inverse"] == g + rotations * rotation["ntt_inverse"]
+    for kernel, count in _hoisted_counts(g, dnum, g).items():
+        assert calls[kernel] == count, kernel
     again = kernel_calls(lambda: lt.apply(evaluator, ct))
-    assert again["ntt_forward"] == g + rotations * rotation["ntt_forward"]
-    assert again["ntt_inverse"] == calls["ntt_inverse"]
-    assert rotation["pointwise_mul"] == again["pointwise_mul"] == 0
-    assert again["mac"] == g + rotations * rotation["mac"]
+    for kernel, count in _hoisted_counts(g, dnum, 0).items():
+        assert again[kernel] == count, kernel
 
 
 def _dense_transform(rng):
@@ -183,10 +199,9 @@ def test_transform_one_level_lower_cuts_rows(stack, kernel_calls):
     held = _held_words(lt)
     assert held == SLOTS * len(ct.primes) * PARAMS.n
     lower = evaluator.mod_switch_to(ct, ct.level - 1)
-    rotation = kernel_calls(lambda: evaluator.rotate(lower, 1))
     calls = kernel_calls(lambda: lt.apply(evaluator, lower))
-    rotations = 2 * (g - 1)
-    assert calls["ntt_forward"] == g + rotations * rotation["ntt_forward"]
+    dnum = len(PARAMS.digits_at_level(lower.level))
+    assert calls["ntt_forward"] == _hoisted_counts(g, dnum, 0)["ntt_forward"]
     got = lt.apply(evaluator, lower)
     want = SlotLinearTransform(m).apply(evaluator, lower)
     assert got.primes == want.primes

@@ -34,8 +34,9 @@ def ckks_stack():
 
 
 def test_functional_bconv_count_matches_compiler(ckks_stack, monkeypatch):
-    """A real relinearization performs exactly the Bconv invocations the
-    compiled keyswitch program models (dnum Modups + 2 Moddowns)."""
+    """A real relinearization converts exactly the polynomials the
+    compiled keyswitch program models (dnum Modups + 2 Moddowns); the two
+    Moddown polynomials are one call over both parts."""
     from repro.kernels import get_backend
 
     encryptor, evaluator, _, rng = ckks_stack
@@ -44,7 +45,8 @@ def test_functional_bconv_count_matches_compiler(ckks_stack, monkeypatch):
     real_bconv = backend.bconv
 
     def counting_bconv(x, source, target):
-        calls.append((tuple(source), tuple(target)))
+        for _ in range(x.shape[-1] // PARAMS.n):   # polynomials converted
+            calls.append((tuple(source), tuple(target)))
         return real_bconv(x, source, target)
 
     # every conversion — the keyswitch digit raise and the moddown-internal

@@ -242,6 +242,54 @@ def test_automorphism_bit_identical(n, bits, seed, k):
     assert np.array_equal(want, got)
 
 
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_automorphism_ntt_is_the_transformed_automorphism(backend, n):
+    """For every odd ``k``, the NTT-domain gather of ``NTT(x)`` equals the
+    forward NTT of the coefficient automorphism of ``x``."""
+    primes = generate_ntt_primes(MAX_FAST_MODULUS_BITS, n, 3)
+    x = _residues(np.random.default_rng(n), primes, n)
+    with backend_scope(backend) as b:
+        spectrum = b.ntt_forward(x, primes)
+        for k in range(1, 2 * n, 2):
+            want = b.ntt_forward(b.automorphism(x, k, primes), primes)
+            assert np.array_equal(
+                b.automorphism_ntt(spectrum, k, primes), want), k
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(0, 255).map(lambda i: 2 * i + 1),
+       batch=st.sampled_from([(), (3, 2)]), seed=SEEDS)
+def test_automorphism_ntt_batches_at_256(k, batch, seed):
+    """Sampled ``k`` at n = 256 on ``(C, n)`` and ``(C, J, parts, n)``
+    batches: both backends equal the per-row transformed automorphism,
+    and the caller's array is unchanged."""
+    n = 256
+    primes = generate_ntt_primes(MAX_FAST_MODULUS_BITS, n, 2)
+    x = _batch(np.random.default_rng(seed), primes, batch, n, "random")
+    rows = x.reshape(len(primes), -1, n)
+    for name in available_backends():
+        with backend_scope(name) as b:
+            coeff = np.stack([b.automorphism(rows[:, r], k, primes)
+                              for r in range(rows.shape[1])], axis=1)
+            want = b.ntt_forward(coeff.reshape(x.shape), primes)
+            spectrum = b.ntt_forward(x, primes)
+            before = spectrum.copy()
+            got = b.automorphism_ntt(spectrum, k, primes)
+            assert np.array_equal(got, want)
+            assert np.array_equal(spectrum, before)
+
+
+def test_automorphism_ntt_rejects_an_even_index():
+    primes = generate_ntt_primes(36, 16, 2)
+    x = _residues(np.random.default_rng(0), primes, 16)
+    for name in available_backends():
+        with backend_scope(name) as b:
+            for k in (0, 2, 16, 32):
+                with pytest.raises(ValueError, match="odd"):
+                    b.automorphism_ntt(x, k, primes)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=DEGREES, bits=PRIME_BITS, src=st.integers(1, 5),
        tgt=st.integers(1, 5), seed=SEEDS)

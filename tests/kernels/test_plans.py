@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro.kernels import plans
-from repro.kernels.plans import automorphism_plan, basis_plan
+from repro.kernels.plans import (
+    automorphism_plan,
+    basis_plan,
+    ntt_automorphism_plan,
+)
 
 
 def _cached_functions():
@@ -24,7 +28,7 @@ def _cached_functions():
 def test_module_exposes_the_expected_caches():
     names = [name for name, _ in _cached_functions()]
     assert names == ["automorphism_plan", "basis_plan", "conversion_plan",
-                     "moddown_plan", "rescale_plan"]
+                     "moddown_plan", "ntt_automorphism_plan", "rescale_plan"]
 
 
 @pytest.mark.parametrize("name,fn", _cached_functions())
@@ -69,3 +73,14 @@ def test_automorphism_plan_contents_survive_eviction_pressure():
     np.testing.assert_array_equal(dest0, dest1)
     np.testing.assert_array_equal(flip0, flip1)
     automorphism_plan.cache_clear()
+
+
+def test_ntt_automorphism_cache_evicts_at_the_bound():
+    ntt_automorphism_plan.cache_clear()
+    maxsize = ntt_automorphism_plan.cache_info().maxsize
+    for i in range(maxsize + 16):
+        ntt_automorphism_plan(8, 2 * i + 1)   # k and k + 16 are distinct keys
+    info = ntt_automorphism_plan.cache_info()
+    assert info.currsize == maxsize
+    assert info.misses == maxsize + 16
+    ntt_automorphism_plan.cache_clear()
