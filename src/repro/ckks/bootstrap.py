@@ -7,15 +7,19 @@ reduced parameters (N ≤ 2^9-ish) where pure Python is practical:
 1. **ModRaise** — reinterpret the level-0 residues over the full chain.
    The phase becomes ``m + q0 * I(X)`` with ``|I| <= (h+1)/2 + 1`` for a
    Hamming-weight-``h`` secret.
-2. **CoeffToSlot** — two conjugate-aware linear transforms move the
-   polynomial *coefficients* (divided by ``q0``) into the slots of two
-   ciphertexts (the coefficient count ``n`` is twice the slot count).
+2. **CoeffToSlot** — move the polynomial *coefficients* (divided by
+   ``q0``) into the slots of two ciphertexts, a head and a tail half (the
+   coefficient count ``n`` is twice the slot count).  The embedding gives
+   ``E[:, n/2 + j] = i E[:, j]``, so the tail's matrix is ``-i`` times the
+   head's, ``A``: one transform ``u = A z``, one conjugation and one
+   multiply by ``i`` (the monomial ``X^(n/2)``) give both halves.
 3. **EvalMod** — approximates ``t mod 1`` (as ``(1/2pi) sin(2 pi t)``,
    linearized) via a Taylor cosine base on a shrunk interval followed by
    ``r`` double-angle squarings: ``cos(2 pi (t - 1/4)) = sin(2 pi t)``.
-4. **SlotToCoeff** — the inverse transforms (with the ``q0 / 2 pi`` factor
-   folded into the matrix constants) reassemble a fresh high-level
-   ciphertext encrypting the original slots.
+4. **SlotToCoeff** — the inverse transform (with the ``q0 / 2 pi`` factor
+   folded into the matrix constants) reassembles a fresh high-level
+   ciphertext encrypting the original slots; by the same identity it is
+   one transform ``M`` of ``head + i tail``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,18 @@ import numpy as np
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
-from repro.ckks.linear import BabySteps, SlotLinearTransform
+from repro.ckks.linear import SlotLinearTransform
 from repro.ckks.params import CKKSParams
 from repro.ckks.poly_eval import double_angle, even_poly_eval
+
+
+def embedding_matrix(n: int) -> np.ndarray:
+    """The ``(n/2, n)`` canonical embedding ``E[k, j] = zeta^(j 5^k)``,
+    ``zeta = exp(i pi / n)``: slot ``k`` of a polynomial with coefficient
+    vector ``c`` is ``(E c)[k]``."""
+    rot = np.array([pow(5, k, 2 * n) for k in range(n // 2)])
+    j = np.arange(n)
+    return np.exp(1j * np.pi * rot[:, None] * j[None, :] / n)
 
 
 class CKKSBootstrapper:
@@ -60,21 +73,17 @@ class CKKSBootstrapper:
         self.q0 = params.base_primes[0]
         n = params.n
         slots = params.slots
-        # embedding matrix E[k, j] = zeta^(j * 5^k), zeta = exp(i pi / n)
-        rot = np.array([pow(5, k, 2 * n) for k in range(slots)])
-        j = np.arange(n)
-        e_matrix = np.exp(1j * np.pi * rot[:, None] * j[None, :] / n)
-        # CoeffToSlot: t = c / q0 = (Delta / (n q0)) (E^H z + conj(E^H z));
-        # each (head, tail) half is a pair (A, conj(A)) for A z + conj(A z)
-        a_full = (params.scale / (n * self.q0)) * e_matrix.conj().T
-        self.cts = tuple(
-            (SlotLinearTransform(a), SlotLinearTransform(np.conj(a)))
-            for a in (a_full[:slots, :], a_full[slots:, :])
-        )
-        # SlotToCoeff: z = (q0 / (2 pi Delta)) E m
-        m_full = (self.q0 / (2 * np.pi * params.scale)) * e_matrix
-        self.stc = (SlotLinearTransform(m_full[:, :slots]),
-                    SlotLinearTransform(m_full[:, slots:]))
+        # The head columns E[:, :s] of the embedding.  Every 5^k is 1 mod 4,
+        # so zeta^((n/2) 5^k) = i and E[:, s + j] = i E[:, j].
+        head = embedding_matrix(n)[:, :slots]
+        # CoeffToSlot: t = c / q0 = (Delta / (n q0)) (E^H z + conj(E^H z)).
+        # The tail rows of E^H are -i times the head rows A, so with
+        # u = A z the head half is u + conj(u) and the tail i (conj(u) - u).
+        self.cts = SlotLinearTransform(
+            (params.scale / (n * self.q0)) * head.conj().T)
+        # SlotToCoeff: z = (q0 / (2 pi Delta)) E m = M (head + i tail)
+        self.stc = SlotLinearTransform(
+            (self.q0 / (2 * np.pi * params.scale)) * head)
 
         required = self.levels_consumed()
         if params.num_levels < required + 1:
@@ -90,8 +99,7 @@ class CKKSBootstrapper:
 
     def required_rotations(self) -> set:
         """Rotation steps for which Galois keys must exist."""
-        transforms = [lt for pair in self.cts for lt in pair] + list(self.stc)
-        return set().union(*(lt.required_rotations() for lt in transforms))
+        return self.cts.required_rotations() | self.stc.required_rotations()
 
     # ------------------------------------------------------------------ #
 
@@ -115,14 +123,13 @@ class CKKSBootstrapper:
     def coeff_to_slot(self, raised: Ciphertext):
         """Two ciphertexts whose slots hold ``c_j / q0`` (head/tail half).
 
-        Both halves read one conjugate of ``raised`` and one set of baby
-        rotations of ``raised`` and of that conjugate.
+        One transform ``u = A z`` and one conjugation of its output:
+        ``head = u + conj(u)`` and ``tail = i (conj(u) - u)``.
         """
         ev = self.evaluator
-        direct = BabySteps(ev, raised)
-        conj = BabySteps(ev, ev.conjugate(raised))
-        return tuple(ev.add(lt_a.apply(ev, direct), lt_b.apply(ev, conj))
-                     for lt_a, lt_b in self.cts)
+        u = self.cts.apply(ev, raised)
+        conj = ev.conjugate(u)
+        return ev.add(u, conj), ev.mul_by_i(ev.sub(conj, u))
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """``sin(2 pi t)`` on the slots, via cosine + double angles."""
@@ -143,15 +150,15 @@ class CKKSBootstrapper:
         return acc
 
     def slot_to_coeff(self, head: Ciphertext, tail: Ciphertext) -> Ciphertext:
-        """Reassemble the output ciphertext from the two halves.
+        """Reassemble the output ciphertext from the two halves: one
+        transform of ``head + i tail``.
 
         The matrix constants were built so the decoded output equals the
         original slot values under the *tracked* scale — no manual scale
         fixups are needed.
         """
         ev = self.evaluator
-        lt_head, lt_tail = self.stc
-        return ev.add(lt_head.apply(ev, head), lt_tail.apply(ev, tail))
+        return self.stc.apply(ev, ev.add(head, ev.mul_by_i(tail)))
 
     # ------------------------------------------------------------------ #
 

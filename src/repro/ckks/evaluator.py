@@ -21,7 +21,7 @@ from repro.kernels import get_backend
 from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
 from repro.rns.rlwe import (add_parts, coeff_batch, plain_mul, require_params,
                             tensor, unstack)
-from repro.rns.rns_poly import RNSRing
+from repro.rns.rns_poly import RNSPoly, RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
 _SCALE_RTOL = 1e-6
@@ -99,6 +99,25 @@ class CKKSEvaluator:
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         return Ciphertext([-p for p in ct.parts], ct.scale, ct.params)
+
+    def mul_by_i(self, ct: Ciphertext) -> Ciphertext:
+        """Multiply every slot by ``i``: every part times ``X^(n/2)``.
+
+        Slot ``k`` evaluates at ``zeta^(5^k)`` and every ``5^k`` is 1 mod
+        4, so ``X^(n/2)`` is ``i`` there.  Coefficient ``j`` moves to
+        ``j + n/2`` and the wrapped half is negated (one ``negate`` call per
+        part): exact, with level and scale unchanged.  NTT-form parts are
+        taken to coefficient form first.
+        """
+        half = self.params.n // 2
+        backend = get_backend()
+        parts = []
+        for part in ct.parts:
+            data = part.to_coeff().data
+            parts.append(RNSPoly(part.ctx, np.concatenate(
+                [backend.negate(data[:, half:], part.primes), data[:, :half]],
+                axis=1), part.primes, False))
+        return Ciphertext(parts, ct.scale, ct.params)
 
     # ------------------------------ plaintext ops ---------------------- #
 
@@ -184,9 +203,9 @@ class CKKSEvaluator:
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex-conjugate every slot (Galois element 2n-1)."""
-        self._require_galois_keys()
+        conj = self.apply_galois(ct, 2 * self.params.n - 1)
         self._trace_key("conj")
-        return self.apply_galois(ct, 2 * self.params.n - 1)
+        return conj
 
     def _galois_switching_key(self, ct: Ciphertext, g: int) -> SwitchingKey:
         """The key that switches ``ct`` (size 2, these params) after the
@@ -202,13 +221,13 @@ class CKKSEvaluator:
 
     def rotation_key(self, ct: Ciphertext, steps: int) -> Tuple[int, SwitchingKey]:
         """``(g, key)`` of a rotation of ``ct`` by ``steps``, traced as one
-        ``rot:<steps>`` touch: :meth:`rotate` and the hoisted rotations of
-        :mod:`repro.ckks.linear`, which permute raised digits instead of
-        calling :meth:`apply_galois`, both start here."""
-        self._require_galois_keys()
-        self._trace_key(f"rot:{steps}")
+        ``rot:<steps>`` touch once the key is found: :meth:`rotate` and the
+        hoisted rotations of :mod:`repro.ckks.linear`, which permute raised
+        digits instead of calling :meth:`apply_galois`, both start here."""
         g = pow(5, steps % self.params.slots, 2 * self.params.n)
-        return g, self._galois_switching_key(ct, g)
+        key = self._galois_switching_key(ct, g)
+        self._trace_key(f"rot:{steps}")
+        return g, key
 
     def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
         key = self._galois_switching_key(ct, g)

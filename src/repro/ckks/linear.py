@@ -36,7 +36,7 @@ class BabySteps:
 
     Transforms applied to the same ciphertext can share one instance, so
     each baby rotation is keyswitched once however many transforms read
-    it (CoeffToSlot's two halves do).
+    it; :meth:`CKKSEvaluator.rotate_batch_hoisted` reads one directly.
 
     The rotations are hoisted: the first one raises ``c1``'s digits to
     ``Q*P`` in NTT form (:func:`~repro.rns.keyswitch.raise_digits`), and
@@ -240,9 +240,11 @@ def apply_real_transform(
 ) -> Ciphertext:
     """Evaluate ``A z + B conj(z)`` on the slot vector.
 
-    Real-linear (conjugate-aware) transforms are what CoeffToSlot /
-    SlotToCoeff need, because polynomial coefficients are real while slots
-    are complex.  ``B = None`` means a plain complex-linear transform.
+    Real-linear (conjugate-aware) transforms are what moving real
+    polynomial coefficients into complex slots needs.  The bootstrap's
+    CoeffToSlot gets its two halves from one transform and one conjugation
+    instead (:mod:`repro.ckks.bootstrap`).  ``B = None`` means a plain
+    complex-linear transform.
     """
     lt_a = SlotLinearTransform(a_matrix, giant_step)
     out = lt_a.apply(evaluator, ct)

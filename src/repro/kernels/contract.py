@@ -43,7 +43,12 @@ Primes = Tuple[int, ...]
 
 
 def as_primes(primes: Sequence[int]) -> Primes:
-    """Normalize a prime sequence to the hashable tuple form plans cache on."""
+    """Normalize a prime sequence to the hashable tuple form plans cache on.
+
+    A tuple of Python ints is returned as it is; any other sequence (a
+    list, an array, a tuple of numpy ints) is rebuilt."""
+    if type(primes) is tuple and set(map(type, primes)) <= {int}:
+        return primes
     return tuple(int(q) for q in primes)
 
 

@@ -8,7 +8,7 @@ same refreshed ciphertext plus the stage-level behaviours.
 import numpy as np
 import pytest
 
-from repro.ckks.bootstrap import CKKSBootstrapper
+from repro.ckks.bootstrap import CKKSBootstrapper, embedding_matrix
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
@@ -104,23 +104,66 @@ def test_coeff_to_slot_recovers_coefficients(pipeline):
         assert np.abs(diff - np.round(diff)).max() < 1e-3
 
 
-def test_coeff_to_slot_shares_conjugate_and_baby_steps(pipeline):
-    """Both halves read one conjugate of the raised ciphertext and one set
-    of baby rotations of it and of its conjugate: 1 conjugation, 2 x 7
-    baby and 4 x 7 giant rotations (BSGS 8 x 8 over 64 slots)."""
+def _key_trace(evaluator, fn):
+    evaluator.key_trace = []
+    try:
+        fn()
+        return list(evaluator.key_trace)
+    finally:
+        evaluator.key_trace = None
+
+
+BABIES = [f"rot:{j}" for j in range(1, 8)]
+GIANTS = [f"rot:{8 * i}" for i in range(1, 8)]
+
+
+def test_coeff_to_slot_is_one_transform_and_one_conjugation(pipeline):
+    """One BSGS 8 x 8 transform over 64 slots (7 baby and 7 giant
+    rotations) and one conjugation of its output."""
     encryptor, _, evaluator, boot, rng = pipeline
     ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
     raised = boot.mod_raise(ct)
-    evaluator.key_trace = []
-    try:
-        boot.coeff_to_slot(raised)
-        trace = list(evaluator.key_trace)
-    finally:
-        evaluator.key_trace = None
-    babies = [f"rot:{j}" for j in range(1, 8)]
-    assert trace.count("conj") == 1
-    assert sorted(k for k in trace if k in babies) == sorted(babies * 2)
-    assert len(trace) == 1 + 2 * 7 + 4 * 7
+    trace = _key_trace(evaluator, lambda: boot.coeff_to_slot(raised))
+    assert sorted(trace) == sorted(BABIES + GIANTS + ["conj"])
+
+
+def test_slot_to_coeff_is_one_transform(pipeline):
+    """``head + i tail`` through one transform: 7 baby and 7 giant
+    rotations, and no conjugation."""
+    encryptor, _, evaluator, boot, rng = pipeline
+    head, tail = (encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots),
+                                           level=1) for _ in range(2))
+    trace = _key_trace(evaluator, lambda: boot.slot_to_coeff(head, tail))
+    assert sorted(trace) == sorted(BABIES + GIANTS)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 512])
+def test_embedding_tail_is_i_times_head(n):
+    """``E[:, n/2 + j] = i E[:, j]``: every ``5^k`` is 1 mod 4, so
+    ``zeta^((n/2) 5^k) = i``.  CoeffToSlot and SlotToCoeff rest on it."""
+    e = embedding_matrix(n)
+    s = n // 2
+    assert e.shape == (s, n)
+    assert np.abs(e[:, s:] - 1j * e[:, :s]).max() < 1e-12
+
+
+def test_bootstrap_kernel_calls(pipeline, refreshed, kernel_calls):
+    """One bootstrap's exact kernel calls, with the transforms' diagonals
+    already held in NTT form (``refreshed`` ran one): two slot transforms,
+    one conjugation and 22 relinearizations.  Six ``negate`` calls: two
+    for CoeffToSlot's subtraction and two for each multiply by ``i``.  Six
+    transforms, or a second set of baby steps, would fail this.  A
+    benchmark request adds one forward and one inverse NTT each for
+    encryption and decryption (83 and 79)."""
+    encryptor, _, _, boot, rng = pipeline
+    ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
+    calls = kernel_calls(lambda: boot.bootstrap(ct))
+    assert dict(calls) == {
+        "ntt_forward": 81, "ntt_inverse": 77, "bconv": 60, "moddown": 39,
+        "mac": 67, "automorphism_ntt": 56, "automorphism": 2, "negate": 6,
+        "rescale": 52, "mul_channel_scalars": 30, "pointwise_add": 143,
+        "pointwise_mul": 24,
+    }
 
 
 def test_eval_mod_computes_sine(pipeline):

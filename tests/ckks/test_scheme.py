@@ -4,16 +4,18 @@ These exercise the exact high-level operator pipeline the paper benchmarks
 in Table 7 (Hadd, Pmult, Cmult, Keyswitch, Rotation), at reduced parameters.
 """
 
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.ckks.encoder import CKKSEncoder
-from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
+from repro.ckks.encryptor import Ciphertext, CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
-from repro.ckks.keys import CKKSKeyGenerator
+from repro.ckks.keys import CKKSKeyGenerator, GaloisKey
 from repro.ckks.params import CKKSParams
+from repro.kernels import backend_scope
 
 # Same parameters as the session-scoped ckks512_stack in conftest.py;
 # keygen is the expensive part, so all n=512 modules share one stack.
@@ -78,6 +80,53 @@ def test_sub_and_negate(stack):
     c1, c2 = enc.encrypt_values(z1), enc.encrypt_values(z2)
     assert np.abs(dec.decrypt(ev.sub(c1, c2)) - (z1 - z2)).max() < TOL
     assert np.abs(dec.decrypt(ev.negate(c1)) + z1).max() < TOL
+
+
+#: The active backend (numpy unless ``REPRO_KERNEL_BACKEND`` says
+#: otherwise) and the per-limb reference backend.
+BACKENDS = pytest.mark.parametrize("backend", [None, "reference"],
+                                   ids=["active", "reference"])
+
+
+def _on(backend):
+    return contextlib.nullcontext() if backend is None else (
+        backend_scope(backend))
+
+
+def _same(a, b):
+    """Bit-identical ciphertexts: scale, and every part's basis, form and
+    residues."""
+    return a.scale == b.scale and all(
+        p.primes == q.primes and p.ntt_form == q.ntt_form
+        and np.array_equal(p.data, q.data) for p, q in zip(a.parts, b.parts))
+
+
+@BACKENDS
+def test_mul_by_i_multiplies_every_slot_by_i(stack, backend):
+    enc, dec, ev, rng = stack
+    z = _values(rng) + 1j * _values(rng)
+    ct = enc.encrypt_values(z, level=2)
+    with _on(backend):
+        out = ev.mul_by_i(ct)
+    assert (out.level, out.scale) == (ct.level, ct.scale)
+    assert np.abs(dec.decrypt(out) - 1j * z).max() < TOL
+
+
+@BACKENDS
+def test_mul_by_i_is_exact(stack, backend):
+    """``X^(n/2)`` twice is ``-1`` and four times ``1``, bit for bit; an
+    NTT-form input gives the same coefficient-form output."""
+    enc, _, ev, rng = stack
+    ct = enc.encrypt_values(_values(rng) + 1j * _values(rng))
+    assert not any(p.ntt_form for p in ct.parts)
+    with _on(backend):
+        once = ev.mul_by_i(ct)
+        twice = ev.mul_by_i(once)
+        four = ev.mul_by_i(ev.mul_by_i(twice))
+        assert _same(twice, ev.negate(ct))
+        ntt = Ciphertext([p.to_ntt() for p in ct.parts], ct.scale, ct.params)
+        assert _same(ev.mul_by_i(ntt), once)
+    assert _same(four, ct)
 
 
 def test_add_plain(stack):
@@ -186,6 +235,27 @@ def test_galois_ops_without_keys_raise_value_error(stack, op):
     with pytest.raises(ValueError, match="no Galois keys"):
         calls[op]()
     assert keyless.key_trace == []
+
+
+def test_failed_galois_ops_trace_no_key(stack):
+    """A rotation or conjugation that raises (missing key, size-3 input)
+    leaves no touch in ``key_trace``; a successful one traces its key."""
+    enc, _, ev, rng = stack
+    conj = 2 * PARAMS.n - 1
+    keys = {k: v for k, v in ev.galois_key.keys.items() if k[0] != conj}
+    partial = CKKSEvaluator(PARAMS, ev.encoder, relin_key=ev.relin_key,
+                            galois_key=GaloisKey(PARAMS, keys))
+    partial.key_trace = []
+    ct = enc.encrypt_values(_values(rng))
+    with pytest.raises(ValueError, match="no Galois key for element"):
+        partial.rotate(ct, 3)  # only steps 1, 2, 4, 5, 17 have keys
+    with pytest.raises(ValueError, match="no Galois key for element"):
+        partial.conjugate(ct)
+    with pytest.raises(ValueError, match="relinearize"):
+        partial.rotate(partial.multiply(ct, ct, relin=False), 1)
+    assert partial.key_trace == []
+    partial.rotate(ct, 1)
+    assert partial.key_trace == ["rot:1"]
 
 
 def test_conjugate(stack):

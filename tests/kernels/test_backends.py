@@ -12,6 +12,7 @@ from repro.kernels import (
     get_backend,
     set_backend,
 )
+from repro.kernels.contract import as_primes
 from repro.ntmath.primes import generate_ntt_primes
 
 
@@ -115,6 +116,24 @@ def test_module_dispatch_follows_active_backend():
         out = x.moddown(2)
     assert recorder.calls == 1
     assert out.primes == tuple(primes[:2]) and out.data.shape == (2, 64)
+
+
+@pytest.mark.parametrize("make", [
+    list, np.array, lambda ps: np.array(ps, dtype=np.uint64),
+    lambda ps: tuple(np.uint64(q) for q in ps),
+    lambda ps: tuple(np.int64(q) for q in ps),
+], ids=["list", "array", "uint64-array", "uint64-tuple", "int64-tuple"])
+def test_as_primes_normalizes_other_sequences(make):
+    primes = tuple(generate_ntt_primes(30, 64, 4))
+    out = as_primes(make(primes))
+    assert out == primes
+    assert type(out) is tuple and all(type(q) is int for q in out)
+
+
+def test_as_primes_returns_a_tuple_of_ints_as_it_is():
+    primes = tuple(generate_ntt_primes(30, 64, 4))
+    assert as_primes(primes) is primes
+    assert as_primes(()) == ()
 
 
 def _golden():
