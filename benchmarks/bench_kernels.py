@@ -28,7 +28,7 @@ from repro.kernels import get_backend
 from repro.ntmath.modular import mulmod
 from repro.ntmath.primes import generate_ntt_prime, generate_ntt_primes
 from repro.poly.ntt import get_context
-from repro.tfhe.params import TEST_PARAMS
+from repro.tfhe.params import PARAM_SET_I, TEST_PARAMS
 from repro.tfhe.polymul import get_torus_ntt
 
 
@@ -140,8 +140,10 @@ def test_bench_tfhe_external_product(benchmark, rng):
 
 
 def test_bench_torus_ntt_mul_sum(benchmark, rng):
-    ntt = get_torus_ntt(1024)
-    rows = 6
+    """One external product's row sums at ``PARAM_SET_I``: the split key
+    on one prime, the layout its blind rotation runs."""
+    ntt = get_torus_ntt(PARAM_SET_I.ring_degree, PARAM_SET_I.digit_row_bound)
+    rows = 2 * PARAM_SET_I.decomp_length
     u = rng.integers(-64, 64, (rows, 1024), dtype=np.int64)
     v = rng.integers(-(1 << 31), 1 << 31, (rows, 1024), dtype=np.int64)
     spec = ntt.spectrum(v)

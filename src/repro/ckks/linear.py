@@ -34,9 +34,9 @@ from repro.rns.rns_poly import RNSPoly, channel_rows, reduce_signed
 class BabySteps:
     """The NTT-form baby-step rotations of one ciphertext, made on first use.
 
-    Transforms applied to the same ciphertext can share one instance, so
-    each baby rotation is keyswitched once however many transforms read
-    it; :meth:`CKKSEvaluator.rotate_batch_hoisted` reads one directly.
+    Each baby rotation is keyswitched once however many giant groups read
+    it.  :meth:`SlotLinearTransform.apply` builds one per transform, and
+    :meth:`CKKSEvaluator.rotate_batch_hoisted` reads one directly.
 
     The rotations are hoisted: the first one raises ``c1``'s digits to
     ``Q*P`` in NTT form (:func:`~repro.rns.keyswitch.raise_digits`), and
@@ -165,14 +165,12 @@ class SlotLinearTransform:
 
     # ------------------------------------------------------------------ #
 
-    def apply(self, evaluator: CKKSEvaluator, ct) -> Ciphertext:
+    def apply(self, evaluator: CKKSEvaluator, ct: Ciphertext) -> Ciphertext:
         """BSGS evaluation; consumes one level (diagonal Pmult + rescale).
 
         ``rot(z, g*i + j) = rot(rot(z, j), g*i)`` and
         ``diag_d ⊙ rot(x, g*i) = rot(rot(diag_d, -g*i) ⊙ x, g*i)``, so the
         baby rotations of the input are shared across all giant groups.
-        ``ct`` is a ciphertext or the :class:`BabySteps` of one, which
-        shares the baby rotations with other transforms too.
 
         Each giant group sums its terms in the NTT domain: its diagonals
         are held in NTT form, and its products and their sum are one
@@ -189,8 +187,7 @@ class SlotLinearTransform:
                 f"transform is {self.slots} slots, params have "
                 f"{params.slots}"
             )
-        babies = ct if isinstance(ct, BabySteps) else BabySteps(evaluator, ct)
-        ct = babies.ct
+        babies = BabySteps(evaluator, ct)
         primes = ct.primes
         groups = self._groups(params.n, params.scale, primes)
         if not groups:

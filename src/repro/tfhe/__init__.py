@@ -4,7 +4,10 @@ A complete discretized-torus (Torus32) TFHE implementation: LWE and ring-LWE
 (TRLWE) encryption, TRGSW external products and CMux, blind rotation, sample
 extraction, LWE keyswitching, programmable bootstrapping, and the
 homomorphic gate library.  Negacyclic polynomial products use an exact
-CRT-NTT (bit-exact, unlike the floating-point FFT of TFHE-lib).
+NTT on one prime with the key held as two 16-bit halves, or on two primes
+with a CRT lift where the digits are too wide to split against
+(:mod:`repro.tfhe.polymul`); bit-exact, unlike the floating-point FFT of
+TFHE-lib.
 """
 
 from repro.tfhe.params import (

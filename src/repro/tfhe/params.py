@@ -69,6 +69,13 @@ class TFHEParams:
         return 1 << self.ks_base_bit
 
     @property
+    def digit_row_bound(self) -> int:
+        """Bound on ``rows * max|digit|`` of one external product: ``2l``
+        rows of gadget digits in ``[-Bg/2, Bg/2)``.  It picks the layout of
+        the torus NTT (:mod:`repro.tfhe.polymul`)."""
+        return 2 * self.decomp_length * (self.bg >> 1)
+
+    @property
     def extracted_lwe_dim(self) -> int:
         """Dimension of LWE samples extracted from TRLWE: ``k * N``."""
         return self.mask_count * self.ring_degree

@@ -68,7 +68,8 @@ class TrgswSample:
     def precompute_spectra(self) -> None:
         from repro.tfhe.torus import to_centered_int64
 
-        ntt = get_torus_ntt(self.params.ring_degree)
+        ntt = get_torus_ntt(self.params.ring_degree,
+                            self.params.digit_row_bound)
         a_stack = np.stack([to_centered_int64(r.a) for r in self.rows])
         b_stack = np.stack([to_centered_int64(r.b) for r in self.rows])
         self.spectra_a = ntt.spectrum(a_stack)
@@ -93,7 +94,7 @@ class TrgswSample:
             sample.b, params.bg_bit, params.decomp_length
         )
         u = np.concatenate([digits_a, digits_b], axis=0)  # (2l, ..., N)
-        ntt = get_torus_ntt(params.ring_degree)
+        ntt = get_torus_ntt(params.ring_degree, params.digit_row_bound)
         out_a, out_b = ntt.mul_sum_multi(u, [self.spectra_a, self.spectra_b])
         return TrlweSample(out_a, out_b)
 

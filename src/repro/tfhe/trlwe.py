@@ -13,6 +13,9 @@ from repro.tfhe.params import TFHEParams
 from repro.tfhe.polymul import get_torus_ntt
 from repro.tfhe.torus import gaussian_noise
 
+#: ``rows * max|u|`` of a product by the ring key: one row of bits.
+_BINARY_KEY_BOUND = 1
+
 
 def negacyclic_monomial_mul(poly: np.ndarray, degree) -> np.ndarray:
     """``poly * X**degree`` in ``T_N[X]/(X^N + 1)`` (Torus32 coefficients).
@@ -122,7 +125,7 @@ def trlwe_encrypt(
     else:
         a = rng.integers(0, 1 << 32, size=n, dtype=np.int64).astype(np.uint32)
     e = gaussian_noise(rng, noise_std, size=n)
-    ntt = get_torus_ntt(n)
+    ntt = get_torus_ntt(n, _BINARY_KEY_BOUND)
     a_s = ntt.multiply(key.key, a)
     b = a_s + message + e
     return TrlweSample(a, b)
@@ -131,6 +134,6 @@ def trlwe_encrypt(
 def trlwe_decrypt_phase(sample: TrlweSample, key: TrlweKey) -> np.ndarray:
     """The noisy phase polynomial ``b - a*s`` (Torus32)."""
     n = key.params.ring_degree
-    ntt = get_torus_ntt(n)
+    ntt = get_torus_ntt(n, _BINARY_KEY_BOUND)
     a_s = ntt.multiply(key.key, sample.a)
     return sample.b - a_s

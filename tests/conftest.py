@@ -10,6 +10,7 @@ the TFHE bootstrapping kit) are session-scoped and shared by every module
 that uses the same parameter set.
 """
 
+import math
 import os
 from collections import Counter
 from types import SimpleNamespace
@@ -57,37 +58,49 @@ def rng_factory():
 
 
 class CountingBackend:
-    """Delegates every kernel to ``inner`` and counts the calls by name."""
+    """Delegates every kernel to ``inner`` and counts the calls by name,
+    and the channel-rows of each call's first operand: every axis but the
+    last, so a ``(C, ..., n)`` NTT input counts ``C * ...`` rows."""
 
     name = "counting"
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = Counter()
+        self.rows = Counter()
 
     def __getattr__(self, attr):
         kernel = getattr(self.inner, attr)
 
         def counted(*args, **kwargs):
             self.calls[attr] += 1
+            self.rows[attr] += math.prod(np.shape(args[0])[:-1])
             return kernel(*args, **kwargs)
 
         return counted
+
+
+def _counted(fn) -> CountingBackend:
+    """Run ``fn`` on a counting wrapper of the active kernel backend."""
+    from repro.kernels import backend_scope, get_backend
+
+    counter = CountingBackend(get_backend())
+    with backend_scope(counter):
+        fn()
+    return counter
 
 
 @pytest.fixture
 def kernel_calls():
     """``kernel_calls(fn)`` runs ``fn`` on a counting wrapper of the active
     kernel backend and returns the ``Counter`` of its calls per kernel."""
-    from repro.kernels import backend_scope, get_backend
+    return lambda fn: _counted(fn).calls
 
-    def run(fn):
-        counter = CountingBackend(get_backend())
-        with backend_scope(counter):
-            fn()
-        return counter.calls
 
-    return run
+@pytest.fixture
+def kernel_rows():
+    """``kernel_rows(fn)`` is ``kernel_calls(fn)`` counting channel-rows."""
+    return lambda fn: _counted(fn).rows
 
 
 # --------------------------- shared CKKS stacks ------------------------- #

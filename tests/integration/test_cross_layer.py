@@ -129,12 +129,8 @@ def test_functional_pbs_transform_count_matches_compiler(monkeypatch):
     program = pbs_batch_program(wl, batch=1)
     modeled_fwd = program.ops_of_kind(OpKind.NTT)[0].channels
     modeled_inv = program.ops_of_kind(OpKind.INTT)[0].channels
-    # functional blind rotate skips iterations with zero rotation
-    # (~1/(2N) of them), so the counts match up to that slack
-    assert counts["forward"] <= modeled_fwd
-    assert counts["forward"] >= modeled_fwd * 0.95
-    assert counts["inverse"] <= modeled_inv
-    assert counts["inverse"] >= modeled_inv * 0.95
+    assert counts["forward"] == modeled_fwd
+    assert counts["inverse"] == modeled_inv
 
 
 def test_bsk_bytes_match_compiler_model():
