@@ -28,6 +28,7 @@ from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import SecretKey
 from repro.ckks.linear import SlotLinearTransform
 from repro.ckks.params import CKKSParams
+from repro.rns.rlwe import require_single
 from repro.tfhe.bootstrap import BootstrapKit, KeyswitchKey
 from repro.tfhe.lwe import LweSample
 from repro.tfhe.torus import TORUS_MODULUS
@@ -80,6 +81,7 @@ class CKKSToTFHEBridge:
     def extract_lwe_mod_q0(self, ct: Ciphertext, index: int) -> LweSample:
         """Coefficient ``index`` of a level-0 ciphertext as an LWE sample
         (entries still modulo ``q0``, packed into int64)."""
+        require_single(ct)
         if ct.level != 0:
             raise ValueError("extraction requires a level-0 ciphertext")
         n = self.ckks_params.n

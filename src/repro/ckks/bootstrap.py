@@ -16,6 +16,9 @@ reduced parameters (N ≤ 2^9-ish) where pure Python is practical:
 3. **EvalMod** — approximates ``t mod 1`` (as ``(1/2pi) sin(2 pi t)``,
    linearized) via a Taylor cosine base on a shrunk interval followed by
    ``r`` double-angle squarings: ``cos(2 pi (t - 1/4)) = sin(2 pi t)``.
+   Both halves run in one pass, as one :meth:`Ciphertext.stack
+   <repro.ckks.encryptor.Ciphertext.stack>`: every multiply,
+   relinearization and rescale is one set of kernel calls for the two.
 4. **SlotToCoeff** — the inverse transform (with the ``q0 / 2 pi`` factor
    folded into the matrix constants) reassembles a fresh high-level
    ciphertext encrypting the original slots; by the same identity it is
@@ -32,6 +35,7 @@ from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.linear import SlotLinearTransform
 from repro.ckks.params import CKKSParams
 from repro.ckks.poly_eval import double_angle, even_poly_eval
+from repro.rns.rlwe import require_single
 
 
 def embedding_matrix(n: int) -> np.ndarray:
@@ -55,8 +59,6 @@ class CKKSBootstrapper:
         Even Taylor terms of the cosine base (degree ``2*(taylor_terms-1)``).
     """
 
-    #: Levels consumed: CtS (1) + square (1) + Horner (taylor_terms - 2)
-    #: + r double angles + StC (1).
     def __init__(
         self,
         params: CKKSParams,
@@ -93,8 +95,9 @@ class CKKSBootstrapper:
             )
 
     def levels_consumed(self) -> int:
-        # CtS + square + Horner (pmult + taylor_terms-2 ct-mults) + doubles
-        # + StC
+        """Levels consumed: CtS (1) + square (1) + Horner (one plaintext
+        multiply and ``taylor_terms - 2`` ciphertext multiplies) + ``r``
+        double angles + StC (1)."""
         return 1 + 1 + (self.taylor_terms - 1) + self.r + 1
 
     def required_rotations(self) -> set:
@@ -105,6 +108,7 @@ class CKKSBootstrapper:
 
     def mod_raise(self, ct: Ciphertext) -> Ciphertext:
         """Reinterpret a level-0 ciphertext over the full chain."""
+        require_single(ct)
         if ct.level != 0:
             ct = self.evaluator.mod_switch_to(ct, 0)
         full = tuple(self.params.base_primes)
@@ -132,7 +136,9 @@ class CKKSBootstrapper:
         return ev.add(u, conj), ev.mul_by_i(ev.sub(conj, u))
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:
-        """``sin(2 pi t)`` on the slots, via cosine + double angles."""
+        """``sin(2 pi t)`` on the slots, via cosine + double angles; ``ct``
+        is one ciphertext or a :meth:`Ciphertext.stack
+        <repro.ckks.encryptor.Ciphertext.stack>`, by the same ops."""
         ev = self.evaluator
         slots = self.params.slots
         # theta = (2 pi / 2^r) (t - 1/4); cosine Taylor base in theta^2
@@ -168,7 +174,6 @@ class CKKSBootstrapper:
             raise ValueError(
                 "bootstrap expects the ciphertext at the nominal scale")
         raised = self.mod_raise(ct)
-        head, tail = self.coeff_to_slot(raised)
-        head = self.eval_mod(head)
-        tail = self.eval_mod(tail)
+        halves = self.coeff_to_slot(raised)
+        head, tail = self.eval_mod(Ciphertext.stack(halves)).unstack()
         return self.slot_to_coeff(head, tail)

@@ -4,7 +4,7 @@ RLWE steps of :mod:`repro.rns.rlwe`, shared with BFV)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from repro import seedexp
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.keys import PublicKey, SecretKey
 from repro.ckks.params import CKKSParams
-from repro.rns.rlwe import NTTPublicKey, phase, rlwe_b
+from repro.rns.rlwe import NTTPublicKey, phase, require_single, rlwe_b
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander
 
@@ -40,16 +40,24 @@ class Ciphertext:
     seed-expanded uniform mask (fresh symmetric encryptions only):
     serialization can then drop it and regenerate from the seed.
     Evaluator outputs never carry it (their parts are no longer uniform).
+
+    A :meth:`stack` of ``B`` ciphertexts at one level and scale holds its
+    parts as ``(C, B, n)`` stacks (:class:`~repro.rns.rns_poly.RNSPoly`),
+    so each evaluator op that has a stack path serves all ``B`` with one
+    set of kernel calls; :meth:`unstack` splits it again.  Every other op
+    raises :class:`ValueError` on a stack.
     """
 
     def __init__(self, parts: List[RNSPoly], scale: float, params: CKKSParams,
                  seed_meta: Optional[Tuple[int, str]] = None):
         if len(parts) < 2:
             raise ValueError("a ciphertext needs at least 2 polynomials")
-        primes = parts[0].primes
+        primes, shape = parts[0].primes, parts[0].data.shape
         for part in parts[1:]:
             if part.primes != primes:
                 raise ValueError("ciphertext parts live over different bases")
+            if part.data.shape != shape:
+                raise ValueError("ciphertext parts stack different counts")
         self.parts = parts
         self.scale = float(scale)
         self.params = params
@@ -66,6 +74,50 @@ class Ciphertext:
     @property
     def size(self) -> int:
         return len(self.parts)
+
+    @property
+    def stack_size(self) -> Optional[int]:
+        """``B`` for a :meth:`stack` of ``B`` ciphertexts, else ``None``."""
+        shape = self.parts[0].data.shape
+        return shape[1] if len(shape) == 3 else None
+
+    @classmethod
+    def stack(cls, cts: Sequence["Ciphertext"]) -> "Ciphertext":
+        """One ciphertext holding ``cts`` along a stack axis: part ``k`` is
+        the ``(C, B, n)`` coefficient-form stack of every ``ct.parts[k]``.
+
+        The stack has one level and one scale, so ``cts`` must agree in
+        parameters, level, size and scale (else :class:`ValueError`), and
+        none may be a stack itself."""
+        cts = list(cts)
+        if not cts:
+            raise ValueError("nothing to stack")
+        first = cts[0]
+        for ct in cts:
+            if ct.stack_size is not None:
+                raise ValueError("cannot stack a stack")
+            if ct.params != first.params:
+                raise ValueError("stacked ciphertexts differ in parameters")
+            if (ct.level, ct.size) != (first.level, first.size):
+                raise ValueError("stacked ciphertexts differ in level or size")
+            if ct.scale != first.scale:
+                raise ValueError("stacked ciphertexts differ in scale")
+        parts = [
+            RNSPoly(part.ctx, np.stack(
+                [ct.parts[k].to_coeff().data for ct in cts], axis=1),
+                part.primes, False)
+            for k, part in enumerate(first.parts)]
+        return cls(parts, first.scale, first.params)
+
+    def unstack(self) -> List["Ciphertext"]:
+        """The ciphertexts of a :meth:`stack`, split along its stack axis."""
+        if self.stack_size is None:
+            raise ValueError("not a stack of ciphertexts")
+        return [
+            Ciphertext([RNSPoly(p.ctx, np.ascontiguousarray(p.data[:, b]),
+                                p.primes, p.ntt_form) for p in self.parts],
+                       self.scale, self.params)
+            for b in range(self.stack_size)]
 
     def copy(self) -> "Ciphertext":
         return Ciphertext(
@@ -185,6 +237,7 @@ class CKKSDecryptor:
 
     def decrypt_poly(self, ct: Ciphertext) -> RNSPoly:
         """Raw decryption: ``sum_k c_k * s**k`` over the active chain."""
+        require_single(ct)
         return phase(ct.parts, self._s_ntt)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:

@@ -20,7 +20,7 @@ from repro.ckks.params import CKKSParams
 from repro.kernels import get_backend
 from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
 from repro.rns.rlwe import (add_parts, coeff_batch, plain_mul, require_params,
-                            tensor, unstack)
+                            require_single, tensor, unstack)
 from repro.rns.rns_poly import RNSPoly, RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
@@ -28,7 +28,15 @@ _SCALE_RTOL = 1e-6
 
 
 class CKKSEvaluator:
-    """Stateless evaluator over a fixed parameter set and key material."""
+    """Stateless evaluator over a fixed parameter set and key material.
+
+    ``add``, ``sub``, ``negate``, ``add_plain``, ``mul_plain``,
+    ``mul_scalar_int``, ``multiply``, ``square``, ``relinearize``,
+    ``rescale`` and ``mod_switch_to`` take a :meth:`Ciphertext.stack
+    <repro.ckks.encryptor.Ciphertext.stack>` through the same code as one
+    ciphertext, with one set of kernel calls for the whole stack; the
+    Galois maps and ``mul_by_i`` raise :class:`ValueError` on one.
+    """
 
     def __init__(
         self,
@@ -75,6 +83,8 @@ class CKKSEvaluator:
     def _match_levels(
         self, a: Ciphertext, b: Ciphertext
     ) -> Tuple[Ciphertext, Ciphertext]:
+        if a.stack_size != b.stack_size:
+            raise ValueError("operands are stacks of different sizes")
         level = min(a.level, b.level)
         return self.mod_switch_to(a, level), self.mod_switch_to(b, level)
 
@@ -109,6 +119,7 @@ class CKKSEvaluator:
         part): exact, with level and scale unchanged.  NTT-form parts are
         taken to coefficient form first.
         """
+        require_single(ct)
         half = self.params.n // 2
         backend = get_backend()
         parts = []
@@ -122,9 +133,13 @@ class CKKSEvaluator:
     # ------------------------------ plaintext ops ---------------------- #
 
     def _encode_at(self, values, ct: Ciphertext, scale: float = None) -> Plaintext:
+        """``values`` encoded over ``ct``'s basis; for a stack, one
+        ``(C, 1, n)`` plaintext that broadcasts over it."""
         scale = self.params.scale if scale is None else scale
         coeffs = CKKSEncoder(self.params.n, scale).encode(values)
         poly = self.ring.from_ints(coeffs, primes=ct.primes)
+        if ct.stack_size is not None:
+            poly = RNSPoly(self.ring, poly.data[:, None], poly.primes, False)
         return Plaintext(poly, scale)
 
     def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
@@ -159,15 +174,21 @@ class CKKSEvaluator:
         a, b = self._match_levels(a, b)
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects relinearized (size-2) inputs")
-        d = tensor(coeff_batch(a.parts + b.parts), a.primes)
-        ct = Ciphertext(unstack(self.ring, d, a.primes), a.scale * b.scale,
-                        a.params)
-        if relin:
-            ct = self.relinearize(ct)
-        return ct
+        return self._tensor(a, a.parts + b.parts, a.scale * b.scale, relin)
 
     def square(self, ct: Ciphertext, relin: bool = True) -> Ciphertext:
-        return self.multiply(ct, ct, relin=relin)
+        """``multiply(ct, ct)`` bit for bit, from two forward-transformed
+        parts and three products (:func:`~repro.rns.rlwe.tensor`)."""
+        require_params(self.params, ct)
+        if ct.size != 2:
+            raise ValueError("square expects a relinearized (size-2) input")
+        return self._tensor(ct, ct.parts, ct.scale * ct.scale, relin)
+
+    def _tensor(self, ct: Ciphertext, parts: List[RNSPoly], scale: float,
+                relin: bool) -> Ciphertext:
+        d = tensor(coeff_batch(parts), ct.primes)
+        out = Ciphertext(unstack(self.ring, d, ct.primes), scale, ct.params)
+        return self.relinearize(out) if relin else out
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Reduce a size-3 ciphertext to size 2 using the relin key."""
@@ -212,6 +233,7 @@ class CKKSEvaluator:
         Galois map ``g``, at its level; a missing key raises ValueError."""
         galois_key = self._require_galois_keys()
         require_params(self.params, ct)
+        require_single(ct)
         if ct.size != 2:
             raise ValueError("relinearize before applying Galois maps")
         key = galois_key.keys.get((g, ct.level))
@@ -258,6 +280,7 @@ class CKKSEvaluator:
         """
         from repro.ckks.linear import BabySteps
 
+        require_single(ct)
         babies = BabySteps(self, ct)
         backend = get_backend()
         return {

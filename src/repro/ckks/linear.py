@@ -27,7 +27,7 @@ from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.kernels import get_backend
 from repro.rns.keyswitch import mod_down, raise_digits, switch_raised
-from repro.rns.rlwe import ntt_batch, unstack
+from repro.rns.rlwe import ntt_batch, require_single, unstack
 from repro.rns.rns_poly import RNSPoly, channel_rows, reduce_signed
 
 
@@ -187,6 +187,7 @@ class SlotLinearTransform:
                 f"transform is {self.slots} slots, params have "
                 f"{params.slots}"
             )
+        require_single(ct)
         babies = BabySteps(evaluator, ct)
         primes = ct.primes
         groups = self._groups(params.n, params.scale, primes)

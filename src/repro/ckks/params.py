@@ -71,7 +71,7 @@ class CKKSParams:
         )
         special = tuple(p for p in special_pool if p not in base)[: self.alpha]
         if len(special) < self.alpha:
-            raise AssertionError("could not assemble a collision-free P chain")
+            raise ValueError("could not assemble a collision-free P chain")
         object.__setattr__(self, "base_primes", base)
         object.__setattr__(self, "special_primes", special)
 

@@ -247,8 +247,10 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
         lambda: evaluator.multiply_rescale(ct, ct), ct_equal
     )
 
-    # TFHE gate bootstrap: 2 CRT limbs only, so limb batching wins
-    # little by construction — reported for coverage, never floor-gated.
+    # TFHE gate bootstrap: at TEST_PARAMS the torus NTT transforms the
+    # digit rows on one prime, against a key held as two 16-bit halves
+    # (repro.tfhe.polymul), so limb batching wins little by construction
+    # — reported for coverage, never floor-gated.
     # Batching across ciphertexts is what pays: ``pbs_batch`` refreshes
     # PBS_BATCH gates in one pass and is gated against ``pbs`` per gate.
     kit = BootstrapKit(TEST_PARAMS, np.random.default_rng(_SEED))

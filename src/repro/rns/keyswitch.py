@@ -143,19 +143,24 @@ def modup_digits(
 
     Returns one ``(C_ext, dnum, n)`` coefficient-form batch over
     ``d.primes + special``: column ``t`` holds digit ``t``'s own rows and
-    their Bconv into every other channel.
+    their Bconv into every other channel.  A ``(C, B, n)`` stack gives
+    ``(C_ext, dnum, B, n)``; Bconv works coefficient by coefficient, so
+    each digit is one call on the ``(C, B * n)`` view.
     """
     backend = get_backend()
     extended = d.primes + tuple(int(p) for p in special)
     index = {q: i for i, q in enumerate(extended)}
-    out = np.empty((len(extended), len(digits), d.ctx.n), dtype=np.uint64)
+    out = np.empty((len(extended), len(digits)) + d.data.shape[1:],
+                   dtype=np.uint64)
     for t, digit in enumerate(digits):
         digit = tuple(int(q) for q in digit)
         others = tuple(q for q in extended if q not in digit)
         rows = [index[q] for q in digit]    # chain primes lead ``extended``
-        out[rows, t] = d.data[rows]
+        x = d.data[rows]
+        out[rows, t] = x
         out[[index[q] for q in others], t] = backend.bconv(
-            d.data[rows], digit, others)
+            x.reshape(len(rows), -1), digit, others).reshape(
+                (-1,) + x.shape[1:])
     return out
 
 
@@ -176,20 +181,26 @@ def switch_raised(raised: np.ndarray, key: SwitchingKey) -> np.ndarray:
     ``raised`` is a :func:`raise_digits` batch, or a permutation of one
     (``automorphism_ntt``), over the key's basis.  The result is the
     ``(C_ext, 2, n)`` NTT-form pair over ``Q * P``, not yet Moddowned, so
-    several of them can be summed before one :func:`mod_down`.
+    several of them can be summed before one :func:`mod_down`.  The key
+    broadcasts over a stack: ``(C_ext, dnum, B, n)`` gives
+    ``(C_ext, 2, B, n)``.
     """
-    return get_backend().mac(key.data, raised[:, :, None], key.primes)
+    data = key.data
+    if raised.ndim == 4:
+        data = data[:, :, :, None]
+    return get_backend().mac(data, raised[:, :, None], key.primes)
 
 
 def mod_down(acc: np.ndarray, extended: Tuple[int, ...],
              special_count: int) -> np.ndarray:
     """*Down*: one inverse NTT and one Moddown call for every part of an
-    NTT-form ``(C_ext, parts, n)`` batch over ``extended``, as the
-    coefficient-form ``(C, parts, n)`` batch over its leading ``C``
+    NTT-form ``(C_ext, parts, ..., n)`` batch over ``extended``, as the
+    coefficient-form ``(C, parts, ..., n)`` batch over its leading ``C``
     chain primes.
 
     Moddown works coefficient by coefficient, so one call on the
-    ``(C_ext, parts * n)`` view equals one call per part bit for bit.
+    ``(C_ext, -1)`` view equals one call per part (and per stacked
+    polynomial) bit for bit.
     """
     backend = get_backend()
     acc = backend.ntt_inverse(acc, extended)
@@ -210,7 +221,8 @@ def hybrid_keyswitch(
     :func:`raise_digits`, :func:`switch_raised`, :func:`mod_down`.
 
     Returns ``(k0, k1)`` over the chain in coefficient form, satisfying
-    ``k0 + k1*s ≈ d*s'`` (plus the small Moddown noise).
+    ``k0 + k1*s ≈ d*s'`` (plus the small Moddown noise).  A ``(C, B, n)``
+    stack ``d`` takes the same calls and gives stacks ``k0``, ``k1``.
     """
     if len(digits) != key.dnum:
         raise ValueError(

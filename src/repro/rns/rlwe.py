@@ -45,6 +45,14 @@ def require_params(params: Any, *cts: Any) -> None:
                 "ciphertext parameters differ from the evaluator's")
 
 
+def require_single(*cts: Any) -> None:
+    """Raise :class:`ValueError` for a stack of ciphertexts: an op with no
+    stack path must not broadcast one."""
+    for ct in cts:
+        if ct.parts[0].data.ndim != 2:
+            raise ValueError("this op takes one ciphertext, not a stack")
+
+
 def rlwe_b(a: RNSPoly, s: RNSPoly, e: RNSPoly) -> RNSPoly:
     """``-a·s + e``: the ``b`` half of an RLWE sample with mask ``a``."""
     return -(a.to_ntt() * s.to_ntt()).to_coeff() + e
@@ -141,10 +149,22 @@ def phase(parts: Sequence[RNSPoly], s_ntt: RNSPoly) -> RNSPoly:
 
 
 def tensor(x: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """``(a0·b0, a0·b1 + a1·b0, a1·b1)`` of the ``(C, 4, n)`` coefficient
-    batch ``(a0, a1, b0, b1)``, as a ``(C, 3, n)`` coefficient batch."""
+    """``(a0·b0, a0·b1 + a1·b0, a1·b1)`` of the ``(C, 4, ..., n)``
+    coefficient batch ``(a0, a1, b0, b1)``, as a ``(C, 3, ..., n)``
+    coefficient batch.
+
+    A ``(C, 2, ..., n)`` batch ``(a0, a1)`` is squared: two polynomials
+    transformed, three products ``a0²``, ``a0·a1``, ``a1²``, and
+    ``d1 = a0·a1 + a0·a1``.  Each residue product is exact, so this is
+    the product's ``a0·a1 + a1·a0`` bit for bit."""
     backend = get_backend()
     x = backend.ntt_forward(x, primes)
+    if x.shape[1] == 2:
+        prods = backend.pointwise_mul(x[:, [0, 0, 1]], x[:, [0, 1, 1]],
+                                      primes)
+        prods[:, 1] = backend.pointwise_add(prods[:, 1], prods[:, 1],
+                                            primes)
+        return backend.ntt_inverse(prods, primes)
     prods = backend.pointwise_mul(x[:, [0, 0, 1, 1]], x[:, [2, 3, 2, 3]],
                                   primes)
     d1 = backend.pointwise_add(prods[:, 1], prods[:, 2], primes)
@@ -160,8 +180,11 @@ def add_parts(a: Sequence[RNSPoly], b: Sequence[RNSPoly]) -> List[RNSPoly]:
 
 
 def plain_mul(parts: Sequence[RNSPoly], plain: RNSPoly) -> List[RNSPoly]:
-    """Every part times ``plain`` (cut to the parts' basis)."""
+    """Every part times ``plain`` (cut to the parts' basis); the parts of
+    a stack take a ``(C, 1, n)`` plain."""
     primes = parts[0].primes
+    if plain.data.ndim != parts[0].data.ndim:
+        raise ValueError("a stack of polynomials meets one polynomial")
     backend = get_backend()
     pt = plain.restrict(primes).to_ntt()
     prods = backend.pointwise_mul(ntt_batch(parts), pt.data[:, None], primes)

@@ -116,7 +116,14 @@ class RNSRing:
 
 
 class RNSPoly:
-    """An element of ``prod_i Z_{q_i}[X]/(X^n+1)`` with form tracking."""
+    """An element of ``prod_i Z_{q_i}[X]/(X^n+1)`` with form tracking.
+
+    ``data`` is ``(C, n)``, or ``(C, B, n)`` for a *stack* of ``B``
+    polynomials over one basis and form.  Arithmetic is elementwise, so a
+    stack takes the same kernel calls as one polynomial, and a ``(C, 1,
+    n)`` operand broadcasts over a stack.  A stack never meets a ``(C,
+    n)`` polynomial: with ``B == C`` numpy would broadcast it silently.
+    """
 
     __slots__ = ("ctx", "data", "primes", "ntt_form")
 
@@ -127,10 +134,11 @@ class RNSPoly:
         primes: Tuple[int, ...],
         ntt_form: bool,
     ):
-        if data.shape != (len(primes), ctx.n):
+        if data.ndim not in (2, 3) or data.shape[0] != len(primes) or (
+                data.shape[-1] != ctx.n):
             raise ValueError(
                 f"data shape {data.shape} does not match "
-                f"({len(primes)}, {ctx.n})"
+                f"({len(primes)}, {ctx.n}) or ({len(primes)}, B, {ctx.n})"
             )
         self.ctx = ctx
         self.data = data
@@ -153,6 +161,8 @@ class RNSPoly:
             )
         if self.ntt_form != other.ntt_form:
             raise ValueError("operands are in different forms (NTT vs coeff)")
+        if self.data.ndim != other.data.ndim:
+            raise ValueError("a stack of polynomials meets one polynomial")
 
     # ------------------------------ form changes ----------------------- #
 
@@ -235,11 +245,16 @@ class RNSPoly:
         )
 
     def rescale(self) -> "RNSPoly":
-        """Divide by the last prime and drop it (coefficient form only)."""
+        """Divide by the last prime and drop it (coefficient form only).
+
+        Rescale works coefficient by coefficient, so a stack is one call
+        on its ``(C, B * n)`` view."""
         if self.ntt_form:
             raise ValueError("rescale requires coefficient form")
-        data = get_backend().rescale(self.data, self.primes)
-        return RNSPoly(self.ctx, data, self.primes[:-1], ntt_form=False)
+        data = get_backend().rescale(
+            self.data.reshape(len(self.primes), -1), self.primes)
+        return RNSPoly(self.ctx, data.reshape((-1,) + self.data.shape[1:]),
+                       self.primes[:-1], ntt_form=False)
 
     def modup(self, special_primes: Sequence[int]) -> "RNSPoly":
         """Extend to basis ``Q*P`` (coefficient form only)."""

@@ -44,6 +44,7 @@ from repro.ckks.keys import (
 )
 from repro.ckks.params import CKKSParams
 from repro.rns.keyswitch import SwitchingKey
+from repro.rns.rlwe import require_single
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander, arrays_digest
 from repro.tfhe.bootstrap import KeyswitchKey
@@ -157,6 +158,7 @@ def _small_decoding(ring: RNSRing, v: np.ndarray, primes,
 
 
 def save_ciphertext(path, ct: Ciphertext, compressed: bool = False) -> None:
+    require_single(ct)
     base_meta = dict(
         params_to_dict(ct.params), blob="ciphertext",
         scale=ct.scale, size=ct.size,

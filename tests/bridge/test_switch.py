@@ -159,3 +159,11 @@ def test_bridge_rejects_non_ternary_secret(setup):
     sk.s.data[0][0] = 12345  # corrupt one channel entry
     with pytest.raises(ValueError):
         CKKSToTFHEBridge(PARAMS, sk, kit, rng)
+
+
+def test_extract_rejects_a_stack(setup):
+    encryptor, _, evaluator, bridge, _, rng = setup
+    pair = [evaluator.mod_switch_to(encryptor.encrypt_values(
+        rng.uniform(-1, 1, PARAMS.slots)), 0) for _ in range(2)]
+    with pytest.raises(ValueError, match="not a stack"):
+        bridge.extract_lwe_mod_q0(ckks.Ciphertext.stack(pair), 0)

@@ -10,10 +10,11 @@ import pytest
 
 from repro.ckks.bootstrap import CKKSBootstrapper, embedding_matrix
 from repro.ckks.encoder import CKKSEncoder
-from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
+from repro.ckks.encryptor import Ciphertext, CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
+from tests.ckks.test_scheme import BACKENDS, _on, _same
 
 PARAMS = CKKSParams(n=128, num_levels=16, dnum=2, hamming_weight=16)
 
@@ -150,20 +151,59 @@ def test_embedding_tail_is_i_times_head(n):
 def test_bootstrap_kernel_calls(pipeline, refreshed, kernel_calls):
     """One bootstrap's exact kernel calls, with the transforms' diagonals
     already held in NTT form (``refreshed`` ran one): two slot transforms,
-    one conjugation and 22 relinearizations.  Six ``negate`` calls: two
-    for CoeffToSlot's subtraction and two for each multiply by ``i``.  Six
-    transforms, or a second set of baby steps, would fail this.  A
-    benchmark request adds one forward and one inverse NTT each for
-    encryption and decryption (83 and 79)."""
+    one conjugation and one EvalMod over both halves as one stack, whose
+    11 relinearizations and 11 ciphertext products (8 of them squarings)
+    each cover head and tail with one set of calls.  Six ``negate``
+    calls: two for CoeffToSlot's subtraction and two for each multiply by
+    ``i``.  Six transforms, a second set of baby steps or an EvalMod per
+    half would fail this.  A benchmark request adds one forward and one
+    inverse NTT each for encryption and decryption (59 and 56)."""
     encryptor, _, _, boot, rng = pipeline
     ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
     calls = kernel_calls(lambda: boot.bootstrap(ct))
     assert dict(calls) == {
-        "ntt_forward": 81, "ntt_inverse": 77, "bconv": 60, "moddown": 39,
-        "mac": 67, "automorphism_ntt": 56, "automorphism": 2, "negate": 6,
-        "rescale": 52, "mul_channel_scalars": 30, "pointwise_add": 143,
-        "pointwise_mul": 24,
+        "ntt_forward": 57, "ntt_inverse": 54, "bconv": 43, "moddown": 28,
+        "mac": 56, "automorphism_ntt": 56, "automorphism": 2, "negate": 6,
+        "rescale": 28, "mul_channel_scalars": 16, "pointwise_add": 98,
+        "pointwise_mul": 12,
     }
+
+
+@BACKENDS
+def test_eval_mod_of_a_stack_is_eval_mod_of_each(pipeline, backend):
+    """EvalMod of a stack of two unstacks to EvalMod of each, bit for bit,
+    on the active and the per-limb reference backend."""
+    encryptor, _, _, boot, rng = pipeline
+    pair = [encryptor.encrypt_values(rng.uniform(-4, 4, PARAMS.slots),
+                                     level=15) for _ in range(2)]
+    with _on(backend):
+        got = boot.eval_mod(Ciphertext.stack(pair)).unstack()
+        for out, ct in zip(got, pair):
+            assert _same(out, boot.eval_mod(ct))
+
+
+def test_bootstrap_runs_one_eval_mod_on_a_stack_of_both_halves(
+        pipeline, refreshed, monkeypatch):
+    _, _, _, boot, _ = pipeline
+    _, ct, out = refreshed
+    stack_sizes = []
+    eval_mod = boot.eval_mod
+
+    def counted(stacked):
+        stack_sizes.append(stacked.stack_size)
+        return eval_mod(stacked)
+
+    monkeypatch.setattr(boot, "eval_mod", counted)
+    assert _same(boot.bootstrap(ct), out)
+    assert stack_sizes == [2]
+
+
+def test_mod_raise_rejects_a_stack(pipeline):
+    encryptor, _, _, boot, rng = pipeline
+    pair = [encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots),
+                                     level=0) for _ in range(2)]
+    with pytest.raises(ValueError, match="not a stack"):
+        boot.mod_raise(Ciphertext.stack(pair))
 
 
 def test_eval_mod_computes_sine(pipeline):

@@ -73,6 +73,15 @@ def test_rejects_bad_arguments():
         CKKSParams(n=256, num_levels=2, scale_bits=41)
 
 
+def test_rejects_a_p_chain_it_cannot_build():
+    """The special primes are drawn near ``2**first_prime_bits``; with
+    the scale primes at the same width the pool of ``alpha + 2`` holds
+    too few primes outside the base chain."""
+    with pytest.raises(ValueError, match="P chain"):
+        CKKSParams(n=128, num_levels=3, dnum=1, scale_bits=40,
+                   first_prime_bits=40)
+
+
 def test_dnum_one_single_digit():
     p = CKKSParams(n=256, num_levels=3, dnum=1, hamming_weight=16)
     assert p.alpha == 4

@@ -94,9 +94,9 @@ def _on(backend):
 
 
 def _same(a, b):
-    """Bit-identical ciphertexts: scale, and every part's basis, form and
-    residues."""
-    return a.scale == b.scale and all(
+    """Bit-identical ciphertexts: scale, size, and every part's basis,
+    form and residues."""
+    return a.scale == b.scale and a.size == b.size and all(
         p.primes == q.primes and p.ntt_form == q.ntt_form
         and np.array_equal(p.data, q.data) for p, q in zip(a.parts, b.parts))
 
