@@ -60,12 +60,16 @@ class CKKSEncoder:
 
     # ------------------------------------------------------------------ #
 
-    def encode(self, values) -> np.ndarray:
+    def encode(self, values, scale: float = None) -> np.ndarray:
         """Encode up to ``n/2`` complex values into integer coefficients.
 
         Shorter inputs are zero-padded.  Returns an ``int64`` array of the
-        scaled, rounded coefficients (the plaintext polynomial over Z).
+        coefficients scaled by ``scale`` (default: the encoder's) and
+        rounded (the plaintext polynomial over Z).
         """
+        scale = self.scale if scale is None else float(scale)
+        if scale <= 0:
+            raise ValueError("scale must be positive")
         values = np.asarray(values, dtype=np.complex128).ravel()
         if values.size > self.slots:
             raise ValueError(f"at most {self.slots} slots, got {values.size}")
@@ -74,7 +78,7 @@ class CKKSEncoder:
         full = np.zeros(self.n, dtype=np.complex128)
         full[self.slot_index] = z
         full[self.conj_index] = np.conj(z)
-        coeffs = self.embed_inverse(full) * self.scale
+        coeffs = self.embed_inverse(full) * scale
         limit = float(1 << 62)
         if np.abs(coeffs).max() >= limit:
             raise OverflowError(

@@ -136,7 +136,7 @@ class CKKSEvaluator:
         """``values`` encoded over ``ct``'s basis; for a stack, one
         ``(C, 1, n)`` plaintext that broadcasts over it."""
         scale = self.params.scale if scale is None else scale
-        coeffs = CKKSEncoder(self.params.n, scale).encode(values)
+        coeffs = self.encoder.encode(values, scale)
         poly = self.ring.from_ints(coeffs, primes=ct.primes)
         if ct.stack_size is not None:
             poly = RNSPoly(self.ring, poly.data[:, None], poly.primes, False)

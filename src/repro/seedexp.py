@@ -64,6 +64,12 @@ def digit_stream(prefix: str, digit: int) -> str:
     return f"{prefix}/d{digit}"
 
 
+def ksk_stream(i: int, j: int, v: int) -> str:
+    """One TFHE keyswitch-table entry: input coefficient ``i``, digit
+    level ``j``, digit value ``v`` (from 1)."""
+    return lwe_stream("ksk", f"i{i}/j{j}/v{v}")
+
+
 def ciphertext_stream(scheme: str, nonce: int) -> str:
     """The uniform mask of one symmetric encryption (nonce = counter)."""
     return f"{scheme}/ct/{nonce}"

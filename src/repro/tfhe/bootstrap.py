@@ -82,7 +82,7 @@ class KeyswitchKey:
         expand_seed: Optional[int] = None,
     ) -> "KeyswitchKey":
         """With ``expand_seed``, every entry's uniform mask comes from the
-        stream ``tfhe/ksk/i{i}/j{j}/v{v}`` — the seeded serialization
+        stream :func:`~repro.seedexp.ksk_stream` — the seeded serialization
         format then stores only the ``b`` column plus the seed
         (:func:`repro.serialization.save_tfhe_keyswitch_key`)."""
         params = to_key.params
@@ -99,7 +99,7 @@ class KeyswitchKey:
                 step = 1 << (32 - (j + 1) * params.ks_base_bit)
                 for v in range(1, base):
                     mu = (v * k_i * step) % TORUS_MODULUS
-                    stream = (seedexp.lwe_stream("ksk", f"i{i}/j{j}/v{v}")
+                    stream = (seedexp.ksk_stream(i, j, v)
                               if expander is not None else None)
                     sample = lwe_encrypt(mu, to_key, rng,
                                          params.lwe_noise_std,
