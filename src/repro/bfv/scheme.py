@@ -32,6 +32,7 @@ import numpy as np
 from repro import seedexp
 from repro.bfv.encoder import BFVEncoder
 from repro.bfv.params import BFVParams
+from repro.kernels import get_backend
 from repro.ntmath.modular import to_mod_array
 from repro.rns.basis import scale_round
 from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
@@ -270,10 +271,11 @@ class BFVEvaluator:
         (``params.aux_primes``), and the shared
         :func:`~repro.rns.rlwe.tensor` forms ``d0 = a0*b0``,
         ``d1 = a0*b1 + a1*b0`` and ``d2 = a1*b1`` over ``Q∪B`` with one
-        forward and one inverse NTT call.  ``|d_k| <= n(Q-1)^2/2 <
-        Q*B/2``, so the centred value over ``Q∪B`` is the exact integer
-        tensor; ``scale_round`` then scales it by ``t/Q`` with exact
-        rounding onto ``Q``.  Both steps stay in uint64.
+        forward NTT call, and one inverse call takes them back.
+        ``|d_k| <= n(Q-1)^2/2 < Q*B/2``, so the centred value over ``Q∪B``
+        is the exact integer tensor; ``scale_round`` then scales it by
+        ``t/Q`` with exact rounding onto ``Q``.  Both steps stay in
+        uint64.
         """
         require_params(self.params, a, b)
         if a.size != 2 or b.size != 2:
@@ -285,8 +287,8 @@ class BFVEvaluator:
         coeffs = coeff_batch(a.parts + b.parts)
         d = tensor(np.concatenate([coeffs, scale_round(coeffs, chain, aux)]),
                    basis)
-        residues = scale_round(d, basis, chain, t=params.plain_modulus,
-                               s=len(chain))
+        residues = scale_round(get_backend().ntt_inverse(d, basis), basis,
+                               chain, t=params.plain_modulus, s=len(chain))
         ct = BFVCiphertext(unstack(self.ring, residues, chain), params)
         if relin:
             ct = self.relinearize(ct)

@@ -173,12 +173,13 @@ class CKKSEncryptor:
     # ------------------------------------------------------------------ #
 
     def encode(self, values, level: int = None, scale: float = None) -> Plaintext:
-        """Encode complex slot values at the given level (default: fresh)."""
+        """Encode complex slot values at the given level (default: fresh)
+        and scale (default: the encoder's)."""
         if level is None:
             level = self.params.num_levels
         if scale is None:
-            scale = self.params.scale
-        coeffs = self.encoder.encode(values)
+            scale = self.encoder.scale
+        coeffs = self.encoder.encode(values, scale)
         primes = self.params.primes_at_level(level)
         poly = self.ring.from_ints(coeffs, primes=primes)
         return Plaintext(poly, float(scale))

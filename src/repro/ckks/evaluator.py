@@ -18,9 +18,10 @@ from repro.ckks.encryptor import Ciphertext, Plaintext
 from repro.ckks.keys import GaloisKey, RelinKey
 from repro.ckks.params import CKKSParams
 from repro.kernels import get_backend
-from repro.rns.keyswitch import SwitchingKey, hybrid_keyswitch
-from repro.rns.rlwe import (add_parts, coeff_batch, plain_mul, require_params,
-                            require_single, tensor, unstack)
+from repro.rns.keyswitch import (SwitchingKey, hybrid_keyswitch, lift,
+                                 mod_down, raise_digits, switch_raised)
+from repro.rns.rlwe import (add_parts, coeff_batch, ntt_batch, plain_mul,
+                            require_params, require_single, tensor, unstack)
 from repro.rns.rns_poly import RNSPoly, RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
@@ -186,12 +187,32 @@ class CKKSEvaluator:
 
     def _tensor(self, ct: Ciphertext, parts: List[RNSPoly], scale: float,
                 relin: bool) -> Ciphertext:
-        d = tensor(coeff_batch(parts), ct.primes)
-        out = Ciphertext(unstack(self.ring, d, ct.primes), scale, ct.params)
-        return self.relinearize(out) if relin else out
+        """The tensor of ``parts``; relinearized, it stays in NTT form
+        until :meth:`relinearize` goes down, else one inverse NTT call
+        gives its three parts in coefficient form."""
+        primes = ct.primes
+        d = tensor(coeff_batch(parts), primes)
+        if relin:
+            return self.relinearize(Ciphertext(
+                unstack(self.ring, d, primes, ntt_form=True), scale,
+                ct.params))
+        return Ciphertext(
+            unstack(self.ring, get_backend().ntt_inverse(d, primes), primes),
+            scale, ct.params)
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
-        """Reduce a size-3 ciphertext to size 2 using the relin key."""
+        """Reduce a size-3 ciphertext to size 2 using the relin key.
+
+        ``d2`` is raised and switched by the keyswitch building blocks of
+        :mod:`repro.rns.keyswitch`, and ``P·(d0, d1)`` (``lift``) is added
+        to the switched pair over ``Q·P`` before its one Moddown.  That is
+        ``(d0 + k0, d1 + k1)`` bit for bit, because ``ModDown(P·x + y) =
+        x + ModDown(y)``.  The parts may be in either form.
+        :meth:`multiply` and :meth:`square` hand over the tensor in NTT
+        form, so only ``d2`` is inverse-transformed; coefficient-form
+        ``(d0, d1)`` take one forward call.  The result is in coefficient
+        form.
+        """
         require_params(self.params, ct)
         if ct.size == 2:
             return ct.copy()
@@ -200,12 +221,19 @@ class CKKSEvaluator:
         if self.relin_key is None:
             raise ValueError("no relinearization key available")
         self._trace_key("relin")
-        k0, k1 = hybrid_keyswitch(
-            self.ring, ct.parts[2], self.params.digits_at_level(ct.level),
-            self.params.special_primes, self.relin_key.levels[ct.level].key)
+        primes, special = ct.primes, self.params.special_primes
+        extended = primes + special
+        switched = switch_raised(
+            raise_digits(ct.parts[2].to_coeff(),
+                         self.params.digits_at_level(ct.level), special),
+            self.relin_key.levels[ct.level].key)
+        switched = get_backend().pointwise_add(
+            switched, lift(ntt_batch(ct.parts[:2]), primes, special),
+            extended)
         return Ciphertext(
-            [ct.parts[0] + k0, ct.parts[1] + k1], ct.scale, ct.params
-        )
+            unstack(self.ring, mod_down(switched, extended, len(special)),
+                    primes),
+            ct.scale, ct.params)
 
     def multiply_rescale(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.rescale(self.multiply(a, b))
@@ -267,9 +295,12 @@ class CKKSEvaluator:
         code of the slot transforms' baby steps
         (:class:`repro.ckks.linear.BabySteps`): the digits of ``c1`` are
         raised to ``Q*P`` and forward-transformed once; each rotation then
-        permutes them in the NTT domain (``automorphism_ntt``), takes one
-        ``mac`` against its own Galois key and one Moddown.  Returns
-        ``{step: rotated ciphertext}`` in coefficient form.
+        permutes them in the NTT domain (``automorphism_ntt``) and takes
+        one ``mac`` against its own Galois key, which gives ``P·rot(ct,
+        step)`` over ``Q*P``, and goes down once (one inverse NTT and one
+        Moddown).  Returns ``{step: rotated ciphertext}`` in coefficient
+        form, bit for bit what a Moddown of the switched pair plus the
+        permuted ``c0`` gives (``ModDown(P·x + y) = x + ModDown(y)``).
 
         Not bit-identical to :meth:`rotate`: the Galois automorphism
         commutes with the digit decomposition exactly, but with Bconv only
@@ -282,10 +313,9 @@ class CKKSEvaluator:
 
         require_single(ct)
         babies = BabySteps(self, ct)
-        backend = get_backend()
         return {
             step: Ciphertext(
-                unstack(self.ring, backend.ntt_inverse(babies(step), ct.primes),
-                        ct.primes),
+                unstack(self.ring, mod_down(babies(step), babies.extended,
+                                            len(babies.special)), ct.primes),
                 ct.scale, ct.params)
             for step in steps}

@@ -17,7 +17,6 @@ workloads.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -26,60 +25,73 @@ from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.kernels import get_backend
-from repro.rns.keyswitch import mod_down, raise_digits, switch_raised
+from repro.rns.keyswitch import (SwitchingKey, lift, mod_down, raise_digits,
+                                 switch_raised)
 from repro.rns.rlwe import ntt_batch, require_single, unstack
 from repro.rns.rns_poly import RNSPoly, channel_rows, reduce_signed
 
 
 class BabySteps:
-    """The NTT-form baby-step rotations of one ciphertext, made on first use.
+    """The baby-step rotations of one ciphertext over ``Q*P``, made on
+    first use.
 
-    Each baby rotation is keyswitched once however many giant groups read
-    it.  :meth:`SlotLinearTransform.apply` builds one per transform, and
-    :meth:`CKKSEvaluator.rotate_batch_hoisted` reads one directly.
+    ``babies(j)`` is ``P·rot(ct, j)`` as one NTT-form ``(C_ext, parts, n)``
+    batch over :attr:`extended` (``ct.primes`` and the special primes),
+    with the keyswitch's rounding still in it: the pair one Moddown turns
+    into ``rot(ct, j)``.  :meth:`SlotLinearTransform.apply` sums it into
+    giant groups over ``Q*P`` without going down, and
+    :meth:`CKKSEvaluator.rotate_batch_hoisted` goes down once per rotation.
 
-    The rotations are hoisted: the first one raises ``c1``'s digits to
-    ``Q*P`` in NTT form (:func:`~repro.rns.keyswitch.raise_digits`), and
-    every rotation by ``j`` permutes those raised digits by ``σ_{5^j}`` in
-    the NTT domain, switches them with its key and goes down
-    (:func:`~repro.rns.keyswitch.mod_down`).  Its ``c0`` part is the same
-    permutation of the held NTT-form input.
+    ``babies(0)`` is the input lifted by ``P``
+    (:func:`~repro.rns.keyswitch.lift`, once).  The rotations are hoisted:
+    the first one raises ``c1``'s digits to ``Q*P`` in NTT form
+    (:func:`~repro.rns.keyswitch.raise_digits`), and every rotation by
+    ``j`` permutes those raised digits by ``σ_{5^j}`` in the NTT domain and
+    switches them with its key; its ``c0`` part adds the same permutation
+    of the lifted ``c0``.  A baby rotation makes no NTT and no Moddown.
     """
 
     def __init__(self, evaluator: CKKSEvaluator, ct: Ciphertext):
         self.evaluator = evaluator
         self.ct = ct
+        self.special = evaluator.params.special_primes
+        self.extended = ct.primes + self.special
         self._ntt: Dict[int, np.ndarray] = {}
         self._raised = None
 
     def __call__(self, j: int) -> np.ndarray:
-        """Every part of ``rot(ct, j)`` in NTT form, one ``(C, parts, n)``
-        batch."""
+        """``P·rot(ct, j)``, every part in NTT form over ``Q*P``, one
+        ``(C_ext, parts, n)`` batch."""
         batch = self._ntt.get(j)
         if batch is None:
-            batch = self._ntt[j] = (self._rotate(j) if j
-                                    else ntt_batch(self.ct.parts))
+            batch = self._ntt[j] = (
+                self._rotate(j) if j else
+                lift(ntt_batch(self.ct.parts), self.ct.primes, self.special))
         return batch
 
     def _rotate(self, j: int) -> np.ndarray:
         ev, ct = self.evaluator, self.ct
         g, key = ev.rotation_key(ct, j)
-        special = ev.params.special_primes
         if self._raised is None:
             self._raised = raise_digits(
                 ct.parts[1].to_coeff(), ev.params.digits_at_level(ct.level),
-                special)
-        backend = get_backend()
-        primes = ct.primes
-        extended = primes + special
-        acc = switch_raised(
-            backend.automorphism_ntt(self._raised, g, extended), key)
-        rotated = backend.ntt_forward(
-            mod_down(acc, extended, len(special)), primes)
-        rotated[:, 0] = backend.pointwise_add(
-            rotated[:, 0], backend.automorphism_ntt(self(0)[:, 0], g, primes),
-            primes)
-        return rotated
+                self.special)
+        return _rotate_raised(self._raised, self(0)[:, 0], g, key,
+                              self.extended)
+
+
+def _rotate_raised(raised: np.ndarray, c0: np.ndarray, g: int,
+                   key: SwitchingKey,
+                   extended: Tuple[int, ...]) -> np.ndarray:
+    """``P·σ_g`` of a ciphertext over ``Q*P``, in NTT form: its raised
+    ``c1`` digits permuted and switched with ``key``, plus ``c0`` (``P``
+    times the ciphertext's, over ``Q*P``) permuted."""
+    backend = get_backend()
+    rotated = switch_raised(backend.automorphism_ntt(raised, g, extended),
+                            key)
+    rotated[:, 0] = backend.pointwise_add(
+        rotated[:, 0], backend.automorphism_ntt(c0, g, extended), extended)
+    return rotated
 
 
 class SlotLinearTransform:
@@ -128,7 +140,8 @@ class SlotLinearTransform:
         self, n: int, scale: float, primes: Tuple[int, ...]
     ) -> Dict[int, Tuple[List[int], np.ndarray]]:
         """``{i: (baby steps j, NTT-form diagonals (C, J, n))}`` per giant
-        group, over ``primes``.
+        group, over ``primes`` (:meth:`apply` passes the extended basis
+        ``Q*P``).
 
         Row ``k`` encodes ``rot(diag_{g*i + j_k}, -g*i)`` at ``scale``.
         Each group is encoded and forward-transformed once per
@@ -172,14 +185,17 @@ class SlotLinearTransform:
         ``diag_d ⊙ rot(x, g*i) = rot(rot(diag_d, -g*i) ⊙ x, g*i)``, so the
         baby rotations of the input are shared across all giant groups.
 
-        Each giant group sums its terms in the NTT domain: its diagonals
-        are held in NTT form, and its products and their sum are one
-        ``mac`` call, ``(u0, u1)`` over ``Q``.  The giant rotations are
-        hoisted too (double hoisting): ``u1`` is raised and switched like a
-        baby step, but the switched pairs stay over ``Q*P``, where they
-        are summed with ``P·σ(u0)`` of every group and ``P·(u0, u1)`` of
-        group 0.  The transform then goes down once, which is exact up to
-        rounding because ``ModDown(P·x + y) = x + ModDown(y)``.
+        Every keyswitch result stays over ``Q*P`` in NTT form until the
+        one Moddown it needs (full double hoisting).  The baby steps are
+        ``P·rot(ct, j)`` there (:class:`BabySteps`), and the diagonals are
+        held over ``Q*P``, so each giant group's products and their sum
+        are one ``mac`` call giving ``P·(u0, u1)``.  A giant rotation goes
+        down only with ``u1``, which it must raise: it Moddowns ``u1``,
+        raises it, permutes the raised digits by ``σ_{5^{g*i}}`` and
+        switches them, and adds ``P·u0`` permuted by the same ``σ`` over
+        ``Q*P``.  The groups are summed over ``Q*P`` and the transform goes
+        down once.  ``ModDown(P·x + y) = x + ModDown(y)`` exactly, so this
+        differs from going down per rotation only in rounding.
         """
         params = evaluator.params
         if params.slots != self.slots:
@@ -189,42 +205,27 @@ class SlotLinearTransform:
             )
         require_single(ct)
         babies = BabySteps(evaluator, ct)
-        primes = ct.primes
-        groups = self._groups(params.n, params.scale, primes)
+        primes, special, extended = ct.primes, babies.special, babies.extended
+        groups = self._groups(params.n, params.scale, extended)
         if not groups:
             raise ValueError("matrix is identically zero")
         backend = get_backend()
-        special = params.special_primes
-        extended = primes + special
         digits = params.digits_at_level(ct.level)
         ring = evaluator.ring
-        # NTT form: terms over Q that enter Q*P times P, and the giant
-        # steps' switched pairs over Q*P
-        lifted = np.zeros((len(primes), ct.size, params.n), dtype=np.uint64)
-        switched = np.zeros((len(extended),) + lifted.shape[1:],
-                            dtype=np.uint64)
+        total = None
         for i, (js, diags) in groups.items():
             u = backend.mac(np.stack([babies(j) for j in js], axis=1),
-                            diags[:, :, None], primes)
-            if not self.giant_step * i:
-                lifted = backend.pointwise_add(lifted, u, primes)
-                continue
-            g, key = evaluator.rotation_key(ct, self.giant_step * i)
-            u1 = RNSPoly(ring, backend.ntt_inverse(u[:, 1], primes), primes,
-                         False)
-            raised = raise_digits(u1, digits, special)
-            switched = backend.pointwise_add(switched, switch_raised(
-                backend.automorphism_ntt(raised, g, extended), key), extended)
-            lifted[:, 0] = backend.pointwise_add(
-                lifted[:, 0], backend.automorphism_ntt(u[:, 0], g, primes),
-                primes)
-        p_product = math.prod(special)
-        q_rows = slice(0, len(primes))
-        switched[q_rows] = backend.pointwise_add(
-            switched[q_rows], backend.mul_channel_scalars(
-                lifted, [p_product % q for q in primes], primes), primes)
+                            diags[:, :, None], extended)
+            if self.giant_step * i:
+                g, key = evaluator.rotation_key(ct, self.giant_step * i)
+                u1 = RNSPoly(ring, mod_down(u[:, 1], extended, len(special)),
+                             primes, False)
+                u = _rotate_raised(raise_digits(u1, digits, special), u[:, 0],
+                                   g, key, extended)
+            total = u if total is None else backend.pointwise_add(
+                total, u, extended)
         result = Ciphertext(
-            unstack(ring, mod_down(switched, extended, len(special)), primes),
+            unstack(ring, mod_down(total, extended, len(special)), primes),
             ct.scale * params.scale, ct.params)
         return evaluator.rescale(result)
 

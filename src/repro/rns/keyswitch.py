@@ -19,11 +19,13 @@ Those three steps are separate building blocks — :func:`raise_digits`,
 can raise one input once, permute its raised digits in the NTT domain
 for each rotation, and sum several switched products over ``Q * P``
 before one Moddown (:mod:`repro.ckks.linear`).  ``ModDown(P*x + y) =
-x + ModDown(y)`` exactly, which is what lets a sum share one Moddown.
+x + ModDown(y)`` exactly, which is what lets a sum share one Moddown:
+:func:`lift` puts a term over ``Q`` into such a sum as ``P*x``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -189,6 +191,24 @@ def switch_raised(raised: np.ndarray, key: SwitchingKey) -> np.ndarray:
     if raised.ndim == 4:
         data = data[:, :, :, None]
     return get_backend().mac(data, raised[:, :, None], key.primes)
+
+
+def lift(x: np.ndarray, chain: Tuple[int, ...],
+         special: Sequence[int]) -> np.ndarray:
+    """``P * x`` over ``Q * P``: the ``(C, ..., n)`` batch ``x`` over
+    ``chain`` times ``P = prod(special)`` on the chain rows (one
+    ``mul_channel_scalars`` call), and zero on the special rows, where
+    ``P * x`` vanishes.  The map is linear, so it commutes with the NTT,
+    and :func:`mod_down` of ``lift(x) + y`` is ``x + mod_down(y)`` bit for
+    bit: a term over ``Q`` joins a sum over ``Q * P`` at no rounding.
+    """
+    special = tuple(int(p) for p in special)
+    p_product = math.prod(special)
+    out = np.zeros((len(chain) + len(special),) + x.shape[1:],
+                   dtype=np.uint64)
+    out[:len(chain)] = get_backend().mul_channel_scalars(
+        x, [p_product % q for q in chain], chain)
+    return out
 
 
 def mod_down(acc: np.ndarray, extended: Tuple[int, ...],

@@ -26,14 +26,19 @@ def coeff_batch(polys: Sequence[RNSPoly]) -> np.ndarray:
 
 
 def ntt_batch(polys: Sequence[RNSPoly]) -> np.ndarray:
-    """:func:`coeff_batch` in NTT form, by one forward call."""
+    """Polynomials over one basis as one ``(C, k, n)`` NTT batch: their
+    data stacked as it is when every one is in NTT form, else
+    :func:`coeff_batch` by one forward call."""
+    if all(p.ntt_form for p in polys):
+        return np.stack([p.data for p in polys], axis=1)
     return get_backend().ntt_forward(coeff_batch(polys), polys[0].primes)
 
 
-def unstack(ring: RNSRing, batch: np.ndarray,
-            primes: Tuple[int, ...]) -> List[RNSPoly]:
-    """The ``k`` columns of a ``(C, k, n)`` coefficient batch."""
-    return [RNSPoly(ring, batch[:, k], primes, False)
+def unstack(ring: RNSRing, batch: np.ndarray, primes: Tuple[int, ...],
+            ntt_form: bool = False) -> List[RNSPoly]:
+    """The ``k`` columns of a ``(C, k, n)`` batch, in coefficient form
+    unless ``ntt_form``."""
+    return [RNSPoly(ring, batch[:, k], primes, ntt_form)
             for k in range(batch.shape[1])]
 
 
@@ -150,8 +155,9 @@ def phase(parts: Sequence[RNSPoly], s_ntt: RNSPoly) -> RNSPoly:
 
 def tensor(x: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """``(a0·b0, a0·b1 + a1·b0, a1·b1)`` of the ``(C, 4, ..., n)``
-    coefficient batch ``(a0, a1, b0, b1)``, as a ``(C, 3, ..., n)``
-    coefficient batch.
+    coefficient batch ``(a0, a1, b0, b1)``, as a ``(C, 3, ..., n)`` batch
+    in NTT form: one forward call, and the caller inverse-transforms what
+    it needs in coefficient form.
 
     A ``(C, 2, ..., n)`` batch ``(a0, a1)`` is squared: two polynomials
     transformed, three products ``a0²``, ``a0·a1``, ``a1²``, and
@@ -164,12 +170,11 @@ def tensor(x: np.ndarray, primes: Sequence[int]) -> np.ndarray:
                                       primes)
         prods[:, 1] = backend.pointwise_add(prods[:, 1], prods[:, 1],
                                             primes)
-        return backend.ntt_inverse(prods, primes)
+        return prods
     prods = backend.pointwise_mul(x[:, [0, 0, 1, 1]], x[:, [2, 3, 2, 3]],
                                   primes)
     d1 = backend.pointwise_add(prods[:, 1], prods[:, 2], primes)
-    return backend.ntt_inverse(
-        np.stack([prods[:, 0], d1, prods[:, 3]], axis=1), primes)
+    return np.stack([prods[:, 0], d1, prods[:, 3]], axis=1)
 
 
 def add_parts(a: Sequence[RNSPoly], b: Sequence[RNSPoly]) -> List[RNSPoly]:

@@ -13,7 +13,8 @@ which writes the compact ``format=seeded/v1`` container.
 * **raw** — the full array.  An RNS member (ciphertext parts, the secret
   key, both halves of the public key and of every switching-key digit) is
   read back as uint64 rows, one per channel; a value at or above its
-  channel's prime fails with :class:`ValueError`.
+  channel's prime fails with :class:`ValueError`, as does an LWE key
+  value outside {0, 1}.
 * **small** — an RNS member whose centered value is identical in every
   channel (ternary secrets, sparse plaintext parts) keeps one int64 row as
   ``{name}_small`` instead of one uint64 row per channel (the
@@ -444,6 +445,10 @@ def save_lwe_key(path, key: LweKey) -> None:
 
 
 def load_lwe_key(path) -> LweKey:
+    """The binary LWE key of a blob; a value outside {0, 1} fails with
+    :class:`ValueError`."""
     meta, members, _ = _read(path, "lwe_key")
-    return LweKey(tfhe_params_from_dict(meta),
-                  members["key"].astype(np.int64))
+    key = members["key"].astype(np.int64)
+    if not np.isin(key, (0, 1)).all():
+        raise ValueError("member 'key' holds a value outside {0, 1}")
+    return LweKey(tfhe_params_from_dict(meta), key)

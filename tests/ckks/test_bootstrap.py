@@ -157,14 +157,24 @@ def test_bootstrap_kernel_calls(pipeline, refreshed, kernel_calls):
     calls: two for CoeffToSlot's subtraction and two for each multiply by
     ``i``.  Six transforms, a second set of baby steps or an EvalMod per
     half would fail this.  A benchmark request adds one forward and one
-    inverse NTT each for encryption and decryption (59 and 56)."""
+    inverse NTT each for encryption and decryption (45 and 42).
+
+    Re-pinned when the keyswitch results began to stay over ``Q·P`` until
+    their one Moddown.  The 14 baby rotations make no NTT (they made one
+    inverse and one forward each: 57 and 54 calls before); the giant
+    steps' ``u1`` Moddowns replace the babies' one for one, so ``moddown``
+    stays 28.  Each transform's lift of its input and each
+    relinearization's lift of ``(d0, d1)`` is one ``mul_channel_scalars``
+    (16 → 27); a relinearization adds the lifted pair with one
+    ``pointwise_add`` where it added ``k0`` and ``k1`` with two, and a
+    transform sums its giant groups with two fewer (98 → 83)."""
     encryptor, _, _, boot, rng = pipeline
     ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
     calls = kernel_calls(lambda: boot.bootstrap(ct))
     assert dict(calls) == {
-        "ntt_forward": 57, "ntt_inverse": 54, "bconv": 43, "moddown": 28,
+        "ntt_forward": 43, "ntt_inverse": 40, "bconv": 43, "moddown": 28,
         "mac": 56, "automorphism_ntt": 56, "automorphism": 2, "negate": 6,
-        "rescale": 28, "mul_channel_scalars": 16, "pointwise_add": 98,
+        "rescale": 28, "mul_channel_scalars": 27, "pointwise_add": 83,
         "pointwise_mul": 12,
     }
 

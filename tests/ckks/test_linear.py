@@ -8,7 +8,8 @@ from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
-from repro.ckks.linear import SlotLinearTransform, apply_real_transform
+from repro.ckks.linear import (BabySteps, SlotLinearTransform,
+                               apply_real_transform)
 
 PARAMS = CKKSParams(n=128, num_levels=4, dnum=2, hamming_weight=16)
 SLOTS = PARAMS.slots
@@ -132,33 +133,39 @@ def test_zero_matrix_rejected(stack):
 
 def _hoisted_counts(g, dnum, diagonal_groups):
     """Kernel calls of one double-hoisted ``apply`` of a dense ``g*g``
-    transform: ``g - 1`` baby and ``g - 1`` giant rotations."""
+    transform: ``g - 1`` baby and ``g - 1`` giant rotations.  The baby
+    steps stay over ``Q*P``, so none of them makes an NTT or a Moddown."""
     babies = giants = g - 1
     raises = 1 + giants            # the input's c1 once, then each u1
     return {
         "bconv": raises * dnum,
-        # the input, each raise, each baby's switched pair, the diagonals
-        "ntt_forward": 1 + raises + babies + diagonal_groups,
-        # each baby's down, each giant's u1, the transform's one down
-        "ntt_inverse": babies + giants + 1,
-        "moddown": babies + 1,
+        # the input, each raise, the diagonals
+        "ntt_forward": 1 + raises + diagonal_groups,
+        # each giant's u1 goes down to be raised, then the transform once
+        "ntt_inverse": giants + 1,
+        "moddown": giants + 1,
         "mac": babies + g + giants,
         "automorphism_ntt": 2 * (babies + giants),
+        "mul_channel_scalars": 1,  # the input lifted by P, once
         "automorphism": 0,
         "pointwise_mul": 0,
     }
 
 
-def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
+def test_dense_transform_ntts_once_per_raise_and_never_per_baby_step(
         stack, kernel_calls):
-    """Double hoisting, by exact kernel counts: the input's ``c1`` is
-    raised once (``dnum`` Bconvs and one forward NTT); each baby rotation
-    is one ``mac``, one inverse and one forward NTT and one Moddown, with
-    no coefficient automorphism; each giant group is one ``mac``, and each
-    giant rotation one inverse NTT, one raise and one ``mac``; the
+    """Full double hoisting, by exact kernel counts.  The input is lifted
+    by ``P`` to ``Q*P`` once and its ``c1`` raised once (``dnum`` Bconvs
+    and one forward NTT); each baby rotation stays over ``Q*P``: two
+    ``automorphism_ntt`` (the raised digits and ``c0``) and one ``mac``,
+    with no NTT, no Moddown and no coefficient automorphism.  Each giant
+    group is one ``mac`` over ``Q*P``; each giant rotation Moddowns its
+    ``u1`` (one inverse NTT), raises it and takes one ``mac``; the
     transform goes down once (one inverse NTT and one Moddown).  The
     diagonals stay held in NTT form, so a second apply transforms none of
-    them."""
+    them.  These pins were written for the baby steps over ``Q*P``: a
+    baby that went down (one inverse NTT, one Moddown and one forward
+    NTT each, as before) fails them."""
     encryptor, _, evaluator, rng = stack
     ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
     m = (rng.normal(size=(SLOTS, SLOTS))
@@ -175,6 +182,20 @@ def test_dense_transform_ntts_once_per_baby_step_and_giant_group(
         assert again[kernel] == count, kernel
 
 
+def test_baby_step_stays_over_qp(stack, kernel_calls):
+    """Once the input is lifted and raised, one baby rotation is exactly
+    two ``automorphism_ntt``, one ``mac`` and one ``pointwise_add``, and
+    gives a ``(C_ext, 2, n)`` batch over ``Q*P``."""
+    encryptor, _, evaluator, rng = stack
+    ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
+    babies = BabySteps(evaluator, ct)
+    babies(1)
+    calls = kernel_calls(lambda: babies(2))
+    assert dict(calls) == {"automorphism_ntt": 2, "mac": 1,
+                           "pointwise_add": 1}
+    assert babies(2).shape == (len(babies.extended), 2, PARAMS.n)
+
+
 def _dense_transform(rng):
     m = (rng.normal(size=(SLOTS, SLOTS))
          + 1j * rng.normal(size=(SLOTS, SLOTS))) / SLOTS
@@ -187,17 +208,24 @@ def _held_words(lt):
                for _, diags in groups.values())
 
 
+def _extended_words(ct):
+    """Words of all ``SLOTS`` diagonals over ``ct``'s basis and the special
+    primes: the diagonals are held over ``Q*P``, where the baby steps
+    are."""
+    return SLOTS * (len(ct.primes) + len(PARAMS.special_primes)) * PARAMS.n
+
+
 def test_transform_one_level_lower_cuts_rows(stack, kernel_calls):
     """An apply one level below the held form's basis transforms no
     diagonal, matches a fresh transform bit for bit, and leaves one NTT
-    form held."""
+    form held, over the extended basis ``Q*P``."""
     encryptor, _, evaluator, rng = stack
     ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
     m, lt = _dense_transform(rng)
     g = lt.giant_step
     lt.apply(evaluator, ct)
     held = _held_words(lt)
-    assert held == SLOTS * len(ct.primes) * PARAMS.n
+    assert held == _extended_words(ct)
     lower = evaluator.mod_switch_to(ct, ct.level - 1)
     calls = kernel_calls(lambda: lt.apply(evaluator, lower))
     dnum = len(PARAMS.digits_at_level(lower.level))
@@ -212,7 +240,7 @@ def test_transform_one_level_lower_cuts_rows(stack, kernel_calls):
 
 def test_transform_rebuilds_a_basis_it_does_not_cover(stack):
     """A basis above the held one encodes the diagonals again from the
-    matrix and replaces the held form."""
+    matrix and replaces the held form, over the extended basis ``Q*P``."""
     encryptor, decryptor, evaluator, rng = stack
     z = rng.normal(size=SLOTS)
     ct = encryptor.encrypt_values(z)
@@ -220,5 +248,5 @@ def test_transform_rebuilds_a_basis_it_does_not_cover(stack):
     lt.apply(evaluator, evaluator.mod_switch_to(ct, ct.level - 1))
     out = lt.apply(evaluator, ct)
     assert len(lt._ntt) == 1
-    assert _held_words(lt) == SLOTS * len(ct.primes) * PARAMS.n
+    assert _held_words(lt) == _extended_words(ct)
     assert np.abs(decryptor.decrypt(out) - m @ z).max() < 1e-3

@@ -380,6 +380,23 @@ def test_reassigned_keys_take_effect():
         assert np.abs(d.decrypt(e.encrypt_values(z)) - z).max() < TOL
 
 
+def test_encode_at_a_given_scale_decrypts_to_the_values():
+    """``CKKSEncryptor.encode(values, scale=...)`` encodes at that scale,
+    not only labels the plaintext with it.  The encoder's scale here is
+    2^35; a plaintext encoded there but labelled 2^30 decrypted to 32·z
+    (a max slot error of about 31)."""
+    params = CKKSParams(n=128, num_levels=3, dnum=2, hamming_weight=16)
+    rng = np.random.default_rng(0x5CA1E)
+    encoder = CKKSEncoder(params.n, params.scale)
+    keygen = CKKSKeyGenerator(params, rng)
+    enc = CKKSEncryptor(params, encoder, rng, public_key=keygen.public_key())
+    dec = CKKSDecryptor(params, encoder, keygen.secret_key())
+    z = rng.uniform(-1, 1, params.slots)
+    pt = enc.encode(z, scale=2.0**30)
+    assert pt.scale == 2.0**30
+    assert np.abs(dec.decrypt(enc.encrypt(pt)) - z).max() < TOL
+
+
 def _ntt_calls(kernel_calls, fn):
     calls = kernel_calls(fn)
     return calls["ntt_forward"], calls["ntt_inverse"]

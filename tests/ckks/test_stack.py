@@ -116,6 +116,27 @@ def test_relinearize_on_a_stack_is_relinearize_on_each(s, backend):
         _stacked_equals_each(ev.relinearize, pair)
 
 
+@BACKENDS
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_relinearized_product_is_relinearize_of_the_tensor(s, backend,
+                                                           stacked):
+    """``multiply`` and ``square`` hand ``relinearize`` the tensor in NTT
+    form, which inverse-transforms only ``d2`` and adds ``P·(d0, d1)`` to
+    the switched pair before its one Moddown.  That must equal, bit for
+    bit, ``relinearize`` of the coefficient-form product, whose digest
+    ``tests/ckks/test_transform_digests.py`` pins."""
+    ev = s.evaluator
+    a, b = _pair(s, level=1), _pair(s, level=1)
+    if stacked:
+        a, b = Ciphertext.stack(a), Ciphertext.stack(b)
+    else:
+        a, b = a[0], b[0]
+    with _on(backend):
+        assert _same(ev.multiply(a, b),
+                     ev.relinearize(ev.multiply(a, b, relin=False)))
+        assert _same(ev.square(a), ev.relinearize(ev.square(a, relin=False)))
+
+
 # ------------------------------ typed errors ---------------------------- #
 
 

@@ -9,6 +9,7 @@ refuse such a member with :class:`ValueError`, and must bound each row by
 its own prime, not by the widest prime of the basis.  A member stored
 small (one int64 row) is reduced over each prime on load, so it is in
 range by construction and must come back as the residues that were saved.
+A binary LWE key with a value outside {0, 1} must fail to load too.
 """
 
 from types import SimpleNamespace
@@ -22,6 +23,8 @@ from repro.ckks.encryptor import Ciphertext, CKKSEncryptor
 from repro.ckks.keys import CKKSKeyGenerator
 from repro.ckks.params import CKKSParams
 from repro.rns.rns_poly import RNSRing
+from repro.tfhe.lwe import LweKey
+from repro.tfhe.params import TEST_PARAMS
 
 PARAMS = CKKSParams(n=128, num_levels=3, dnum=2, hamming_weight=16)
 EXPAND_SEED = 0x5EED
@@ -141,3 +144,20 @@ def test_small_parts_load_as_the_saved_residues(tmp_path):
         assert got.primes == want.primes and got.ntt_form == want.ntt_form
         assert got.data.dtype == np.uint64
         np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_a_non_binary_lwe_key_is_rejected(tmp_path):
+    """An LWE key is binary.  A blob whose ``key`` member was edited to
+    ``7·key − 3`` (values −3 and 4) must fail to load with
+    :class:`ValueError`, not load as a key."""
+    key = LweKey.generate(TEST_PARAMS, np.random.default_rng(0x1E7))
+    path = tmp_path / "lwe_key.npz"
+    ser.save_lwe_key(path, key)
+    np.testing.assert_array_equal(ser.load_lwe_key(path).key, key.key)
+    with np.load(path, allow_pickle=False) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    arrays["key"] = 7 * arrays["key"] - 3
+    assert set(np.unique(arrays["key"])) == {-3, 4}
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="outside"):
+        ser.load_lwe_key(path)
