@@ -35,6 +35,8 @@ class BFVParams:
         Number of 36-bit RNS primes in the ciphertext modulus ``Q``.
     dnum:
         Relinearization digit count (hybrid keyswitching, like CKKS).
+    hamming_weight:
+        Secret-key Hamming weight in ``[1, n]`` (``None`` = dense ternary).
     aux_primes:
         Derived, not an argument: the auxiliary basis ``B`` the
         multiplication tensor is formed over, ``Q∪B``.  It is the fewest
@@ -62,6 +64,11 @@ class BFVParams:
             raise ValueError("need at least one ciphertext prime")
         if not 1 <= self.dnum <= self.num_primes:
             raise ValueError("dnum must be in [1, num_primes]")
+        if self.hamming_weight is not None and not (
+                1 <= self.hamming_weight <= self.n):
+            raise ValueError(
+                f"hamming weight {self.hamming_weight} is not in [1, n = "
+                f"{self.n}]: a weight of 0 draws an all-zero secret")
         t = self.plain_modulus
         if t is None:
             t = generate_ntt_prime(self.plain_bits, self.n)

@@ -107,19 +107,20 @@ class BFVKeyGenerator(RLWEKeyGenerator):
         return BFVPublicKey(self.params, b, a, expand_seed=self.expand_seed)
 
     def relin_key(self) -> BFVRelinKey:
-        s_squared = (self._secret * self._secret).to_coeff()
         key = self._switching_key(
-            s_squared, self.params.ct_primes, self.params.digits(),
-            seedexp.relin_stream("bfv", 0))
+            self._squared_secret(), self.params.ct_primes,
+            self.params.digits(), seedexp.relin_stream("bfv", 0))
         return BFVRelinKey(self.params, key, expand_seed=self.expand_seed)
 
     def galois_keys(self, elements) -> BFVGaloisKeys:
-        keys = {
-            g: self._switching_key(
-                self._secret.automorphism(g), self.params.ct_primes,
+        """Keys for the given Galois elements (odd), each reduced mod
+        ``2n`` before it names its key and seed stream."""
+        keys = {}
+        for g in elements:
+            g = int(g) % (2 * self.params.n)
+            keys[g] = self._switching_key(
+                self._galois_secret(g), self.params.ct_primes,
                 self.params.digits(), seedexp.galois_stream("bfv", g, 0))
-            for g in elements
-        }
         return BFVGaloisKeys(self.params, keys, expand_seed=self.expand_seed)
 
 
@@ -314,7 +315,9 @@ class BFVEvaluator:
     # ------------------------------ rotations -------------------------- #
 
     def apply_galois(self, ct: BFVCiphertext, g: int) -> BFVCiphertext:
+        """The Galois map ``X -> X^g``, with ``g`` taken mod ``2n``."""
         require_params(self.params, ct)
+        g = int(g) % (2 * self.params.n)
         if self.galois_keys is None or g not in self.galois_keys.keys:
             raise ValueError(f"no Galois key for element {g}")
         if ct.size != 2:

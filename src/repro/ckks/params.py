@@ -34,7 +34,7 @@ class CKKSParams:
     error_std:
         Discrete-Gaussian-like error standard deviation.
     hamming_weight:
-        Secret-key Hamming weight (``None`` = dense ternary).
+        Secret-key Hamming weight in ``[1, n]`` (``None`` = dense ternary).
     """
 
     n: int
@@ -56,6 +56,11 @@ class CKKSParams:
             raise ValueError("dnum must be in [1, L+1]")
         if self.first_prime_bits > 42 or self.scale_bits > 40:
             raise ValueError("prime widths above 42 bits exceed the fast path")
+        if self.hamming_weight is not None and not (
+                1 <= self.hamming_weight <= self.n):
+            raise ValueError(
+                f"hamming weight {self.hamming_weight} is not in [1, n = "
+                f"{self.n}]: a weight of 0 draws an all-zero secret")
         first = generate_ntt_prime(self.first_prime_bits, self.n)
         scale_primes = ntt_primes_near(1 << self.scale_bits, self.n, self.num_levels)
         base = (first,) + tuple(q for q in scale_primes if q != first)

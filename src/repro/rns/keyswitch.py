@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels import get_backend
-from repro.rns.rns_poly import RNSPoly, RNSRing
+from repro.rns.rns_poly import RNSPoly, RNSRing, channel_rows
 from repro.seedexp import SeedExpander, digit_stream
 
 
@@ -80,8 +80,8 @@ class SwitchingKey:
 
 def make_switching_key(
     ring: RNSRing,
-    s_to_full: RNSPoly,
-    s_from_full: RNSPoly,
+    s_to: RNSPoly,
+    s_from: RNSPoly,
     chain: Sequence[int],
     special: Sequence[int],
     digits: Sequence[Sequence[int]],
@@ -92,50 +92,61 @@ def make_switching_key(
 ) -> SwitchingKey:
     """Build the per-digit key pairs for switching ``s_from -> s_to``.
 
-    ``s_to_full`` / ``s_from_full`` are held over (a superset of)
-    ``chain + special`` in coefficient form; the returned key is in NTT
-    form over ``chain + special``.
+    ``s_to`` and ``s_from`` are secrets in NTT form over (a superset of)
+    ``chain + special``, cut to that basis by rows; the returned key is in
+    NTT form over ``chain + special``.
 
-    With an ``expander``, each digit's uniform ``a_t`` comes from the
-    deterministic stream ``{stream_prefix}/d{t}`` instead of ``rng`` —
-    the seed-expanded key construction: serialization can then drop the
-    ``a`` halves and regenerate them from the seed
-    (:mod:`repro.serialization`, ``format=seeded/v1``).  The error terms
-    still come from ``rng`` (they are the secret, non-regenerable half).
+    Digit by digit, the uniform ``a_t`` is drawn and then the error
+    ``e_t``, both from ``rng``: the order of one draw per digit.  With an
+    ``expander``, each ``a_t`` comes from the deterministic stream
+    ``{stream_prefix}/d{t}`` instead — the seed-expanded key construction:
+    serialization can then drop the ``a`` halves and regenerate them from
+    the seed (:mod:`repro.serialization`, ``format=seeded/v1``).  The
+    errors still come from ``rng`` (the secret, non-regenerable half).
+
+    All ``2·dnum`` drawn polynomials enter the NTT domain in one forward
+    call, and each ``b_t = -a_t·s_to + e_t + P·g_t·s_from`` is formed
+    there.  ``P·g_t`` is ``P`` mod each prime of digit ``t`` (``g_t ≡ 1``
+    there) and 0 mod every other prime (``g_t ≡ 0`` mod the other chain
+    primes, ``P ≡ 0`` mod the special ones), so the keyed term is
+    :func:`lift` of ``s_from`` on digit ``t``'s rows and zero elsewhere.
+    Every step is exact per channel: the NTT is linear, so it commutes
+    with the channel scalars, and each residue sum and product is
+    canonical, so the key is the one the coefficient-form steps give.
     """
+    if not (s_to.ntt_form and s_from.ntt_form):
+        raise ValueError("switching-key secrets must be in NTT form")
     chain = tuple(int(q) for q in chain)
     special = tuple(int(p) for p in special)
     extended = chain + special
-    q_product = 1
-    for q in chain:
-        q_product *= q
-    p_product = 1
-    for p in special:
-        p_product *= p
-
-    s_to = s_to_full.restrict(extended).to_ntt()
-    s_from = s_from_full.restrict(extended)
-
-    halves = []
-    for t, digit in enumerate(digits):
-        digit_product = 1
-        for q in digit:
-            digit_product *= q
-        q_hat = q_product // digit_product
-        g = (q_hat * pow(q_hat, -1, digit_product)) % q_product
-        pg = (p_product * g) % (q_product * p_product)
+    # Column t holds digit t's (e_t, a_t), and then its key pair (b_t,
+    # a_t): the key is written back into the draw buffer, which is made
+    # before any temporary.  A key array made amid the transform's
+    # temporaries fragments the heap and raises the peak RSS.
+    key = np.empty((len(extended), len(digits), 2, ring.n), dtype=np.uint64)
+    for t in range(len(digits)):
         if expander is not None:
-            a = expander.uniform_rns(
-                ring, extended, digit_stream(stream_prefix, t)).to_ntt()
+            a = expander.uniform_rns(ring, extended,
+                                     digit_stream(stream_prefix, t))
         else:
-            a = ring.sample_uniform(rng, primes=extended).to_ntt()
-        e = ring.sample_error(rng, primes=extended, sigma=error_std).to_ntt()
-        keyed = s_from.mul_channel_scalars(
-            [pg % q for q in extended]
-        ).to_ntt()
-        b = -(a * s_to) + e + keyed
-        halves += [b.data, a.data]
-    return SwitchingKey.from_halves(ring, halves, extended)
+            a = ring.sample_uniform(rng, primes=extended)
+        key[:, t, 1] = a.data
+        key[:, t, 0] = ring.sample_error(rng, primes=extended,
+                                         sigma=error_std).data
+    backend = get_backend()
+    drawn = backend.ntt_forward(key, extended)
+    keyed = np.zeros(key[:, :, 0].shape, dtype=np.uint64)
+    lifted = lift(s_from.restrict(chain).data, chain, special)
+    for t, digit in enumerate(digits):
+        rows = channel_rows(extended, digit)
+        keyed[rows, t] = lifted[rows]
+    a_s = backend.pointwise_mul(drawn[:, :, 1],
+                                s_to.restrict(extended).data[:, None],
+                                extended)
+    key[:, :, 1] = drawn[:, :, 1]
+    key[:, :, 0] = backend.pointwise_add(
+        backend.pointwise_sub(drawn[:, :, 0], a_s, extended), keyed, extended)
+    return SwitchingKey(ring, key, extended)
 
 
 def modup_digits(

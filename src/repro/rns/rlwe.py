@@ -74,6 +74,11 @@ class RLWEKeyGenerator:
     the key objects carry the seed, so the seeded serialization format
     can drop those halves.  Secrets and errors always come from ``rng``.
 
+    The secret is forward-transformed once, over all its primes, and every
+    key is formed from that transform: cut by rows to the key's basis, its
+    square a pointwise product, a Galois image one ``automorphism_ntt``
+    gather.  Each is exactly the transform of the coefficient-form value.
+
     A scheme's generator names its prime sets and its stream names.
     """
 
@@ -88,11 +93,12 @@ class RLWEKeyGenerator:
         self._secret = self.ring.sample_ternary(
             rng, primes=params.all_primes,
             hamming_weight=params.hamming_weight)
+        self._secret_ntt = self._secret.to_ntt()
 
     def _public_pair(self, primes: Tuple[int, ...],
                      stream: str) -> Tuple[RNSPoly, RNSPoly]:
         """``(-a·s + e, a)`` over ``primes``."""
-        s = self._secret.restrict(primes)
+        s = self._secret_ntt.restrict(primes)
         if self._expander is not None:
             a = self._expander.uniform_rns(self.ring, primes, stream)
         else:
@@ -101,13 +107,24 @@ class RLWEKeyGenerator:
             self.rng, primes=primes, sigma=self.params.error_std)
         return rlwe_b(a, s, e), a
 
+    def _squared_secret(self) -> RNSPoly:
+        """``s²`` in NTT form, the relinearization key's source secret."""
+        return self._secret_ntt * self._secret_ntt
+
+    def _galois_secret(self, g: int) -> RNSPoly:
+        """``s(X^g)`` in NTT form, a Galois key's source secret."""
+        s = self._secret_ntt
+        return RNSPoly(self.ring, get_backend().automorphism_ntt(
+            s.data, g, s.primes), s.primes, ntt_form=True)
+
     def _switching_key(
         self, s_from: RNSPoly, chain: Sequence[int],
         digits: Sequence[Sequence[int]], stream_prefix: str,
     ) -> SwitchingKey:
-        """Digit pairs switching ``s_from -> s`` over ``chain + special``."""
+        """Digit pairs switching ``s_from`` (NTT form) ``-> s`` over
+        ``chain + special``."""
         return make_switching_key(
-            self.ring, self._secret, s_from, chain,
+            self.ring, self._secret_ntt, s_from, chain,
             self.params.special_primes, digits, self.rng,
             self.params.error_std, expander=self._expander,
             stream_prefix=stream_prefix)

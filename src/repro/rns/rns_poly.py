@@ -89,15 +89,22 @@ class RNSRing:
 
     def sample_uniform(self, rng, primes=None) -> "RNSPoly":
         """Uniform element of the RNS ring (independent per channel — this is
-        the correct CRT image of a uniform element mod the product)."""
+        the correct CRT image of a uniform element mod the product).
+
+        One ``rng.integers`` call draws every channel against a ``(C, 1)``
+        column of bounds.  numpy walks the channels in order and draws each
+        value with the same bounded step as a call per prime does, so the
+        stream is consumed exactly as by one call per prime (checked from
+        17- to 60-bit primes)."""
         primes = self.primes if primes is None else tuple(primes)
-        data = np.stack(
-            [rng.integers(0, q, self.n, dtype=np.uint64) for q in primes]
-        )
+        bounds = np.array(primes, dtype=np.uint64)[:, None]
+        data = rng.integers(0, bounds, (len(primes), self.n), dtype=np.uint64)
         return RNSPoly(self, data, primes, ntt_form=False)
 
     def sample_ternary(self, rng, primes=None, hamming_weight=None) -> "RNSPoly":
-        """One ternary polynomial represented consistently in every channel."""
+        """One ternary polynomial represented consistently in every channel:
+        one draw, reduced over every prime by :func:`reduce_signed`.  With
+        ``hamming_weight`` set, exactly that many coefficients are nonzero."""
         primes = self.primes if primes is None else tuple(primes)
         if hamming_weight is None:
             vals = rng.integers(-1, 2, size=self.n)
@@ -105,14 +112,16 @@ class RNSRing:
             vals = np.zeros(self.n, dtype=np.int64)
             support = rng.choice(self.n, size=hamming_weight, replace=False)
             vals[support] = rng.choice([-1, 1], size=hamming_weight)
-        data = np.stack([to_mod_array(vals, q) for q in primes])
-        return RNSPoly(self, data, primes, ntt_form=False)
+        return RNSPoly(self, reduce_signed(vals, primes), primes,
+                       ntt_form=False)
 
     def sample_error(self, rng, primes=None, sigma: float = 3.2) -> "RNSPoly":
+        """One rounded-Gaussian polynomial of deviation ``sigma``: one draw,
+        reduced over every prime by :func:`reduce_signed`."""
         primes = self.primes if primes is None else tuple(primes)
         vals = np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64)
-        data = np.stack([to_mod_array(vals, q) for q in primes])
-        return RNSPoly(self, data, primes, ntt_form=False)
+        return RNSPoly(self, reduce_signed(vals, primes), primes,
+                       ntt_form=False)
 
 
 class RNSPoly:

@@ -48,15 +48,12 @@ class BootstrappingKey:
         gsw_key = TrgswKey(ring_key)
         expander = (SeedExpander(expand_seed)
                     if expand_seed is not None else None)
-        samples = [
-            trgsw_encrypt(
-                int(bit), gsw_key, rng,
-                expander=expander,
-                stream_prefix=(seedexp.lwe_stream("bsk", i)
-                               if expander is not None else None),
-            )
-            for i, bit in enumerate(lwe_key.key)
-        ]
+        prefixes = None
+        if expander is not None:
+            prefixes = [seedexp.lwe_stream("bsk", i)
+                        for i in range(lwe_key.dim)]
+        samples = trgsw_encrypt(lwe_key.key, gsw_key, rng, expander=expander,
+                                stream_prefix=prefixes)
         return cls(params, samples, expand_seed=expand_seed)
 
 
@@ -84,7 +81,10 @@ class KeyswitchKey:
         """With ``expand_seed``, every entry's uniform mask comes from the
         stream :func:`~repro.seedexp.ksk_stream` — the seeded serialization
         format then stores only the ``b`` column plus the seed
-        (:func:`repro.serialization.save_tfhe_keyswitch_key`)."""
+        (:func:`repro.serialization.save_tfhe_keyswitch_key`).
+
+        Each input coefficient's ``t * (base-1)`` entries are one batched
+        :func:`~repro.tfhe.lwe.lwe_encrypt` call, in table order."""
         params = to_key.params
         t = params.ks_length
         base = params.ks_base
@@ -92,20 +92,21 @@ class KeyswitchKey:
         n = to_key.dim
         expander = (SeedExpander(expand_seed)
                     if expand_seed is not None else None)
+        steps = np.array([1 << (32 - (j + 1) * params.ks_base_bit)
+                          for j in range(t)], dtype=np.int64)
+        # v * step for every (j, v): below 2**32, since v < 2**base_bit
+        unit = (steps[:, None] * np.arange(1, base)).reshape(-1)
         table = np.zeros((big_n, t, base - 1, n + 1), dtype=np.uint32)
         for i in range(big_n):
-            k_i = int(from_key_bits[i])
-            for j in range(t):
-                step = 1 << (32 - (j + 1) * params.ks_base_bit)
-                for v in range(1, base):
-                    mu = (v * k_i * step) % TORUS_MODULUS
-                    stream = (seedexp.ksk_stream(i, j, v)
-                              if expander is not None else None)
-                    sample = lwe_encrypt(mu, to_key, rng,
-                                         params.lwe_noise_std,
-                                         expander=expander, stream=stream)
-                    table[i, j, v - 1, :n] = sample.a
-                    table[i, j, v - 1, n] = sample.b
+            streams = None
+            if expander is not None:
+                streams = [seedexp.ksk_stream(i, j, v)
+                           for j in range(t) for v in range(1, base)]
+            entries = lwe_encrypt(unit * int(from_key_bits[i]), to_key, rng,
+                                  params.lwe_noise_std, expander=expander,
+                                  stream=streams)
+            table[i, ..., :n] = entries.a.reshape(t, base - 1, n)
+            table[i, ..., n] = entries.b.reshape(t, base - 1)
         return cls(params, table, n, expand_seed=expand_seed)
 
     def keyswitch(self, sample: LweSample) -> LweSample:

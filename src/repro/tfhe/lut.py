@@ -24,12 +24,11 @@ def encrypt_index_bits(
     key: TrgswKey,
     rng: np.random.Generator,
 ) -> List[TrgswSample]:
-    """TRGSW-encrypt the bits of ``index`` (LSB first)."""
+    """TRGSW-encrypt the bits of ``index`` (LSB first), as one batch."""
     if not 0 <= index < (1 << num_bits):
         raise ValueError(f"index {index} needs more than {num_bits} bits")
-    return [
-        trgsw_encrypt((index >> i) & 1, key, rng) for i in range(num_bits)
-    ]
+    return trgsw_encrypt([(index >> i) & 1 for i in range(num_bits)], key,
+                         rng)
 
 
 def cmux_tree_lookup(

@@ -214,6 +214,33 @@ def test_galois_permutes_slots(stack):
     assert mapping == mapping_b
 
 
+def test_params_reject_a_hamming_weight_outside_one_to_n():
+    """A weight of 0 would draw an all-zero secret (every ciphertext would
+    carry its message in the clear); one above ``n`` would fail late."""
+    for n, weight in ((256, 0), (64, 65), (64, -2)):
+        with pytest.raises(ValueError, match="hamming weight"):
+            BFVParams(n=n, num_primes=4, hamming_weight=weight)
+    assert BFVParams(n=64, num_primes=4, hamming_weight=None).hamming_weight \
+        is None
+
+
+def test_galois_element_is_taken_mod_2n(stack):
+    """``g`` and ``g - 2n`` name one Galois map: a key made for ``-123``
+    is filed under ``5`` and applies as ``5`` does, bit for bit."""
+    encryptor, _, ev, rng = stack
+    keygen = BFVKeyGenerator(PARAMS, np.random.default_rng(0x6A1),
+                             expand_seed=3)
+    keys = keygen.galois_keys([5 - 2 * PARAMS.n])
+    assert set(keys.keys) == {5}
+    again = BFVKeyGenerator(PARAMS, np.random.default_rng(0x6A1),
+                            expand_seed=3).galois_keys([5])
+    assert np.array_equal(keys.keys[5].data, again.keys[5].data)
+    ct = encryptor.encrypt_values(_vals(rng))
+    shifted = ev.apply_galois(ct, 5 + 2 * PARAMS.n)
+    for got, want in zip(shifted.parts, ev.apply_galois(ct, 5).parts):
+        assert np.array_equal(got.data, want.data)
+
+
 def test_galois_missing_key(stack):
     encryptor, _, ev, rng = stack
     with pytest.raises(ValueError):

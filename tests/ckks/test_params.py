@@ -73,6 +73,20 @@ def test_rejects_bad_arguments():
         CKKSParams(n=256, num_levels=2, scale_bits=41)
 
 
+@pytest.mark.parametrize("weight", [0, -1, 9])
+def test_rejects_a_hamming_weight_outside_one_to_n(weight):
+    """A weight of 0 would draw an all-zero secret, and one above ``n``
+    would fail late, inside key generation."""
+    with pytest.raises(ValueError, match="hamming weight"):
+        CKKSParams(n=8, num_levels=1, dnum=1, hamming_weight=weight)
+
+
+@pytest.mark.parametrize("weight", [None, 1, 8])
+def test_accepts_a_dense_secret_or_a_weight_in_one_to_n(weight):
+    assert CKKSParams(n=8, num_levels=1, dnum=1,
+                      hamming_weight=weight).hamming_weight == weight
+
+
 def test_rejects_a_p_chain_it_cannot_build():
     """The special primes are drawn near ``2**first_prime_bits``; with
     the scale primes at the same width the pool of ``alpha + 2`` holds

@@ -204,3 +204,62 @@ def test_public_key_custom_count(keys):
     lwe_key, _, rng = keys
     pk = LwePublicKey.generate(lwe_key, rng, count=16)
     assert pk.rows.shape[0] == 16
+
+
+def _pair_of_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_lwe_batch_is_the_samples_of_calls_in_order(keys, seeded):
+    """A batch of ``k`` messages draws and computes exactly what ``k``
+    calls in order do, bit for bit, with or without seed-expanded masks."""
+    from repro.seedexp import SeedExpander
+
+    lwe_key, _, _ = keys
+    expander = SeedExpander(9) if seeded else None
+    mus = [0, 1, (1 << 32) - 1, -5, 1 << 31, 12345]
+    streams = [f"test/{i}" for i in range(len(mus))] if seeded else None
+    one, batch = _pair_of_generators(0x1B)
+    calls = [lwe_encrypt(mu, lwe_key, one, expander=expander,
+                         stream=streams[i] if seeded else None)
+             for i, mu in enumerate(mus)]
+    got = lwe_encrypt(np.array(mus), lwe_key, batch, expander=expander,
+                      stream=streams)
+    assert got.a.shape == (len(mus), lwe_key.dim) and got.b.shape == (len(mus),)
+    assert np.array_equal(got.a, np.stack([c.a for c in calls]))
+    assert np.array_equal(got.b, np.array([c.b for c in calls]))
+    assert got.b.dtype == np.uint32 and type(calls[0].b) is np.uint32
+    assert one.integers(1 << 62) == batch.integers(1 << 62)
+    if seeded:
+        assert calls[2].seed_meta == (9, "test/2")
+
+
+def test_lwe_encrypt_needs_one_stream_per_message(keys):
+    from repro.seedexp import SeedExpander
+
+    lwe_key, _, rng = keys
+    with pytest.raises(ValueError, match="stream"):
+        lwe_encrypt(0, lwe_key, rng, expander=SeedExpander(1))
+    with pytest.raises(ValueError, match="2 stream labels for 3"):
+        lwe_encrypt(np.zeros(3, dtype=np.int64), lwe_key, rng,
+                    expander=SeedExpander(1), stream=["a", "b"])
+
+
+def test_trlwe_batch_is_the_samples_of_calls_in_order(keys):
+    """A batch across block boundaries (:data:`BLOCK_ROWS` rows each)
+    equals the samples of one call per message, bit for bit."""
+    from repro.tfhe.trlwe import BLOCK_ROWS
+
+    _, ring_key, _ = keys
+    k = 2 * BLOCK_ROWS + 5
+    n = TEST_PARAMS.ring_degree
+    messages = encode_message(np.arange(k * n).reshape(k, n) % 8, 8)
+    one, batch = _pair_of_generators(0x2B)
+    calls = [trlwe_encrypt(m, ring_key, one) for m in messages]
+    got = trlwe_encrypt(messages, ring_key, batch)
+    assert np.array_equal(got.a, np.stack([c.a for c in calls]))
+    assert np.array_equal(got.b, np.stack([c.b for c in calls]))
+    assert one.integers(1 << 62) == batch.integers(1 << 62)
+    phase = trlwe_decrypt_phase(TrlweSample(got.a[-1], got.b[-1]), ring_key)
+    assert np.abs(to_centered_int64(phase - messages[-1])).max() < 1 << 20
