@@ -280,6 +280,9 @@ class CKKSEvaluator:
         return g, key
 
     def apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
+        """The Galois map ``X -> X^g``, with ``g`` taken mod ``2n``, as the
+        key generator files its keys."""
+        g = int(g) % (2 * self.params.n)
         key = self._galois_switching_key(ct, g)
         c0 = ct.parts[0].to_coeff().automorphism(g)
         c1 = ct.parts[1].to_coeff().automorphism(g)

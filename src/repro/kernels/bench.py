@@ -160,9 +160,8 @@ def _ckks_stack(scale: Dict[str, int]) -> Tuple[Any, Any]:
     # Only the top-level switching key is exercised, so skip the rest of
     # the per-level relin key material (it dominates setup time at L=44).
     relin = RelinKey(params)
-    s_squared = (keygen._secret * keygen._secret).to_coeff()
     relin.levels[params.num_levels] = keygen._switching_key_for_level(
-        s_squared, params.num_levels
+        keygen._squared_secret(), params.num_levels
     )
     encryptor = CKKSEncryptor(
         params, encoder, rng, secret_key=keygen.secret_key()

@@ -47,9 +47,16 @@ def gaussian_noise(
     rng: np.random.Generator, std_fraction: float, size
 ) -> np.ndarray:
     """Rounded-Gaussian torus noise with stddev given as a torus fraction."""
+    return torus_noise(rng.standard_normal(size), std_fraction)
+
+
+def torus_noise(normals, std_fraction: float) -> np.ndarray:
+    """Standard normal draws as rounded-Gaussian Torus32 noise whose stddev
+    is ``std_fraction`` of the torus.  ``rng.normal(0, std)`` is
+    ``std * rng.standard_normal()`` bit for bit, so a caller may draw its
+    normals one encryption at a time and round them all at once."""
     std = std_fraction * TORUS_MODULUS
-    noise = np.rint(rng.normal(0.0, std, size=size)).astype(np.int64)
-    return (noise % TORUS_MODULUS).astype(_U32)
+    return from_int64(np.rint(np.asarray(normals) * std))
 
 
 def to_centered_int64(t) -> np.ndarray:

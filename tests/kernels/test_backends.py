@@ -184,3 +184,19 @@ def test_kernels_golden_reports_medians_with_their_spread():
         mangle(bad["ops"]["ntt_forward"])
         problems = check_floors(bad, PAPER_SPEEDUP_FLOOR)
         assert len(problems) == 1 and "ntt_forward" in problems[0], problems
+
+
+def test_kernel_bench_builds_its_cmult_stack():
+    """``repro kernels`` (also ``--quick``) builds its Cmult composite from
+    the key generator's parts, the top-level relinearization key alone;
+    at the quick scale the stack builds, and its product is bit for bit
+    the same on both backends."""
+    from repro.kernels.bench import QUICK_SCALE, _ckks_stack
+
+    evaluator, ct = _ckks_stack(QUICK_SCALE)
+    out = evaluator.multiply_rescale(ct, ct)
+    assert out.level == QUICK_SCALE["num_levels"] - 1
+    with backend_scope("reference"):
+        again = evaluator.multiply_rescale(ct, ct)
+    for a, b in zip(out.parts, again.parts):
+        assert np.array_equal(a.data, b.data)
