@@ -15,6 +15,9 @@ Python reproduction of Mu et al., DAC 2024.  The package provides:
 * the baseline database and analytical models (:mod:`repro.baselines`) and
   the figure-level analyses (:mod:`repro.analysis`).
 
+Each subpackage loads on first use, so a caller of one scheme loads that
+scheme and the substrate beneath it, not the accelerator model.
+
 Quick start::
 
     import numpy as np
@@ -41,8 +44,15 @@ and for the accelerator side::
     print(report.summary())
 """
 
-from repro import analysis, apps, baselines, bfv, bridge, ckks, compiler, hw, metaop
-from repro import ntmath, poly, rns, sim, tfhe
+from __future__ import annotations
+
+import importlib
+from types import ModuleType
+from typing import TYPE_CHECKING, List
+
+if TYPE_CHECKING:
+    from repro import analysis, apps, baselines, bfv, bridge, ckks, compiler, hw, metaop
+    from repro import ntmath, poly, rns, sim, tfhe
 
 __version__ = "1.0.0"
 
@@ -63,3 +73,14 @@ __all__ = [
     "tfhe",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> ModuleType:
+    """Import the subpackage ``name`` on first access (PEP 562)."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

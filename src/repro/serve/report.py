@@ -25,7 +25,6 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batching import SlotBatcher
 from repro.serve.service import ServeReport, ServingSimulator
 from repro.serve.traffic import PROFILES, generate_trace, trace_digest
-from repro.telemetry.bench import _config_dict
 
 #: Schema identifier embedded in the emitted document.
 SERVING_SCHEMA = "alchemist-bench/serving/v1"
@@ -103,6 +102,6 @@ def run_serving(
         "admission_mode": admission_mode,
         "n_requests": n_requests,
         "rates_rps": list(rates),
-        "config": _config_dict(config),
+        "config": config.as_dict(),
         "profiles": per_profile,
     }

@@ -29,7 +29,6 @@ from repro.sim.engine import EventDrivenSimulator
 from repro.sim.faults.injector import FaultInjector
 from repro.sim.faults.model import build_campaign, campaign_seed
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
-from repro.telemetry.bench import _config_dict
 
 #: Schema identifier embedded in the emitted document.
 FAULTS_SCHEMA = "alchemist-bench/faults/v1"
@@ -213,7 +212,7 @@ def run_campaign(
         "campaign": campaign,
         "seed": seed,
         "policy": policy.as_dict(),
-        "config": _config_dict(config),
+        "config": config.as_dict(),
         "workloads": per_workload,
     }
     if include_mix:

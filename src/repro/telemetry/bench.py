@@ -55,19 +55,6 @@ TABLE7_OPERATORS = {
 }
 
 
-def _config_dict(config: AlchemistConfig) -> Dict[str, object]:
-    return {
-        "num_units": config.num_units,
-        "cores_per_unit": config.cores_per_unit,
-        "lanes_per_core": config.lanes_per_core,
-        "frequency_ghz": config.frequency_ghz,
-        "word_bits": config.word_bits,
-        "onchip_bandwidth_tbps": config.onchip_bandwidth_tbps,
-        "hbm_bandwidth_gbps": config.hbm_bandwidth_gbps,
-        "total_onchip_mb": config.total_onchip_bytes / 2**20,
-    }
-
-
 def _per_op_records(events: Sequence[TraceEvent], config: AlchemistConfig):
     """Per-op latency/utilization/bound rows for one traced program."""
     hz = config.cycles_per_second
@@ -134,7 +121,7 @@ def bench_table7(
         }
     return {
         "schema": TABLE7_SCHEMA,
-        "config": _config_dict(config),
+        "config": config.as_dict(),
         "operators": operators,
     }
 
@@ -189,7 +176,7 @@ def bench_fig6(
         }
     return {
         "schema": FIG6_SCHEMA,
-        "config": _config_dict(config),
+        "config": config.as_dict(),
         "alchemist_area_mm2_14nm": alch_area,
         "ckks_applications": ckks,
         "tfhe_pbs": tfhe,

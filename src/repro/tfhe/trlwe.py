@@ -137,19 +137,29 @@ def trlwe_encrypt(
     streams = None if stream is None else [stream] if single else list(stream)
     a, e = encryption_draws(message.size // n, n, rng, noise_std,
                             noise_width=n, expander=expander, streams=streams)
-    ntt = get_torus_ntt(n, _BINARY_KEY_BOUND)
-    b = message.reshape(-1, n) + e
-    for lo in range(0, len(a), BLOCK_ROWS):
-        block = a[lo:lo + BLOCK_ROWS]
-        spectra = ntt.spectrum(to_centered_int64(block))
-        b[lo:lo + BLOCK_ROWS] += np.stack(ntt.mul_sum_multi(
-            key.key[None, :], [spectra[:, i:i + 1] for i in range(len(block))]))
+    b = message.reshape(-1, n) + e + _times_key(a, key)
     return TrlweSample(a[0], b[0]) if single else TrlweSample(a, b)
 
 
 def trlwe_decrypt_phase(sample: TrlweSample, key: TrlweKey) -> np.ndarray:
-    """The noisy phase polynomial ``b - a*s`` (Torus32)."""
+    """The noisy phase polynomial ``b - a*s`` (Torus32), or one phase per
+    row of a batched sample."""
+    a = np.asarray(sample.a, dtype=np.uint32)
     n = key.params.ring_degree
-    ntt = get_torus_ntt(n, _BINARY_KEY_BOUND)
-    a_s = ntt.multiply(key.key, sample.a)
-    return sample.b - a_s
+    if a.shape[-1] != n:
+        raise ValueError(f"sample must have {n} coefficients")
+    return sample.b - _times_key(a.reshape(-1, n), key).reshape(a.shape)
+
+
+def _times_key(a: np.ndarray, key: TrlweKey) -> np.ndarray:
+    """``a·s`` for each row of the ``(k, N)`` Torus32 masks ``a``: one
+    spectrum call and one ``mul_sum_multi`` pass per :data:`BLOCK_ROWS`
+    rows."""
+    ntt = get_torus_ntt(key.params.ring_degree, _BINARY_KEY_BOUND)
+    out = np.empty(a.shape, dtype=np.uint32)
+    for lo in range(0, len(a), BLOCK_ROWS):
+        block = a[lo:lo + BLOCK_ROWS]
+        spectra = ntt.spectrum(to_centered_int64(block))
+        out[lo:lo + BLOCK_ROWS] = np.stack(ntt.mul_sum_multi(
+            key.key[None, :], [spectra[:, i:i + 1] for i in range(len(block))]))
+    return out

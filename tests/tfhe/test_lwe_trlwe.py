@@ -1,5 +1,7 @@
 """Tests for LWE and TRLWE encryption, arithmetic, and sample extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.tfhe.trlwe import (
     trlwe_decrypt_phase,
     trlwe_encrypt,
 )
+from tests.oracles import negacyclic_mul_reference
 
 
 def _phase_err(phase, mu):
@@ -263,3 +266,45 @@ def test_trlwe_batch_is_the_samples_of_calls_in_order(keys):
     assert one.integers(1 << 62) == batch.integers(1 << 62)
     phase = trlwe_decrypt_phase(TrlweSample(got.a[-1], got.b[-1]), ring_key)
     assert np.abs(to_centered_int64(phase - messages[-1])).max() < 1 << 20
+
+
+def test_trlwe_phase_of_a_batch_is_the_phases_row_by_row(keys):
+    """A batch across block boundaries takes one phase per row, bit for
+    bit the phase of that row taken alone."""
+    from repro.tfhe.trlwe import BLOCK_ROWS
+
+    _, ring_key, rng = keys
+    k = 2 * BLOCK_ROWS + 5
+    n = TEST_PARAMS.ring_degree
+    messages = encode_message(np.arange(k * n).reshape(k, n) % 8, 8)
+    batch = trlwe_encrypt(messages, ring_key, rng)
+    phases = trlwe_decrypt_phase(batch, ring_key)
+    assert phases.shape == (k, n) and phases.dtype == np.uint32
+    rows = [trlwe_decrypt_phase(TrlweSample(a, b), ring_key)
+            for a, b in zip(batch.a, batch.b)]
+    assert np.array_equal(phases, np.stack(rows))
+    assert np.abs(to_centered_int64(phases - messages)).max() < 1 << 20
+
+
+@pytest.mark.parametrize("shape", [(512,), (3, 512), (257,)])
+def test_trlwe_phase_rejects_a_sample_of_another_degree(keys, shape):
+    _, ring_key, _ = keys
+    sample = TrlweSample(np.ones(shape, np.uint32), np.ones(shape, np.uint32))
+    with pytest.raises(ValueError, match="256 coefficients"):
+        trlwe_decrypt_phase(sample, ring_key)
+
+
+def test_trlwe_phase_of_one_sample_is_pinned():
+    """One ``(N,)`` sample's phase: ``b`` minus the exact product, and the
+    digest it had when the phase was one ``TorusNTT.multiply``."""
+    rng = np.random.default_rng(0x1F)
+    ring_key = TrlweKey.generate(TEST_PARAMS, rng)
+    n = TEST_PARAMS.ring_degree
+    msg = encode_message(np.arange(n) % 4, 4)
+    ct = trlwe_encrypt(msg, ring_key, rng)
+    phase = trlwe_decrypt_phase(ct, ring_key)
+    assert phase.shape == (n,) and phase.dtype == np.uint32
+    assert np.array_equal(
+        phase, ct.b - negacyclic_mul_reference(ring_key.key, ct.a))
+    assert hashlib.sha256(phase.tobytes()).hexdigest() == (
+        "f5c5880dde6df7511f73090d1f7211fcd2feaaf4fce7b138915566f38318c51d")
