@@ -247,9 +247,11 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
     )
 
     # TFHE gate bootstrap: at TEST_PARAMS the torus NTT transforms the
-    # digit rows on one prime, against a key held as two 16-bit halves
-    # (repro.tfhe.polymul), so limb batching wins little by construction
-    # — reported for coverage, never floor-gated.
+    # digit rows on one prime (the numpy backend as one dense float64
+    # product, the reference backend through the butterflies), against a
+    # key held as two 16-bit halves (repro.tfhe.polymul), so limb
+    # batching wins little by construction — reported for coverage,
+    # never floor-gated.
     # Batching across ciphertexts is what pays: ``pbs_batch`` refreshes
     # PBS_BATCH gates in one pass and is gated against ``pbs`` per gate.
     kit = BootstrapKit(TEST_PARAMS, np.random.default_rng(_SEED))

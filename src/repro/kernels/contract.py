@@ -10,7 +10,10 @@ Data contract (shared by every backend; see DESIGN.md "Kernel backends"):
 
 * **dtype** — residues are ``numpy.uint64``, already reduced into
   ``[0, q_i)`` per channel.  Every prime fits the ≤42-bit fast path of
-  :mod:`repro.ntmath.modular`.
+  :mod:`repro.ntmath.modular`.  ``ntt_forward`` also takes signed
+  integers, which every backend reduces mod each prime, so its result is
+  ``NTT(x mod q_i)`` either way; every other op raises :class:`TypeError`
+  for an operand that is not uint64.
 * **layout** — a polynomial over a basis of ``C`` primes is a contiguous
   ``(C, n)`` matrix: axis 0 is the RNS limb (channel) axis in basis order,
   axis 1 the coefficient/slot axis.  The NTT and pointwise entry points also
@@ -52,9 +55,20 @@ def as_primes(primes: Sequence[int]) -> Primes:
     return tuple(int(q) for q in primes)
 
 
+def as_residues(x: np.ndarray, signed: bool = False) -> np.ndarray:
+    """``x`` as an array; :class:`TypeError` unless it is uint64, or, with
+    ``signed``, a signed integer dtype.  Nothing is converted: a cast would
+    wrap negative values and truncate floats without a word."""
+    x = np.asarray(x)
+    if x.dtype != np.uint64 and not (signed and x.dtype.kind == "i"):
+        kinds = "uint64 or signed integers" if signed else "uint64 residues"
+        raise TypeError(f"expected {kinds}, got dtype {x.dtype}")
+    return x
+
+
 def check_residue_matrix(x: np.ndarray, primes: Primes) -> np.ndarray:
-    """Validate the ``(C, n)`` layout contract and return ``x`` as uint64."""
-    x = np.asarray(x, dtype=np.uint64)
+    """Validate the ``(C, n)`` layout and the uint64 dtype; return ``x``."""
+    x = as_residues(x)
     if x.ndim != 2 or x.shape[0] != len(primes):
         raise ValueError(
             f"expected ({len(primes)}, n) residue matrix, got {x.shape}"
@@ -62,14 +76,27 @@ def check_residue_matrix(x: np.ndarray, primes: Primes) -> np.ndarray:
     return x
 
 
-def check_channel_batch(x: np.ndarray, primes: Primes) -> np.ndarray:
-    """Validate the ``(C, ..., n)`` layout contract and return ``x`` as uint64."""
-    x = np.asarray(x, dtype=np.uint64)
+def check_channel_batch(
+    x: np.ndarray, primes: Primes, signed: bool = False
+) -> np.ndarray:
+    """Validate the ``(C, ..., n)`` layout and the dtype (uint64, or with
+    ``signed`` also a signed integer dtype); return ``x``."""
+    x = as_residues(x, signed)
     if x.ndim < 2 or x.shape[0] != len(primes):
         raise ValueError(
             f"expected ({len(primes)}, ..., n) channel batch, got {x.shape}"
         )
     return x
+
+
+def signed_residues(x: np.ndarray, primes: Primes) -> np.ndarray:
+    """Signed integers ``x`` shaped ``(C, ..., n)`` as uint64 ``x mod q_i``.
+
+    One floor-mod by a ``(C, 1, ..., 1)`` prime column, exact for negative
+    values down to ``-2**63``."""
+    q_col = np.array(primes, dtype=np.int64).reshape(
+        (len(primes),) + (1,) * (x.ndim - 1))
+    return np.mod(x, q_col).astype(np.uint64)
 
 
 #: Most terms one :meth:`KernelBackend.mac` call sums (its exactness bound).
@@ -110,7 +137,14 @@ class KernelBackend(Protocol):
     # ------------------------------ NTT -------------------------------- #
 
     def ntt_forward(self, data: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-        """Forward negacyclic NTT of ``(C, ..., n)`` residues, per channel."""
+        """Forward negacyclic NTT of ``(C, ..., n)`` data, per channel.
+
+        ``data`` is either uint64 residues in ``[0, q_i)`` or signed
+        integers of any magnitude, taken mod each channel's prime: the
+        result is ``NTT(data mod q_i)`` in both cases.  The numpy backend
+        transforms small signed rows at small ring degrees as one exact
+        float64 matrix product (:func:`repro.poly.ntt.dense_forward_fits`
+        states when); every other input goes through the butterflies."""
 
     def ntt_inverse(self, data: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         """Inverse negacyclic NTT of ``(C, ..., n)`` residues, per channel."""

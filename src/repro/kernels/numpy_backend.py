@@ -11,9 +11,11 @@ subtractions use its ``np.minimum`` fix-ups.  ``mac`` sums that multiply's
 lazy products and reduces each sum once.  The NTT is
 :class:`repro.poly.ntt.MultiNTTContext`: constant-geometry stages over the
 whole basis with lazy butterflies built on the same multiply, O(log n)
-calls per transform.  Every output is the exact residue, so results are
-bit-identical to the per-limb reference backend (enforced by
-``tests/kernels``).
+calls per transform; small signed rows at small ring degrees (TFHE's
+gadget digits) are instead one exact float64 matrix product,
+:class:`repro.poly.ntt.DenseForward`.  Every output is the exact residue,
+so results are bit-identical to the per-limb reference backend (enforced
+by ``tests/kernels``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import numpy as np
 from repro.kernels.contract import (
     Primes,
     as_primes,
+    as_residues,
     check_channel_batch,
     check_mac_operands,
     check_residue_matrix,
+    signed_residues,
 )
 from repro.kernels.plans import (
     BCONV_SPLIT_BITS,
@@ -46,7 +50,12 @@ from repro.ntmath.modular import (
     negmod_channels,
     submod_channels,
 )
-from repro.poly.ntt import get_multi_context
+from repro.poly.ntt import (
+    dense_forward_fits,
+    get_dense_forward,
+    get_multi_context,
+    signed_magnitude,
+)
 
 #: Size of one term of a ``mac`` (its result's element count) from which
 #: the terms are accumulated one at a time.  Below it, one expression over
@@ -76,8 +85,13 @@ class NumpyBackend:
 
     def ntt_forward(self, data: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         primes = as_primes(primes)
-        data = check_channel_batch(data, primes)
-        return get_multi_context(data.shape[-1], primes).forward(data)
+        data = check_channel_batch(data, primes, signed=True)
+        n = data.shape[-1]
+        if data.dtype != np.uint64:
+            if dense_forward_fits(n, signed_magnitude(data), primes):
+                return get_dense_forward(n, primes).forward(data)
+            data = signed_residues(data, primes)
+        return get_multi_context(n, primes).forward(data)
 
     def ntt_inverse(self, data: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         primes = as_primes(primes)
@@ -91,9 +105,8 @@ class NumpyBackend:
     ) -> np.ndarray:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
-        b = np.asarray(b, dtype=np.uint64)
         qq, q_inv = _shaped_moduli(primes, a.ndim)
-        return mulmod_channels(a, b, qq, q_inv)
+        return mulmod_channels(a, as_residues(b), qq, q_inv)
 
     def pointwise_add(
         self, a: np.ndarray, b: np.ndarray, primes: Sequence[int]
@@ -101,7 +114,7 @@ class NumpyBackend:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
         qq, _ = _shaped_moduli(primes, a.ndim)
-        return addmod_channels(a, np.asarray(b, dtype=np.uint64), qq)
+        return addmod_channels(a, as_residues(b), qq)
 
     def pointwise_sub(
         self, a: np.ndarray, b: np.ndarray, primes: Sequence[int]
@@ -109,7 +122,7 @@ class NumpyBackend:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
         qq, _ = _shaped_moduli(primes, a.ndim)
-        return submod_channels(a, np.asarray(b, dtype=np.uint64), qq)
+        return submod_channels(a, as_residues(b), qq)
 
     def negate(self, a: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         primes = as_primes(primes)
@@ -230,7 +243,7 @@ class NumpyBackend:
     ) -> np.ndarray:
         source = as_primes(source_primes)
         special = as_primes(special_primes)
-        x = np.asarray(x, dtype=np.uint64)
+        x = as_residues(x)
         if x.shape[0] != len(source) + len(special):
             raise ValueError(
                 f"expected {len(source) + len(special)} channels, "

@@ -17,9 +17,11 @@ import numpy as np
 
 from repro.kernels.contract import (
     as_primes,
+    as_residues,
     check_channel_batch,
     check_mac_operands,
     check_residue_matrix,
+    signed_residues,
 )
 from repro.kernels.plans import automorphism_plan, ntt_automorphism_plan
 from repro.ntmath.modular import addmod, invmod, mulmod, negmod, submod
@@ -35,7 +37,9 @@ class ReferenceBackend:
 
     def ntt_forward(self, data: np.ndarray, primes: Sequence[int]) -> np.ndarray:
         primes = as_primes(primes)
-        data = check_channel_batch(data, primes)
+        data = check_channel_batch(data, primes, signed=True)
+        if data.dtype != np.uint64:
+            data = signed_residues(data, primes)
         n = data.shape[-1]
         out = np.empty_like(data)
         for i, q in enumerate(primes):
@@ -58,7 +62,7 @@ class ReferenceBackend:
     ) -> np.ndarray:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
-        b = np.asarray(b, dtype=np.uint64)
+        b = as_residues(b)
         out = np.empty_like(a)
         for i, q in enumerate(primes):
             out[i] = mulmod(a[i], b[i], q)
@@ -69,7 +73,7 @@ class ReferenceBackend:
     ) -> np.ndarray:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
-        b = np.asarray(b, dtype=np.uint64)
+        b = as_residues(b)
         out = np.empty_like(a)
         for i, q in enumerate(primes):
             out[i] = addmod(a[i], b[i], q)
@@ -80,7 +84,7 @@ class ReferenceBackend:
     ) -> np.ndarray:
         primes = as_primes(primes)
         a = check_channel_batch(a, primes)
-        b = np.asarray(b, dtype=np.uint64)
+        b = as_residues(b)
         out = np.empty_like(a)
         for i, q in enumerate(primes):
             out[i] = submod(a[i], b[i], q)
@@ -187,7 +191,7 @@ class ReferenceBackend:
     ) -> np.ndarray:
         source = as_primes(source_primes)
         special = as_primes(special_primes)
-        x = np.asarray(x, dtype=np.uint64)
+        x = as_residues(x)
         if x.shape[0] != len(source) + len(special):
             raise ValueError(
                 f"expected {len(source) + len(special)} channels, "

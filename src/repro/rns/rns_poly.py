@@ -24,6 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.kernels import get_backend
+from repro.kernels.contract import signed_residues
 from repro.ntmath.modular import to_mod_array
 from repro.rns.basis import crt_centred, crt_reconstruct
 
@@ -31,14 +32,12 @@ from repro.rns.basis import crt_centred, crt_reconstruct
 def reduce_signed(values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """Residues of signed machine integers over each prime, ``(C, ...)``.
 
-    One broadcast ``np.mod`` against a ``(C, 1, ..., 1)`` prime column
-    reduces every channel at once; the floor-mod of int64 is the exact
-    residue in ``[0, q)`` for negative values too.
+    :func:`~repro.kernels.contract.signed_residues` of ``values`` broadcast
+    to every channel: one ``np.mod`` against a ``(C, 1, ..., 1)`` prime
+    column, the exact residue in ``[0, q)`` for negative values too.
     """
     values = np.asarray(values).astype(np.int64, copy=False)
-    q_col = np.array(primes, dtype=np.int64).reshape(
-        (len(primes),) + (1,) * values.ndim)
-    return np.mod(values[None], q_col).astype(np.uint64)
+    return signed_residues(values[None], primes)
 
 
 def channel_rows(have: Sequence[int], want: Sequence[int]) -> np.ndarray:

@@ -53,6 +53,15 @@ take the split key at every ring degree.  ``get_torus_ntt(n)`` without a
 bound assumes the worst shipped case, two rows of digits up to ``2**22``,
 and so takes the two primes.
 
+Both operands reach the kernel's ``ntt_forward`` as signed int64, which
+takes them mod each prime.  Where the numpy backend's dense rule holds
+(:func:`repro.poly.ntt.dense_forward_fits`: ``N * max|u| * p < 2**52``,
+and ``N <= 512`` on one prime), the digit rows are one exact float64
+matrix product instead of ``log N`` butterfly stages: ``TEST_PARAMS``'s
+digits (``|u| <= 2**7`` at ``N = 256``) and the binary key up to
+``N = 512``.  ``PARAM_SET_I`` (``N = 1024``), ``PARAM_SET_II`` and the key
+halves (up to ``2**15``) take the butterflies.
+
 The tests check every product against an exact O(N^2) convolution.
 """
 
@@ -65,6 +74,7 @@ import numpy as np
 from repro.kernels import get_backend
 from repro.ntmath.modular import invmod, mulmod, submod
 from repro.ntmath.primes import generate_ntt_prime
+from repro.poly.ntt import signed_magnitude
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -125,10 +135,7 @@ class TorusNTT:
             limbs = np.stack([(values - lo) >> HALF_BITS, lo])
         else:
             limbs = np.stack([values, values])
-        moduli = np.array(self.channels, dtype=np.int64).reshape(
-            (2,) + (1,) * values.ndim)
-        return get_backend().ntt_forward(
-            np.mod(limbs, moduli).astype(np.uint64), self.channels)
+        return get_backend().ntt_forward(limbs, self.channels)
 
     def mul_sum(self, u: np.ndarray, v_spec: np.ndarray) -> np.ndarray:
         """``sum_j u[j] (*) v[j]`` (negacyclic), returned as Torus32.
@@ -162,7 +169,7 @@ class TorusNTT:
                     f"spectrum shape {v_spec.shape} does not match "
                     f"({rows} rows)"
                 )
-        top = int(np.abs(u).max())
+        top = signed_magnitude(u)
         if rows * top > self.bound:
             raise ValueError(
                 f"{rows} rows of digits up to {top} exceed the bound "
@@ -170,10 +177,9 @@ class TorusNTT:
             )
         batch = u.shape[1:-1]
         backend = get_backend()
-        moduli = np.array(self.primes, dtype=np.int64).reshape(
-            (len(self.primes),) + (1,) * u.ndim)
-        fwd = backend.ntt_forward(np.mod(u, moduli).astype(np.uint64),
-                                  self.primes)          # (P, rows, ..., n)
+        # the signed digits themselves, one view per prime of the basis
+        digits = np.broadcast_to(u, (len(self.primes),) + u.shape)
+        fwd = backend.ntt_forward(digits, self.primes)  # (P, rows, ..., n)
         # the rows are the terms; the spectra broadcast across the batch
         # and the batch across the spectra; each channel meets the rows'
         # transform mod its prime: (2, len(v_specs), ..., n)
@@ -186,13 +192,6 @@ class TorusNTT:
         if self.split:
             return list(self._join_halves(sums[0], sums[1]))
         return list(self._crt_to_torus(sums[0], sums[1]))
-
-    def multiply(self, u: np.ndarray, v_torus: np.ndarray) -> np.ndarray:
-        """Single negacyclic product of small-int ``u`` and Torus32 ``v``."""
-        from repro.tfhe.torus import to_centered_int64
-
-        spec = self.spectrum(to_centered_int64(v_torus)[None, :])
-        return self.mul_sum(np.asarray(u, dtype=np.int64)[None, :], spec)
 
     # ------------------------------------------------------------------ #
 

@@ -17,24 +17,31 @@ def ntt():
     return get_torus_ntt(N)
 
 
+def _multiply(ntt, u, v):
+    """One negacyclic product of small-int ``u`` and Torus32 ``v``: the
+    spectrum of ``v`` as one row, and ``u`` as one digit row against it."""
+    spec = ntt.spectrum(to_centered_int64(v)[None, :])
+    return ntt.mul_sum(np.asarray(u, dtype=np.int64)[None, :], spec)
+
+
 def test_single_multiply_matches_reference(ntt, rng):
     u = rng.integers(-128, 128, N, dtype=np.int64)
     v = rng.integers(0, 1 << 32, N, dtype=np.int64).astype(np.uint32)
-    assert np.array_equal(ntt.multiply(u, v), negacyclic_mul_reference(u, v))
+    assert np.array_equal(_multiply(ntt, u, v), negacyclic_mul_reference(u, v))
 
 
 def test_multiply_by_one(ntt, rng):
     v = rng.integers(0, 1 << 32, N, dtype=np.int64).astype(np.uint32)
     u = np.zeros(N, dtype=np.int64)
     u[0] = 1
-    assert np.array_equal(ntt.multiply(u, v), v)
+    assert np.array_equal(_multiply(ntt, u, v), v)
 
 
 def test_multiply_by_monomial_rotates(ntt, rng):
     v = rng.integers(0, 1 << 32, N, dtype=np.int64).astype(np.uint32)
     u = np.zeros(N, dtype=np.int64)
     u[1] = 1  # X
-    got = ntt.multiply(u, v)
+    got = _multiply(ntt, u, v)
     expected = np.empty_like(v)
     expected[1:] = v[:-1]
     expected[0] = np.uint32(-v[-1].astype(np.int64) % (1 << 32))
@@ -77,13 +84,13 @@ def test_large_gadget_base_exact(ntt, rng):
             else:
                 expected[k - N] -= uu[i] * vv[j]
     expected = np.array([e % (1 << 32) for e in expected], dtype=np.uint32)
-    assert np.array_equal(ntt.multiply(u, v), expected)
+    assert np.array_equal(_multiply(ntt, u, v), expected)
 
 
 def test_extreme_torus_values(ntt):
     u = np.full(N, 127, dtype=np.int64)
     v = np.full(N, 0xFFFFFFFF, dtype=np.uint32)
-    assert np.array_equal(ntt.multiply(u, v), negacyclic_mul_reference(u, v))
+    assert np.array_equal(_multiply(ntt, u, v), negacyclic_mul_reference(u, v))
 
 
 def test_cached_instances():
@@ -168,7 +175,7 @@ def test_binary_key_products_match_oracle(name, extreme, rng):
     else:
         key = rng.integers(0, 2, n, dtype=np.int64)
         v = rng.integers(0, 1 << 32, n, dtype=np.int64).astype(np.uint32)
-    assert np.array_equal(ntt.multiply(key, v),
+    assert np.array_equal(_multiply(ntt, key, v),
                           negacyclic_mul_reference(key, v))
 
 
@@ -183,6 +190,16 @@ def test_digits_above_the_bound_are_rejected(bound, rng):
     u = np.full((rows, N), -top, dtype=np.int64)
     ntt.mul_sum(u, spec)                      # at the bound: accepted
     u[2, 7] = top + 1
+    with pytest.raises(ValueError, match="bound"):
+        ntt.mul_sum(u, spec)
+
+
+def test_digit_at_int64_min_is_rejected():
+    """``np.abs`` wraps ``-2**63`` to itself; the bound check must not."""
+    ntt = get_torus_ntt(N, TEST_PARAMS.digit_row_bound)
+    spec = ntt.spectrum(np.zeros((1, N), dtype=np.int64))
+    u = np.zeros((1, N), dtype=np.int64)
+    u[0, 5] = np.iinfo(np.int64).min
     with pytest.raises(ValueError, match="bound"):
         ntt.mul_sum(u, spec)
 
