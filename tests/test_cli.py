@@ -71,7 +71,8 @@ def test_simulate_engine_flag_brackets_makespan(capsys):
 
 def test_simulate_fuse_flag(capsys):
     assert main(["simulate", "cmult", "--fuse"]) == 0
-    assert "fuse-elementwise" in capsys.readouterr().out
+    assert ("[fuse-elementwise] cmult: fused 2 elementwise pairs "
+            "(23 -> 21 ops)") in capsys.readouterr().out.splitlines()
 
 
 def test_simulate_with_hbm_override(capsys):
