@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from repro.analysis.opcount import workload_mult_counts
 from repro.compiler.ops import Program
-from repro.compiler.passes.spill import peak_footprint_bytes
+from repro.compiler.passes import peak_footprint_bytes
 from repro.hw.area import AreaModel
 from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.simulator import CycleSimulator
@@ -141,7 +141,7 @@ def hbm_bandwidth_sweep(program: Program, gbps_values=(500, 1000, 2000, 4000)
 
 def sram_residency_sweep(program: Program, local_kb_values=(128, 256, 512, 1024)
                          ) -> List[Dict]:
-    """Does ``program`` stay on-chip (no ``SpillInsertionPass`` spills) as
+    """Does ``program`` stay on-chip (``insert_spills`` adds no spill) as
     the local SRAM shrinks or grows?  ``occupancy`` is its largest per-op
     working footprint over the on-chip capacity."""
     rows = []

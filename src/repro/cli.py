@@ -170,21 +170,17 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def _fuse_programs(programs, config):
-    from repro.compiler.passes import (
-        FuseElementwisePass,
-        PassManager,
-        ValidatePass,
-    )
+def _fuse_programs(programs):
+    from repro.compiler.passes import fuse_elementwise
 
     fused = []
     for prog in programs:
-        pm = PassManager([ValidatePass(), FuseElementwisePass()],
-                         config=config)
-        fused.append(pm.run(prog))
-        for rec in pm.telemetry:
-            for note in rec.notes:
-                print(f"[{rec.pass_name}] {prog.name}: {note}")
+        out = fuse_elementwise(prog)
+        if out is not prog:
+            print(f"[fuse-elementwise] {prog.name}: fused "
+                  f"{len(prog.ops) - len(out.ops)} elementwise pairs "
+                  f"({len(prog.ops)} -> {len(out.ops)} ops)")
+        fused.append(out)
     return fused
 
 
@@ -202,7 +198,7 @@ def cmd_simulate(args) -> int:
         return 2
     program = programs[0]
     if args.fuse:
-        program = _fuse_programs([program], config)[0]
+        program = _fuse_programs([program])[0]
     sim = CycleSimulator(config)
     report = sim.run(program)
     print(report.summary())
@@ -237,7 +233,7 @@ def _simulate_mix(args, config) -> int:
     if programs is None:
         return 2
     if args.fuse:
-        programs = _fuse_programs(programs, config)
+        programs = _fuse_programs(programs)
     priorities = {}
     if args.priorities:
         for entry in args.priorities.split(","):

@@ -5,8 +5,8 @@ elementwise, data movement, HBM transfers) with per-op compute/traffic
 profiles and SSA-style ``defs``/``uses`` dataflow edges; ``ckks_programs``,
 ``tfhe_programs`` and ``bfv_programs`` build the exact operator sequences of
 every benchmark in the paper's evaluation with real producer edges;
-``passes`` is the pass pipeline (validate / fuse / spill / traffic) over
-those programs.
+``passes`` holds the two rewrites of those programs, spill insertion and
+elementwise fusion; ``verify`` lints them and ``cost`` costs them.
 """
 
 from repro.compiler.ops import HighLevelOp, OpKind, Program

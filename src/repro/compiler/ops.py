@@ -9,7 +9,7 @@ Operators carry explicit ``defs``/``uses`` value ids (SSA-style producer
 edges).  :meth:`Program.dependency_edges` resolves them into a DAG, and
 :class:`ProgramGraph` builds everything else from those edges once per
 use — successors, the deterministic topological order, use bindings and
-the live-value set — for the pass pipeline (:mod:`repro.compiler.passes`),
+the live-value set — for the rewrites (:mod:`repro.compiler.passes`),
 the verifier, the cost analyzer and the scheduling kernel
 (:mod:`repro.sim.schedule`).  Ops without def/use annotations remain valid
 (they simply have no graph edges), so legacy ``Program`` construction
@@ -234,11 +234,12 @@ class Program:
     ``ops`` holds the insertion order, which for every builder in this
     package is already a valid schedule (producers precede consumers).
     The graph view lives in :meth:`dependency_edges` and
-    :class:`ProgramGraph`; ``metadata`` is scratch space for compiler
-    passes (traffic annotations, pass provenance).  ``inputs`` optionally declares the external value
-    ids the program legitimately consumes; when set, the linter treats any
-    other undefined use as an error (``ALC301``) instead of silently
-    assuming it is an argument.
+    :class:`ProgramGraph`; ``metadata`` carries the builders' annotations
+    for the verifier (``"noise"`` for the noise budget, ``"keys"`` for
+    the key set), which the rewrites copy unchanged.  ``inputs``
+    optionally declares the external value ids the program legitimately
+    consumes; when set, the linter treats any other undefined use as an
+    error (``ALC301``) instead of silently assuming it is an argument.
     """
 
     name: str
@@ -355,12 +356,12 @@ def value_bytes(op: HighLevelOp, word_bytes: float) -> int:
 class ProgramGraph:
     """The dataflow graph of one :class:`Program`, built once per use.
 
-    Every pass, analysis and scheduler that needs edges, successors, the
+    Every rewrite, analysis and scheduler that needs edges, successors, the
     topological order, use bindings or the live set reads them here.
     Each field is computed on first access, so a caller that needs only
     edges pays only for edges.  The graph is a snapshot: it is never
-    cached on the program (passes and the mutation corpus edit
-    ``program.ops`` in place), so build a new one after editing.
+    cached on the program (the mutation corpus edits ``program.ops`` in
+    place), so build a new one after editing.
     """
 
     def __init__(self, program: Program) -> None:

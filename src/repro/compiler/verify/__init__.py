@@ -4,7 +4,7 @@ Four analyses run over a :class:`~repro.compiler.ops.Program` without
 executing or mutating it:
 
 * :class:`StructureAnalysis` — graph acyclicity, alias uniqueness, and
-  per-kind shape sanity (the old ``ValidatePass`` checks);
+  per-kind shape sanity;
 * :class:`LevelScaleAnalysis` — CKKS level/scale abstract interpretation
   along dependency edges (underflow, scale mismatch, omitted rescale or
   bootstrap);
@@ -13,7 +13,7 @@ executing or mutating it:
   NTT ``TRANSPOSE`` may change the data layout;
 * :class:`LivenessAnalysis` — use-of-undefined / forward references,
   dead definitions, and live-set pressure against on-chip capacity
-  (statically predicting where ``SpillInsertionPass`` fires);
+  (statically predicting where ``insert_spills`` spills);
 * :class:`NoiseBudgetAnalysis` — cross-scheme noise-budget abstract
   interpretation (CKKS coefficient-std, BFV invariant-noise bits,
   TFHE torus variance with PBS resets) proving annotated programs

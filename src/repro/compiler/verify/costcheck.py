@@ -8,7 +8,7 @@ into advisory diagnostics:
   bandwidth directly lengthens the shortest possible schedule (the
   paper's ~135 us keyswitch bound is exactly this finding).
 * ``ALC602`` — the peak live-value scratchpad occupancy exceeds the
-  configured on-chip capacity: ``SpillInsertionPass`` will convert the
+  configured on-chip capacity: ``insert_spills`` will convert the
   overflow into spill/fill HBM traffic, and the note quantifies the
   predicted extra HBM cycles.
 * ``ALC603`` — a compute op occupies less than ``utilization_threshold``
@@ -16,7 +16,7 @@ into advisory diagnostics:
   or pack more to fill the machine).
 * ``ALC604`` — an adjacent single-consumer elementwise pair is fusable
   and the cost model proves the fusion profitable, quantifying the saved
-  cycles (``repro simulate --fuse`` / ``FuseElementwisePass`` realises
+  cycles (``repro simulate --fuse`` / ``fuse_elementwise`` realises
   it).
 * ``ALC605`` — the configured :class:`~repro.hw.config.CompressionModel`
   changes an op's binding resource away from HBM: seed-expanded key (or
@@ -105,7 +105,7 @@ class CostAnalysis(Analysis):
             "ALC602",
             f"peak scratchpad demand {report.peak_occupancy_bytes / 1e6:.1f} "
             f"MB exceeds on-chip capacity {capacity / 1e6:.1f} MB — "
-            f"SpillInsertionPass will add ~{spill_cycles:,.0f} HBM cycles "
+            f"insert_spills will add ~{spill_cycles:,.0f} HBM cycles "
             f"of spill/fill traffic",
             op_index=index, op_label=label)]
 
@@ -132,8 +132,8 @@ class CostAnalysis(Analysis):
     @staticmethod
     def _fusion_opportunities(graph: ProgramGraph,
                               report: CostReport) -> List[Diagnostic]:
-        # lazy import: passes.fusion imports verify modules at load time
-        from repro.compiler.passes.fusion import _fusable, _fuse
+        # lazy import: repro.compiler.passes imports verify modules at load
+        from repro.compiler.passes import _fusable, _fuse
 
         try:
             order = graph.order
@@ -161,7 +161,7 @@ class CostAnalysis(Analysis):
                 "ALC604",
                 f"{a_tag}+{b_tag}: fusing this elementwise pair saves "
                 f"{saved:,.0f} cycles (the intermediate value's write + "
-                f"re-read) — FuseElementwisePass proves profitable",
+                f"re-read) — fuse_elementwise proves profitable",
                 op_index=i, op_label=b.label,
                 values=tuple(a.defs[:1])))
         return out

@@ -17,7 +17,7 @@ Advisory notes:
 * ``ALC402`` — the peak live set (sum of live value footprints over the
   linearized order) exceeds total on-chip capacity.
 * ``ALC403`` — a single op's working footprint exceeds on-chip capacity:
-  exactly the condition under which ``SpillInsertionPass`` inserts a
+  exactly the condition under which ``insert_spills`` inserts a
   spill/fill pair around it, so the note statically predicts every spill.
 """
 
@@ -106,7 +106,7 @@ class LivenessAnalysis(Analysis):
                     "ALC403",
                     f"{tag}: working footprint {footprint / 1e6:.1f} MB "
                     f"exceeds on-chip capacity {capacity / 1e6:.1f} MB — "
-                    f"SpillInsertionPass will spill here",
+                    f"insert_spills will spill here",
                     op_index=i, op_label=op.label))
             if pos == first_over:
                 out.append(Diagnostic(

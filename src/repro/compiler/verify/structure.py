@@ -1,10 +1,9 @@
-"""Structure analysis: dataflow and shape sanity (the old ValidatePass).
+"""Structure analysis: dataflow and shape sanity.
 
-This is the first analysis in the framework; :class:`ValidatePass` is a
-thin wrapper around it.  Checks: the def/use graph is acyclic, ``.out``
-aliases are unique, and per-kind shape parameters are present (an NTT
-without a ring degree or a Bconv without source channels would silently
-cost zero cycles).
+This is the first analysis in the framework.  Checks: the def/use graph
+is acyclic, ``.out`` aliases are unique, and per-kind shape parameters
+are present (an NTT without a ring degree or a Bconv without source
+channels would silently cost zero cycles).
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.cost.model import OpCost, cost_op
 from repro.compiler.ops import HighLevelOp, Program
-from repro.compiler.passes.base import PassContext
-from repro.compiler.passes.spill import SpillInsertionPass
+from repro.compiler.passes import insert_spills
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.faults.model import FaultModel
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
@@ -80,11 +79,11 @@ class FaultInjector:
     def prepare(self, program: Program, timed: bool = False) -> Program:
         """Re-schedule ``program`` against the post-fault scratchpad.
 
-        With no scratchpad loss this is the identity.  Otherwise the
-        spill-insertion pass re-runs against the reduced capacity, so the
-        degraded schedule carries its extra HBM traffic where the overflow
-        occurs; the program keeps its name so tenant accounting and the
-        campaign reports stay stable.
+        With no scratchpad loss this is the identity.  Otherwise
+        :func:`~repro.compiler.passes.insert_spills` re-runs against the
+        reduced capacity, so the degraded schedule carries its extra HBM
+        traffic where the overflow occurs; the program keeps its name, so
+        tenant accounting and the campaign reports stay stable.
 
         ``timed`` says the caller already holds per-op timings for
         ``program``.  A re-spill adds ops those timings cannot describe,
@@ -98,9 +97,7 @@ class FaultInjector:
             raise ValueError(
                 f"scratchpad loss ({loss} B) exceeds on-chip capacity "
                 f"({self.config.total_onchip_bytes} B)")
-        ctx = PassContext(config=self.config)
-        spilled = SpillInsertionPass(capacity_bytes=capacity).run(
-            program, ctx)
+        spilled = insert_spills(program, capacity, self.config.word_bytes)
         added = len(spilled.ops) - len(program.ops)
         if timed and added:
             raise ValueError(
@@ -112,16 +109,7 @@ class FaultInjector:
             program=program.name, kind="scratchpad_loss", cycle=0.0,
             details={"bytes_lost": loss, "capacity_bytes": capacity,
                      "spill_ops_added": added}))
-        if spilled is program:
-            return program
-        return Program(
-            name=program.name,
-            ops=list(spilled.ops),
-            poly_degree=spilled.poly_degree,
-            description=spilled.description,
-            metadata=dict(spilled.metadata),
-            inputs=spilled.inputs,
-        )
+        return spilled
 
     # ------------------------------ per-op hook ------------------------- #
 

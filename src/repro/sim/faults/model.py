@@ -15,7 +15,7 @@ plausibly suffer (CiFHER's resizable-core argument, REED's chiplet loss):
   sees fewer wave slots (``AlchemistConfig.with_capacity_loss``);
 * :class:`ScratchpadLoss` — on-chip SRAM capacity permanently lost before
   the run; the program is re-scheduled against the reduced capacity by
-  re-running ``SpillInsertionPass``;
+  re-running :func:`~repro.compiler.passes.insert_spills`;
 * :class:`TransientFaults` — each op *attempt* fails independently with a
   fixed probability.  Failure draws are a pure function of
   ``(seed, tenant, op index, attempt)`` via SHA-256 (no Python ``hash()``,

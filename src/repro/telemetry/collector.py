@@ -1,8 +1,8 @@
 """The telemetry sink: collects events and computes aggregate views.
 
 A :class:`TraceCollector` is handed to the producers (``CycleSimulator``,
-``MetaOpExecutor``, the fault injector, the memory models, the verify and
-serving layers) which call its ``record_*`` methods.  Producers hold
+``MetaOpExecutor``, the fault injector, the memory models, the serving
+layer) which call its ``record_*`` methods.  Producers hold
 ``collector=None`` by default and guard every call with ``if collector
 is not None`` — with tracing off no telemetry code runs at all, keeping
 the calibration path bit-identical.
@@ -43,10 +43,6 @@ class TraceCollector:
         self.memory_events: List[MemoryEvent] = []
         #: Fault injections/recoveries (from repro.sim.faults injectors).
         self.fault_events: List[FaultEvent] = []
-        self.pass_telemetry: List[object] = []
-        #: LintReports recorded by the verify layer (PassManager lint gate,
-        #: ``repro lint`` runs handed this collector).
-        self.lint_reports: List[object] = []
         #: ServeReports recorded by the serving layer (``repro serve``
         #: runs handed this collector).
         self.serving_reports: List[object] = []
@@ -114,14 +110,6 @@ class TraceCollector:
     def record_fault(self, event: FaultEvent) -> None:
         """Record one fault injection/recovery (from a FaultInjector)."""
         self.fault_events.append(event)
-
-    def record_pass(self, telemetry) -> None:
-        """Record one compiler-pass telemetry record (from PassManager)."""
-        self.pass_telemetry.append(telemetry)
-
-    def record_diagnostics(self, report) -> None:
-        """Record one static-verifier LintReport (from the lint gate)."""
-        self.lint_reports.append(report)
 
     def record_serving_report(self, report) -> None:
         """Record one ServeReport (from a ServingSimulator run)."""
@@ -211,18 +199,9 @@ class TraceCollector:
             "memory_totals": self.memory_totals(),
             "num_events": len(self.events),
         }
-        if self.lint_reports:
-            # only present when the verify layer ran, so summaries from
-            # lint-free runs are byte-identical to before the linter existed
-            out["lint"] = {
-                "programs": len(self.lint_reports),
-                "errors": sum(len(r.errors) for r in self.lint_reports),
-                "warnings": sum(len(r.warnings) for r in self.lint_reports),
-                "notes": sum(len(r.notes) for r in self.lint_reports),
-                "reports": [r.as_dict() for r in self.lint_reports],
-            }
         if self.serving_reports:
-            # same convention: only present when the serving layer ran
+            # only present when the serving layer ran, so summaries from
+            # other runs stay byte-identical to before it existed
             out["serving"] = {
                 "runs": len(self.serving_reports),
                 "reports": [r.as_dict() for r in self.serving_reports],

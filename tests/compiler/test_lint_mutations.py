@@ -25,9 +25,10 @@ from repro.compiler.ckks_programs import (
     rotation_program,
 )
 from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.passes import PassManager, SpillInsertionPass
+from repro.compiler.passes import insert_spills
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.compiler.verify import lint_program
+from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.engine import EventDrivenSimulator
 
 
@@ -36,6 +37,12 @@ def _ew(label, defs=(), uses=(), **kw):
     kw.setdefault("channels", 4)
     return HighLevelOp(OpKind.EW_ADD, label, defs=tuple(defs),
                        uses=tuple(uses), **kw)
+
+
+def _spilled_pbs():
+    return insert_spills(pbs_batch_program(PBS_SET_I),
+                         ALCHEMIST_DEFAULT.total_onchip_bytes,
+                         ALCHEMIST_DEFAULT.word_bytes)
 
 
 def _engine_triples(program):
@@ -201,9 +208,7 @@ def war_hazard_schedule():
 
 
 def spill_without_fill():
-    spilled = PassManager([SpillInsertionPass()]).run(
-        pbs_batch_program(PBS_SET_I))
-    assert spilled.name.endswith("+spill")
+    spilled = _spilled_pbs()
     i = next(i for i, op in enumerate(spilled.ops)
              if op.kind == OpKind.HBM_LOAD and op.label.endswith(".fill"))
     spilled.ops.pop(i)
@@ -317,8 +322,7 @@ def test_moving_a_consumer_before_its_producer_is_caught(data, builder):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_dropping_any_fill_breaks_spill_pairing(data):
-    spilled = PassManager([SpillInsertionPass()]).run(
-        pbs_batch_program(PBS_SET_I))
+    spilled = _spilled_pbs()
     fills = [i for i, op in enumerate(spilled.ops)
              if op.kind == OpKind.HBM_LOAD and op.label.endswith(".fill")]
     assert fills

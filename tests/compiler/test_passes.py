@@ -1,27 +1,24 @@
-"""Tests for the compiler pass pipeline (validate, fuse, spill, traffic)."""
-
-import pytest
+"""Tests for the program rewrites (spill insertion, elementwise fusion) and
+the structure analysis that checks programs before they are costed."""
 
 from repro.compiler.ckks_programs import cmult_program, pmult_program
 from repro.compiler.ops import HighLevelOp, OpKind, Program
 from repro.compiler.passes import (
-    CompileError,
-    FuseElementwisePass,
-    SpillInsertionPass,
-    TrafficAnnotationPass,
-    ValidatePass,
-    default_pipeline,
-    validation_errors,
+    fuse_elementwise,
+    insert_spills,
+    peak_footprint_bytes,
 )
-from repro.compiler.passes.base import PassContext
-from repro.compiler.passes.spill import peak_footprint_bytes
+from repro.compiler.verify import AnalysisContext, StructureAnalysis
 from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.engine import EventDrivenSimulator
 from repro.sim.simulator import CycleSimulator
 
+CAPACITY = ALCHEMIST_DEFAULT.total_onchip_bytes
+WORD = ALCHEMIST_DEFAULT.word_bytes
 
-def _ctx():
-    return PassContext(config=ALCHEMIST_DEFAULT)
+
+def _structure(program):
+    return StructureAnalysis().run(program, AnalysisContext())
 
 
 def _oversized_op(label="huge"):
@@ -31,11 +28,11 @@ def _oversized_op(label="huge"):
                        defs=(label,), uses=(f"{label}.in",))
 
 
-# ------------------------------ validate --------------------------------- #
+# ------------------------------ structure -------------------------------- #
 
 def test_validate_accepts_all_builders():
     for builder in (cmult_program, pmult_program):
-        assert validation_errors(builder()) == []
+        assert _structure(builder()) == []
 
 
 def test_validate_rejects_cycles():
@@ -44,15 +41,15 @@ def test_validate_rejects_cycles():
                          defs=("x",), uses=("y",)))
     prog.add(HighLevelOp(OpKind.EW_ADD, "b", poly_degree=8,
                          defs=("y",), uses=("x",)))
-    with pytest.raises(CompileError, match="cycle"):
-        ValidatePass().run(prog, _ctx())
+    diags = _structure(prog)
+    assert [d.code for d in diags] == ["ALC001"]
+    assert "cycle" in diags[0].message
 
 
 def test_validate_rejects_shapeless_ntt():
     prog = Program("bad")
     prog.add(HighLevelOp(OpKind.NTT, "ntt0", poly_degree=0))
-    errors = validation_errors(prog)
-    assert any("poly_degree" in e for e in errors)
+    assert any("poly_degree" in d.message for d in _structure(prog))
 
 
 def test_validate_rejects_duplicate_out_alias():
@@ -61,16 +58,17 @@ def test_validate_rejects_duplicate_out_alias():
                          defs=("ks.out",)))
     prog.add(HighLevelOp(OpKind.EW_ADD, "b", poly_degree=8,
                          defs=("ks.out",)))
-    assert any("already defined" in e for e in validation_errors(prog))
+    assert any("already defined" in d.message for d in _structure(prog))
 
 
 def test_validate_nonstrict_notes_instead_of_raising():
+    """The analysis reports a malformed program; it never raises and
+    never edits it."""
     prog = Program("bad")
     prog.add(HighLevelOp(OpKind.NTT, "ntt0", poly_degree=0))
-    ctx = _ctx()
-    out = ValidatePass(strict=False).run(prog, ctx)
-    assert out is prog
-    assert ctx.notes
+    before = list(prog.ops)
+    assert [d.code for d in _structure(prog)] == ["ALC003"]
+    assert prog.ops == before
 
 
 # ------------------------------ fusion ----------------------------------- #
@@ -81,16 +79,16 @@ def test_fusion_merges_single_consumer_chain():
                          defs=("t",), uses=("a", "b")))
     prog.add(HighLevelOp(OpKind.EW_ADD, "add", poly_degree=256,
                          defs=("out",), uses=("t", "c")))
-    out = FuseElementwisePass().run(prog, _ctx())
+    out = fuse_elementwise(prog)
     assert len(out.ops) == 1
+    assert out.name == prog.name
     fused = out.ops[0]
     assert fused.kind == OpKind.EW_MULT
     assert fused.defs == ("out",)
     assert set(fused.uses) == {"a", "b", "c"}
     # the intermediate write + re-read disappears
-    wb = ALCHEMIST_DEFAULT.word_bytes
-    before = sum(op.sram_bytes(wb) for op in prog.ops)
-    assert sum(op.sram_bytes(wb) for op in out.ops) < before
+    before = sum(op.sram_bytes(WORD) for op in prog.ops)
+    assert sum(op.sram_bytes(WORD) for op in out.ops) < before
     out.linearize()                  # fused graph stays acyclic
 
 
@@ -102,13 +100,12 @@ def test_fusion_respects_fanout():
                          defs=("out",), uses=("t",)))
     prog.add(HighLevelOp(OpKind.EW_ADD, "other", poly_degree=256,
                          defs=("out2",), uses=("t",)))
-    out = FuseElementwisePass().run(prog, _ctx())
-    assert out is prog               # intermediate has two consumers
+    assert fuse_elementwise(prog) is prog   # intermediate has two consumers
 
 
 def test_fusion_shrinks_cmult_without_breaking_bounds():
     prog = cmult_program()
-    fused = FuseElementwisePass().run(prog, _ctx())
+    fused = fuse_elementwise(prog)
     assert len(fused.ops) < len(prog.ops)
     sim = CycleSimulator()
     assert (sim.run(fused).pipelined_cycles
@@ -126,7 +123,8 @@ def test_spill_inserted_adjacent_to_offending_op():
     prog.add(_oversized_op())
     prog.add(HighLevelOp(OpKind.EW_ADD, "after", poly_degree=64,
                          defs=("after",), uses=("huge",)))
-    out = SpillInsertionPass().run(prog, _ctx())
+    out = insert_spills(prog, CAPACITY, WORD)
+    assert out.name == prog.name
     labels = [op.label for op in out.ops]
     assert labels == ["before", "huge.spill", "huge", "huge.fill", "after"]
     store, fill = out.ops[1], out.ops[3]
@@ -141,61 +139,20 @@ def test_spill_inserted_adjacent_to_offending_op():
 
 def test_spill_resident_program_is_unchanged():
     prog = pmult_program()
-    assert SpillInsertionPass().run(prog, _ctx()) is prog
+    assert insert_spills(prog, CAPACITY, WORD) is prog
 
 
 def test_scheduler_delegates_to_spill_pass():
-    """Spilling is the pass's job; the scheduler only orders what it
+    """Spilling is the rewrite's job; the scheduler only orders what it
     emits: evict before the oversized op, restore after it."""
     prog = Program("huge")
     prog.add(_oversized_op())
-    spilled = SpillInsertionPass().run(prog, _ctx())
+    spilled = insert_spills(prog, CAPACITY, WORD)
     assert [op.kind for op in spilled.ops] == [
         OpKind.HBM_STORE, OpKind.EW_MULT, OpKind.HBM_LOAD]
     # evict exactly the overflow of the largest footprint, restore it after
-    overflow = (peak_footprint_bytes(prog, ALCHEMIST_DEFAULT.word_bytes)
-                - ALCHEMIST_DEFAULT.total_onchip_bytes)
+    overflow = peak_footprint_bytes(prog, WORD) - CAPACITY
     assert spilled.total_hbm_bytes() == 2 * overflow > 0
     store, op, fill = EventDrivenSimulator().run(spilled).schedule
     assert store.end <= op.start
     assert op.end <= fill.start
-
-
-# ------------------------------ traffic ---------------------------------- #
-
-def test_traffic_annotation_totals():
-    prog = cmult_program()
-    out = TrafficAnnotationPass().run(prog, _ctx())
-    traffic = out.metadata["traffic"]
-    wb = ALCHEMIST_DEFAULT.word_bytes
-    assert traffic["sram_bytes"] == sum(
-        op.sram_bytes(wb) for op in prog.ops)
-    assert traffic["hbm_bytes"] == prog.total_hbm_bytes()
-    assert len(traffic["per_op"]) == len(prog.ops)
-
-
-# ------------------------------ manager ---------------------------------- #
-
-def test_pass_manager_records_telemetry():
-    pm = default_pipeline()
-    pm.run(cmult_program())
-    names = [t.pass_name for t in pm.telemetry]
-    assert names == ["validate", "spill-insertion", "annotate-traffic"]
-    by_pass = pm.telemetry_by_pass()
-    assert by_pass["annotate-traffic"][0].notes
-
-
-def test_pass_manager_forwards_to_collector():
-    from repro.telemetry import TraceCollector
-
-    collector = TraceCollector()
-    pm = default_pipeline(collector=collector)
-    pm.run(cmult_program())
-    assert collector.pass_telemetry == pm.telemetry
-
-
-def test_default_pipeline_fuse_is_opt_in():
-    names = [p.name for p in default_pipeline(fuse=True).passes]
-    assert "fuse-elementwise" in names
-    names = [p.name for p in default_pipeline().passes]
-    assert "fuse-elementwise" not in names

@@ -21,11 +21,10 @@ from repro.compiler.ckks_programs import (
 from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
 from repro.compiler.passes import (
     CompileError,
-    PassManager,
-    SpillInsertionPass,
-    ValidatePass,
-    default_pipeline,
-    validation_diagnostics,
+    _check_ssa,
+    _fusable,
+    fuse_elementwise,
+    insert_spills,
 )
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.compiler.verify import (
@@ -46,8 +45,8 @@ from repro.compiler.verify import (
     schedule_diagnostics,
 )
 from repro.compiler.verify.base import forward
+from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.engine import EventDrivenSimulator
-from repro.telemetry import TraceCollector
 
 ALL_BUILDERS = (
     pmult_program, hadd_program, keyswitch_program, cmult_program,
@@ -64,6 +63,11 @@ def _ew(label, defs=(), uses=(), **kw):
     kw.setdefault("channels", 2)
     return HighLevelOp(OpKind.EW_ADD, label, defs=tuple(defs),
                        uses=tuple(uses), **kw)
+
+
+def _spill(program):
+    return insert_spills(program, ALCHEMIST_DEFAULT.total_onchip_bytes,
+                         ALCHEMIST_DEFAULT.word_bytes)
 
 
 # ----------------------------- diagnostics ------------------------------- #
@@ -157,7 +161,7 @@ def test_validation_diagnostics_matches_legacy_messages():
     prog = Program("bad")
     prog.add(HighLevelOp(OpKind.BCONV, "bc", poly_degree=1024,
                          in_channels=0, channels=2))
-    diags = validation_diagnostics(prog)
+    diags = StructureAnalysis().run(prog, AnalysisContext())
     assert [d.code for d in diags] == ["ALC004"]
     assert "in_channels" in diags[0].message
 
@@ -351,8 +355,7 @@ def test_spill_prediction_matches_spill_insertion_pass():
             d.op_label
             for d in lint_program(program).notes if d.code == "ALC403"
         }
-        pm = PassManager([SpillInsertionPass()])
-        spilled = pm.run(program)
+        spilled = _spill(program)
         actual = {
             op.label[:-len(".spill")]
             for op in spilled.ops
@@ -417,9 +420,9 @@ def test_spill_without_fill_is_alc503():
 
 
 def test_spilled_program_passes_hazard_analysis():
-    pm = PassManager([SpillInsertionPass()])
-    spilled = pm.run(pbs_batch_program(PBS_SET_I))
-    assert spilled.name.endswith("+spill")
+    program = pbs_batch_program(PBS_SET_I)
+    spilled = _spill(program)
+    assert len(spilled.ops) > len(program.ops)
     assert HazardAnalysis().run(spilled, AnalysisContext()) == []
 
 
@@ -435,8 +438,7 @@ def test_engine_audit_is_clean_for_every_workload():
 
 def test_engine_audit_clean_across_policies_and_spills():
     sim = EventDrivenSimulator()
-    pm = PassManager([SpillInsertionPass()])
-    programs = [pm.run(pbs_batch_program(PBS_SET_I)), cmult_program()]
+    programs = [_spill(pbs_batch_program(PBS_SET_I)), cmult_program()]
     for policy in ("fcfs", "round-robin", "priority"):
         report = sim.run_mix(programs, policy=policy, audit=True)
         assert report.diagnostics == [], policy
@@ -447,74 +449,18 @@ def test_engine_audit_off_by_default():
     assert report.diagnostics == []
 
 
-# ----------------------------- pipeline gate ------------------------------- #
-
-
-def test_pass_manager_lint_gate_passes_clean_programs():
-    pm = default_pipeline(lint=True)
-    out = pm.run(bootstrapping_program())
-    lint_records = [t for t in pm.telemetry if t.pass_name == "lint"]
-    assert len(lint_records) == 1
-    assert all(d.severity < Severity.ERROR
-               for d in lint_records[0].diagnostics)
-    assert len(out.ops) >= len(bootstrapping_program().ops)
-
-
-def test_pass_manager_lint_gate_rejects_broken_programs():
-    prog = Program("broken", inputs=("in",))
-    prog.add(_ew("op", defs=("a",), uses=("ghost",)))
-    pm = PassManager([], lint=True)
-    with pytest.raises(CompileError) as exc:
-        pm.run(prog)
-    assert any(d.code == "ALC301" for d in exc.value.diagnostics)
-
-
-def test_lint_gate_is_opt_in():
-    prog = Program("broken", inputs=("in",))
-    prog.add(_ew("op", defs=("a",), uses=("ghost",)))
-    PassManager([]).run(prog)            # no gate, no raise
-
-
-def test_lint_gate_forwards_report_to_collector():
-    collector = TraceCollector()
-    pm = default_pipeline(collector=collector, lint=True)
-    pm.run(cmult_program())
-    assert len(collector.lint_reports) == 1
-    assert collector.lint_reports[0].ok
-    summary = collector.summary_dict()
-    assert summary["lint"]["errors"] == 0
-    assert summary["lint"]["programs"] == 1
-
-
-def test_summary_dict_has_no_lint_key_without_reports():
-    assert "lint" not in TraceCollector().summary_dict()
-
-
-def test_validate_pass_carries_diagnostics_on_compile_error():
-    prog = Program("bad")
-    prog.add(HighLevelOp(OpKind.NTT, "ntt0", poly_degree=0, channels=1))
-    with pytest.raises(CompileError) as exc:
-        PassManager([ValidatePass()]).run(prog)
-    assert [d.code for d in exc.value.diagnostics] == ["ALC003"]
-
-
 # ----------------------------- fusion integrity ----------------------------- #
 
 
 def test_fusion_propagates_inputs_and_stays_lintable():
-    from repro.compiler.passes import FuseElementwisePass
-
     program = cmult_program()
-    pm = PassManager([FuseElementwisePass()])
-    fused = pm.run(program)
+    fused = fuse_elementwise(program)
     assert len(fused.ops) < len(program.ops)
     assert fused.inputs == program.inputs
     assert lint_program(fused).ok
 
 
 def test_fusion_does_not_merge_distinct_roles():
-    from repro.compiler.passes.fusion import _fusable
-
     a = HighLevelOp(OpKind.EW_MULT, "t", poly_degree=64, channels=1,
                     defs=("t",), uses=("x",), role="tensor")
     b = HighLevelOp(OpKind.EW_MULT, "rs", poly_degree=64, channels=1,
@@ -523,21 +469,16 @@ def test_fusion_does_not_merge_distinct_roles():
 
 
 def test_fusion_ssa_recheck_catches_orphans():
-    from repro.compiler.passes.fusion import FuseElementwisePass
-
     broken = Program("orphaned", inputs=("in",))
     broken.add(_ew("op", defs=("a",), uses=("ghost",)))
     with pytest.raises(CompileError) as exc:
-        FuseElementwisePass._check_ssa(broken)
+        _check_ssa(broken)
     assert any(d.code == "ALC301" for d in exc.value.diagnostics)
 
 
 def test_fused_workloads_lint_clean():
-    from repro.compiler.passes import FuseElementwisePass
-
     for build in ALL_BUILDERS:
-        pm = PassManager([FuseElementwisePass()])
-        fused = pm.run(build())
+        fused = fuse_elementwise(build())
         report = lint_program(fused)
         assert report.ok, f"{fused.name}: {report.format()}"
 

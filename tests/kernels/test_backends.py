@@ -32,7 +32,8 @@ def test_registry_lists_all_backends_default_first():
     assert names == ("numpy", "reference")
 
 
-def test_default_backend_is_numpy():
+def test_default_backend_is_numpy(monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
     set_backend(None)  # fall back to env var / default
     assert get_backend().name == "numpy"
 

@@ -1,7 +1,7 @@
 """Tests for the scheduling kernel and on-chip residency (Section 5.4).
 
 Residency is decided by the per-op footprint check of
-``SpillInsertionPass`` (with ``ALC403`` predicting each spill and
+``insert_spills`` (with ``ALC403`` predicting each spill and
 ``ALC200``-``ALC202`` checking slot locality); start/end cycles come from
 the one resource-frontier kernel, :func:`repro.sim.schedule.schedule`.
 """
@@ -16,9 +16,7 @@ from repro.compiler.ckks_programs import (
     pmult_program,
 )
 from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
-from repro.compiler.passes import SpillInsertionPass
-from repro.compiler.passes.base import PassContext
-from repro.compiler.passes.spill import peak_footprint_bytes
+from repro.compiler.passes import insert_spills, peak_footprint_bytes
 from repro.compiler.verify import AnalysisContext, SlotPartitionAnalysis, lint_program
 from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.schedule import schedule
@@ -29,7 +27,7 @@ WORD = ALCHEMIST_DEFAULT.word_bytes
 
 
 def _spill(program):
-    return SpillInsertionPass().run(program, PassContext(config=ALCHEMIST_DEFAULT))
+    return insert_spills(program, CAPACITY, WORD)
 
 
 def _ew(label, defs=(), uses=(), elements=1 << 16):
