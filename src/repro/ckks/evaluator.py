@@ -220,13 +220,16 @@ class CKKSEvaluator:
             raise ValueError("relinearize supports size-3 ciphertexts")
         if self.relin_key is None:
             raise ValueError("no relinearization key available")
+        key = self.relin_key.levels.get(ct.level)
+        if key is None:
+            raise ValueError(f"no relinearization key at level {ct.level}")
         self._trace_key("relin")
         primes, special = ct.primes, self.params.special_primes
         extended = primes + special
         switched = switch_raised(
             raise_digits(ct.parts[2].to_coeff(),
                          self.params.digits_at_level(ct.level), special),
-            self.relin_key.levels[ct.level].key)
+            key.key)
         switched = get_backend().pointwise_add(
             switched, lift(ntt_batch(ct.parts[:2]), primes, special),
             extended)

@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
-from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.verify.base import AnalysisContext
-from repro.compiler.verify.liveness import LivenessAnalysis
+from repro.compiler.ops import HighLevelOp, OpKind, Program, ProgramGraph
+from repro.compiler.verify.liveness import bind_uses
 
 
 class CompileError(ValueError):
@@ -173,8 +172,7 @@ def _check_ssa(fused: Program) -> None:
     """Fusion must not orphan any value: every use in the fused program
     still resolves to a def or a declared input, with no forward
     references introduced by the re-emission order."""
-    broken = [d for d in LivenessAnalysis().run(fused, AnalysisContext())
-              if d.code in ("ALC301", "ALC302")]
+    broken, _ = bind_uses(ProgramGraph(fused))
     if broken:
         raise CompileError(
             f"fuse-elementwise broke def/use integrity of {fused.name!r}: "

@@ -23,11 +23,41 @@ Advisory notes:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from repro.compiler.ops import OpKind, Program, ProgramGraph, bind_use
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
+
+
+def bind_uses(graph: ProgramGraph) -> Tuple[List[Diagnostic], Set[str]]:
+    """Bind every use of ``graph``'s program to its def: the ALC301 and
+    ALC302 findings, in op order, and the set of values used."""
+    program = graph.program
+    out: List[Diagnostic] = []
+    declared = set(program.inputs)
+    used: Set[str] = set()
+    for i, op in enumerate(program.ops):
+        tag = op.label or f"op{i}"
+        for v in op.uses:
+            used.add(v)
+            sites = graph.def_sites.get(v)
+            if not sites:
+                if declared and v not in declared:
+                    out.append(Diagnostic(
+                        "ALC301",
+                        f"{tag}: uses {v!r}, which is never defined and "
+                        f"is not a declared program input",
+                        op_index=i, op_label=op.label, values=(v,)))
+                continue
+            site = bind_use(sites, i)
+            if site is not None and site > i:
+                out.append(Diagnostic(
+                    "ALC302",
+                    f"{tag}: uses {v!r} before its definition "
+                    f"(op {site})",
+                    op_index=i, op_label=op.label, values=(v,)))
+    return out, used
 
 
 class LivenessAnalysis(Analysis):
@@ -38,29 +68,7 @@ class LivenessAnalysis(Analysis):
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
         graph = ctx.graph_of(program)
-        out: List[Diagnostic] = []
-        declared = set(getattr(program, "inputs", ()) or ())
-        used: Set[str] = set()
-        for i, op in enumerate(program.ops):
-            tag = op.label or f"op{i}"
-            for v in op.uses:
-                used.add(v)
-                sites = graph.def_sites.get(v)
-                if not sites:
-                    if declared and v not in declared:
-                        out.append(Diagnostic(
-                            "ALC301",
-                            f"{tag}: uses {v!r}, which is never defined and "
-                            f"is not a declared program input",
-                            op_index=i, op_label=op.label, values=(v,)))
-                    continue
-                site = bind_use(sites, i)
-                if site is not None and site > i:
-                    out.append(Diagnostic(
-                        "ALC302",
-                        f"{tag}: uses {v!r} before its definition "
-                        f"(op {site})",
-                        op_index=i, op_label=op.label, values=(v,)))
+        out, used = bind_uses(graph)
         out.extend(self._dead_defs(graph, used))
         out.extend(self._capacity(graph, ctx))
         return out

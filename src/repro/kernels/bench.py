@@ -148,7 +148,7 @@ def _ckks_stack(scale: Dict[str, int]) -> Tuple[Any, Any]:
     from repro.ckks.encoder import CKKSEncoder
     from repro.ckks.encryptor import CKKSEncryptor
     from repro.ckks.evaluator import CKKSEvaluator
-    from repro.ckks.keys import CKKSKeyGenerator, RelinKey
+    from repro.ckks.keys import CKKSKeyGenerator
     from repro.ckks.params import CKKSParams
 
     rng = np.random.default_rng(_SEED)
@@ -157,12 +157,9 @@ def _ckks_stack(scale: Dict[str, int]) -> Tuple[Any, Any]:
     )
     encoder = CKKSEncoder(params.n, params.scale)
     keygen = CKKSKeyGenerator(params, rng)
-    # Only the top-level switching key is exercised, so skip the rest of
-    # the per-level relin key material (it dominates setup time at L=44).
-    relin = RelinKey(params)
-    relin.levels[params.num_levels] = keygen._switching_key_for_level(
-        keygen._squared_secret(), params.num_levels
-    )
+    # Switching keys are formed on first use: the Cmult forms only the
+    # top level's.
+    relin = keygen.relin_key()
     encryptor = CKKSEncryptor(
         params, encoder, rng, secret_key=keygen.secret_key()
     )

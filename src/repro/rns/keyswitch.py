@@ -26,7 +26,8 @@ x + ModDown(y)`` exactly, which is what lets a sum share one Moddown:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +42,18 @@ class SwitchingKey:
     ``data[:, t]`` holds digit ``t``'s pair ``(b_t, a_t)`` in NTT form over
     ``primes`` (``chain + special``), so DecompPolyMult is one ``mac`` over
     the stored array with no per-call copy; :attr:`pairs` are views of it.
+
+    A key from :func:`make_switching_key` is formed on first access of
+    :attr:`data` (as :attr:`pairs`, :attr:`dnum`, a keyswitch and a save
+    all do), once; a key built from an array (:meth:`from_halves`, the
+    loaders of :mod:`repro.serialization`) holds it from the start.
+    Until it is formed, a key holds references to its generator's
+    NTT-form secret and to its source secret (``s²`` or ``σ_g(s)``); it
+    drops them once formed.  Serialization writes only the formed key,
+    never a secret.
     """
 
-    __slots__ = ("ring", "data", "primes")
+    __slots__ = ("ring", "primes", "_data", "_form")
 
     def __init__(self, ring: RNSRing, data: np.ndarray,
                  primes: Tuple[int, ...]):
@@ -53,8 +63,9 @@ class SwitchingKey:
                 f"switching key data {data.shape} is not "
                 f"({len(primes)}, dnum, 2, n)")
         self.ring = ring
-        self.data = data
         self.primes = tuple(primes)
+        self._data: Optional[np.ndarray] = data
+        self._form: Optional[Callable[[], np.ndarray]] = None
 
     @classmethod
     def from_halves(cls, ring: RNSRing, halves: Sequence[np.ndarray],
@@ -66,6 +77,26 @@ class SwitchingKey:
         return cls(ring, data.reshape(data.shape[0], -1, 2, data.shape[-1]),
                    primes)
 
+    @classmethod
+    def deferred(cls, ring: RNSRing, primes: Tuple[int, ...],
+                 form: Callable[[], np.ndarray]) -> "SwitchingKey":
+        """A key whose array ``form()`` makes on first access of
+        :attr:`data`."""
+        key = cls.__new__(cls)
+        key.ring = ring
+        key.primes = tuple(primes)
+        key._data = None
+        key._form = form
+        return key
+
+    @property
+    def data(self) -> np.ndarray:
+        """The ``(C_ext, dnum, 2, n)`` key array, formed on first access."""
+        if self._data is None:
+            self._data = self._form()
+            self._form = None
+        return self._data
+
     @property
     def dnum(self) -> int:
         return self.data.shape[1]
@@ -76,6 +107,29 @@ class SwitchingKey:
         return [tuple(RNSPoly(self.ring, self.data[:, t, k], self.primes, True)
                       for k in (0, 1))
                 for t in range(self.dnum)]
+
+
+def _key_draws(
+    ring: RNSRing,
+    extended: Tuple[int, ...],
+    dnum: int,
+    rng: np.random.Generator,
+    error_std: float,
+    expander: Optional[SeedExpander],
+    stream_prefix: str,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each digit's coefficient-form ``(e_t, a_t)`` over ``extended``, in
+    the key's draw order: digit by digit, ``a_t`` from ``rng`` (or from
+    ``expander``'s stream ``{stream_prefix}/d{t}``), then ``e_t`` from
+    ``rng``."""
+    for t in range(dnum):
+        if expander is not None:
+            a = expander.uniform_rns(ring, extended,
+                                     digit_stream(stream_prefix, t))
+        else:
+            a = ring.sample_uniform(rng, primes=extended)
+        e = ring.sample_error(rng, primes=extended, sigma=error_std)
+        yield e.data, a.data
 
 
 def make_switching_key(
@@ -90,11 +144,12 @@ def make_switching_key(
     expander: Optional[SeedExpander] = None,
     stream_prefix: str = "",
 ) -> SwitchingKey:
-    """Build the per-digit key pairs for switching ``s_from -> s_to``.
+    """The per-digit key pairs for switching ``s_from -> s_to``, formed
+    on first use.
 
     ``s_to`` and ``s_from`` are secrets in NTT form over (a superset of)
-    ``chain + special``, cut to that basis by rows; the returned key is in
-    NTT form over ``chain + special``.
+    ``chain + special``, cut to that basis by rows; the key is in NTT
+    form over ``chain + special``.
 
     Digit by digit, the uniform ``a_t`` is drawn and then the error
     ``e_t``, both from ``rng``: the order of one draw per digit.  With an
@@ -104,35 +159,66 @@ def make_switching_key(
     the seed (:mod:`repro.serialization`, ``format=seeded/v1``).  The
     errors still come from ``rng`` (the secret, non-regenerable half).
 
-    All ``2·dnum`` drawn polynomials enter the NTT domain in one forward
-    call, and each ``b_t = -a_t·s_to + e_t + P·g_t·s_from`` is formed
-    there.  ``P·g_t`` is ``P`` mod each prime of digit ``t`` (``g_t ≡ 1``
-    there) and 0 mod every other prime (``g_t ≡ 0`` mod the other chain
-    primes, ``P ≡ 0`` mod the special ones), so the keyed term is
-    :func:`lift` of ``s_from`` on digit ``t``'s rows and zero elsewhere.
-    Every step is exact per channel: the NTT is linear, so it commutes
-    with the channel scalars, and each residue sum and product is
-    canonical, so the key is the one the coefficient-form steps give.
+    The call makes the draws, so ``rng`` advances exactly as if the key
+    were formed here, records the generator's state before them and drops
+    them.  The key's first :attr:`~SwitchingKey.data` read draws them again
+    from a generator set to that state (:func:`_form_key`), so the key is
+    the same whenever, and in whatever order, keys are formed.
     """
     if not (s_to.ntt_form and s_from.ntt_form):
         raise ValueError("switching-key secrets must be in NTT form")
     chain = tuple(int(q) for q in chain)
     special = tuple(int(p) for p in special)
     extended = chain + special
+    digits = tuple(tuple(int(q) for q in digit) for digit in digits)
+    state = rng.bit_generator.state
+    for _ in _key_draws(ring, extended, len(digits), rng, error_std,
+                        expander, stream_prefix):
+        pass
+    return SwitchingKey.deferred(ring, extended, partial(
+        _form_key, ring, s_to, s_from, chain, special, digits,
+        type(rng.bit_generator), state, error_std, expander, stream_prefix))
+
+
+def _form_key(
+    ring: RNSRing,
+    s_to: RNSPoly,
+    s_from: RNSPoly,
+    chain: Tuple[int, ...],
+    special: Tuple[int, ...],
+    digits: Tuple[Tuple[int, ...], ...],
+    bit_generator: type,
+    state: dict,
+    error_std: float,
+    expander: Optional[SeedExpander],
+    stream_prefix: str,
+) -> np.ndarray:
+    """The ``(C_ext, dnum, 2, n)`` array of a :func:`make_switching_key`
+    key: its draws replayed from a fresh ``bit_generator`` set to
+    ``state``, entering the NTT domain in one forward call, and each
+    ``b_t = -a_t·s_to + e_t + P·g_t·s_from`` formed there.
+
+    ``P·g_t`` is ``P`` mod each prime of digit ``t`` (``g_t ≡ 1`` there)
+    and 0 mod every other prime (``g_t ≡ 0`` mod the other chain primes,
+    ``P ≡ 0`` mod the special ones), so the keyed term is :func:`lift` of
+    ``s_from`` on digit ``t``'s rows and zero elsewhere.  Every step is
+    exact per channel: the NTT is linear, so it commutes with the channel
+    scalars, and each residue sum and product is canonical, so the key is
+    the one the coefficient-form steps give.
+    """
+    extended = chain + special
+    replay = bit_generator()
+    replay.state = state
     # Column t holds digit t's (e_t, a_t), and then its key pair (b_t,
     # a_t): the key is written back into the draw buffer, which is made
     # before any temporary.  A key array made amid the transform's
     # temporaries fragments the heap and raises the peak RSS.
     key = np.empty((len(extended), len(digits), 2, ring.n), dtype=np.uint64)
-    for t in range(len(digits)):
-        if expander is not None:
-            a = expander.uniform_rns(ring, extended,
-                                     digit_stream(stream_prefix, t))
-        else:
-            a = ring.sample_uniform(rng, primes=extended)
-        key[:, t, 1] = a.data
-        key[:, t, 0] = ring.sample_error(rng, primes=extended,
-                                         sigma=error_std).data
+    for t, (e, a) in enumerate(_key_draws(
+            ring, extended, len(digits), np.random.Generator(replay),
+            error_std, expander, stream_prefix)):
+        key[:, t, 0] = e
+        key[:, t, 1] = a
     backend = get_backend()
     drawn = backend.ntt_forward(key, extended)
     keyed = np.zeros(key[:, :, 0].shape, dtype=np.uint64)
@@ -146,7 +232,7 @@ def make_switching_key(
     key[:, :, 1] = drawn[:, :, 1]
     key[:, :, 0] = backend.pointwise_add(
         backend.pointwise_sub(drawn[:, :, 0], a_s, extended), keyed, extended)
-    return SwitchingKey(ring, key, extended)
+    return key
 
 
 def modup_digits(

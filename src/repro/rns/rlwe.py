@@ -122,7 +122,7 @@ class RLWEKeyGenerator:
         digits: Sequence[Sequence[int]], stream_prefix: str,
     ) -> SwitchingKey:
         """Digit pairs switching ``s_from`` (NTT form) ``-> s`` over
-        ``chain + special``."""
+        ``chain + special``, drawn now and formed on first use."""
         return make_switching_key(
             self.ring, self._secret_ntt, s_from, chain,
             self.params.special_primes, digits, self.rng,

@@ -13,7 +13,7 @@ import pytest
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext, CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
-from repro.ckks.keys import CKKSKeyGenerator, GaloisKey
+from repro.ckks.keys import CKKSKeyGenerator, GaloisKey, RelinKey
 from repro.ckks.params import CKKSParams
 from repro.kernels import backend_scope
 
@@ -256,6 +256,27 @@ def test_failed_galois_ops_trace_no_key(stack):
     assert partial.key_trace == []
     partial.rotate(ct, 1)
     assert partial.key_trace == ["rot:1"]
+
+
+def test_relinearize_without_the_level_key_names_the_level():
+    """A relinearization key that lacks the ciphertext's level fails with
+    a ``ValueError`` that names the level, as a missing Galois key does
+    (it was a bare ``KeyError``), and traces no key touch."""
+    params = CKKSParams(n=64, num_levels=3, dnum=2)
+    rng = np.random.default_rng(0x2E1)
+    encoder = CKKSEncoder(params.n, params.scale)
+    keygen = CKKSKeyGenerator(params, rng)
+    top = RelinKey(params, {3: keygen.relin_key().levels[3]})
+    ev = CKKSEvaluator(params, encoder, relin_key=top)
+    ev.key_trace = []
+    enc = CKKSEncryptor(params, encoder, rng, public_key=keygen.public_key())
+    ct = enc.encrypt_values(rng.normal(size=params.slots), level=2)
+    with pytest.raises(ValueError, match="no relinearization key at level 2"):
+        ev.multiply(ct, ct)
+    assert ev.key_trace == []
+    top_ct = enc.encrypt_values(rng.normal(size=params.slots))
+    assert ev.multiply(top_ct, top_ct).size == 2
+    assert ev.key_trace == ["relin"]
 
 
 def test_conjugate(stack):

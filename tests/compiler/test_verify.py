@@ -476,6 +476,29 @@ def test_fusion_ssa_recheck_catches_orphans():
     assert any(d.code == "ALC301" for d in exc.value.diagnostics)
 
 
+def test_fusion_ssa_recheck_catches_forward_uses():
+    scrambled = Program("scrambled", inputs=("in",))
+    scrambled.add(_ew("early", defs=("b",), uses=("a",)))
+    scrambled.add(_ew("late", defs=("a",), uses=("in",)))
+    with pytest.raises(CompileError) as exc:
+        _check_ssa(scrambled)
+    assert [d.code for d in exc.value.diagnostics] == ["ALC302"]
+
+
+def test_fusion_ssa_recheck_ignores_advisory_findings():
+    """A dead def (ALC401), a peak live set (ALC402) and an op past the
+    on-chip capacity (ALC403) are notes, not broken def/use integrity."""
+    advisory = Program("advisory", inputs=("in",))
+    advisory.add(_ew("w1", defs=("acc",), uses=("in",)))
+    advisory.add(_ew("w2", defs=("acc",), uses=("in",)))
+    advisory.add(_ew("big", defs=("out",), uses=("in",),
+                     poly_degree=1 << 16, channels=1024))
+    codes = [d.code for d in LivenessAnalysis().run(advisory,
+                                                    AnalysisContext())]
+    assert sorted(codes) == ["ALC401", "ALC402", "ALC403"]
+    _check_ssa(advisory)
+
+
 def test_fused_workloads_lint_clean():
     for build in ALL_BUILDERS:
         fused = fuse_elementwise(build())

@@ -37,6 +37,7 @@ def test_hybrid_keyswitch_moddowns_both_parts_in_one_call(
     level = PARAMS.num_levels
     d = _poly(level, 1)
     key = relin.levels[level].key
+    key.data    # formed on first use: count the keyswitch alone
     digits = PARAMS.digits_at_level(level)
     special = PARAMS.special_primes
     with backend_scope(backend):

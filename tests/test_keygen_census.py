@@ -3,8 +3,11 @@
 Key generation draws its random stream one polynomial at a time, in a
 fixed order, but transforms in batches:
 
-* one switching key is one forward NTT of all its digits' drawn ``a_t``
-  and ``e_t`` and no inverse, since both secrets arrive in NTT form;
+* generating a switching key makes its draws and no kernel call; the
+  key is formed on its first use, by one forward NTT of all its digits'
+  drawn ``a_t`` and ``e_t`` (drawn again from the generator state
+  recorded at generation) and no inverse, since both secrets arrive in
+  NTT form;
 * a CKKS generator transforms its secret once, and its squared and
   Galois secrets are a pointwise product and a gather of that transform;
 * a TFHE ``BootstrapKit`` encrypts its bootstrapping key in blocks (one
@@ -13,7 +16,8 @@ fixed order, but transforms in batches:
 
 ``tests/test_key_pins.py`` pins what the keys are; this file pins how many
 kernel calls make them.  A key generator that transforms each ``a_t`` on
-its own, or each TRLWE row, fails here.
+its own, or each TRLWE row, fails here, and so does one that forms a
+switching key when it is generated.
 """
 
 import numpy as np
@@ -40,23 +44,30 @@ def keygen():
 
 def test_one_switching_key_is_one_forward_ntt(keygen, kernel_calls,
                                               kernel_rows):
-    """Every digit's ``a_t`` and ``e_t`` enter the NTT domain in one call
-    (``2·dnum`` rows per channel), and nothing leaves it."""
+    """Generating a key makes no kernel call.  Forming it, on the first
+    read of its ``data``, brings every digit's ``a_t`` and ``e_t`` into
+    the NTT domain in one call (``2·dnum`` rows per channel), and nothing
+    leaves it; a second read makes no call."""
     level = CKKS_BOOT.num_levels
     chain = CKKS_BOOT.primes_at_level(level)
     digits = CKKS_BOOT.digits_at_level(level)
     s = keygen._secret_ntt
 
     def make():
-        make_switching_key(keygen.ring, s, s, chain, CKKS_BOOT.special_primes,
-                           digits, np.random.default_rng(1),
-                           CKKS_BOOT.error_std)
+        return make_switching_key(
+            keygen.ring, s, s, chain, CKKS_BOOT.special_primes, digits,
+            np.random.default_rng(1), CKKS_BOOT.error_std)
 
-    assert dict(kernel_calls(make)) == {
+    assert not kernel_calls(make)
+    key = make()
+    assert dict(kernel_calls(lambda: key.data)) == {
         "ntt_forward": 1, "pointwise_mul": 1, "mul_channel_scalars": 1,
         "pointwise_sub": 1, "pointwise_add": 1}
+    assert not kernel_calls(lambda: key.data)
     extended = len(chain) + len(CKKS_BOOT.special_primes)
-    assert kernel_rows(make)["ntt_forward"] == extended * 2 * len(digits)
+    key = make()
+    assert kernel_rows(lambda: key.data)["ntt_forward"] == (
+        extended * 2 * len(digits))
 
 
 def test_switching_key_secrets_must_be_in_ntt_form(keygen):
@@ -68,11 +79,14 @@ def test_switching_key_secrets_must_be_in_ntt_form(keygen):
 
 
 def test_ckks_bootstrap_key_set(kernel_calls):
-    """The ``ckks-bootstrap`` key set: one forward NTT for the secret, one
-    for the public key's ``a`` (with one inverse for ``b``), and one per
-    switching key — 17 relinearization keys and 15 Galois elements (14
-    rotations and the conjugation) at 17 levels each.  Was 1,476 forward
-    NTT calls when every digit's ``a_t``, ``e_t`` and keyed term was
+    """The ``ckks-bootstrap`` key set, in two phases.  Generating it makes
+    one forward NTT for the secret, one for the public key's ``a`` (with
+    one inverse for ``b``), the squared secret's product and one gather
+    per Galois element.  Forming its keys makes one forward NTT per
+    switching key: 17 relinearization keys and 15 Galois elements (14
+    rotations and the conjugation) at 17 levels each.  The two phases sum
+    to the 274 forward calls of a generator that formed every key at once;
+    that was 1,476 when every digit's ``a_t``, ``e_t`` and keyed term was
     transformed on its own."""
     encoder = CKKSEncoder(CKKS_BOOT.n, CKKS_BOOT.scale)
     rotations = CKKSBootstrapper(
@@ -80,17 +94,32 @@ def test_ckks_bootstrap_key_set(kernel_calls):
         taylor_terms=BOOT_TAYLOR).required_rotations()
     assert len(set(rotations)) == 14
     levels = CKKS_BOOT.num_levels + 1
+    made = []
 
     def generate():
         keygen = CKKSKeyGenerator(CKKS_BOOT, np.random.default_rng(2))
         keygen.secret_key()
         keygen.public_key()
-        keygen.relin_key()
-        keygen.rotation_key(rotations)
-        keygen.conjugation_key()
+        made.extend(keygen.relin_key().levels.values())
+        made.extend(keygen.rotation_key(rotations).keys.values())
+        made.extend(keygen.conjugation_key().keys.values())
+
+    def form():
+        for level in made:
+            level.key.data
 
     keys = levels * (1 + 15)
-    assert dict(kernel_calls(generate)) == {
+    generation = kernel_calls(generate)
+    assert dict(generation) == {
+        "ntt_forward": 2, "ntt_inverse": 1, "pointwise_mul": 2,
+        "automorphism_ntt": 15, "pointwise_add": 1, "negate": 1}
+    assert len(made) == keys == 272
+    forming = kernel_calls(form)
+    assert dict(forming) == {
+        kernel: keys for kernel in ("ntt_forward", "pointwise_mul",
+                                    "mul_channel_scalars", "pointwise_sub",
+                                    "pointwise_add")}
+    assert dict(generation + forming) == {
         "ntt_forward": 2 + keys, "ntt_inverse": 1,
         "pointwise_mul": 1 + 1 + keys, "automorphism_ntt": 15,
         "mul_channel_scalars": keys, "pointwise_sub": keys,
