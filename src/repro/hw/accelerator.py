@@ -1,78 +1,25 @@
-"""Top-level Alchemist accelerator: structure + bookkeeping.
+"""Top-level Alchemist accelerator: configuration, area and power.
 
-Bundles the 128 computing units (core cluster + local scratchpad), the
-shared memory, the transpose register file and the HBM interface.  Timing
-and scheduling live in :mod:`repro.sim`; this class provides the machine the
-simulator drives, plus area/power reporting.
+The 128 computing units (core cluster + local scratchpad), the shared
+memory, the transpose register file and the HBM interface are described
+by an :class:`~repro.hw.config.AlchemistConfig`; their time is one cost
+per operator (:func:`repro.compiler.cost.model.cost_op`), scheduled by
+:mod:`repro.sim`.  This class reports the machine's area and power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro.hw.area import AreaModel, PowerModel
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
-from repro.hw.core import CoreCluster
-from repro.hw.memory import (
-    HBMModel,
-    LocalScratchpad,
-    SharedMemory,
-    TransposeBuffer,
-)
-
-
-@dataclass
-class ComputingUnit:
-    """One of the 128 independent units: core cluster + private scratchpad."""
-
-    unit_id: int
-    cluster: CoreCluster
-    scratchpad: LocalScratchpad
 
 
 class Alchemist:
-    """The unified cross-scheme FHE accelerator (structural model)."""
+    """The unified cross-scheme FHE accelerator (area and power view)."""
 
     def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT):
         self.config = config
-        self.units: List[ComputingUnit] = [
-            ComputingUnit(
-                unit_id=i,
-                cluster=CoreCluster(
-                    lanes=config.lanes_per_core,
-                    num_cores=config.cores_per_unit,
-                ),
-                scratchpad=LocalScratchpad(config.local_sram_bytes),
-            )
-            for i in range(config.num_units)
-        ]
-        self.shared_memory = SharedMemory(config.shared_sram_bytes)
-        self.transpose_buffer = TransposeBuffer(
-            config.num_units, config.word_bytes
-        )
-        self.hbm = HBMModel(config.hbm_bytes_per_cycle)
         self.area_model = AreaModel(config)
         self.power_model = PowerModel(config)
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total_busy_core_cycles(self) -> int:
-        return sum(u.cluster.busy_core_cycles for u in self.units)
-
-    def overall_utilization(self, elapsed_cycles: int) -> float:
-        if elapsed_cycles <= 0:
-            return 0.0
-        capacity = elapsed_cycles * self.config.total_cores
-        return min(1.0, self.total_busy_core_cycles / capacity)
-
-    def reset_activity(self) -> None:
-        for unit in self.units:
-            unit.cluster.reset()
-        self.hbm.bytes_transferred = 0
-
-    # ------------------------------------------------------------------ #
 
     def area_mm2(self) -> float:
         return self.area_model.total_area()

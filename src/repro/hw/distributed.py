@@ -18,7 +18,8 @@ N = 16384 over 128 units example):
   and two out, all through the transpose RF.
 
 Every arithmetic step asserts it touches only the executing unit's local
-vector; the transpose buffer tallies all global word movement.
+vector; two counters tally the transposes and the words they move, which
+is all the global data movement.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import List
 import numpy as np
 
 from repro.hw.config import AlchemistConfig
-from repro.hw.memory import TransposeBuffer
 from repro.kernels import get_backend
 from repro.ntmath.modular import mulmod
 from repro.poly.fourstep import FourStepNTT, _matmul_mod
@@ -49,7 +49,9 @@ class DistributedFourStepNTT:
         self.n = n
         self.q = q
         self.four = FourStepNTT(units, units, q)
-        self.transpose_rf = TransposeBuffer(units, config.word_bytes)
+        self.transposes_performed = 0
+        #: Each transpose streams the polynomial into the RF and out again.
+        self.words_through_transpose_rf = 0
 
     # ------------------------------ data movement ---------------------- #
 
@@ -70,11 +72,12 @@ class DistributedFourStepNTT:
     def global_transpose(self, locals_: List[np.ndarray]) -> List[np.ndarray]:
         """Exchange data between units through the transpose RF.
 
-        This is the *only* routine that reads another unit's memory; the
-        transpose buffer accounts the moved words.
+        This is the *only* routine that reads another unit's memory; it
+        counts the transpose and the moved words.
         """
         u = self.units
-        self.transpose_rf.transpose_cycles(self.n, words_per_cycle=u)
+        self.transposes_performed += 1
+        self.words_through_transpose_rf += 2 * self.n
         matrix = np.stack(locals_)          # (unit, local_index)
         transposed = matrix.T
         return [transposed[i].copy() for i in range(u)]
@@ -157,15 +160,7 @@ class DistributedFourStepNTT:
         prod = self.pointwise_multiply(fa, fb)
         return self.gather(self.inverse(prod))
 
-    # ------------------------------ accounting ------------------------- #
-
-    @property
-    def transposes_performed(self) -> int:
-        return self.transpose_rf.transposes
-
-    @property
-    def words_through_transpose_rf(self) -> int:
-        return self.transpose_rf.words_moved
+    # ------------------------------ layout ----------------------------- #
 
     def spectrum_natural_order(self, spectrum_locals: List[np.ndarray]):
         """Reorder the transposed spectrum layout into the natural-order

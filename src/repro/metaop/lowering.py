@@ -1,10 +1,12 @@
 """Lowering of the three polynomial operators onto Meta-OP issue streams.
 
 Each ``lower_*`` function returns a list of :class:`MetaOpIssue` — a Meta-OP
-shape plus how many instances of it the operator needs.  The hardware model
-consumes these to compute core occupancy; the arithmetic tests execute a few
-of them through :class:`~repro.metaop.meta_op.MetaOpExecutor` to verify the
-lowering is value-correct, not just count-correct.
+shape plus how many instances of it the operator needs.  The cost model
+(:func:`repro.compiler.cost.model.cost_op`, through
+:meth:`~repro.compiler.ops.HighLevelOp.meta_op_issues`) charges core
+occupancy from these; the arithmetic tests execute a few of them through
+:class:`~repro.metaop.meta_op.MetaOpExecutor` to verify the lowering is
+value-correct, not just count-correct.
 """
 
 from __future__ import annotations

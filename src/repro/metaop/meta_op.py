@@ -84,17 +84,12 @@ class MetaOpTally:
 
 
 class MetaOpExecutor:
-    """Arithmetic-exact execution of Meta-OPs (the unified-core semantics).
+    """Arithmetic-exact execution of Meta-OPs (the unified-core semantics),
+    tallied in a :class:`MetaOpTally`."""
 
-    ``collector`` is an optional :class:`repro.telemetry.TraceCollector`
-    that receives one :class:`~repro.telemetry.events.MetaOpEvent` per
-    executed Meta-OP (in addition to the local :class:`MetaOpTally`).
-    """
-
-    def __init__(self, j: int = 8, collector=None):
+    def __init__(self, j: int = 8):
         self.j = j
         self.tally = MetaOpTally()
-        self.collector = collector
 
     def execute(
         self,
@@ -139,8 +134,6 @@ class MetaOpExecutor:
                         for p in range(op.j)
                     )
         self.tally.record(op)
-        if self.collector is not None:
-            self.collector.record_meta_op(op, 1)
         return np.array([v % q for v in acc], dtype=np.uint64)             # R_j
 
     def execute_mac_stream(

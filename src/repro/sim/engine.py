@@ -14,6 +14,11 @@ It also runs *mixes*: several tenant programs time-sharing one Alchemist
 dispatch policy — FCFS, round-robin, or priority — reporting per-tenant
 latency, slowdown versus running alone, and a Jain fairness index.  The
 kernel's docstring states the makespan bounds every run satisfies.
+
+It is the one fault path: :meth:`EventDrivenSimulator.run` and
+:meth:`~EventDrivenSimulator.run_mix` take a
+:class:`~repro.sim.faults.FaultInjector`, which adjusts each op as the
+kernel dispatches it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Fault injection & resilience for the Alchemist simulators.
+"""Fault injection & resilience for the Alchemist event engine.
 
 Seeded, deterministic fault campaigns (HBM brown-outs, core dropout,
 scratchpad loss, transient op failures) applied to the timing layer of
-both :class:`~repro.sim.simulator.CycleSimulator` and
-:class:`~repro.sim.engine.EventDrivenSimulator`, with bounded-retry /
-degrade / abort resilience policies and campaign-level reporting.
+:class:`~repro.sim.engine.EventDrivenSimulator` (``run``/``run_mix`` with
+a :class:`FaultInjector`), with bounded-retry / degrade / abort
+resilience policies and campaign-level reporting.
 
 Faults never touch functional CKKS/BFV/TFHE state — see the package
 docstring of :mod:`repro.sim.faults.model` for the full contract.

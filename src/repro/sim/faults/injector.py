@@ -1,9 +1,10 @@
 """The fault injector: applies a :class:`FaultModel` to a running schedule.
 
-One :class:`FaultInjector` instance accompanies one simulation run (cycle
-simulator or event engine).  Both drive it through the scheduling kernel
-(:func:`repro.sim.schedule.schedule`), which hands it every op just
-before committing it to the timeline — :meth:`FaultInjector.adjust`
+One :class:`FaultInjector` instance accompanies one run of the event
+engine (:meth:`repro.sim.engine.EventDrivenSimulator.run` or
+:meth:`~repro.sim.engine.EventDrivenSimulator.run_mix`).  The engine's
+scheduling kernel (:func:`repro.sim.schedule.schedule`) hands it every op
+just before committing it to the timeline — :meth:`FaultInjector.adjust`
 returns the (possibly inflated) :class:`~repro.compiler.cost.model.OpCost`
 record to charge, or ``None`` when the resilience policy aborts the
 program (and for every later op of an aborted program, which drains
@@ -21,7 +22,7 @@ Invariants the adjustment maintains (relied on by the property tests):
 * **monotonicity** — every per-resource demand can only grow (HBM scaling
   divides by a factor <= 1, dropout shrinks the wave pool, retries and
   backoff only add), so makespans under faults dominate fault-free
-  makespans in both engines.
+  makespans.
 
 The injector never touches ciphertext state: faults perturb timing and
 scheduling only, which is exactly what the differential harness verifies.

@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault models for the Alchemist simulators.
+"""Deterministic, seeded fault models for the Alchemist event engine.
 
 A :class:`FaultModel` is a *timetable* of hardware faults, fixed before the
 simulation starts and derived only from an explicit integer seed — never
@@ -19,8 +19,8 @@ plausibly suffer (CiFHER's resizable-core argument, REED's chiplet loss):
 * :class:`TransientFaults` — each op *attempt* fails independently with a
   fixed probability.  Failure draws are a pure function of
   ``(seed, tenant, op index, attempt)`` via SHA-256 (no Python ``hash()``,
-  which is salted per process), so replay is exact across runs, platforms
-  and simulator engines.
+  which is salted per process), so replay is exact across runs and
+  platforms.
 
 Faults perturb **timing and scheduling only**.  Nothing in this package
 touches the functional CKKS/BFV/TFHE layers; the differential harness in

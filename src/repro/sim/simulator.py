@@ -17,15 +17,16 @@ Bottleneck classification (per op and per program) goes through the shared
 tie-break (``hbm > sram > compute`` on exact ties — a roofline ridge point
 counts as bandwidth-bound) replaces the old branch-order behaviour.
 
-Start/end cycles (trace events, fault windows, :meth:`SimulationReport.
+Start/end cycles (trace events, :meth:`SimulationReport.
 scheduled_cycles`) come from the program-order mode of the shared
-scheduling kernel, :func:`repro.sim.schedule.schedule`.
+scheduling kernel, :func:`repro.sim.schedule.schedule`.  Fault campaigns
+run on the event engine (:mod:`repro.sim.engine`), not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.compiler.cost.model import (
     ENERGY_PJ_PER_HBM_BYTE,
@@ -44,10 +45,7 @@ from repro.compiler.ops import HighLevelOp, Program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.schedule import schedule
 
-if TYPE_CHECKING:  # runtime imports would be circular (faults -> simulator)
-    from repro.sim.faults.injector import FaultInjector
-    from repro.sim.faults.model import FaultModel
-    from repro.sim.faults.policy import ResiliencePolicy
+if TYPE_CHECKING:  # runtime import would be circular (collector -> sim)
     from repro.telemetry.collector import TraceCollector
 
 
@@ -170,33 +168,12 @@ class CycleSimulator:
     ``collector`` is an optional :class:`repro.telemetry.TraceCollector`;
     when absent (the default) no telemetry code runs and the timing math is
     exactly the untraced path.
-
-    ``faults`` opts into the fault-injection layer: either a
-    :class:`repro.sim.faults.FaultModel` (an injector is built from it,
-    with ``policy`` — default retry-then-degrade) or a ready
-    :class:`repro.sim.faults.FaultInjector`.  With ``faults=None`` (the
-    default) no fault code runs at all; with an *empty* model the injector
-    path runs but returns every timing object unchanged, so cycle counts
-    and trace events stay bit-identical (the zero-overhead invariant).
     """
 
     def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT,
-                 collector: Optional[TraceCollector] = None,
-                 faults: Union[FaultModel, FaultInjector, None] = None,
-                 policy: Optional[ResiliencePolicy] = None) -> None:
+                 collector: Optional[TraceCollector] = None) -> None:
         self.config = config
         self.collector = collector
-        self.injector: Optional[FaultInjector] = None
-        if faults is not None:
-            from repro.sim.faults.injector import FaultInjector
-            from repro.sim.faults.policy import DEFAULT_POLICY
-
-            if isinstance(faults, FaultInjector):
-                self.injector = faults
-            else:
-                self.injector = FaultInjector(
-                    faults, policy=policy or DEFAULT_POLICY,
-                    config=config, collector=collector)
 
     # ------------------------------------------------------------------ #
 
@@ -212,27 +189,16 @@ class CycleSimulator:
         """Time ``program`` (``timings`` from :meth:`time_program` reuses
         an earlier timing pass).
 
-        With neither a collector nor an injector no schedule is built.
-        Otherwise one program-order schedule feeds both: the injector
-        adjusts each op at its start cycle (fault windows are
-        time-addressed) and the collector records the scheduled program
-        in one call.  Under scratchpad loss the injector
-        re-spills the program first, which supplied ``timings`` cannot
-        describe, so that combination raises ``ValueError``.
+        Without a collector no schedule is built.  With one, the
+        program-order schedule places each op on the trace and the
+        collector records the scheduled program in one call.
         """
-        injector, collector = self.injector, self.collector
-        if injector is not None:
-            program = injector.prepare(program, timed=timings is not None)
         if timings is None:
             timings = self.time_program(program)
-        if injector is not None or collector is not None:
-            ops, _ = schedule(
-                [(program.name, None, timings)],
-                adjust=injector.adjust if injector is not None else None)
-            timings = [s.timing for s in ops]      # the ops that ran
-            if collector is not None:
-                collector.record_program(program.name, self.config, ops,
-                                         program.dependency_edges())
+        if self.collector is not None:
+            ops, _ = schedule([(program.name, None, timings)])
+            self.collector.record_program(program.name, self.config, ops,
+                                          program.dependency_edges())
         return SimulationReport(program.name, self.config, list(timings))
 
     def operator_class_cycles(

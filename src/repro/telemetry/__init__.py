@@ -6,8 +6,9 @@ so tracing-off runs are bit-identical to the pre-telemetry simulator.
 
 * :mod:`repro.telemetry.events` — the typed event records.
 * :mod:`repro.telemetry.collector` — :class:`TraceCollector`, the sink the
-  simulator / Meta-OP executor / memory models feed, plus aggregations
-  (per-class utilization, bound histograms, bandwidth occupancy).
+  cycle simulator, the fault injector and the serving layer feed, plus
+  aggregations (per-class utilization, bound histograms, bandwidth
+  occupancy).
 * :mod:`repro.telemetry.export` — Chrome-trace (``chrome://tracing``) and
   CSV exporters.
 * :mod:`repro.telemetry.bench` — the Table 7 / Figure 6 benchmark runner
@@ -18,8 +19,6 @@ from repro.telemetry.collector import TraceCollector
 from repro.telemetry.events import (
     FAULT_KINDS,
     FaultEvent,
-    MemoryEvent,
-    MetaOpEvent,
     TraceEvent,
 )
 from repro.telemetry.export import (
@@ -34,8 +33,6 @@ __all__ = [
     "FaultEvent",
     "TraceCollector",
     "TraceEvent",
-    "MetaOpEvent",
-    "MemoryEvent",
     "to_chrome_trace",
     "to_csv_text",
     "write_chrome_trace",

@@ -1,11 +1,10 @@
 """The telemetry sink: collects events and computes aggregate views.
 
 A :class:`TraceCollector` is handed to the producers (``CycleSimulator``,
-``MetaOpExecutor``, the fault injector, the memory models, the serving
-layer) which call its ``record_*`` methods.  Producers hold
-``collector=None`` by default and guard every call with ``if collector
-is not None`` — with tracing off no telemetry code runs at all, keeping
-the calibration path bit-identical.
+the fault injector, the serving layer) which call its ``record_*``
+methods.  Producers hold ``collector=None`` by default and guard every
+call with ``if collector is not None`` — with tracing off no telemetry
+code runs at all, keeping the calibration path bit-identical.
 
 The simulator records each program in one :meth:`TraceCollector.
 record_program` call: one :class:`TraceEvent` per op, copied from its
@@ -26,12 +25,7 @@ from repro.compiler.cost.model import (
 )
 from repro.hw.config import AlchemistConfig
 from repro.sim.schedule import RESOURCES, ScheduledOp
-from repro.telemetry.events import (
-    FaultEvent,
-    MemoryEvent,
-    MetaOpEvent,
-    TraceEvent,
-)
+from repro.telemetry.events import FaultEvent, TraceEvent
 
 
 class TraceCollector:
@@ -39,8 +33,6 @@ class TraceCollector:
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self.meta_op_events: List[MetaOpEvent] = []
-        self.memory_events: List[MemoryEvent] = []
         #: Fault injections/recoveries (from repro.sim.faults injectors).
         self.fault_events: List[FaultEvent] = []
         #: ServeReports recorded by the serving layer (``repro serve``
@@ -89,24 +81,6 @@ class TraceCollector:
                 deps=tuple(edges.get(s.index, ())),
             ))
 
-    def record_meta_op(self, op, count: int = 1) -> None:
-        """Record Meta-OP executions (called by ``MetaOpExecutor``)."""
-        self.meta_op_events.append(
-            MetaOpEvent(
-                j=op.j,
-                n=op.n,
-                pattern=op.pattern.value,
-                count=count,
-                core_cycles=count * op.core_cycles,
-                raw_mults=count * op.raw_mults,
-                raw_adds=count * op.raw_adds,
-            )
-        )
-
-    def record_memory(self, component: str, num_bytes: int) -> None:
-        """Record one memory-model transfer (HBM / scratchpad hooks)."""
-        self.memory_events.append(MemoryEvent(component, num_bytes))
-
     def record_fault(self, event: FaultEvent) -> None:
         """Record one fault injection/recovery (from a FaultInjector)."""
         self.fault_events.append(event)
@@ -150,24 +124,6 @@ class TraceCollector:
                 "hbm": t.hbm_cycles}
         return {r: min(1.0, busy[r] / makespan) for r in RESOURCES}
 
-    def meta_op_totals(self) -> Dict[str, int]:
-        """Aggregate Meta-OP executor activity."""
-        out = {"meta_ops": 0, "core_cycles": 0, "raw_mults": 0,
-               "raw_adds": 0}
-        for e in self.meta_op_events:
-            out["meta_ops"] += e.count
-            out["core_cycles"] += e.core_cycles
-            out["raw_mults"] += e.raw_mults
-            out["raw_adds"] += e.raw_adds
-        return out
-
-    def memory_totals(self) -> Dict[str, int]:
-        """Bytes per memory component across all recorded transfers."""
-        out: Dict[str, int] = {}
-        for e in self.memory_events:
-            out[e.component] = out.get(e.component, 0) + e.num_bytes
-        return out
-
     def fault_totals(self) -> Dict[str, int]:
         """How many fault events of each kind landed on the timeline."""
         out: Dict[str, int] = {}
@@ -195,8 +151,6 @@ class TraceCollector:
             }
         out: Dict[str, object] = {
             "programs": programs,
-            "meta_op_totals": self.meta_op_totals(),
-            "memory_totals": self.memory_totals(),
             "num_events": len(self.events),
         }
         if self.serving_reports:

@@ -1,8 +1,8 @@
 """Typed telemetry records emitted by the simulation stack.
 
-One :class:`TraceEvent` per simulated high-level operator; lighter records
-for Meta-OP executions (:class:`MetaOpEvent`) and memory-model transfers
-(:class:`MemoryEvent`).  Events are plain data: all aggregation lives in
+One :class:`TraceEvent` per simulated high-level operator and one
+:class:`FaultEvent` per fault injection or recovery.  Events are plain
+data: all aggregation lives in
 :class:`repro.telemetry.collector.TraceCollector` and all formatting in
 :mod:`repro.telemetry.export`.
 """
@@ -79,27 +79,6 @@ CSV_FIELDS = (
     "compute_cycles", "sram_cycles", "hbm_cycles", "busy_core_cycles",
     "waves", "meta_ops", "sram_bytes", "hbm_bytes", "bound", "deps",
 )
-
-
-@dataclass(frozen=True)
-class MetaOpEvent:
-    """One (batch of) executed Meta-OP(s) from :class:`MetaOpExecutor`."""
-
-    j: int
-    n: int
-    pattern: str
-    count: int
-    core_cycles: int                 # total across the batch
-    raw_mults: int
-    raw_adds: int
-
-
-@dataclass(frozen=True)
-class MemoryEvent:
-    """One transfer seen by a memory model (HBM / scratchpad / transpose)."""
-
-    component: str                   # "hbm", "sram_read", "sram_write", ...
-    num_bytes: int
 
 
 #: Fault-event kinds emitted by :mod:`repro.sim.faults` (injections and

@@ -3,7 +3,7 @@
 The fault layer's core contract is that it perturbs *timing and
 scheduling only*.  This harness proves it end to end, per scheme: encrypt
 once, evaluate + decrypt to get a reference result, then run seeded fault
-campaigns through both simulators over the corresponding workload
+campaigns through the event engine over the corresponding workload
 programs, then evaluate + decrypt *the same ciphertexts again* and demand
 bit-exact equality with the reference.  Any fault-layer code path that
 reached into the functional CKKS/BFV/TFHE state — shared RNG, mutated
@@ -32,7 +32,6 @@ from repro.sim.faults import (
     build_campaign,
     campaign_seed,
 )
-from repro.sim.simulator import CycleSimulator
 from repro.tfhe.gates import TFHEGates
 
 #: Every non-empty campaign preset, exercised per scheme.
@@ -40,7 +39,7 @@ ACTIVE_CAMPAIGNS = tuple(c for c in CAMPAIGNS if c != "none")
 
 
 def _run_campaigns(program, seed: int = 0) -> int:
-    """Run every active campaign over ``program`` in both simulators.
+    """Run every active campaign over ``program`` in the event engine.
 
     Returns the number of injector fault events observed (so callers can
     assert the campaigns actually did something) and checks the timing
@@ -51,16 +50,13 @@ def _run_campaigns(program, seed: int = 0) -> int:
     events = 0
     for campaign in ACTIVE_CAMPAIGNS:
         model = build_campaign(campaign, campaign_seed(seed, program.name),
-                               baseline, config=CycleSimulator().config)
-        inj_cycle = FaultInjector(model,
-                                  policy=POLICY_PRESETS["retry-degrade"])
-        CycleSimulator(faults=inj_cycle).run(program)
-        inj_event = FaultInjector(model,
-                                  policy=POLICY_PRESETS["retry-degrade"])
-        mix = engine.run(program, injector=inj_event)
-        assert not inj_event.aborted
+                               baseline, config=engine.config)
+        injector = FaultInjector(model,
+                                 policy=POLICY_PRESETS["retry-degrade"])
+        mix = engine.run(program, injector=injector)
+        assert not injector.aborted
         assert mix.makespan_cycles >= baseline - 1e-9
-        events += len(inj_cycle.events) + len(inj_event.events)
+        events += len(injector.events)
     return events
 
 
@@ -186,8 +182,7 @@ def test_empty_model_differential_noop(ckks512_stack):
     program = cmult_program()
     engine = EventDrivenSimulator()
     baseline = engine.run(program).makespan_cycles
-    model = build_campaign("none", 0, baseline,
-                           config=CycleSimulator().config)
+    model = build_campaign("none", 0, baseline, config=engine.config)
     assert model.is_empty()
     injector = FaultInjector(model)
     mix = engine.run(program, injector=injector)

@@ -1,6 +1,5 @@
-"""Tests for the trace collector and its producer hooks."""
+"""Tests for the trace collector and the simulator that feeds it."""
 
-import numpy as np
 import pytest
 
 from repro.cli import _workloads
@@ -14,8 +13,6 @@ from repro.compiler.ckks_programs import (
 from repro.compiler.ops import HighLevelOp, OpKind, Program
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT
-from repro.hw.memory import HBMModel, LocalScratchpad, TransposeBuffer
-from repro.metaop.meta_op import AccessPattern, MetaOp, MetaOpExecutor
 from repro.sim.schedule import schedule
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry import TraceCollector
@@ -146,44 +143,6 @@ def test_multiple_programs_tracked_separately():
     assert set(collector.summary_dict()["programs"]) == {"pmult", "hadd"}
     assert collector.bound_histogram("pmult") == {"compute": 1}
     assert collector.bound_histogram("hadd") == {"sram": 1}
-
-
-def test_meta_op_executor_hook():
-    collector = TraceCollector()
-    ex = MetaOpExecutor(j=4, collector=collector)
-    op = MetaOp(4, 3, AccessPattern.SLOTS)
-    a = np.arange(12, dtype=np.int64).reshape(3, 4)
-    ex.execute(op, a, a, q=97)
-    ex.execute(op, a, a, q=97)
-    totals = collector.meta_op_totals()
-    assert totals["meta_ops"] == ex.tally.meta_ops == 2
-    assert totals["core_cycles"] == ex.tally.core_cycles
-    assert totals["raw_mults"] == ex.tally.raw_mults
-    assert collector.meta_op_events[0].pattern == "slots"
-
-
-def test_memory_model_hooks():
-    collector = TraceCollector()
-    hbm = HBMModel(bandwidth_bytes_per_cycle=1000.0, collector=collector)
-    hbm.transfer_cycles(5000)
-    pad = LocalScratchpad(capacity_bytes=1 << 20, collector=collector)
-    pad.record_read(256)
-    pad.record_write(128)
-    tbuf = TransposeBuffer(num_units=4, word_bytes=4.5, collector=collector)
-    tbuf.transpose_cycles(poly_words=100, words_per_cycle=8)
-    totals = collector.memory_totals()
-    assert totals["hbm"] == 5000
-    assert totals["sram_read"] == 256
-    assert totals["sram_write"] == 128
-    assert totals["transpose"] == int(2 * 100 * 4.5)
-
-
-def test_memory_models_untouched_without_collector():
-    hbm = HBMModel(bandwidth_bytes_per_cycle=1000.0)
-    assert hbm.transfer_cycles(5000) == 5.0
-    pad = LocalScratchpad(capacity_bytes=1 << 20)
-    pad.record_read(256)
-    assert pad.bytes_read == 256
 
 
 def test_zero_cost_ops_get_zero_duration_markers():
