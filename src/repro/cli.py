@@ -146,10 +146,10 @@ def _config_from_args(args) -> "AlchemistConfig":
     from repro.hw.config import ALCHEMIST_DEFAULT
 
     overrides = {}
-    if getattr(args, "units", None):
+    if getattr(args, "units", None) is not None:
         overrides["num_units"] = args.units
-    if getattr(args, "hbm_gbps", None):
-        overrides["hbm_bandwidth_gbps"] = float(args.hbm_gbps)
+    if getattr(args, "hbm_gbps", None) is not None:
+        overrides["hbm_bandwidth_gbps"] = args.hbm_gbps
     return ALCHEMIST_DEFAULT.with_overrides(**overrides)
 
 
@@ -665,6 +665,18 @@ def cmd_utilization(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type: a ``kind`` number above zero (NaN is not)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__      # argparse's "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -678,8 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_hw_args(p):
-        p.add_argument("--units", type=int, help="computing units (128)")
-        p.add_argument("--hbm-gbps", type=float, help="HBM bandwidth (1000)")
+        p.add_argument("--units", type=_positive(int),
+                       help="computing units (128)")
+        p.add_argument("--hbm-gbps", type=_positive(float),
+                       help="HBM bandwidth (1000)")
 
     add_hw_args(sub.add_parser("info", help="architecture summary"))
     sub.add_parser("workloads", help="list workload names")

@@ -51,7 +51,7 @@ _HBM_PHY_POWER_W = 8.6
 
 @dataclass
 class AreaBreakdown:
-    """Per-component areas in mm^2 (the rows of Table 5)."""
+    """Per-component areas in mm^2 (the rows of Table 5) of ``config``."""
 
     core: float
     core_cluster: float
@@ -62,16 +62,19 @@ class AreaBreakdown:
     shared_sram: float
     memory_interface: float
     total: float
+    config: AlchemistConfig
 
     def as_table_rows(self) -> Dict[str, float]:
+        c = self.config
         return {
-            "1x Core Cluster (16x CORE)": self.core_cluster,
+            f"1x Core Cluster ({c.cores_per_unit}x CORE)": self.core_cluster,
             "1x Local SRAM": self.local_sram,
             "1x Computing Unit (Core Cluster + Local SRAM)": self.computing_unit,
-            "128x Computing Unit": self.all_units,
+            f"{c.num_units}x Computing Unit": self.all_units,
             "Register file for transpose": self.transpose_rf,
             "Shared memory": self.shared_sram,
-            "Memory interface (2xHBM2 PHYs)": self.memory_interface,
+            f"Memory interface ({c.hbm_stacks}xHBM2 PHYs)":
+                self.memory_interface,
             "Total": self.total,
         }
 
@@ -139,6 +142,7 @@ class AreaModel:
             shared_sram=shared,
             memory_interface=mem_if,
             total=total,
+            config=self.config,
         )
 
     def total_area(self) -> float:

@@ -43,6 +43,23 @@ def test_config_validation():
         AlchemistConfig(word_bits=128)
 
 
+@pytest.mark.parametrize("field", ["hbm_bandwidth_gbps",
+                                   "onchip_bandwidth_tbps"])
+@pytest.mark.parametrize("value", [0.0, -5.0, float("nan")])
+def test_config_rejects_non_positive_bandwidth(field, value):
+    with pytest.raises(ValueError, match=field):
+        AlchemistConfig(**{field: value})
+
+
+def test_area_row_labels_follow_the_config():
+    config = ALCHEMIST_DEFAULT.with_overrides(
+        num_units=64, cores_per_unit=8, hbm_stacks=4)
+    labels = list(AreaModel(config).breakdown().as_table_rows())
+    assert labels[0] == "1x Core Cluster (8x CORE)"
+    assert labels[3] == "64x Computing Unit"
+    assert labels[6] == "Memory interface (4xHBM2 PHYs)"
+
+
 def test_config_with_overrides():
     c = ALCHEMIST_DEFAULT.with_overrides(num_units=64)
     assert c.num_units == 64

@@ -18,6 +18,26 @@ def test_info_with_overrides(capsys):
     assert "64 units" in capsys.readouterr().out
 
 
+def test_info_area_rows_count_the_configured_units(capsys):
+    assert main(["info", "--units", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "64x Computing Unit" in out
+    assert "128x" not in out
+
+
+@pytest.mark.parametrize("command", [["simulate", "cmult"], ["info"],
+                                     ["analyze", "cmult"]])
+@pytest.mark.parametrize("flag,value", [("--units", "0"), ("--units", "-4"),
+                                        ("--hbm-gbps", "0"),
+                                        ("--hbm-gbps", "-5")])
+def test_non_positive_hardware_override_is_a_usage_error(
+        capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_workloads_listing(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out
