@@ -83,6 +83,7 @@ mismatch; 2 — usage error (unknown workload or missing argument).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -269,7 +270,7 @@ def cmd_trace(args) -> int:
         else:
             write_csv(collector, args.output)
         print(f"{report.summary()}")
-        print(f"wrote {len(collector.events)} events to {args.output} "
+        print(f"wrote {collector.num_events} events to {args.output} "
               f"({args.format})")
     else:
         if args.format == "chrome":
@@ -666,11 +667,13 @@ def cmd_utilization(args) -> int:
 
 
 def _positive(kind):
-    """An argparse type: a ``kind`` number above zero (NaN is not)."""
+    """An argparse type: a finite ``kind`` number above zero (NaN and
+    infinity are not)."""
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__      # argparse's "invalid int value"

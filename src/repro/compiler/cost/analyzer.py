@@ -380,7 +380,7 @@ def differential_check(program: Program,
         mismatches.append(
             f"bottleneck: static {static.bottleneck} != sim "
             f"{sim_report.bottleneck}")
-    engine = EventDrivenSimulator(config, simulator=sim)
+    engine = EventDrivenSimulator(config)
     makespan = engine.run(program, timings=timings).makespan_cycles
     return DifferentialCheck(
         program=program.name,

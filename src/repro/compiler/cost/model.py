@@ -21,16 +21,18 @@ Calibration against the paper's published anchors (see DESIGN.md):
 :func:`cost_op` is the *only* place these formulas live, and its
 :class:`OpCost` is the one per-op record: the simulators, the fault
 injector, the static analyzer (:mod:`repro.compiler.cost.analyzer`) and
-the trace all carry it, so static predictions match simulated charges
-exactly, by construction.  Every roll-up of such records lives here too
-(:func:`totals`, :func:`utilization_by_class`, :func:`bound_histogram`),
-so no two reports can disagree on a sum.
+the trace (inside each :class:`~repro.sim.schedule.ScheduledOp`) all carry
+it, so static predictions match simulated charges exactly, by
+construction.  Every roll-up of such records lives here too
+(:func:`totals`, :func:`utilization_by_class`, :func:`bound_histogram`)
+and reads only ``OpCost`` records, so no two reports can disagree on a
+sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Protocol, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.compiler.ops import HighLevelOp, OpKind
 from repro.hw.config import AlchemistConfig
@@ -120,34 +122,7 @@ class CostTotals(ResourceBound):
     hbm_bytes: int = 0
 
 
-class CostRecord(Protocol):
-    """The per-op fields :class:`OpCost` and the trace's
-    :class:`~repro.telemetry.events.TraceEvent` share; the roll-ups below
-    read nothing else."""
-
-    @property
-    def operator_class(self) -> str: ...
-    @property
-    def bound(self) -> str: ...
-    @property
-    def compute_cycles(self) -> float: ...
-    @property
-    def sram_cycles(self) -> float: ...
-    @property
-    def hbm_cycles(self) -> float: ...
-    @property
-    def busy_core_cycles(self) -> float: ...
-    @property
-    def waves(self) -> int: ...
-    @property
-    def meta_ops(self) -> int: ...
-    @property
-    def sram_bytes(self) -> int: ...
-    @property
-    def hbm_bytes(self) -> int: ...
-
-
-def totals(records: Iterable[CostRecord]) -> CostTotals:
+def totals(records: Iterable[OpCost]) -> CostTotals:
     """Field-wise sums over ``records``, accumulated in record order (the
     BENCH goldens pin these floats bit-exactly)."""
     compute = sram = hbm = busy = 0.0
@@ -175,7 +150,7 @@ def utilization(busy: float, compute: float, cores: int) -> float:
     return min(1.0, busy / (compute * cores))
 
 
-def by_class(records: Iterable[CostRecord]) -> Dict[str, Tuple[float, float]]:
+def by_class(records: Iterable[OpCost]) -> Dict[str, Tuple[float, float]]:
     """``(busy core-cycles, compute cycles)`` per operator class, over the
     records with a compute window, summed in record order."""
     out: Dict[str, Tuple[float, float]] = {}
@@ -187,7 +162,7 @@ def by_class(records: Iterable[CostRecord]) -> Dict[str, Tuple[float, float]]:
     return out
 
 
-def utilization_by_class(records: Iterable[CostRecord],
+def utilization_by_class(records: Iterable[OpCost],
                          cores: int) -> Dict[str, float]:
     """Compute-core utilization per operator class (Figure 7(b)): busy
     core-cycles over core capacity during that class's compute windows."""
@@ -195,7 +170,7 @@ def utilization_by_class(records: Iterable[CostRecord],
             for cls, (busy, compute) in by_class(records).items()}
 
 
-def bound_histogram(records: Iterable[CostRecord]) -> Dict[str, int]:
+def bound_histogram(records: Iterable[OpCost]) -> Dict[str, int]:
     """How many records land in each roofline regime."""
     out: Dict[str, int] = {}
     for r in records:

@@ -22,7 +22,9 @@ instead of producing optimistic latencies.
 The loop is a pure function of ``(trace, config, batcher, admission)``:
 no wall-clock time, no unseeded randomness — replays are byte-identical,
 which is what lets ``BENCH_serving.json`` be drift-gated like the other
-goldens.
+goldens.  A run's :class:`ServeReport` is plain data: its
+:meth:`~ServeReport.as_dict` is what that golden holds and what
+``repro serve`` prints its lines from.
 """
 
 from __future__ import annotations
@@ -282,25 +284,6 @@ class ServeReport:
             out["shed_by_keys"] = self.shed_by_keys
         return out
 
-    def summary(self) -> str:
-        d = self.as_dict()
-        lines = [
-            f"serve[{self.profile}] rate {self.rate_rps:,.0f} rps: "
-            f"served {self.served}/{self.offered} "
-            f"(shed {self.shed}, degraded {self.degraded}), "
-            f"goodput {d['goodput_rps']:,.0f} rps, "
-            f"p50 {d['p50_us']:,.0f} us, p99 {d['p99_us']:,.0f} us, "
-            f"{len(self.batches)} batches "
-            f"(mean occupancy {self.mean_occupancy:.1f}), "
-            f"util {self.utilization:.2f}"
-        ]
-        for c in self.class_stats():
-            lines.append(
-                f"  {c.name:12s} served {c.served:4d}  "
-                f"p99 {c.p99_us:10,.0f} us (target {c.target_us:,.0f}) "
-                f"violations {c.violations}")
-        return "\n".join(lines)
-
 
 class ServingSimulator:
     """Replays an arrival trace through admission, batching and dispatch."""
@@ -308,13 +291,11 @@ class ServingSimulator:
     def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT,
                  batcher: Optional[SlotBatcher] = None,
                  admission: Optional[AdmissionController] = None,
-                 engine: Optional[EventDrivenSimulator] = None,
-                 collector: Optional[object] = None) -> None:
+                 engine: Optional[EventDrivenSimulator] = None) -> None:
         self.config = config
         self.batcher = batcher or SlotBatcher()
         self.admission = admission or AdmissionController()
         self.engine = engine or EventDrivenSimulator(config)
-        self.collector = collector
         #: program_key -> (noise_ok, keys_ok, service_us): one entry per
         #: batch program shape, shared by admission and dispatch
         self._shapes: Dict[str, Tuple[bool, bool, float]] = {}
@@ -442,7 +423,4 @@ class ServingSimulator:
                 report.outcomes.append(RequestOutcome(
                     request=req, sla=sla, degraded=degraded,
                     shed_reason=reason))
-        if self.collector is not None:
-            self.collector.record_serving_report(  # type: ignore[attr-defined]
-                report)
         return report

@@ -26,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.compiler.cost.model import OpCost, ResourceBound, totals
+from repro.compiler.cost.model import OpCost, ResourceBound, cost_op, totals
 from repro.compiler.ops import Program, ProgramGraph
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.compiler.verify.hazards import schedule_diagnostics
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.schedule import POLICIES, ScheduledOp, Tenant, schedule
-from repro.sim.simulator import CycleSimulator
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.sim.faults
     from repro.sim.faults.injector import FaultInjector
@@ -127,15 +126,13 @@ class MixReport:
 class EventDrivenSimulator:
     """Schedules one or more programs over the three-resource machine.
 
-    Per-op resource demands come from :class:`CycleSimulator.time_op`
-    (identical cycle math to the calibrated report path); this class only
-    decides *when* each op runs.
+    Per-op resource demands come from ``cost_op`` on :attr:`config` (the
+    cycle math of the calibrated report path); this class only decides
+    *when* each op runs.
     """
 
-    def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT,
-                 simulator: Optional[CycleSimulator] = None):
+    def __init__(self, config: AlchemistConfig = ALCHEMIST_DEFAULT):
         self.config = config
-        self.simulator = simulator or CycleSimulator(config)
 
     # ------------------------------------------------------------------ #
 
@@ -188,7 +185,7 @@ class EventDrivenSimulator:
             programs = [injector.prepare(p, timed=timed) for p in programs]
         if timings_by_tenant is None:
             timings_by_tenant = [
-                self.simulator.time_program(p) for p in programs]
+                [cost_op(op, self.config) for op in p.ops] for p in programs]
         names = self._tenant_names(programs)
         graphs = [ProgramGraph(p) for p in programs]
         tenants: List[Tenant] = list(zip(names, graphs, timings_by_tenant))

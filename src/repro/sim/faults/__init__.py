@@ -4,13 +4,15 @@ Seeded, deterministic fault campaigns (HBM brown-outs, core dropout,
 scratchpad loss, transient op failures) applied to the timing layer of
 :class:`~repro.sim.engine.EventDrivenSimulator` (``run``/``run_mix`` with
 a :class:`FaultInjector`), with bounded-retry / degrade / abort
-resilience policies and campaign-level reporting.
+resilience policies and campaign-level reporting.  The injector records
+its fault timeline as :class:`FaultEvent` records (kinds in
+:data:`FAULT_KINDS`).
 
 Faults never touch functional CKKS/BFV/TFHE state — see the package
 docstring of :mod:`repro.sim.faults.model` for the full contract.
 """
 
-from repro.sim.faults.injector import FaultInjector
+from repro.sim.faults.injector import FAULT_KINDS, FaultEvent, FaultInjector
 from repro.sim.faults.model import (
     CAMPAIGNS,
     CoreDropout,
@@ -41,6 +43,8 @@ __all__ = [
     "CoreDropout",
     "DEFAULT_POLICY",
     "FAULTS_SCHEMA",
+    "FAULT_KINDS",
+    "FaultEvent",
     "FaultInjector",
     "FaultModel",
     "HbmDegradation",

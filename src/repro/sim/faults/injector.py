@@ -24,13 +24,18 @@ Invariants the adjustment maintains (relied on by the property tests):
   backoff only add), so makespans under faults dominate fault-free
   makespans.
 
+Every injection and recovery lands on the injector's timeline as one
+:class:`FaultEvent` in :attr:`FaultInjector.events`; the campaign reports
+(:mod:`repro.sim.faults.report`) copy it into
+``ResilienceReport.timeline``, which is what ``BENCH_faults.json`` holds.
+
 The injector never touches ciphertext state: faults perturb timing and
 scheduling only, which is exactly what the differential harness verifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler.cost.model import OpCost, cost_op
@@ -39,25 +44,59 @@ from repro.compiler.passes import insert_spills
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.faults.model import FaultModel
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
-from repro.telemetry.events import FaultEvent
+
+#: Fault-event kinds the injector emits (injections and recoveries both
+#: appear, so a timeline shows each fault from start to end).
+FAULT_KINDS = (
+    "hbm_brownout",        # an HBM degradation window became active
+    "hbm_recovery",        # ... and ended (bandwidth restored)
+    "core_dropout",        # cores remapped onto survivors from this cycle
+    "scratchpad_loss",     # on-chip capacity lost; program re-spilled
+    "transient_failure",   # one op attempt failed
+    "retry",               # the resilience policy re-issued the op
+    "degraded_fallback",   # retries exhausted; op completed in safe mode
+    "abort",               # retries exhausted; program abandoned
+)
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One fault injection or recovery action on the fault timeline.
+
+    ``cycle`` is where the event lands on the simulated timeline (the
+    frontier cycle of the op being adjusted, or the window boundary for
+    brown-outs).  ``details`` carries kind-specific JSON-safe fields
+    (bandwidth factor, cores lost, attempt number, backoff cycles, ...).
+    """
+
+    program: str                     # tenant / program name
+    kind: str                        # one of FAULT_KINDS
+    cycle: float
+    op_index: int = -1               # op being adjusted (-1: program-level)
+    op_label: str = ""
+    details: Dict[str, object] = field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "program": self.program,
+            "kind": self.kind,
+            "cycle": self.cycle,
+            "op_index": self.op_index,
+            "op_label": self.op_label,
+            "details": dict(self.details),
+        }
 
 
 class FaultInjector:
-    """Applies one fault timetable to one run, accumulating telemetry.
-
-    ``collector`` is an optional :class:`repro.telemetry.TraceCollector`;
-    every emitted :class:`FaultEvent` is also kept locally in
-    :attr:`events` so a collector is never required.
-    """
+    """Applies one fault timetable to one run, recording every
+    :class:`FaultEvent` it emits in :attr:`events`."""
 
     def __init__(self, model: FaultModel,
                  policy: ResiliencePolicy = DEFAULT_POLICY,
-                 config: AlchemistConfig = ALCHEMIST_DEFAULT,
-                 collector: Optional[object] = None) -> None:
+                 config: AlchemistConfig = ALCHEMIST_DEFAULT) -> None:
         self.model = model
         self.policy = policy
         self.config = config
-        self.collector = collector
         #: Complete fault timeline, in injection order.
         self.events: List[FaultEvent] = []
         self.retries_by_op: Dict[Tuple[str, int], int] = {}
@@ -106,7 +145,7 @@ class FaultInjector:
                 f"(+{added} ops), so the supplied timings no longer match "
                 f"its ops; let the simulator time the program")
         self.respill_ops_added += added
-        self._emit(FaultEvent(
+        self.events.append(FaultEvent(
             program=program.name, kind="scratchpad_loss", cycle=0.0,
             details={"bytes_lost": loss, "capacity_bytes": capacity,
                      "spill_ops_added": added}))
@@ -147,7 +186,7 @@ class FaultInjector:
                 tenant, index, op, adjusted, start)
             if not survived:
                 self.aborted.add(tenant)
-                self._emit(FaultEvent(
+                self.events.append(FaultEvent(
                     program=tenant, kind="abort", cycle=start,
                     op_index=index, op_label=op.label or op.kind.value,
                     details={"attempts": self.policy.max_attempts,
@@ -221,7 +260,7 @@ class FaultInjector:
             if not self.model.attempt_fails(tenant, index, attempt):
                 return True, penalty
             self.total_failures += 1
-            self._emit(FaultEvent(
+            self.events.append(FaultEvent(
                 program=tenant, kind="transient_failure", cycle=start,
                 op_index=index, op_label=label,
                 details={"attempt": attempt}))
@@ -233,7 +272,7 @@ class FaultInjector:
             self.total_retries += 1
             key = (tenant, index)
             self.retries_by_op[key] = self.retries_by_op.get(key, 0) + 1
-            self._emit(FaultEvent(
+            self.events.append(FaultEvent(
                 program=tenant, kind="retry", cycle=start,
                 op_index=index, op_label=label,
                 details={"attempt": attempt + 1,
@@ -247,7 +286,7 @@ class FaultInjector:
         # the op's nominal duration stands in for one execution; safe mode
         # costs degrade_factor x nominal, so add the difference on top of
         # the wasted attempts (which already include the final failure)
-        self._emit(FaultEvent(
+        self.events.append(FaultEvent(
             program=tenant, kind="degraded_fallback", cycle=start,
             op_index=index, op_label=label,
             details={"attempts": max_attempts,
@@ -260,7 +299,7 @@ class FaultInjector:
                 continue
             self._announced_dropouts.add(d_idx)
             lost = self.model.cores_lost_at(drop.at_cycle)
-            self._emit(FaultEvent(
+            self.events.append(FaultEvent(
                 program=tenant, kind="core_dropout", cycle=drop.at_cycle,
                 details={"cores": drop.cores, "cores_lost_total": lost,
                          "cores_remaining":
@@ -274,14 +313,14 @@ class FaultInjector:
                 if cycle >= window.end_cycle:
                     self._hbm_done.add(w_idx)
                     self._hbm_active.discard(w_idx)
-                    self._emit(FaultEvent(
+                    self.events.append(FaultEvent(
                         program=tenant, kind="hbm_recovery",
                         cycle=window.end_cycle,
                         details={"bandwidth_factor": 1.0}))
                 continue
             if window.active_at(cycle):
                 self._hbm_active.add(w_idx)
-                self._emit(FaultEvent(
+                self.events.append(FaultEvent(
                     program=tenant, kind="hbm_brownout",
                     cycle=window.start_cycle,
                     details={
@@ -293,8 +332,3 @@ class FaultInjector:
                 # the whole window passed with no op starting inside it:
                 # bandwidth was never observed degraded, emit nothing
                 self._hbm_done.add(w_idx)
-
-    def _emit(self, event: FaultEvent) -> None:
-        self.events.append(event)
-        if self.collector is not None:
-            self.collector.record_fault(event)  # type: ignore[attr-defined]

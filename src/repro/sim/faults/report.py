@@ -116,22 +116,6 @@ class ResilienceReport:
             "tenant_slowdowns": self.tenant_slowdowns,
         }
 
-    def summary(self) -> str:
-        flags = []
-        if self.retries:
-            flags.append(f"{self.retries} retries")
-        if self.degraded_ops:
-            flags.append(f"{self.degraded_ops} degraded")
-        if self.aborted_tenants:
-            flags.append("ABORTED: " + ",".join(self.aborted_tenants))
-        suffix = f" ({', '.join(flags)})" if flags else ""
-        return (
-            f"{self.program}: {self.makespan_cycles:,.0f} cycles "
-            f"(x{self.inflation:.2f} vs fault-free), availability "
-            f"{self.availability:.3f}, fairness {self.fairness:.3f}"
-            f"{suffix}"
-        )
-
 
 def run_workload_campaign(
     name: str,
@@ -140,7 +124,6 @@ def run_workload_campaign(
     seed: int = 0,
     policy: ResiliencePolicy = DEFAULT_POLICY,
     config: AlchemistConfig = ALCHEMIST_DEFAULT,
-    collector: Optional[object] = None,
 ) -> ResilienceReport:
     """One seeded campaign over one workload (or tenant mix).
 
@@ -153,8 +136,7 @@ def run_workload_campaign(
     baseline = engine.run_mix(programs)
     model = build_campaign(campaign, campaign_seed(seed, name),
                            baseline.makespan_cycles, config)
-    injector = FaultInjector(model, policy=policy, config=config,
-                             collector=collector)
+    injector = FaultInjector(model, policy=policy, config=config)
     faulted = engine.run_mix(programs, injector=injector)
     slowdowns = {t.name: t.slowdown for t in faulted.tenants}
     return ResilienceReport(

@@ -17,7 +17,7 @@ Bottleneck classification (per op and per program) goes through the shared
 tie-break (``hbm > sram > compute`` on exact ties — a roofline ridge point
 counts as bandwidth-bound) replaces the old branch-order behaviour.
 
-Start/end cycles (trace events, :meth:`SimulationReport.
+Start/end cycles (the trace's scheduled ops, :meth:`SimulationReport.
 scheduled_cycles`) come from the program-order mode of the shared
 scheduling kernel, :func:`repro.sim.schedule.schedule`.  Fault campaigns
 run on the event engine (:mod:`repro.sim.engine`), not here.
@@ -45,7 +45,7 @@ from repro.compiler.ops import HighLevelOp, Program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.schedule import schedule
 
-if TYPE_CHECKING:  # runtime import would be circular (collector -> sim)
+if TYPE_CHECKING:  # annotation only: repro.telemetry imports repro.sim
     from repro.telemetry.collector import TraceCollector
 
 
@@ -190,8 +190,8 @@ class CycleSimulator:
         an earlier timing pass).
 
         Without a collector no schedule is built.  With one, the
-        program-order schedule places each op on the trace and the
-        collector records the scheduled program in one call.
+        program-order schedule places each op on the timeline and the
+        collector keeps that schedule, as built, in one call.
         """
         if timings is None:
             timings = self.time_program(program)

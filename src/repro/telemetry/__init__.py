@@ -1,13 +1,14 @@
 """Structured observability for the cycle simulator (tracing + bench JSON).
 
-The package is strictly optional at simulation time: every producer takes a
-``collector=None`` default and skips all telemetry work when it is absent,
-so tracing-off runs are bit-identical to the pre-telemetry simulator.
+The package is strictly optional at simulation time: ``CycleSimulator``
+takes a ``collector=None`` default and skips all telemetry work when it is
+absent, so tracing-off runs are bit-identical to the pre-telemetry
+simulator.  Nothing under :mod:`repro.sim` or :mod:`repro.serve` imports
+this package at run time.
 
-* :mod:`repro.telemetry.events` — the typed event records.
-* :mod:`repro.telemetry.collector` — :class:`TraceCollector`, the sink the
-  cycle simulator, the fault injector and the serving layer feed, plus
-  aggregations (per-class utilization, bound histograms, bandwidth
+* :mod:`repro.telemetry.collector` — :class:`TraceCollector`, which keeps
+  each traced program's config, scheduled ops and producer edges, and
+  rolls them up (per-class utilization, bound histograms, bandwidth
   occupancy).
 * :mod:`repro.telemetry.export` — Chrome-trace (``chrome://tracing``) and
   CSV exporters.
@@ -16,11 +17,6 @@ so tracing-off runs are bit-identical to the pre-telemetry simulator.
 """
 
 from repro.telemetry.collector import TraceCollector
-from repro.telemetry.events import (
-    FAULT_KINDS,
-    FaultEvent,
-    TraceEvent,
-)
 from repro.telemetry.export import (
     to_chrome_trace,
     to_csv_text,
@@ -29,10 +25,7 @@ from repro.telemetry.export import (
 )
 
 __all__ = [
-    "FAULT_KINDS",
-    "FaultEvent",
     "TraceCollector",
-    "TraceEvent",
     "to_chrome_trace",
     "to_csv_text",
     "write_chrome_trace",

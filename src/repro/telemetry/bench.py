@@ -38,9 +38,9 @@ from repro.compiler.ckks_programs import (
 from repro.compiler.cost.model import utilization
 from repro.compiler.tfhe_programs import PBS_SET_I, PBS_SET_II, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+from repro.sim.schedule import ScheduledOp
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry.collector import TraceCollector
-from repro.telemetry.events import TraceEvent
 
 #: Schema identifiers embedded in the emitted files.
 TABLE7_SCHEMA = "alchemist-bench/table7/v1"
@@ -55,27 +55,28 @@ TABLE7_OPERATORS = {
 }
 
 
-def _per_op_records(events: Sequence[TraceEvent], config: AlchemistConfig):
+def _per_op_records(ops: Sequence[ScheduledOp], config: AlchemistConfig):
     """Per-op latency/utilization/bound rows for one traced program."""
     hz = config.cycles_per_second
     rows = []
-    for e in events:
+    for s in ops:
+        c = s.timing
         rows.append({
-            "name": e.name,
-            "kind": e.kind,
-            "operator_class": e.operator_class,
-            "latency_us": e.duration_cycles / hz * 1e6,
-            "start_us": e.start_cycle / hz * 1e6,
-            "utilization": utilization(e.busy_core_cycles, e.compute_cycles,
+            "name": s.label,
+            "kind": c.op.kind.value,
+            "operator_class": c.operator_class,
+            "latency_us": (s.end - s.start) / hz * 1e6,
+            "start_us": s.start / hz * 1e6,
+            "utilization": utilization(c.busy_core_cycles, c.compute_cycles,
                                        config.total_cores),
-            "bound": e.bound,
-            "compute_cycles": e.compute_cycles,
-            "sram_cycles": e.sram_cycles,
-            "hbm_cycles": e.hbm_cycles,
-            "waves": e.waves,
-            "meta_ops": e.meta_ops,
-            "sram_bytes": e.sram_bytes,
-            "hbm_bytes": e.hbm_bytes,
+            "bound": c.bound,
+            "compute_cycles": c.compute_cycles,
+            "sram_cycles": c.sram_cycles,
+            "hbm_cycles": c.hbm_cycles,
+            "waves": c.waves,
+            "meta_ops": c.meta_ops,
+            "sram_bytes": c.sram_bytes,
+            "hbm_bytes": c.hbm_bytes,
         })
     return rows
 
@@ -87,7 +88,8 @@ def _run_traced(builder, config: AlchemistConfig):
     sim = CycleSimulator(config, collector=collector)
     program = builder()
     report = sim.run(program)
-    rows = _per_op_records(collector.events, config)
+    _, ops, _ = collector.programs[program.name]
+    rows = _per_op_records(ops, config)
     summary = collector.summary_dict()["programs"][program.name]
     return report, rows, summary
 

@@ -5,6 +5,10 @@ one complete ``"X"`` (duration) event per simulated op, with the program as
 the process and the op's critical resource as the thread, so the resource
 pipelining is visible as three parallel swim-lanes.  Timestamps are in
 microseconds of simulated time (cycles / frequency).
+
+Both exporters read each :class:`~repro.sim.schedule.ScheduledOp` the
+collector holds: its slot on the timeline and its
+:class:`~repro.compiler.cost.model.OpCost`.
 """
 
 from __future__ import annotations
@@ -12,15 +16,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict
+from typing import Dict, Mapping, Sequence
 
-from repro.telemetry.collector import RESOURCES, TraceCollector
-from repro.telemetry.events import CSV_FIELDS
+from repro.sim.schedule import RESOURCES, ScheduledOp
+from repro.telemetry.collector import TraceCollector
+
+#: Column order of the CSV export.
+CSV_FIELDS = (
+    "program", "index", "name", "kind", "operator_class", "patterns",
+    "start_cycle", "end_cycle", "duration_cycles",
+    "compute_cycles", "sram_cycles", "hbm_cycles", "busy_core_cycles",
+    "waves", "meta_ops", "sram_bytes", "hbm_bytes", "bound", "deps",
+)
 
 
 def to_chrome_trace(collector: TraceCollector) -> Dict[str, object]:
     """Build the Chrome-trace JSON object for everything collected."""
-    pids = {name: i + 1 for i, name in enumerate(collector.program_configs)}
+    pids = {name: i + 1 for i, name in enumerate(collector.programs)}
     tids = {r: i + 1 for i, r in enumerate(RESOURCES)}
     trace_events = []
     for name, pid in pids.items():
@@ -33,35 +45,36 @@ def to_chrome_trace(collector: TraceCollector) -> Dict[str, object]:
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                 "args": {"name": resource},
             })
-    for e in collector.events:
-        hz = collector.program_configs[e.program]["cycles_per_second"]
-        us_per_cycle = 1e6 / hz
-        lane = e.bound if e.bound in tids else "compute"
-        args = {
-            "kind": e.kind,
-            "operator_class": e.operator_class,
-            "patterns": list(e.patterns),
-            "bound": e.bound,
-            "compute_cycles": e.compute_cycles,
-            "sram_cycles": e.sram_cycles,
-            "hbm_cycles": e.hbm_cycles,
-            "busy_core_cycles": e.busy_core_cycles,
-            "waves": e.waves,
-            "meta_ops": e.meta_ops,
-            "sram_bytes": e.sram_bytes,
-            "hbm_bytes": e.hbm_bytes,
-        }
-        args.update(e.args)
-        trace_events.append({
-            "name": e.name,
-            "cat": e.operator_class,
-            "ph": "X",
-            "pid": pids[e.program],
-            "tid": tids[lane],
-            "ts": e.start_cycle * us_per_cycle,
-            "dur": e.duration_cycles * us_per_cycle,
-            "args": args,
-        })
+    for name, (config, ops, _) in collector.programs.items():
+        us_per_cycle = 1e6 / config.cycles_per_second
+        for s in ops:
+            c = s.timing
+            bound = c.bound
+            args = {
+                "kind": c.op.kind.value,
+                "operator_class": c.operator_class,
+                "patterns": list(c.patterns),
+                "bound": bound,
+                "compute_cycles": c.compute_cycles,
+                "sram_cycles": c.sram_cycles,
+                "hbm_cycles": c.hbm_cycles,
+                "busy_core_cycles": c.busy_core_cycles,
+                "waves": c.waves,
+                "meta_ops": c.meta_ops,
+                "sram_bytes": c.sram_bytes,
+                "hbm_bytes": c.hbm_bytes,
+            }
+            args.update(c.op.trace_args())
+            trace_events.append({
+                "name": s.label,
+                "cat": c.operator_class,
+                "ph": "X",
+                "pid": pids[name],
+                "tid": tids[bound if bound in tids else "compute"],
+                "ts": s.start * us_per_cycle,
+                "dur": (s.end - s.start) * us_per_cycle,
+                "args": args,
+            })
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ns",
@@ -78,14 +91,42 @@ def write_chrome_trace(collector: TraceCollector, path: str) -> None:
         fh.write("\n")
 
 
+def _csv_row(program: str, s: ScheduledOp,
+             edges: Mapping[int, Sequence[int]]) -> Dict[str, object]:
+    """One CSV row (keys per :data:`CSV_FIELDS`) for a scheduled op."""
+    c = s.timing
+    return {
+        "program": program,
+        "index": s.index,
+        "name": s.label,
+        "kind": c.op.kind.value,
+        "operator_class": c.operator_class,
+        "patterns": "+".join(c.patterns),
+        "start_cycle": s.start,
+        "end_cycle": s.end,
+        "duration_cycles": s.end - s.start,
+        "compute_cycles": c.compute_cycles,
+        "sram_cycles": c.sram_cycles,
+        "hbm_cycles": c.hbm_cycles,
+        "busy_core_cycles": c.busy_core_cycles,
+        "waves": c.waves,
+        "meta_ops": c.meta_ops,
+        "sram_bytes": c.sram_bytes,
+        "hbm_bytes": c.hbm_bytes,
+        "bound": c.bound,
+        "deps": "+".join(str(d) for d in edges.get(s.index, ())),
+    }
+
+
 def to_csv_text(collector: TraceCollector) -> str:
-    """One row per op event, columns per :data:`CSV_FIELDS`."""
+    """One row per scheduled op, columns per :data:`CSV_FIELDS`."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(CSV_FIELDS),
                             lineterminator="\n")
     writer.writeheader()
-    for e in collector.events:
-        writer.writerow(e.as_row())
+    for name, (_, ops, edges) in collector.programs.items():
+        for s in ops:
+            writer.writerow(_csv_row(name, s, edges))
     return buf.getvalue()
 
 

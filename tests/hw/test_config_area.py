@@ -44,8 +44,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["hbm_bandwidth_gbps",
-                                   "onchip_bandwidth_tbps"])
-@pytest.mark.parametrize("value", [0.0, -5.0, float("nan")])
+                                   "onchip_bandwidth_tbps", "frequency_ghz"])
+@pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
 def test_config_rejects_non_positive_bandwidth(field, value):
     with pytest.raises(ValueError, match=field):
         AlchemistConfig(**{field: value})

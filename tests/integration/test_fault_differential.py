@@ -81,11 +81,11 @@ def test_ckks_dot_product_unchanged_by_faults(ckks512_stack):
     ct_b = ckks512_stack.encryptor.encrypt_values(b)
 
     before = _ckks_dot8(ckks512_stack, ct_a, ct_b)
-    fault_events = sum(_run_campaigns(p) for p in
-                       (cmult_program(), rotation_program()))
+    fired = sum(_run_campaigns(p) for p in
+                (cmult_program(), rotation_program()))
     after = _ckks_dot8(ckks512_stack, ct_a, ct_b)
 
-    assert fault_events > 0                      # campaigns actually fired
+    assert fired > 0                             # campaigns actually fired
     assert np.array_equal(before, after)         # bit-exact, not approx
     # and the evaluation itself is correct (sanity, approximate scheme)
     want = (a * b).reshape(-1)
@@ -127,10 +127,10 @@ def test_bfv_add_mul_unchanged_by_faults(bfv_stack):
     ct_y = encryptor.encrypt_values(y)
 
     sum_before, prod_before = _bfv_add_mul(decryptor, evaluator, ct_x, ct_y)
-    fault_events = _run_campaigns(bfv_cmult_program(), seed=1)
+    fired = _run_campaigns(bfv_cmult_program(), seed=1)
     sum_after, prod_after = _bfv_add_mul(decryptor, evaluator, ct_x, ct_y)
 
-    assert fault_events > 0
+    assert fired > 0
     assert np.array_equal(sum_before, sum_after)
     assert np.array_equal(prod_before, prod_after)
     # BFV is exact: the decryptions equal the plaintext arithmetic mod t
@@ -159,10 +159,10 @@ def test_tfhe_gates_unchanged_by_faults(tfhe_kit):
         return out
 
     before = evaluate()
-    fault_events = _run_campaigns(pbs_batch_program(), seed=2)
+    fired = _run_campaigns(pbs_batch_program(), seed=2)
     after = evaluate()
 
-    assert fault_events > 0
+    assert fired > 0
     assert before == after
     for row, (x, y) in zip(before, cases):
         assert row == (not (x and y), x and y, x or y, x != y,

@@ -3,7 +3,7 @@
 Covers the fault model/policy validation, seeded-campaign determinism,
 the zero-overhead invariant (empty fault model → bit-identical schedules
 in the event engine, byte-identical BENCH goldens), each fault class's
-timing effect, abort/availability accounting, telemetry wiring, the
+timing effect, abort/availability accounting, the fault timeline, the
 committed ``BENCH_faults.json`` golden, and the ``repro faults`` CLI.
 Faults run on one path: :class:`EventDrivenSimulator` with a
 :class:`FaultInjector`.
@@ -20,6 +20,7 @@ from repro.sim.engine import EventDrivenSimulator
 from repro.sim.faults import (
     CAMPAIGNS,
     CoreDropout,
+    FAULT_KINDS,
     FaultInjector,
     FaultModel,
     HbmDegradation,
@@ -33,7 +34,6 @@ from repro.sim.faults import (
     run_workload_campaign,
 )
 from repro.sim.simulator import CycleSimulator
-from repro.telemetry import TraceCollector
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -324,21 +324,6 @@ def test_respill_with_supplied_timings_is_rejected():
     assert hit.makespan_cycles > base.makespan_cycles
 
 
-def test_collector_summary_gains_faults_key_only_when_events_exist():
-    collector = TraceCollector()
-    CycleSimulator(collector=collector).run(_keyswitch())
-    engine = EventDrivenSimulator()
-    engine.run(_keyswitch(), injector=FaultInjector(
-        FaultModel.empty(), collector=collector))
-    assert "faults" not in collector.summary_dict()
-    model = FaultModel(seed=0, dropouts=(CoreDropout(0.0, 64),))
-    engine.run(_keyswitch(),
-               injector=FaultInjector(model, collector=collector))
-    summary = collector.summary_dict()
-    assert summary["faults"]["num_events"] >= 1
-    assert summary["faults"]["by_kind"].get("core_dropout") == 1
-
-
 # --------------------------- campaign reports ---------------------------- #
 
 
@@ -359,10 +344,15 @@ def test_run_campaign_rejects_unknown_workload():
 
 def test_bench_faults_golden_byte_identical():
     """`repro faults --seed 0 --campaign default` must reproduce the
-    committed BENCH_faults.json byte for byte."""
+    committed BENCH_faults.json byte for byte, and every fault kind on its
+    timelines is one of FAULT_KINDS."""
     committed = (REPO_ROOT / "BENCH_faults.json").read_text()
-    regenerated = json.dumps(run_campaign(), indent=1, sort_keys=True) + "\n"
+    doc = run_campaign()
+    regenerated = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     assert regenerated == committed
+    reports = list(doc["workloads"].values()) + [doc["mix"]]
+    kinds = {e["kind"] for r in reports for e in r["timeline"]}
+    assert kinds and kinds <= set(FAULT_KINDS)
 
 
 # --------------------------- CLI ----------------------------------------- #

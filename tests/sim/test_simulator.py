@@ -182,7 +182,7 @@ def test_run_concurrent_cross_scheme(sim):
 
     ckks = cmult_program()
     tfhe = pbs_batch_program(PBS_SET_I, batch=64)
-    combined = EventDrivenSimulator(sim.config, sim).run_mix([ckks, tfhe])
+    combined = EventDrivenSimulator(sim.config).run_mix([ckks, tfhe])
     assert [t.name for t in combined.tenants] == [ckks.name, tfhe.name]
     # resource totals are the sums of the parts
     a, b = sim.run(ckks), sim.run(tfhe)

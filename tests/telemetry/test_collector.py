@@ -30,6 +30,15 @@ def traced_cmult():
     return collector, report
 
 
+def _ops(collector, name="cmult"):
+    """The scheduled ops ``collector`` holds for program ``name``."""
+    return collector.programs[name][1]
+
+
+def _summary(collector, name="cmult"):
+    return collector.summary_dict()["programs"][name]
+
+
 def test_tracing_off_is_bit_identical():
     """The Table 7 calibration must not move by a single bit with tracing
     disabled vs the pre-telemetry simulator (collector=None path)."""
@@ -53,17 +62,13 @@ def test_tracing_off_is_bit_identical():
 
 
 def test_one_event_per_op(traced_cmult):
+    """The trace holds the report's own cost records, one per op."""
     collector, report = traced_cmult
-    assert len(collector.events) == len(report.timings)
-    for e, t in zip(collector.events, report.timings):
-        assert e.compute_cycles == t.compute_cycles
-        assert e.sram_cycles == t.sram_cycles
-        assert e.hbm_cycles == t.hbm_cycles
-        assert e.bound == t.bound
-        assert e.waves == t.waves
-        assert e.meta_ops == t.meta_ops
-        assert e.duration_cycles == pytest.approx(
-            max(t.compute_cycles, t.sram_cycles, t.hbm_cycles))
+    ops = _ops(collector)
+    assert len(ops) == len(report.timings) == collector.num_events
+    for s, t in zip(ops, report.timings):
+        assert s.timing is t
+        assert s.end - s.start == pytest.approx(t.serialized_cycles)
 
 
 def test_event_schedule_matches_report_timeline(traced_cmult):
@@ -71,24 +76,22 @@ def test_event_schedule_matches_report_timeline(traced_cmult):
     the report's timings, and its makespan is scheduled_cycles()."""
     collector, report = traced_cmult
     ops, makespan = schedule([("cmult", None, report.timings)])
-    assert len(collector.events) == len(ops)
-    for e, s in zip(collector.events, ops):
-        assert e.name == s.label
-        assert (e.start_cycle, e.end_cycle) == (s.start, s.end)
-    assert collector.makespan_cycles() == makespan == report.scheduled_cycles()
+    assert _ops(collector) == ops
+    assert (_summary(collector)["makespan_cycles"] == makespan
+            == report.scheduled_cycles())
 
 
 def test_per_resource_occupancy_never_overlaps(traced_cmult):
     """On each resource, successive ops' occupancy windows are disjoint."""
     collector, _ = traced_cmult
     free = {"compute": 0.0, "sram": 0.0, "hbm": 0.0}
-    for e in collector.events:
-        needs = {"compute": e.compute_cycles, "sram": e.sram_cycles,
-                 "hbm": e.hbm_cycles}
+    for s in _ops(collector):
+        needs = {"compute": s.timing.compute_cycles,
+                 "sram": s.timing.sram_cycles, "hbm": s.timing.hbm_cycles}
         for resource, cycles in needs.items():
             if cycles > 0:
-                assert e.start_cycle >= free[resource] - 1e-9
-                free[resource] = e.start_cycle + cycles
+                assert s.start >= free[resource] - 1e-9
+                free[resource] = s.start + cycles
 
 
 @pytest.mark.parametrize(
@@ -102,13 +105,13 @@ def test_component_utilization_matches_report(config):
     for name, program in _workloads().items():
         collector = TraceCollector()
         report = CycleSimulator(config, collector=collector).run(program)
-        assert (collector.component_utilization(program.name)
+        assert (_summary(collector, program.name)["component_utilization"]
                 == report.utilization_by_class()), name
 
 
 def test_bound_histogram_counts_every_op(traced_cmult):
     collector, report = traced_cmult
-    hist = collector.bound_histogram()
+    hist = _summary(collector)["bound_histogram"]
     assert sum(hist.values()) == len(report.timings)
     assert set(hist) <= {"compute", "sram", "hbm", "free"}
     assert hist["hbm"] >= 1          # cmult streams evaluation keys
@@ -116,7 +119,7 @@ def test_bound_histogram_counts_every_op(traced_cmult):
 
 def test_bandwidth_occupancy_bounds(traced_cmult):
     collector, _ = traced_cmult
-    occ = collector.bandwidth_occupancy()
+    occ = _summary(collector)["bandwidth_occupancy"]
     assert set(occ) == {"compute", "sram", "hbm"}
     for value in occ.values():
         assert 0.0 <= value <= 1.0
@@ -128,11 +131,17 @@ def test_summary_dict_structure(traced_cmult):
     collector, report = traced_cmult
     summary = collector.summary_dict()
     prog = summary["programs"]["cmult"]
+    assert list(summary) == ["programs", "num_events"]
+    assert list(prog) == [
+        "num_ops", "makespan_cycles", "bound_histogram", "bound_cycles",
+        "component_utilization", "bandwidth_occupancy", "waves", "meta_ops",
+        "sram_bytes", "hbm_bytes"]
     assert prog["num_ops"] == len(report.timings)
-    assert prog["makespan_cycles"] == pytest.approx(
-        collector.makespan_cycles("cmult"))
+    assert prog["makespan_cycles"] == max(s.end for s in _ops(collector))
     assert prog["meta_ops"] == sum(t.meta_ops for t in report.timings)
-    assert summary["num_events"] == len(collector.events)
+    assert sum(prog["bound_cycles"].values()) == pytest.approx(
+        sum(s.end - s.start for s in _ops(collector)))
+    assert summary["num_events"] == len(report.timings)
 
 
 def test_multiple_programs_tracked_separately():
@@ -140,9 +149,22 @@ def test_multiple_programs_tracked_separately():
     sim = CycleSimulator(collector=collector)
     sim.run(pmult_program())
     sim.run(hadd_program())
-    assert set(collector.summary_dict()["programs"]) == {"pmult", "hadd"}
-    assert collector.bound_histogram("pmult") == {"compute": 1}
-    assert collector.bound_histogram("hadd") == {"sram": 1}
+    assert set(collector.programs) == {"pmult", "hadd"}
+    assert _summary(collector, "pmult")["bound_histogram"] == {"compute": 1}
+    assert _summary(collector, "hadd")["bound_histogram"] == {"sram": 1}
+
+
+def test_recording_a_program_name_twice_raises():
+    """A second run under a traced name would mix two schedules in one
+    trace; the collector refuses it and keeps the first."""
+    collector = TraceCollector()
+    sim = CycleSimulator(collector=collector)
+    sim.run(pmult_program())
+    first = collector.programs["pmult"]
+    with pytest.raises(ValueError, match="'pmult' is already traced"):
+        sim.run(pmult_program())
+    assert collector.programs["pmult"] is first
+    assert collector.num_events == 1
 
 
 def test_zero_cost_ops_get_zero_duration_markers():
@@ -150,6 +172,6 @@ def test_zero_cost_ops_get_zero_duration_markers():
     program = Program("markers").add(
         HighLevelOp(OpKind.HBM_LOAD, "nothing", bytes_moved=0))
     CycleSimulator(collector=collector).run(program)
-    (event,) = collector.events
-    assert event.bound == "free"
-    assert event.duration_cycles == 0.0
+    (op,) = _ops(collector, "markers")
+    assert op.timing.bound == "free"
+    assert op.end - op.start == 0.0

@@ -17,7 +17,7 @@ from repro.telemetry import (
     write_chrome_trace,
     write_csv,
 )
-from repro.telemetry.events import CSV_FIELDS
+from repro.telemetry.export import CSV_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,9 @@ def test_chrome_trace_structure(traced_pbs):
     events = trace["traceEvents"]
     xs = [e for e in events if e["ph"] == "X"]
     metas = [e for e in events if e["ph"] == "M"]
-    assert len(xs) == len(collector.events)
+    assert len(xs) == collector.num_events == len(report.timings)
     # process + 3 thread-name records per traced program
-    assert len(metas) == 4 * len(collector.program_configs)
+    assert len(metas) == 4 * len(collector.programs)
     names = {m["args"]["name"] for m in metas}
     assert {"compute", "sram", "hbm"} <= names
     for e in xs:
@@ -46,8 +46,10 @@ def test_chrome_trace_structure(traced_pbs):
     # timestamps are microseconds of simulated time: the last event ends at
     # the resource-pipelined makespan
     end_us = max(e["ts"] + e["dur"] for e in xs)
-    hz = collector.program_configs[report.program_name]["cycles_per_second"]
-    assert end_us == pytest.approx(collector.makespan_cycles() / hz * 1e6)
+    makespan = trace["otherData"]["summary"]["programs"][
+        report.program_name]["makespan_cycles"]
+    hz = report.config.cycles_per_second
+    assert end_us == pytest.approx(makespan / hz * 1e6)
 
 
 def test_chrome_trace_bootstrapping_workload():
@@ -61,16 +63,17 @@ def test_chrome_trace_bootstrapping_workload():
 
 
 def test_csv_round_trip(traced_pbs):
-    collector, _ = traced_pbs
+    collector, report = traced_pbs
     text = to_csv_text(collector)
     rows = list(csv.DictReader(io.StringIO(text)))
-    assert len(rows) == len(collector.events)
+    _, ops, _ = collector.programs[report.program_name]
+    assert len(rows) == len(ops)
     assert tuple(rows[0].keys()) == CSV_FIELDS
-    for row, event in zip(rows, collector.events):
-        assert row["name"] == event.name
-        assert float(row["duration_cycles"]) == pytest.approx(
-            event.duration_cycles)
-        assert int(row["meta_ops"]) == event.meta_ops
+    for row, s in zip(rows, ops):
+        assert row["name"] == s.label
+        assert int(row["index"]) == s.index
+        assert float(row["duration_cycles"]) == pytest.approx(s.end - s.start)
+        assert int(row["meta_ops"]) == s.timing.meta_ops
 
 
 def test_file_writers(tmp_path, traced_pbs):
@@ -81,7 +84,7 @@ def test_file_writers(tmp_path, traced_pbs):
     write_csv(collector, str(csv_path))
     loaded = json.loads(chrome_path.read_text())
     assert loaded["otherData"]["summary"]["num_events"] == (
-        len(collector.events))
+        collector.num_events)
     assert csv_path.read_text() == to_csv_text(collector)
 
 

@@ -29,7 +29,8 @@ def test_info_area_rows_count_the_configured_units(capsys):
                                      ["analyze", "cmult"]])
 @pytest.mark.parametrize("flag,value", [("--units", "0"), ("--units", "-4"),
                                         ("--hbm-gbps", "0"),
-                                        ("--hbm-gbps", "-5")])
+                                        ("--hbm-gbps", "-5"),
+                                        ("--hbm-gbps", "inf")])
 def test_non_positive_hardware_override_is_a_usage_error(
         capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """Import hygiene: every package imports alone, a scheme stack loads only
-itself and the substrate beneath it, and ``repro`` resolves its
-subpackages on first use.
+itself and the substrate beneath it, the simulators load no telemetry,
+and ``repro`` resolves its subpackages on first use.
 
 Each check runs in a fresh interpreter, so ``sys.modules`` holds no
 ``repro`` module that the rest of the suite imported.  The interpreter
@@ -114,6 +114,18 @@ def test_a_scheme_request_loads_only_its_stack(scheme):
     assert sorted(m for m in loaded
                   if m.count(".") and m.split(".")[1] in MODELLING) == []
     assert stacks <= SUBSTRATE | {scheme}
+
+
+@pytest.mark.parametrize("package", ["repro.sim", "repro.sim.faults",
+                                     "repro.serve"])
+def test_the_simulators_load_no_telemetry(package):
+    """Dependencies run one way: the trace reads the simulators' records,
+    and nothing under ``repro.sim`` or ``repro.serve`` imports it back."""
+    loaded = json.loads(_python(
+        f"import json, sys\nimport {package}\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] == ['repro', 'telemetry'])))\n"))
+    assert loaded == []
 
 
 def test_import_repro_loads_no_subpackage():
