@@ -303,10 +303,13 @@ class CKKSEvaluator:
         raised to ``Q*P`` and forward-transformed once; each rotation then
         permutes them in the NTT domain (``automorphism_ntt``) and takes
         one ``mac`` against its own Galois key, which gives ``P·rot(ct,
-        step)`` over ``Q*P``, and goes down once (one inverse NTT and one
-        Moddown).  Returns ``{step: rotated ciphertext}`` in coefficient
-        form, bit for bit what a Moddown of the switched pair plus the
-        permuted ``c0`` gives (``ModDown(P·x + y) = x + ModDown(y)``).
+        step)`` over ``Q*P``.  The rotations go down together: one inverse
+        NTT and one Moddown of their ``(C_ext, S, 2, n)`` stack, after
+        every key was found, which equals one call per rotation bit for bit
+        (both work row by row and coefficient by coefficient).  Returns
+        ``{step: rotated ciphertext}`` in coefficient form, bit for bit what
+        a Moddown of the switched pair plus the permuted ``c0`` gives
+        (``ModDown(P·x + y) = x + ModDown(y)``).
 
         Not bit-identical to :meth:`rotate`: the Galois automorphism
         commutes with the digit decomposition exactly, but with Bconv only
@@ -319,9 +322,11 @@ class CKKSEvaluator:
 
         require_single(ct)
         babies = BabySteps(self, ct)
-        return {
-            step: Ciphertext(
-                unstack(self.ring, mod_down(babies(step), babies.extended,
-                                            len(babies.special)), ct.primes),
-                ct.scale, ct.params)
-            for step in steps}
+        steps = list(dict.fromkeys(steps))
+        if not steps:
+            return {}
+        down = mod_down(np.stack([babies(step) for step in steps], axis=1),
+                        babies.extended, len(babies.special))
+        return {step: Ciphertext(unstack(self.ring, down[:, s], ct.primes),
+                                 ct.scale, ct.params)
+                for s, step in enumerate(steps)}

@@ -564,8 +564,9 @@ def cmd_serve(args) -> int:
         print(f"--rate expects comma-separated numbers, got {args.rate!r}",
               file=sys.stderr)
         return 2
-    if not rates or any(r <= 0 for r in rates):
-        print("--rate needs at least one positive rate", file=sys.stderr)
+    if not rates or not all(0 < r < math.inf for r in rates):
+        print(f"--rate needs finite positive rates, got {args.rate!r}",
+              file=sys.stderr)
         return 2
     if args.requests < 1:
         print("--requests must be at least 1", file=sys.stderr)
@@ -573,14 +574,18 @@ def cmd_serve(args) -> int:
     serve_config = _config_from_args(args)
     if getattr(args, "compressed", False):
         serve_config = serve_config.with_compression()
-    doc = run_serving(
-        seed=args.seed,
-        profiles=profiles,
-        rates=rates,
-        n_requests=args.requests,
-        admission_mode=args.admission,
-        config=serve_config,
-    )
+    try:
+        doc = run_serving(
+            seed=args.seed,
+            profiles=profiles,
+            rates=rates,
+            n_requests=args.requests,
+            admission_mode=args.admission,
+            config=serve_config,
+        )
+    except ValueError as exc:    # a rate so low its arrival instants overflow
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
@@ -667,11 +672,15 @@ def cmd_utilization(args) -> int:
 
 
 def _positive(kind):
-    """An argparse type: a finite ``kind`` number above zero (NaN and
-    infinity are not)."""
+    """An argparse type: a finite ``kind`` number above zero (NaN,
+    infinity and an int with no finite float value are not)."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
+        try:
+            finite = 0 < float(value) < math.inf
+        except OverflowError:           # an int beyond float range
+            finite = False
+        if not finite:
             raise argparse.ArgumentTypeError(
                 f"must be positive and finite, got {text}")
         return value
@@ -741,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full JSON document")
     kern_p.add_argument("-o", "--output",
                         help="write BENCH_kernels.json-style output here")
-    kern_p.add_argument("--check-floor", type=float, default=None,
+    kern_p.add_argument("--check-floor", type=_positive(float), default=None,
                         help="fail unless the gated ops (ntt_forward, "
                              "cmult_rescale) clear this speedup")
     faults_p = sub.add_parser(

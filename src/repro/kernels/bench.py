@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -291,7 +292,12 @@ def bench_kernels(quick: bool = False) -> Dict[str, Any]:
 def check_floors(doc: Dict[str, Any], floor: float) -> List[str]:
     """Invariant violations in a kernels document (empty list = clean).
 
-    Every floor is gated on the median rates."""
+    Every floor is gated on the median rates.  A ``floor`` that is not
+    positive and finite raises :class:`ValueError`: no speedup fails it.
+    """
+    if not 0 < floor < math.inf:
+        raise ValueError(f"speedup floor must be positive and finite, got "
+                         f"{floor!r}")
     problems: List[str] = []
     ops = doc.get("ops", {})
     for name in REQUIRED_OPS:
@@ -364,6 +370,15 @@ def _print_table(doc: Dict[str, Any]) -> None:
         )
 
 
+def _speedup_floor(text: str) -> float:
+    """An argparse type: a ``--check-floor`` above zero and finite."""
+    floor = float(text)
+    if not 0 < floor < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return floor
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -372,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print the full JSON document")
     parser.add_argument("-o", "--output",
                         help="write the JSON document to this file")
-    parser.add_argument("--check-floor", type=float, default=None,
+    parser.add_argument("--check-floor", type=_speedup_floor, default=None,
                         help="fail unless the gated ops clear this speedup")
     args = parser.parse_args(argv)
 

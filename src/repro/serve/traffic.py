@@ -113,8 +113,9 @@ class Request:
             raise ValueError(f"unknown SLA class {self.sla!r}")
         if self.width < 1 or self.width & (self.width - 1):
             raise ValueError("width must be a power of two")
-        if self.arrival_us < 0:
-            raise ValueError("arrival must be non-negative")
+        if not 0 <= self.arrival_us < math.inf:     # NaN fails too
+            raise ValueError(f"arrival must be non-negative and finite, got "
+                             f"{self.arrival_us!r}")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -181,8 +182,9 @@ def generate_trace(
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of "
                          f"{PROFILES}")
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
+    if not 0 < rate_rps < math.inf:
+        raise ValueError(f"rate_rps must be positive and finite, got "
+                         f"{rate_rps!r}")
     if n_requests < 1:
         raise ValueError("n_requests must be at least 1")
     rng = Random(seed)

@@ -5,6 +5,8 @@ pure Python); the individual tests assert different properties of the
 same refreshed ciphertext plus the stage-level behaviours.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,19 @@ def test_slot_to_coeff_is_one_transform(pipeline):
     assert sorted(trace) == sorted(BABIES + GIANTS)
 
 
+def test_bootstrap_touches_each_key_as_before(pipeline):
+    """One bootstrap's key touches, as a multiset: each baby and giant
+    rotation key once per transform, the conjugation key once and the
+    relinearization key once per EvalMod Cmult.  Fetching a transform's
+    giant keys before its giant rotations go down together changes the
+    order of the touches, not which keys are touched how often."""
+    encryptor, _, evaluator, boot, rng = pipeline
+    ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
+    trace = _key_trace(evaluator, lambda: boot.bootstrap(ct))
+    assert Counter(trace) == Counter(
+        2 * (BABIES + GIANTS) + ["conj"] + 11 * ["relin"])
+
+
 @pytest.mark.parametrize("n", [8, 32, 128, 512])
 def test_embedding_tail_is_i_times_head(n):
     """``E[:, n/2 + j] = i E[:, j]``: every ``5^k`` is 1 mod 4, so
@@ -157,7 +172,7 @@ def test_bootstrap_kernel_calls(pipeline, refreshed, kernel_calls):
     calls: two for CoeffToSlot's subtraction and two for each multiply by
     ``i``.  Six transforms, a second set of baby steps or an EvalMod per
     half would fail this.  A benchmark request adds one forward and one
-    inverse NTT each for encryption and decryption (45 and 42).
+    inverse NTT each for encryption and decryption (33 and 30).
 
     Re-pinned when the keyswitch results began to stay over ``Q·P`` until
     their one Moddown.  The 14 baby rotations make no NTT (they made one
@@ -167,12 +182,18 @@ def test_bootstrap_kernel_calls(pipeline, refreshed, kernel_calls):
     relinearization's lift of ``(d0, d1)`` is one ``mul_channel_scalars``
     (16 → 27); a relinearization adds the lifted pair with one
     ``pointwise_add`` where it added ``k0`` and ``k1`` with two, and a
-    transform sums its giant groups with two fewer (98 → 83)."""
+    transform sums its giant groups with two fewer (98 → 83).
+
+    Re-pinned when a transform's giant rotations began to go down in one
+    call and be raised in one call: each transform's 7 giant ``u1`` take
+    one inverse NTT, one Moddown, ``dnum`` Bconvs and one forward NTT in
+    all, where each took its own (forward 43 → 31, inverse 40 → 28,
+    ``moddown`` 28 → 16, ``bconv`` 43 → 25)."""
     encryptor, _, _, boot, rng = pipeline
     ct = encryptor.encrypt_values(rng.uniform(-1, 1, PARAMS.slots), level=0)
     calls = kernel_calls(lambda: boot.bootstrap(ct))
     assert dict(calls) == {
-        "ntt_forward": 43, "ntt_inverse": 40, "bconv": 43, "moddown": 28,
+        "ntt_forward": 31, "ntt_inverse": 28, "bconv": 25, "moddown": 16,
         "mac": 56, "automorphism_ntt": 56, "automorphism": 2, "negate": 6,
         "rescale": 28, "mul_channel_scalars": 27, "pointwise_add": 83,
         "pointwise_mul": 12,

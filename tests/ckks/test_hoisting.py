@@ -42,7 +42,7 @@ def test_hoisted_matches_individual_rotations(stack):
 
 def test_hoisted_shares_one_modup(stack, monkeypatch):
     """The point of hoisting: Bconv digit conversions happen once, not
-    once per rotation."""
+    once per rotation, and the rotations go down together."""
     from repro.kernels import get_backend
 
     encryptor, _, evaluator, rng = stack
@@ -61,9 +61,9 @@ def test_hoisted_shares_one_modup(stack, monkeypatch):
     ct = encryptor.encrypt_values(z)
     evaluator.rotate_batch_hoisted(ct, STEPS)
     digits = len(PARAMS.digits_at_level(PARAMS.num_levels))
-    # digits modup conversions (shared) + one moddown conversion of both
-    # parts per step
-    assert calls["n"] == digits + len(STEPS)
+    # digits modup conversions (shared) + one moddown conversion of every
+    # part of every step
+    assert calls["n"] == digits + 1
 
 
 def test_hoisted_at_lower_level(stack):

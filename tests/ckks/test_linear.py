@@ -6,7 +6,7 @@ import pytest
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import CKKSDecryptor, CKKSEncryptor
 from repro.ckks.evaluator import CKKSEvaluator
-from repro.ckks.keys import CKKSKeyGenerator
+from repro.ckks.keys import CKKSKeyGenerator, GaloisKey
 from repro.ckks.params import CKKSParams
 from repro.ckks.linear import (BabySteps, SlotLinearTransform,
                                apply_real_transform)
@@ -134,16 +134,17 @@ def test_zero_matrix_rejected(stack):
 def _hoisted_counts(g, dnum, diagonal_groups):
     """Kernel calls of one double-hoisted ``apply`` of a dense ``g*g``
     transform: ``g - 1`` baby and ``g - 1`` giant rotations.  The baby
-    steps stay over ``Q*P``, so none of them makes an NTT or a Moddown."""
+    steps stay over ``Q*P``, so none of them makes an NTT or a Moddown;
+    the giant rotations' ``u1`` go down and are raised as one batch."""
     babies = giants = g - 1
-    raises = 1 + giants            # the input's c1 once, then each u1
+    raises = 2                     # the input's c1, then every u1 at once
     return {
         "bconv": raises * dnum,
         # the input, each raise, the diagonals
         "ntt_forward": 1 + raises + diagonal_groups,
-        # each giant's u1 goes down to be raised, then the transform once
-        "ntt_inverse": giants + 1,
-        "moddown": giants + 1,
+        # every u1 goes down at once to be raised, then the transform once
+        "ntt_inverse": 2,
+        "moddown": 2,
         "mac": babies + g + giants,
         "automorphism_ntt": 2 * (babies + giants),
         "mul_channel_scalars": 1,  # the input lifted by P, once
@@ -167,13 +168,17 @@ def test_dense_transform_ntts_once_per_raise_and_never_per_baby_step(
     and one forward NTT); each baby rotation stays over ``Q*P``: two
     ``automorphism_ntt`` (the raised digits and ``c0``) and one ``mac``,
     with no NTT, no Moddown and no coefficient automorphism.  Each giant
-    group is one ``mac`` over ``Q*P``; each giant rotation Moddowns its
-    ``u1`` (one inverse NTT), raises it and takes one ``mac``; the
-    transform goes down once (one inverse NTT and one Moddown).  The
-    diagonals stay held in NTT form, so a second apply transforms none of
-    them.  These pins were written for the baby steps over ``Q*P``: a
-    baby that went down (one inverse NTT, one Moddown and one forward
-    NTT each, as before) fails them."""
+    group is one ``mac`` over ``Q*P``; the giant rotations' ``u1`` go
+    down as one batch (one inverse NTT and one Moddown) and are raised as
+    one (``dnum`` Bconvs and one forward NTT), and each giant rotation
+    takes one ``mac``; the transform goes down once (one inverse NTT and
+    one Moddown).  The diagonals stay held in NTT form, so a second apply
+    transforms none of them.  These pins were written for the baby steps
+    over ``Q*P``: a baby that went down (one inverse NTT, one Moddown and
+    one forward NTT each, as before) fails them.  They were re-pinned when
+    the giant side began to go down and raise once per transform: a giant
+    rotation that goes down alone (one inverse NTT, one Moddown, ``dnum``
+    Bconvs and one forward NTT each, as before) fails them too."""
     encryptor, _, evaluator, rng = stack
     ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
     m = (rng.normal(size=(SLOTS, SLOTS))
@@ -189,6 +194,31 @@ def test_dense_transform_ntts_once_per_raise_and_never_per_baby_step(
     again = kernel_calls(lambda: lt.apply(evaluator, ct))
     for kernel, count in _hoisted_counts(g, dnum, 0).items():
         assert again[kernel] == count, kernel
+
+
+def test_missing_giant_key_raises_before_any_moddown(stack, kernel_calls):
+    """Every giant key is fetched before the giant rotations' ``u1`` go
+    down together: a transform whose last giant key is missing raises
+    ``ValueError`` with no Moddown, inverse NTT or Bconv made, where
+    giant rotations that went down one at a time made the earlier
+    groups' first."""
+    encryptor, _, evaluator, rng = stack
+    ct = encryptor.encrypt_values(rng.normal(size=SLOTS))
+    _, lt = _dense_transform(rng)
+    last = lt.giant_step * (lt.giant_step - 1)
+    missing = (pow(5, last, 2 * PARAMS.n), ct.level)
+    partial = CKKSEvaluator(
+        PARAMS, evaluator.encoder, relin_key=evaluator.relin_key,
+        galois_key=GaloisKey(PARAMS, {
+            k: v for k, v in evaluator.galois_key.keys.items()
+            if k != missing}))
+
+    def apply():
+        with pytest.raises(ValueError, match="no Galois key for element"):
+            lt.apply(partial, ct)
+
+    calls = kernel_calls(apply)
+    assert calls["moddown"] == calls["ntt_inverse"] == calls["bconv"] == 0
 
 
 def test_baby_step_stays_over_qp(stack, kernel_calls):

@@ -51,6 +51,16 @@ def test_config_rejects_non_positive_bandwidth(field, value):
         AlchemistConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["num_units", "cores_per_unit",
+                                   "lanes_per_core"])
+def test_config_rejects_counts_beyond_float_range(field):
+    """The area, power and cost models scale floats by these counts, so
+    one with no float value is refused here, not by an ``OverflowError``
+    in the first product."""
+    with pytest.raises(ValueError, match=field):
+        AlchemistConfig(**{field: 10 ** 400})
+
+
 def test_area_row_labels_follow_the_config():
     config = ALCHEMIST_DEFAULT.with_overrides(
         num_units=64, cores_per_unit=8, hbm_stacks=4)

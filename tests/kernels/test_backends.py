@@ -166,6 +166,17 @@ def test_kernels_golden_gates_batched_pbs_per_gate():
     assert len(problems) == 1 and "pbs_batch" in problems[0], problems
 
 
+@pytest.mark.parametrize("floor", [float("nan"), 0.0, -1.0, float("inf")])
+def test_check_floors_rejects_a_floor_that_cannot_fail(floor):
+    """A NaN floor compares false with every speedup and a floor of 0 or
+    less is cleared by any, so ``check_floors`` raises for them (and for
+    infinity) instead of passing the gate."""
+    from repro.kernels.bench import check_floors
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_floors(_golden(), floor)
+
+
 def test_kernels_golden_reports_medians_with_their_spread():
     """Each rate is a median of several loops with an IQR around it; an
     entry without a bracketing IQR fails the gate."""

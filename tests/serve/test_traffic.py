@@ -81,6 +81,10 @@ def test_offered_load_degenerate_cases():
     {"profile": "nope", "seed": 0, "rate_rps": 1.0, "n_requests": 1},
     {"profile": "steady", "seed": 0, "rate_rps": 0.0, "n_requests": 1},
     {"profile": "steady", "seed": 0, "rate_rps": -5.0, "n_requests": 1},
+    {"profile": "steady", "seed": 0, "rate_rps": float("nan"),
+     "n_requests": 1},
+    {"profile": "steady", "seed": 0, "rate_rps": float("inf"),
+     "n_requests": 1},
     {"profile": "steady", "seed": 0, "rate_rps": 1.0, "n_requests": 0},
 ])
 def test_generate_trace_rejects_bad_arguments(kwargs):
@@ -104,6 +108,8 @@ def test_sla_classes_are_ranked_and_loosening():
     ("width", 0),
     ("sla", "platinum"),
     ("arrival_us", -1.0),
+    ("arrival_us", float("nan")),      # no serving loop ever admits it
+    ("arrival_us", float("inf")),
 ])
 def test_request_validation(field, value):
     good = dict(rid=0, arrival_us=0.0, scheme="ckks", kind="scale",

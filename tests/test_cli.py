@@ -1,8 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_info(capsys):
@@ -30,13 +37,52 @@ def test_info_area_rows_count_the_configured_units(capsys):
 @pytest.mark.parametrize("flag,value", [("--units", "0"), ("--units", "-4"),
                                         ("--hbm-gbps", "0"),
                                         ("--hbm-gbps", "-5"),
-                                        ("--hbm-gbps", "inf")])
+                                        ("--hbm-gbps", "inf"),
+                                        # no finite float value
+                                        ("--units", "9" * 400)])
 def test_non_positive_hardware_override_is_a_usage_error(
         capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(command + [flag, value])
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_serve_nan_rate_is_a_usage_error():
+    """A NaN rate makes every arrival instant NaN, which the serving loop
+    never admits: it must exit 2, not loop forever (in a subprocess, so a
+    hang fails the test instead of stalling the suite)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--rate", "nan",
+         "--requests", "10"], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "finite positive rates" in proc.stderr
+
+
+@pytest.mark.parametrize("rate", ["inf", "500,inf", "1e-320"])
+def test_serve_rate_beyond_range_is_a_usage_error(capsys, rate):
+    """An infinite rate (whose JSON would hold ``Infinity``) and one so low
+    that the arrival instants overflow both exit 2."""
+    assert main(["serve", "--rate", rate, "--requests", "10"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("floor", ["nan", "0", "-1", "inf"])
+def test_kernels_check_floor_must_be_positive_and_finite(capsys, floor):
+    """A NaN, zero or negative floor no speedup can fail is a usage error
+    in both parsers, before any timing runs."""
+    from repro.kernels.bench import main as kernels_main
+
+    for run in (lambda: main(["kernels", "--quick", "--check-floor", floor]),
+                lambda: kernels_main(["--quick", "--check-floor", floor])):
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_workloads_listing(capsys):
